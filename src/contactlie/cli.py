@@ -138,7 +138,7 @@ def _cmd_analyze(args):
     metric_kind = "exact"
     if args.auto_metric:
         g = construct_associated_metric(c)
-        metric_kind = "floating (auto-generated, tolerance 1e-9)"
+        metric_kind = "exact (auto-generated)"
     else:
         name = args.metric or "g"
         if name not in af.metrics:
@@ -146,8 +146,6 @@ def _cmd_analyze(args):
                 "no metric named %r in the input (use --auto-metric to "
                 "generate one)" % name)
         g = af.metrics[name]
-        if not g.exact:
-            metric_kind = "floating"
     rep = analyze_kcontact(c, g)
     report = {
         "kcontact": rep.is_kcontact,
@@ -362,7 +360,7 @@ def build_parser():
     p.add_argument("--metric", default=None,
                    help="metric name in the input (default: g)")
     p.add_argument("--auto-metric", action="store_true",
-                   help="construct a floating associated metric")
+                   help="construct an exact associated metric")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("roots",

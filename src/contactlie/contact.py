@@ -7,7 +7,7 @@ from .algebra import LieAlgebra, bracket
 from .errors import InputError, InternalInvariantError, SingularSystemError
 from .forms import (AlternatingForm, ce_differential, evaluate, is_contact,
                     one_form_coefficients, two_form_matrix)
-from .linalg import (mat_mul, mat_vec, nullspace, solve_unique,
+from .linalg import (mat_eq, mat_mul, mat_vec, nullspace, solve_unique,
                      vec_is_zero)
 
 
@@ -91,17 +91,13 @@ def _validate(c):
         if evaluate(deta, xi, c.algebra.basis_vector(j)) != 0:
             raise InternalInvariantError("d eta(xi, e_j) != 0 after solve")
     p = [list(r) for r in c.projector]
-    if not _mat_eq(mat_mul(p, p), p):
+    if not mat_eq(mat_mul(p, p), p):
         raise InternalInvariantError("projector is not idempotent")
     if not vec_is_zero(mat_vec(p, xi)):
         raise InternalInvariantError("projector does not kill the Reeb field")
     for v in c.horizontal_basis:
         if evaluate(eta, list(v)) != 0:
             raise InternalInvariantError("horizontal basis vector not in ker eta")
-
-
-def _mat_eq(a, b):
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 def decompose(c, x):

@@ -150,13 +150,13 @@ class MainTheoremReport:
                     "contradicts the main theorem")
 
 
-def analyze_kcontact(c, g, tol=1e-9):
+def analyze_kcontact(c, g):
     """Run the full main-theorem pipeline on (contact structure, metric)."""
-    if not is_associated(c, g, tol=tol):
+    if not is_associated(c, g):
         raise InputError("metric is not associated to the contact structure")
     dim = c.algebra.dim
     notes = []
-    if not is_kcontact(c, g, tol=tol):
+    if not is_kcontact(c, g):
         return MainTheoremReport(
             is_kcontact=False, dim=dim, ad_xi_zero=False,
             notes=("not K-contact; pipeline stopped after the metric "

@@ -226,8 +226,6 @@ def _form_to_json(form):
 
 
 def _metric_to_json(metric):
-    if not metric.exact:
-        raise InputError("floating metrics are not serializable")
     rows = [list(r) for r in metric.matrix]
     n = len(rows)
     if all(rows[i][j] == 0 for i in range(n) for j in range(n) if i != j):

@@ -15,6 +15,7 @@ Conventions (pinned once, used everywhere):
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import InputError
 from .linalg import det
@@ -205,7 +206,7 @@ def ce_differential(algebra, form):
         return zero_form(algebra.dim, algebra.dim)
     half = Fraction(1, 2)
     coeffs = {}
-    for key in _increasing_tuples(algebra.dim, k + 1):
+    for key in combinations(range(algebra.dim), k + 1):
         total = Fraction(0)
         for a in range(k + 1):
             for b in range(a + 1, k + 1):
@@ -222,11 +223,6 @@ def ce_differential(algebra, form):
         if total != 0:
             coeffs[key] = total
     return AlternatingForm(algebra.dim, k + 1, coeffs)
-
-
-def _increasing_tuples(n, k):
-    from itertools import combinations
-    return combinations(range(n), k)
 
 
 def is_contact(algebra, eta):

@@ -42,32 +42,12 @@ def mat_vec(a, v):
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
-def vec_add(u, v):
-    return [x + y for x, y in zip(u, v)]
-
-
-def vec_sub(u, v):
-    return [x - y for x, y in zip(u, v)]
-
-
-def vec_scale(c, v):
-    return [c * x for x in v]
-
-
 def vec_is_zero(v):
     return all(x == 0 for x in v)
 
 
 def mat_eq(a, b):
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def mat_is_zero(a):
-    return all(x == 0 for row in a for x in row)
-
-
-def outer(u, v):
-    return [[x * y for y in v] for x in u]
 
 
 def rref(m):

@@ -1,28 +1,28 @@
 """Associated metrics, the tensors phi and h, the Levi-Civita connection,
 K-contact criteria, the skew normal form and the K-contact obstruction.
 
-Two arithmetic backends coexist: every identity that can be checked
-exactly is checked over the rationals with zero tolerance; the two
-genuinely numerical operations (skew normal form, polar metric
-construction) run in binary64 with the stated tolerances.
+One arithmetic model: metrics have exact rational entries, and every
+identity (associated-metric criteria, Prop. 1, both K-contact criteria)
+is checked with zero tolerance.  Associated metrics are constructed
+exactly too (Blair, Riemannian Geometry of Contact and Symplectic
+Manifolds, ch. 4).  The one binary64 routine is skew_normal_form, the
+orthogonal normal form of a real skew matrix, with the stated
+tolerances.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
-from .algebra import ad
+from .algebra import REAL, ad
 from .errors import InputError, InternalInvariantError
-from .forms import two_form_matrix
-from .linalg import det, identity, inverse, mat_mul, mat_vec, transpose
+from .forms import evaluate, one_form_coefficients, two_form_matrix
+from .linalg import det, inverse, mat_eq, mat_mul, mat_vec, transpose
 from .polynomials import (format_polynomial, has_only_purely_imaginary_roots,
                           is_squarefree)
-from .scalars import scalar_to_complex
 from .spectral import minimal_polynomial
 
-ASSOCIATED_TOL = 1e-9
 SKEW_INPUT_TOL = 1e-12
 ORTHOGONAL_TOL = 1e-12
 BLOCK_TOL = 1e-10
@@ -30,15 +30,15 @@ BLOCK_TOL = 1e-10
 
 @dataclass(frozen=True)
 class MetricData:
-    """Symmetric metric matrix; exact (Fraction rows) or floating (ndarray)."""
+    """Symmetric metric matrix with exact (Fraction) rows."""
 
     matrix: tuple
-    exact: bool = True
+    exact = True  # every metric is exact; kept for callers that ask
 
     @classmethod
     def from_rows(cls, rows):
         rows = tuple(tuple(Fraction(x) for x in r) for r in rows)
-        m = cls(rows, exact=True)
+        m = cls(rows)
         m._require_symmetric()
         return m
 
@@ -49,40 +49,22 @@ class MetricData:
             [[entries[i] if i == j else 0 for j in range(n)]
              for i in range(n)])
 
-    @classmethod
-    def from_array(cls, arr):
-        arr = np.asarray(arr, dtype=float)
-        m = cls(arr, exact=False)
-        m._require_symmetric()
-        return m
-
     @property
     def dim(self):
         return len(self.matrix)
 
     def _require_symmetric(self):
-        if self.exact:
-            n = self.dim
-            for i in range(n):
-                for j in range(i):
-                    if self.matrix[i][j] != self.matrix[j][i]:
-                        raise InputError("metric matrix is not symmetric")
-        else:
-            if np.max(np.abs(self.matrix - self.matrix.T)) > 1e-12:
-                raise InputError("metric matrix is not symmetric")
+        n = self.dim
+        for i in range(n):
+            for j in range(i):
+                if self.matrix[i][j] != self.matrix[j][i]:
+                    raise InputError("metric matrix is not symmetric")
 
     def is_positive_definite(self):
-        if self.exact:
-            rows = [list(r) for r in self.matrix]
-            return all(
-                det([row[: k + 1] for row in rows[: k + 1]]) > 0
-                for k in range(self.dim))
-        return bool(np.min(np.linalg.eigvalsh(np.asarray(self.matrix))) > 0)
-
-    def as_float(self):
-        if self.exact:
-            return np.array([[float(x) for x in r] for r in self.matrix])
-        return np.asarray(self.matrix, dtype=float)
+        rows = [list(r) for r in self.matrix]
+        return all(
+            det([row[: k + 1] for row in rows[: k + 1]]) > 0
+            for k in range(self.dim))
 
 
 @dataclass(frozen=True)
@@ -90,22 +72,9 @@ class Connection:
     """Christoffel data: gamma[i][j] is the vector nabla_{e_i} e_j."""
 
     gamma: tuple
-    exact: bool = True
 
     def cov(self, i, j):
         return self.gamma[i][j]
-
-
-def _float_structure(algebra):
-    n = algebra.dim
-    c = np.zeros((n, n, n))
-    for a in range(n):
-        for b in range(n):
-            c[a, b] = [
-                scalar_to_complex(x).real
-                for x in algebra.structure_vector(a, b)
-            ]
-    return c
 
 
 def levi_civita(algebra, g):
@@ -118,167 +87,106 @@ def levi_civita(algebra, g):
     if not g.is_positive_definite():
         raise InputError("metric is not positive-definite")
     n = algebra.dim
-    if g.exact:
-        grows = [list(r) for r in g.matrix]
-        ginv = inverse(grows)
-        s = [[mat_vec(grows, algebra.structure_vector(a, b))
-              for b in range(n)] for a in range(n)]
-        half = Fraction(1, 2)
-        gamma = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                k_vec = [-half * (s[j][k][i] + s[i][k][j] + s[j][i][k])
-                         for k in range(n)]
-                row.append(tuple(mat_vec(ginv, k_vec)))
-            gamma.append(tuple(row))
-        return Connection(tuple(gamma), exact=True)
-    gm = g.as_float()
-    c = _float_structure(algebra)
-    s = np.einsum("abm,mi->abi", c, gm)
-    k = np.empty((n, n, n))
+    grows = [list(r) for r in g.matrix]
+    ginv = inverse(grows)
+    s = [[mat_vec(grows, algebra.structure_vector(a, b))
+          for b in range(n)] for a in range(n)]
+    half = Fraction(1, 2)
+    gamma = []
     for i in range(n):
+        row = []
         for j in range(n):
-            for kk in range(n):
-                k[i, j, kk] = -0.5 * (s[j, kk, i] + s[i, kk, j] + s[j, i, kk])
-    gamma = np.linalg.solve(gm, k.reshape(n * n, n).T).T.reshape(n, n, n)
-    return Connection(gamma, exact=False)
+            k_vec = [-half * (s[j][k][i] + s[i][k][j] + s[j][i][k])
+                     for k in range(n)]
+            row.append(tuple(mat_vec(ginv, k_vec)))
+        gamma.append(tuple(row))
+    return Connection(tuple(gamma))
 
 
 def compute_phi(c, g):
     """The unique phi with g(X, phi Y) = d eta(X, Y); phi = G^-1 D."""
     d = two_form_matrix(c.deta)
-    if g.exact:
-        return mat_mul(inverse([list(r) for r in g.matrix]),
-                       [list(r) for r in d])
-    dfloat = np.array([[scalar_to_complex(x).real for x in r] for r in d])
-    return np.linalg.solve(g.as_float(), dfloat)
+    return mat_mul(inverse([list(r) for r in g.matrix]),
+                   [list(r) for r in d])
 
 
-def _phi_square_target(c, exact):
+def _phi_square_target(c):
     """-I + xi (x) eta as a matrix."""
     n = c.algebra.dim
-    from .forms import one_form_coefficients
     eta = one_form_coefficients(c.eta)
-    if exact:
-        return [[(-1 if i == j else 0) + c.reeb[i] * eta[j]
-                 for j in range(n)] for i in range(n)]
-    xi = np.array([scalar_to_complex(x).real for x in c.reeb])
-    etaf = np.array([scalar_to_complex(x).real for x in eta])
-    return -np.eye(n) + np.outer(xi, etaf)
+    return [[(-1 if i == j else 0) + c.reeb[i] * eta[j]
+             for j in range(n)] for i in range(n)]
 
 
-def is_associated(c, g, tol=ASSOCIATED_TOL):
+def is_associated(c, g):
     """Both associated-metric criteria: eta = g(., xi) and
     phi^2 = -I + eta (x) xi."""
     if not g.is_positive_definite():
         raise InputError("metric is not positive-definite")
-    from .forms import one_form_coefficients
     eta = one_form_coefficients(c.eta)
-    phi = compute_phi(c, g)
-    if g.exact:
-        gxi = mat_vec([list(r) for r in g.matrix], list(c.reeb))
-        if any(a != b for a, b in zip(gxi, eta)):
-            return False
-        return _mat_eq(mat_mul(phi, phi), _phi_square_target(c, True))
-    gxi = g.as_float() @ np.array(
-        [scalar_to_complex(x).real for x in c.reeb])
-    etaf = np.array([scalar_to_complex(x).real for x in eta])
-    if np.max(np.abs(gxi - etaf)) > tol:
+    gxi = mat_vec([list(r) for r in g.matrix], list(c.reeb))
+    if any(a != b for a, b in zip(gxi, eta)):
         return False
-    return bool(
-        np.max(np.abs(phi @ phi - _phi_square_target(c, False))) <= tol)
-
-
-def _mat_eq(a, b):
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+    phi = compute_phi(c, g)
+    return mat_eq(mat_mul(phi, phi), _phi_square_target(c))
 
 
 def _reeb_derivative(c, conn):
     """Matrix N with N X = nabla_X xi (column j is nabla_{e_j} xi)."""
     n = c.algebra.dim
-    if conn.exact:
-        cols = []
-        for j in range(n):
-            v = [Fraction(0)] * n
-            for i in range(n):
-                if c.reeb[i] != 0:
-                    v = [a + c.reeb[i] * b
-                         for a, b in zip(v, conn.gamma[j][i])]
-            cols.append(v)
-        return [[cols[j][i] for j in range(n)] for i in range(n)]
-    xi = np.array([scalar_to_complex(x).real for x in c.reeb])
-    return np.einsum("i,jik->kj", xi, conn.gamma)
+    cols = []
+    for j in range(n):
+        v = [Fraction(0)] * n
+        for i in range(n):
+            if c.reeb[i] != 0:
+                v = [a + c.reeb[i] * b for a, b in zip(v, conn.gamma[j][i])]
+        cols.append(v)
+    return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
-def compute_h(c, g, tol=ASSOCIATED_TOL):
+def compute_h(c, g):
     """The tensor h from nabla_X xi = -phi X - phi h X; verifies that very
     identity, g-symmetry of h and h xi = 0 before returning."""
-    if not is_associated(c, g, tol=tol):
+    if not is_associated(c, g):
         raise InputError("metric is not associated to the contact structure")
     conn = levi_civita(c.algebra, g)
     phi = compute_phi(c, g)
     nmat = _reeb_derivative(c, conn)
     n = c.algebra.dim
-    if g.exact:
-        proj = [list(r) for r in c.projector]
-        phin = mat_mul(phi, nmat)
-        hm = mat_mul(
-            [[phin[i][j] - (1 if i == j else 0) for j in range(n)]
-             for i in range(n)],
-            proj)
-        lhs = mat_mul(phi, hm)
-        expected = [[-phi[i][j] - lhs[i][j] for j in range(n)]
-                    for i in range(n)]
-        if not _mat_eq(nmat, expected):
-            raise InternalInvariantError(
-                "nabla_X xi = -phi X - phi h X failed on an exact "
-                "associated metric")
-        grows = [list(r) for r in g.matrix]
-        if not _mat_eq(mat_mul(grows, hm),
-                       mat_mul(transpose(hm), grows)):
-            raise InternalInvariantError("h is not g-symmetric")
-        if any(x != 0 for x in mat_vec(hm, list(c.reeb))):
-            raise InternalInvariantError("h xi != 0")
-        return hm
-    proj = np.array([[scalar_to_complex(x).real for x in r]
-                     for r in c.projector])
-    hm = (phi @ nmat - np.eye(n)) @ proj
-    if np.max(np.abs(nmat - (-phi - phi @ hm))) > tol:
+    proj = [list(r) for r in c.projector]
+    phin = mat_mul(phi, nmat)
+    hm = mat_mul(
+        [[phin[i][j] - (1 if i == j else 0) for j in range(n)]
+         for i in range(n)],
+        proj)
+    lhs = mat_mul(phi, hm)
+    expected = [[-phi[i][j] - lhs[i][j] for j in range(n)]
+                for i in range(n)]
+    if not mat_eq(nmat, expected):
         raise InternalInvariantError(
-            "nabla_X xi = -phi X - phi h X exceeded tolerance on a "
-            "floating associated metric")
-    gm = g.as_float()
-    if np.max(np.abs(gm @ hm - hm.T @ gm)) > tol:
-        raise InternalInvariantError("h is not g-symmetric within tolerance")
-    xi = np.array([scalar_to_complex(x).real for x in c.reeb])
-    if np.max(np.abs(hm @ xi)) > tol:
-        raise InternalInvariantError("h xi != 0 within tolerance")
+            "nabla_X xi = -phi X - phi h X failed on an exact "
+            "associated metric")
+    grows = [list(r) for r in g.matrix]
+    if not mat_eq(mat_mul(grows, hm), mat_mul(transpose(hm), grows)):
+        raise InternalInvariantError("h is not g-symmetric")
+    if any(x != 0 for x in mat_vec(hm, list(c.reeb))):
+        raise InternalInvariantError("h xi != 0")
     return hm
 
 
-def is_kcontact(c, g, tol=ASSOCIATED_TOL):
+def is_kcontact(c, g):
     """K-contact verdict; computes both criteria (h = 0, and g-skewness of
     ad(xi) on the horizontal space) and insists they agree."""
-    hm = compute_h(c, g, tol=tol)  # raises InputError if not associated
+    hm = compute_h(c, g)  # raises InputError if not associated
     a = ad(c.algebra, list(c.reeb))
     hb = [list(v) for v in c.horizontal_basis]
-    if g.exact:
-        crit_h = all(x == 0 for row in hm for x in row)
-        grows = [list(r) for r in g.matrix]
-        s = [[x + y for x, y in zip(r1, r2)]
-             for r1, r2 in zip(mat_mul(transpose(a), grows),
-                               mat_mul(grows, a))]
-        crit_skew = all(
-            sum(xi * sij for xi, sij in zip(x, mat_vec(s, y))) == 0
-            for x in hb for y in hb)
-    else:
-        crit_h = bool(np.max(np.abs(hm)) <= tol)
-        af = np.array([[scalar_to_complex(x).real for x in r] for r in a])
-        gm = g.as_float()
-        s = af.T @ gm + gm @ af
-        hbf = np.array([[scalar_to_complex(x).real for x in v] for v in hb])
-        crit_skew = bool(np.max(np.abs(hbf @ s @ hbf.T)) <= tol)
+    crit_h = all(x == 0 for row in hm for x in row)
+    grows = [list(r) for r in g.matrix]
+    s = [[x + y for x, y in zip(r1, r2)]
+         for r1, r2 in zip(mat_mul(transpose(a), grows), mat_mul(grows, a))]
+    crit_skew = all(
+        sum(xi * sij for xi, sij in zip(x, mat_vec(s, y))) == 0
+        for x in hb for y in hb)
     if crit_h != crit_skew:
         raise InternalInvariantError(
             "the two K-contact criteria disagree (h = 0: %s, "
@@ -343,33 +251,32 @@ class SkewNormalForm:
 
 def skew_normal_form(b):
     """Orthogonal block-diagonalization Q B Q^t of a real skew-symmetric
-    matrix into 2x2 rotation generators and a zero tail."""
+    matrix into 2x2 rotation generators and a zero tail.
+
+    The Hermitian matrix iB has the eigenvalues +-b of each block; an
+    eigenvector v for b > 0 gives the rows sqrt(2) Im v, sqrt(2) Re v.
+    The kernel gets a real orthonormal basis from the zero eigenspace.
+    """
     b = np.asarray(b, dtype=float)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise InputError("expected a square matrix")
     n = b.shape[0]
     if np.max(np.abs(b + b.T)) > SKEW_INPUT_TOL:
         raise InputError("matrix is not skew-symmetric within 1e-12")
-    t, z = scipy.linalg.schur(b, output="real")
-    q = z.T  # q b q^t = t
-    pairs = []   # (value, [row, row])
-    zero_rows = []
-    i = 0
-    while i < n:
-        if i + 1 < n and max(abs(t[i, i + 1]), abs(t[i + 1, i])) > BLOCK_TOL:
-            val = t[i, i + 1]
-            rows = [i, i + 1] if val > 0 else [i + 1, i]
-            pairs.append((abs(val), rows))
-            i += 2
-        else:
-            zero_rows.append(i)
-            i += 1
-    pairs.sort(key=lambda p: -p[0])
-    order = [r for _, rows in pairs for r in rows] + zero_rows
-    q = q[order]
-    blocks = tuple(val for val, _ in pairs)
-    form = SkewNormalForm(q=q, blocks=blocks, zero_count=len(zero_rows))
-    if np.max(np.abs(q @ q.T - np.eye(n))) > ORTHOGONAL_TOL:
+    lam, v = np.linalg.eigh(1j * b)  # ascending eigenvalues
+    pairs = [k for k in reversed(range(n)) if lam[k] > BLOCK_TOL]
+    zero = [k for k in range(n) if abs(lam[k]) <= BLOCK_TOL]
+    rows = [np.sqrt(2) * part for k in pairs
+            for part in (v[:, k].imag, v[:, k].real)]
+    if zero:
+        v0 = v[:, zero]
+        u = np.linalg.svd(np.hstack([v0.real, v0.imag]))[0]
+        rows.extend(u[:, :len(zero)].T)
+    q = np.array(rows).reshape(-1, n)
+    form = SkewNormalForm(q=q, blocks=tuple(lam[k] for k in pairs),
+                          zero_count=len(zero))
+    if (q.shape != (n, n)
+            or np.max(np.abs(q @ q.T - np.eye(n))) > ORTHOGONAL_TOL):
         raise InternalInvariantError("Q lost orthogonality")
     if np.max(np.abs(q @ b @ q.T - form.block_matrix())) > BLOCK_TOL:
         raise InternalInvariantError(
@@ -378,46 +285,67 @@ def skew_normal_form(b):
 
 
 def construct_associated_metric(c, horizontal_frame=None):
-    """A floating associated metric via the polar construction: seed metric
-    makes (frame, xi) orthonormal, then the skew matrix of d eta on the
-    frame is polar-decomposed and its symmetric factor becomes g on H."""
+    """An exact associated metric from a basis of ker eta (by default the
+    horizontal basis of c).
+
+    Symplectic Gram-Schmidt with respect to d eta, without normalising,
+    pairs the frame into (e_k, f_k) with s_k = d eta(e_k, f_k) != 0 and
+    d eta vanishing across pairs.  The metric making the pairs and xi
+    orthogonal, with g(e_k, e_k) = g(f_k, f_k) = |s_k| and g(xi, xi) = 1,
+    has phi = sign(s_k) (e_k -> -f_k, f_k -> e_k) on each pair, so
+    phi^2 = -I + eta (x) xi holds exactly.  The frame must be a basis of
+    ker eta; otherwise InputError.
+    """
+    if c.algebra.field != REAL:
+        raise InputError("associated metrics need a real contact algebra")
     n = c.algebra.dim
     if horizontal_frame is None:
-        frame = [np.array([scalar_to_complex(x).real for x in v])
-                 for v in c.horizontal_basis]
-    else:
-        frame = [np.asarray(v, dtype=float) for v in horizontal_frame]
-    if len(frame) != n - 1:
-        raise InputError("horizontal frame must have 2n vectors")
-    xi = np.array([scalar_to_complex(x).real for x in c.reeb])
-    e = np.column_stack(frame + [xi])
-    if abs(np.linalg.det(e)) < 1e-12:
-        raise InputError("horizontal frame is degenerate")
-    dmat = np.array([[scalar_to_complex(x).real for x in row]
-                     for row in two_form_matrix(c.deta)])
-    f = np.column_stack(frame)
-    a = f.T @ dmat @ f
-    w, v = np.linalg.eigh(a.T @ a)
-    p = v @ np.diag(np.sqrt(np.maximum(w, 0.0))) @ v.T
-    einv = np.linalg.inv(e)
-    block = np.zeros((n, n))
-    block[: n - 1, : n - 1] = p
-    block[n - 1, n - 1] = 1.0
-    g = einv.T @ block @ einv
-    g = 0.5 * (g + g.T)
-    metric = MetricData.from_array(g)
-    if not is_associated(c, metric, tol=ASSOCIATED_TOL):
+        horizontal_frame = c.horizontal_basis
+    if len(horizontal_frame) != n - 1:
+        raise InputError("horizontal frame must have %d vectors" % (n - 1))
+    rest = []
+    for i, v in enumerate(horizontal_frame):
+        if len(v) != n:
+            raise InputError("frame vector %d has %d entries, expected %d"
+                             % (i, len(v), n))
+        v = [Fraction(x) for x in v]
+        if evaluate(c.eta, v) != 0:
+            raise InputError("frame vector %d is not in ker eta" % i)
+        rest.append(v)
+    d = two_form_matrix(c.deta)
+
+    def deta(u, v):
+        return sum(x * y for x, y in zip(u, mat_vec(d, v)))
+
+    columns, scale = [], []
+    while rest:
+        e = rest.pop(0)
+        k = next((k for k, v in enumerate(rest) if deta(e, v) != 0), None)
+        if k is None:
+            raise InputError(
+                "horizontal frame is degenerate: Gram-Schmidt finds no "
+                "d eta partner for a frame vector")
+        f = rest.pop(k)
+        s = deta(e, f)
+        rest = [[x - deta(v, f) / s * a + deta(v, e) / s * b
+                 for x, a, b in zip(v, e, f)] for v in rest]
+        columns += [e, f]
+        scale += [abs(s), abs(s)]
+    columns.append(list(c.reeb))
+    scale.append(Fraction(1))
+    # g = E^-T diag(scale) E^-1 for the matrix E with these columns
+    einv = inverse(transpose(columns))
+    scaled = [[s * x for x in row] for s, row in zip(scale, einv)]
+    metric = MetricData.from_rows(mat_mul(transpose(einv), scaled))
+    if not is_associated(c, metric):
         raise InternalInvariantError(
-            "polar construction produced a non-associated metric "
-            "(residual above 1e-9)")
+            "Gram-Schmidt construction produced a non-associated metric")
     return metric
 
 
 def symplectic_is_associated(algebra, omega, k):
     """Symplectic analogue: k is associated to omega iff the candidate J
     from k(X, J Y) = omega(X, Y) squares to -I (exact test)."""
-    if not k.exact:
-        raise InputError("symplectic associated test expects an exact metric")
     if not k.is_positive_definite():
         raise InputError("metric is not positive-definite")
     w = two_form_matrix(omega)
@@ -427,4 +355,4 @@ def symplectic_is_associated(algebra, omega, k):
     n = algebra.dim
     minus_i = [[Fraction(-1) if a == b else Fraction(0) for b in range(n)]
                for a in range(n)]
-    return _mat_eq(mat_mul(j, j), minus_i), j
+    return mat_eq(mat_mul(j, j), minus_i), j

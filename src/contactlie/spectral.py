@@ -4,6 +4,7 @@ contact Lie algebras, and the checker for the vanishing theorem
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -14,7 +15,8 @@ from .errors import (InputError, InternalInvariantError,
 from .forms import evaluate
 from .linalg import mat_vec, nullspace, solve_unique, vec_is_zero
 from .polynomials import Polynomial, is_squarefree
-from .scalars import GaussianRational, scalar_sort_key, scalar_to_complex
+from .scalars import (GaussianRational, scalar_re_im, scalar_sort_key,
+                      scalar_to_complex)
 
 EIGEN_TOL = 1e-9
 
@@ -69,15 +71,31 @@ def is_diagonalizable(m):
 
 def _rationalize_roots(minpoly):
     """Try to realize all roots of the (squarefree) minimal polynomial as
-    Gaussian rationals; None when the polynomial does not split there."""
+    Gaussian rationals; None when the polynomial does not split there.
+
+    With L the lcm of the denominators of the monic minpoly's real and
+    imaginary parts, L z is a root of a monic polynomial over Z[i]; a
+    Gaussian-rational root z therefore has L z in Z[i], and rounding the
+    floating L z to the nearest Gaussian integer recovers it exactly
+    while L |z| stays well inside binary64 precision.  Beyond that, a
+    root with denominators up to 10^6 is still found by continued
+    fractions.  Every candidate is verified exactly.
+    """
+    parts = [scalar_re_im(c) for c in minpoly.coeffs]
+    scale = lcm(*(x.denominator for pair in parts for x in pair))
     coeffs = [scalar_to_complex(c) for c in minpoly.coeffs]
-    numeric = np.roots(list(reversed(coeffs)))
     found = []
-    for z in numeric:
-        cand = GaussianRational(
-            Fraction(z.real).limit_denominator(10 ** 6),
-            Fraction(z.imag).limit_denominator(10 ** 6))
-        if minpoly(cand) == 0 and cand not in found:
+    for z in np.roots(list(reversed(coeffs))):
+        cands = [GaussianRational(Fraction(z.real).limit_denominator(10 ** 6),
+                                  Fraction(z.imag).limit_denominator(10 ** 6))]
+        try:
+            cands.insert(0, GaussianRational(
+                Fraction(round(scale * z.real), scale),
+                Fraction(round(scale * z.imag), scale)))
+        except OverflowError:
+            pass
+        cand = next((w for w in cands if minpoly(w) == 0), None)
+        if cand is not None and cand not in found:
             found.append(cand)
     if len(found) != minpoly.degree:
         return None

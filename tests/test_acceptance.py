@@ -109,14 +109,31 @@ def test_criterion_2_reeb_correctness():
     report(2, ok, "Reeb equations exact; non-contact eta raises")
 
 
+def integer_frames(c, rng, count):
+    """count frames of ker eta: the horizontal basis mixed by random
+    invertible integer matrices with entries in [-2, 2]."""
+    m = c.algebra.dim - 1
+    base = [list(v) for v in c.horizontal_basis]
+    frames = []
+    while len(frames) < count:
+        mix = [[Fraction(rng.randint(-2, 2)) for _ in range(m)]
+               for _ in range(m)]
+        if det(mix) != 0:
+            frames.append(mat_mul(mix, base))
+    return frames
+
+
 def test_criterion_3_prop1_suite():
     ok = True
     exact_names = ["heisenberg3", "heisenberg5", "heisenberg7", "su2",
                    "sl2r", "aff1_aff1_ext5"]
-    for name in exact_names:
-        e = CAT[name]
-        c = e.contact()
-        g = e.metric
+    pairs = [(CAT[name].contact(), CAT[name].metric) for name in exact_names]
+    # auto-constructed metrics are exact too: the same identities hold
+    # with zero tolerance
+    for name in ("heisenberg5", "sl2r", "nilpotent_nondiag5"):
+        c = CAT[name].contact()
+        pairs.append((c, construct_associated_metric(c)))
+    for c, g in pairs:
         n = c.algebra.dim
         conn = levi_civita(c.algebra, g)
         phi = compute_phi(c, g)
@@ -135,14 +152,8 @@ def test_criterion_3_prop1_suite():
         gh = mat_mul(grows, hm)
         ok = ok and gh == mat_mul(transpose(hm), grows)
         ok = ok and all(x == 0 for x in mat_vec(hm, list(c.reeb)))
-    # floating auto-constructed metrics: compute_h enforces the same
-    # identities within 1e-9 and raises otherwise
-    for name in ("heisenberg5", "sl2r", "nilpotent_nondiag5"):
-        c = CAT[name].contact()
-        g = construct_associated_metric(c)
-        compute_h(c, g)
-    report(3, ok, "Prop. 1 identities exact on rational metrics, "
-                  "<= 1e-9 on floating")
+    report(3, ok, "Prop. 1 identities exact on catalog and "
+                  "auto-constructed metrics")
 
 
 def test_criterion_4_prop2_suite():
@@ -153,17 +164,11 @@ def test_criterion_4_prop2_suite():
         e = CAT[name]
         is_kcontact(e.contact(), e.metric)  # raises on disagreement
         pairs += 1
-    rng = np.random.default_rng(73)
+    rng = random.Random(73)
     for name in ("heisenberg3", "heisenberg5", "heisenberg7", "su2",
                  "sl2r", "aff1_aff1_ext5", "nilpotent_nondiag5"):
         c = CAT[name].contact()
-        n = c.algebra.dim
-        base = np.array([[float(Fraction(x)) for x in v]
-                         for v in c.horizontal_basis])
-        for _ in range(8):
-            mix = np.eye(n - 1) + 0.3 * rng.standard_normal(
-                (n - 1, n - 1))
-            frame = [list(mix[i] @ base) for i in range(n - 1)]
+        for frame in integer_frames(c, rng, 8):
             g = construct_associated_metric(c, horizontal_frame=frame)
             is_kcontact(c, g)
             pairs += 1
@@ -235,6 +240,7 @@ def test_criterion_7_main_pipeline():
         rep = analyze_kcontact(c, g)
         ok = ok and rep.is_kcontact and rep.ad_xi_zero
         ok = ok and rep.quotient is not None
+        ok = ok and rep.quotient.algebra.dim == c.algebra.dim - 1
         # SymplecticAlgebra invariants re-checked on a rebuilt instance
         SymplecticAlgebra(rep.quotient.algebra, rep.quotient.omega)
     for name in ("r2_sympl", "r4_sympl", "aff1_aff1_sympl"):

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 
+import contactlie
 from contactlie.cli import main
 
 
@@ -80,9 +84,14 @@ def test_analyze_exact_metric(capsys):
 
 
 def test_analyze_auto_metric(capsys):
-    code, doc = run_json(capsys, "analyze", "heisenberg5", "--auto-metric")
-    assert code == 0 and doc["kcontact"] is True
-    assert "floating" in doc["metric"]
+    verdicts = {"aff1_aff1_ext5": True, "heisenberg3": True,
+                "heisenberg5": True, "heisenberg7": True, "su2": True,
+                "nilpotent_nondiag5": False, "sl2r": False}
+    for name, kcontact in verdicts.items():
+        code, doc = run_json(capsys, "analyze", name, "--auto-metric")
+        assert code == (0 if kcontact else 1), name
+        assert doc["kcontact"] is kcontact, name
+        assert doc["metric"] == "exact (auto-generated)", name
 
 
 def test_analyze_not_kcontact(capsys):
@@ -182,3 +191,14 @@ def test_json_determinism(capsys):
     _, first = run(capsys, "--json", "analyze", "heisenberg7")
     _, second = run(capsys, "--json", "analyze", "heisenberg7")
     assert first == second
+
+
+def test_import_leaves_scipy_unloaded():
+    """numpy is the only third-party dependency; scipy must stay out."""
+    src = os.path.dirname(os.path.dirname(contactlie.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, contactlie, contactlie.cli; "
+            "print('scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -148,11 +148,13 @@ def test_analyze_kcontact_pipeline():
     assert rep.quotient is None and any("n = 1" in t for t in rep.notes)
 
 
-def test_analyze_with_floating_metric():
+def test_analyze_with_auto_metric():
     c = CAT["heisenberg5"].contact()
     g = construct_associated_metric(c)
+    assert g.exact
     rep = analyze_kcontact(c, g)
-    assert rep.is_kcontact and rep.ad_xi_zero and rep.quotient is not None
+    assert rep.is_kcontact and rep.ad_xi_zero
+    assert rep.quotient.algebra.dim == 4
 
 
 def test_analyze_rejects_non_associated():

@@ -4,9 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from contactlie.algebra import complexify
 from contactlie.catalog import catalog
+from contactlie.contact import contact_structure
 from contactlie.errors import InputError
-from contactlie.linalg import mat_mul, mat_vec, transpose
+from contactlie.forms import complexify_form
+from contactlie.linalg import det, mat_mul, mat_vec, transpose
 from contactlie.metric import (MetricData, compute_h, compute_phi,
                                construct_associated_metric, is_associated,
                                is_kcontact, kcontact_obstruction,
@@ -108,58 +111,109 @@ def test_kcontact_verdicts():
         assert is_kcontact(e.contact(), e.metric) is expected, name
 
 
-def test_prop1_exact_catalog():
+def check_prop1(c, g):
     """nabla_X xi = -phi X - phi h X on every basis X, h g-symmetric,
     h xi = 0, phi g-skew.  compute_h verifies the first three internally;
-    here we re-derive them independently."""
+    this re-derives them independently.  Returns h."""
+    n = c.algebra.dim
+    conn = levi_civita(c.algebra, g)
+    phi = compute_phi(c, g)
+    hm = compute_h(c, g)
+    grows = [list(r) for r in g.matrix]
+    # phi is g-skew: G phi = -(G phi)^T
+    gphi = mat_mul(grows, phi)
+    assert gphi == [[-x for x in row] for row in transpose(gphi)]
+    # nabla_{e_j} xi = -phi e_j - phi h e_j
+    for j in range(n):
+        nxj = [sum(c.reeb[i] * conn.cov(j, i)[k] for i in range(n))
+               for k in range(n)]
+        phij = [phi[k][j] for k in range(n)]
+        hj = [hm[k][j] for k in range(n)]
+        phihj = mat_vec(phi, hj)
+        assert nxj == [-a - b for a, b in zip(phij, phihj)]
+    # h is g-symmetric and kills xi
+    assert mat_mul(grows, hm) == mat_mul(transpose(hm), grows)
+    assert all(x == 0 for x in mat_vec(hm, list(c.reeb)))
+    return hm
+
+
+def integer_frames(c, rng, count):
+    """count frames of ker eta: the horizontal basis mixed by random
+    invertible integer matrices with entries in [-2, 2]."""
+    m = c.algebra.dim - 1
+    base = [list(v) for v in c.horizontal_basis]
+    frames = []
+    while len(frames) < count:
+        mix = [[Fraction(rng.randint(-2, 2)) for _ in range(m)]
+               for _ in range(m)]
+        if det(mix) != 0:
+            frames.append(mat_mul(mix, base))
+    return frames
+
+
+def test_prop1_exact_catalog():
     for name in METRIC_NAMES:
         e = CAT[name]
-        c = e.contact()
-        g = e.metric
-        n = c.algebra.dim
-        conn = levi_civita(c.algebra, g)
-        phi = compute_phi(c, g)
-        hm = compute_h(c, g)
-        grows = [list(r) for r in g.matrix]
-        # phi is g-skew: G phi = -(G phi)^T
-        gphi = mat_mul(grows, phi)
-        assert gphi == [[-x for x in row] for row in transpose(gphi)], name
-        # nabla_{e_j} xi = -phi e_j - phi h e_j
-        for j in range(n):
-            nxj = [sum(c.reeb[i] * conn.cov(j, i)[k] for i in range(n))
-                   for k in range(n)]
-            phij = [phi[k][j] for k in range(n)]
-            hj = [hm[k][j] for k in range(n)]
-            phihj = mat_vec(phi, hj)
-            assert nxj == [-a - b for a, b in zip(phij, phihj)], name
-        # h is g-symmetric and kills xi
-        gh = mat_mul(grows, hm)
-        assert gh == transpose(gh) or gh == mat_mul(transpose(hm),
-                                                    grows), name
-        assert all(x == 0 for x in mat_vec(hm, list(c.reeb))), name
+        check_prop1(e.contact(), e.metric)
 
 
-def test_prop1_floating_auto_metrics():
-    rng = np.random.default_rng(19)
+def test_prop1_auto_metrics():
+    rng = random.Random(19)
     for name in ("heisenberg5", "sl2r", "nilpotent_nondiag5", "su2"):
         c = CAT[name].contact()
-        n = c.algebra.dim
-        base = np.array(
-            [[float(Fraction(x)) for x in v] for v in c.horizontal_basis])
-        for _ in range(3):
-            mix = rng.standard_normal((n - 1, n - 1)) * 0.4 + np.eye(n - 1)
-            frame = [list(mix[i] @ base) for i in range(n - 1)]
+        for frame in integer_frames(c, rng, 3):
             g = construct_associated_metric(c, horizontal_frame=frame)
-            assert is_associated(c, g)
-            hm = compute_h(c, g)  # re-verifies Prop. 1 within 1e-9
-            assert hm.shape == (n, n)
+            assert is_associated(c, g), name
+            hm = check_prop1(c, g)
+            assert len(hm) == c.algebra.dim, name
+
+
+def test_auto_metric_is_associated_on_every_contact_entry():
+    for name, e in CAT.items():
+        if e.kind == "contact":
+            c = e.contact()
+            g = construct_associated_metric(c)
+            assert g.exact and is_associated(c, g), name
+
+
+def test_auto_metric_rejects_frame_of_wrong_shape():
+    c = CAT["heisenberg5"].contact()
+    frame = [list(v) for v in c.horizontal_basis]
+    with pytest.raises(InputError, match="4 vectors"):
+        construct_associated_metric(c, horizontal_frame=frame[:3])
+    with pytest.raises(InputError, match="4 entries, expected 5"):
+        construct_associated_metric(
+            c, horizontal_frame=frame[:3] + [frame[3][:4]])
+
+
+def test_auto_metric_rejects_complex_algebra():
+    e = CAT["heisenberg3"]
+    c = contact_structure(complexify(e.algebra), complexify_form(e.eta))
+    with pytest.raises(InputError, match="real"):
+        construct_associated_metric(c)
+
+
+def test_auto_metric_rejects_frame_outside_ker_eta():
+    c = CAT["heisenberg5"].contact()
+    frame = [list(v) for v in c.horizontal_basis]
+    frame[2] = list(c.reeb)
+    with pytest.raises(InputError, match="not in ker eta"):
+        construct_associated_metric(c, horizontal_frame=frame)
+
+
+def test_auto_metric_rejects_degenerate_frame():
+    c = CAT["heisenberg5"].contact()
+    frame = [list(v) for v in c.horizontal_basis]
+    frame[3] = [2 * x for x in frame[0]]
+    with pytest.raises(InputError, match="degenerate"):
+        construct_associated_metric(c, horizontal_frame=frame)
 
 
 def test_prop2_agreement_sweep():
     """The two K-contact criteria agree on >= 60 (algebra, metric) pairs;
     is_kcontact raises if they ever disagree, so counting successful calls
     is the test."""
-    rng = np.random.default_rng(37)
+    rng = random.Random(37)
     pairs = 0
     for name in METRIC_NAMES:
         e = CAT[name]
@@ -169,13 +223,7 @@ def test_prop2_agreement_sweep():
     for name in ("heisenberg3", "heisenberg5", "heisenberg7", "su2",
                  "sl2r", "aff1_aff1_ext5", "nilpotent_nondiag5"):
         c = CAT[name].contact()
-        n = c.algebra.dim
-        base = np.array(
-            [[float(Fraction(x)) for x in v] for v in c.horizontal_basis])
-        for _ in range(8):
-            mix = np.eye(n - 1) + 0.3 * rng.standard_normal(
-                (n - 1, n - 1))
-            frame = [list(mix[i] @ base) for i in range(n - 1)]
+        for frame in integer_frames(c, rng, 8):
             g = construct_associated_metric(c, horizontal_frame=frame)
             is_kcontact(c, g)
             pairs += 1
@@ -194,12 +242,21 @@ def test_obstruction_reports():
 
 
 def test_skew_normal_form_known_blocks():
-    """25 seeded matrices with known block values, sizes 2..8."""
+    """25 seeded matrices with known block values, sizes 2..8, then 10
+    more of sizes 6..11 with a repeated block value and a zero block."""
     rng = np.random.default_rng(101)
+    cases = []
     for trial in range(25):
         size = 2 + trial % 7
-        npairs = size // 2
-        values = np.sort(rng.uniform(0.1, 5.0, npairs))[::-1]
+        cases.append((size, np.sort(rng.uniform(0.1, 5.0, size // 2))[::-1]))
+    for trial in range(10):
+        size = 6 + trial % 6
+        values = np.sort(rng.uniform(0.1, 5.0, size // 2))[::-1]
+        values[1] = values[0]
+        values[-1] = 0.0
+        cases.append((size, values))
+    for size, values in cases:
+        npairs = int(np.count_nonzero(values))
         b0 = np.zeros((size, size))
         for k, v in enumerate(values):
             b0[2 * k, 2 * k + 1] = v
@@ -210,7 +267,7 @@ def test_skew_normal_form_known_blocks():
         b = 0.5 * (b - b.T)
         nf = skew_normal_form(b)
         assert nf.zero_count == size - 2 * npairs
-        assert np.allclose(np.array(nf.blocks), values, atol=1e-10)
+        assert np.allclose(np.array(nf.blocks), values[:npairs], atol=1e-10)
         assert np.max(np.abs(nf.q @ nf.q.T - np.eye(size))) <= 1e-12
         assert np.max(np.abs(nf.q @ b @ nf.q.T - nf.block_matrix())) \
             <= 1e-10

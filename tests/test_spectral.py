@@ -6,11 +6,12 @@ from contactlie.algebra import ad, bracket, complexify
 from contactlie.catalog import catalog
 from contactlie.contact import contact_structure
 from contactlie.errors import InputError
-from contactlie.forms import complexify_form, evaluate
+from contactlie.forms import complexify_form, evaluate, one_form
 from contactlie.linalg import det
 from contactlie.polynomials import Polynomial
 from contactlie.scalars import GaussianRational
-from contactlie.spectral import (characteristic_polynomial,
+from contactlie.spectral import (_rationalize_roots,
+                                 characteristic_polynomial,
                                  find_dual_partner, is_diagonalizable,
                                  minimal_polynomial, pairing_matrix,
                                  root_decomposition, verify_graded_bracket,
@@ -157,3 +158,29 @@ def test_theorem_checker():
 def test_theorem_checker_requires_complex():
     with pytest.raises(InputError):
         verify_reeb_theorem(CAT["heisenberg5"].contact())
+
+
+def test_root_decomposition_large_denominator_is_exact():
+    """su(2) under the D-homothety eta -> c eta has Reeb field e3 / c and
+    spectrum {0, +-i/c}; c = 1000003 needs denominators beyond 10^6."""
+    c = 1000003
+    algebra = complexify(CAT["su2"].algebra)
+    eta = complexify_form(one_form(3, [0, 0, c]))
+    rd = root_decomposition(contact_structure(algebra, eta))
+    i = GaussianRational(0, Fraction(1, c))
+    assert rd.exact
+    assert rd.roots == (-i, GaussianRational(0), i)
+
+
+def test_rationalize_roots_many_moderate_denominators():
+    """Roots 0, +-1/97, +-1/89, +-1/83, +-1/79: the lcm of the
+    coefficient denominators exceeds binary64 precision, so these roots
+    come from the continued-fraction candidate, still verified exactly."""
+    roots = [Fraction(0)] + [Fraction(s, d) for d in (97, 89, 83, 79)
+                             for s in (1, -1)]
+    p = Polynomial([Fraction(1)])
+    for r in roots:
+        p = p * Polynomial([-r, Fraction(1)])
+    found = _rationalize_roots(p)
+    assert found is not None
+    assert sorted(x.re for x in found) == sorted(roots)
