@@ -9,6 +9,7 @@ threads.
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import InputError
 from .linalg import vec_is_zero
@@ -94,30 +95,44 @@ def bracket(algebra, x, y):
     return out
 
 
+def _sparse_constants(algebra):
+    """Structure constants as {(a, b): [(m, c), ...]} over all ordered
+    pairs a != b, nonzero c only.  A real algebra's constants are scaled
+    by the lcm of their denominators, so c is a Python int; the
+    Jacobiator is quadratic in them and keeps its zeros."""
+    scale = 1
+    if algebra.field == REAL:
+        scale = lcm(*(c.denominator for coeffs in algebra.brackets.values()
+                      for c in coeffs))
+    out = {}
+    for (i, j), coeffs in algebra.brackets.items():
+        if algebra.field == REAL:
+            coeffs = [c.numerator * (scale // c.denominator) for c in coeffs]
+        nonzero = [(m, c) for m, c in enumerate(coeffs) if c != 0]
+        out[(i, j)] = nonzero
+        out[(j, i)] = [(m, -c) for m, c in nonzero]
+    return out
+
+
 def check_jacobi(algebra):
     """All basis triples (i, j, k) violating the Jacobi identity, 1-based.
 
-    Empty list iff the structure constants define a Lie algebra.
+    Empty list iff the structure constants define a Lie algebra.  The
+    Jacobiator sum_l c_ij^l c_lk^m + c_jk^l c_li^m + c_ki^l c_lj^m is
+    summed straight from the nonzero structure constants.
     """
+    sparse = _sparse_constants(algebra)
     violations = []
     n = algebra.dim
-    basis = [algebra.basis_vector(i) for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            bij = algebra.structure_vector(i, j)
             for k in range(j + 1, n):
-                total = bracket(algebra, bij, basis[k])
-                total = [
-                    t + u + v
-                    for t, u, v in zip(
-                        total,
-                        bracket(algebra, algebra.structure_vector(j, k),
-                                basis[i]),
-                        bracket(algebra, algebra.structure_vector(k, i),
-                                basis[j]),
-                    )
-                ]
-                if not vec_is_zero(total):
+                total = {}
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    for l, x in sparse.get((a, b), ()):
+                        for m, y in sparse.get((l, c), ()):
+                            total[m] = total.get(m, 0) + x * y
+                if any(total.values()):
                     violations.append((i + 1, j + 1, k + 1))
     return violations
 

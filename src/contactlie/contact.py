@@ -2,6 +2,7 @@
 the splitting X = eta(X) xi + HX."""
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import LieAlgebra, bracket
 from .errors import InputError, InternalInvariantError, SingularSystemError
@@ -29,7 +30,7 @@ class ContactStructure:
     def n(self):
         return (self.algebra.dim - 1) // 2
 
-    @property
+    @cached_property
     def deta(self):
         return ce_differential(self.algebra, self.eta)
 
@@ -40,6 +41,15 @@ def reeb(algebra, eta):
     Solved as one exact linear system; it is singular exactly when
     eta ^ (d eta)^n = 0, i.e. when eta is not contact.
     """
+    try:
+        return _solve_reeb(algebra, eta)
+    except SingularSystemError as exc:
+        raise InputError(
+            "no unique Reeb field: eta is not a contact form "
+            "(the defining linear system is singular)") from exc
+
+
+def _solve_reeb(algebra, eta):
     if eta.degree != 1 or eta.dim != algebra.dim:
         raise InputError("eta must be a 1-form on the algebra")
     deta = ce_differential(algebra, eta)
@@ -49,22 +59,26 @@ def reeb(algebra, eta):
     for j in range(algebra.dim):
         rows.append([d[i][j] for i in range(algebra.dim)])
     rhs = [algebra.one_scalar()] + [algebra.zero_scalar()] * algebra.dim
-    try:
-        return solve_unique(rows, rhs)
-    except SingularSystemError as exc:
-        raise InputError(
-            "no unique Reeb field: eta is not a contact form "
-            "(the defining linear system is singular)") from exc
+    return solve_unique(rows, rhs)
 
 
 def contact_structure(algebra, eta):
-    """Bundle (algebra, eta, xi, horizontal basis, projector), validated."""
-    ok, _ = is_contact(algebra, eta)
-    if not ok:
+    """Bundle (algebra, eta, xi, horizontal basis, projector), validated.
+
+    The Reeb system doubles as the contact test: on an odd-dimensional
+    algebra it is singular exactly when eta ^ (d eta)^n = 0.
+    """
+    if algebra.dim % 2 == 0:
+        raise InputError("contact requires odd dimension, got %d" % algebra.dim)
+    try:
+        xi = _solve_reeb(algebra, eta)
+    except SingularSystemError as exc:
+        if is_contact(algebra, eta)[0]:
+            raise InternalInvariantError(
+                "Reeb system is singular for a contact form") from exc
         raise InputError(
             "eta is not a contact form on %r (eta ^ d eta^n = 0)"
-            % algebra.name)
-    xi = reeb(algebra, eta)
+            % algebra.name) from exc
     eta_row = one_form_coefficients(eta)
     kernel = nullspace([eta_row])
     if len(kernel) != algebra.dim - 1:

@@ -11,7 +11,7 @@ from .contact import contact_structure
 from .errors import InputError, InternalInvariantError
 from .forms import (AlternatingForm, ce_differential, complexify_form,
                     evaluate, is_contact, one_form, two_form_matrix)
-from .linalg import coordinates_in_span, det, mat_vec
+from .linalg import det, mat_vec, rref, transpose
 from .metric import is_associated, is_kcontact, kcontact_obstruction
 from .spectral import root_decomposition, verify_reeb_theorem
 
@@ -44,13 +44,17 @@ def central_quotient(c):
     basis = [list(v) for v in c.horizontal_basis]
     m = len(basis)
     proj = [list(r) for r in c.projector]
-    brackets = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            w = bracket(c.algebra, basis[i], basis[j])
-            hw = mat_vec(proj, w)
-            coords = coordinates_in_span(basis, hw)
-            brackets[(i, j)] = tuple(coords)
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    # one elimination of [basis | H[b_i, b_j] for every pair] gives the
+    # coordinates of every projected bracket in the horizontal basis
+    columns = basis + [mat_vec(proj, bracket(c.algebra, basis[i], basis[j]))
+                       for i, j in pairs]
+    rows, pivots = rref(transpose(columns))
+    if pivots != list(range(m)):
+        raise InternalInvariantError(
+            "a projected bracket is not in the span of the horizontal basis")
+    brackets = {pair: tuple(rows[r][m + t] for r in range(m))
+                for t, pair in enumerate(pairs)}
     quotient = LieAlgebra(
         name=c.algebra.name + "/center",
         dim=m,

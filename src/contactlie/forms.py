@@ -11,14 +11,26 @@ Conventions (pinned once, used everywhere):
   on every degree (rather than 1/(k+1)) is what makes the graded Leibniz
   rule hold together with the shuffle wedge; on 1-forms, the only degree
   with a pinned numeric identity, the two scalings agree.
+
+The contact test never expands eta ^ (d eta)^n.  On a (2n+1)-dimensional
+algebra its coefficient on e1* ^ ... ^ e_{2n+1}* is
+
+    n! * Pf([[0, eta], [-eta^T, D]]),   D[i][j] = d eta(e_i, e_j),
+
+with the Pfaffian normalised by Pf([[0, a], [-a, 0]]) = a and the border
+taken first: same sign and value as the shuffle wedge above.  The n!
+counts the orderings of the n equal factors d eta, which the Pfaffian's
+sum over perfect matchings takes once.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 
 from .errors import InputError
-from .linalg import det
+from .linalg import det, pfaffian
 from .scalars import to_gaussian
 
 
@@ -197,28 +209,40 @@ def wedge(a, b):
 
 def ce_differential(algebra, form):
     """Exterior differential of an invariant form, defined through the
-    Lie bracket alone; on 1-forms d(k)(X, Y) = -1/2 k([X, Y])."""
+    Lie bracket alone; on 1-forms d(k)(X, Y) = -1/2 k([X, Y]).
+
+    Only nonzero structure constants c_ab^m enter; k(e_m, rest) is read
+    off the stored coefficient of the sorted tuple with m inserted at
+    position pos, with sign (-1)^pos on top of (-1)^(a+b).
+    """
     if form.dim != algebra.dim:
         raise InputError("form does not live on this algebra")
     k = form.degree
     if k >= algebra.dim:
         # top degree: the differential is canonically zero
         return zero_form(algebra.dim, algebra.dim)
+    sparse = {pair: [(m, c) for m, c in enumerate(cvec) if c != 0]
+              for pair, cvec in algebra.brackets.items()}
+    values = form.coeffs
     half = Fraction(1, 2)
     coeffs = {}
     for key in combinations(range(algebra.dim), k + 1):
         total = Fraction(0)
         for a in range(k + 1):
             for b in range(a + 1, k + 1):
+                constants = sparse.get((key[a], key[b]))
+                if constants is None:
+                    continue
                 rest = key[:a] + key[a + 1:b] + key[b + 1:]
-                cvec = algebra.structure_vector(key[a], key[b])
-                term = Fraction(0)
-                for m, c in enumerate(cvec):
-                    if c != 0:
-                        term = term + c * form.coefficient((m,) + rest)
-                if (a + b) % 2:
-                    term = -term
-                total = total + term
+                for m, c in constants:
+                    # a repeated m gives a key that is never stored
+                    pos = bisect_left(rest, m)
+                    value = values.get(rest[:pos] + (m,) + rest[pos:])
+                    if value is not None:
+                        if (a + b + pos) % 2:
+                            total = total - c * value
+                        else:
+                            total = total + c * value
         total = half * total
         if total != 0:
             coeffs[key] = total
@@ -229,19 +253,20 @@ def is_contact(algebra, eta):
     """(verdict, top coefficient) of eta ^ (d eta)^n on a (2n+1)-dim algebra.
 
     The coefficient is reported on the lexicographic top form
-    e1* ^ ... ^ e_{2n+1}*.
+    e1* ^ ... ^ e_{2n+1}*, computed as n! times the bordered Pfaffian
+    (see the module docstring).
     """
     if eta.degree != 1:
         raise InputError("contact form must be a 1-form")
     if algebra.dim % 2 == 0:
         raise InputError("contact requires odd dimension, got %d" % algebra.dim)
     n = (algebra.dim - 1) // 2
-    deta = ce_differential(algebra, eta)
-    top = eta
-    for _ in range(n):
-        top = wedge(top, deta)
-    coeff = top.coeffs.get(tuple(range(algebra.dim)), Fraction(0))
-    return (coeff != 0), coeff
+    d = two_form_matrix(ce_differential(algebra, eta))
+    row = one_form_coefficients(eta)
+    bordered = [[Fraction(0)] + row]
+    bordered += [[-x] + d_row for x, d_row in zip(row, d)]
+    coeff = factorial(n) * pfaffian(bordered)
+    return coeff != 0, coeff
 
 
 def complexify_form(form):

@@ -52,6 +52,26 @@ def test_contact_structure_rejects_noncontact():
                                            Fraction(0)]))
 
 
+def test_contact_structure_noncontact_message():
+    """The singular Reeb system is reported as eta ^ d eta^n = 0."""
+    cases = [(abelian(3), [0, 0, 1]),
+             # d e1* = -1/2 e1* ([e1, e3] = -e1) pairs e1 with e3 only
+             (CAT["sl2r"].algebra, [1, 0, 0]),
+             (CAT["heisenberg5"].algebra, [1, 0, 0, 0, 0])]
+    for algebra, eta in cases:
+        with pytest.raises(InputError,
+                           match=r"eta is not a contact form on '%s' "
+                                 r"\(eta \^ d eta\^n = 0\)" % algebra.name):
+            contact_structure(algebra, one_form(algebra.dim, eta))
+    with pytest.raises(InputError, match="odd dimension"):
+        contact_structure(abelian(4), one_form(4, [1, 0, 0, 0]))
+
+
+def test_deta_computed_once_per_structure():
+    c = CAT["heisenberg5"].contact()
+    assert c.deta is c.deta
+
+
 def test_projector_and_horizontal_basis():
     for name in CONTACT_NAMES:
         c = CAT[name].contact()

@@ -1,16 +1,18 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from contactlie.algebra import LieAlgebra, ad, check_jacobi
+from contactlie.algebra import LieAlgebra, ad, bracket, check_jacobi
 from contactlie.catalog import catalog
 from contactlie.contact import contact_structure
-from contactlie.errors import InputError
+from contactlie.errors import InputError, InternalInvariantError
 from contactlie.extension import (SymplecticAlgebra, analyze_kcontact,
                                   central_extension, central_quotient,
                                   round_trip)
 from contactlie.forms import ce_differential, is_contact, two_form
+from contactlie.linalg import identity, mat_vec
 from contactlie.metric import construct_associated_metric
 
 CAT = catalog()
@@ -61,6 +63,30 @@ def test_central_quotient_requires_central_reeb():
         central_quotient(CAT["su2"].contact())
     with pytest.raises(InputError):
         central_quotient(CAT["nilpotent_nondiag5"].contact())
+
+
+def test_central_quotient_coordinates_in_horizontal_basis():
+    """The quotient's structure constants are the coordinates of the
+    projected brackets H[b_i, b_j] in the horizontal basis b."""
+    c = CAT["aff1_aff1_ext5"].contact()
+    s = central_quotient(c)
+    basis = [list(v) for v in c.horizontal_basis]
+    proj = [list(r) for r in c.projector]
+    for i in range(4):
+        for j in range(i + 1, 4):
+            hw = mat_vec(proj, bracket(c.algebra, basis[i], basis[j]))
+            coords = s.algebra.structure_vector(i, j)
+            assert [sum(x * b[t] for x, b in zip(coords, basis))
+                    for t in range(5)] == hw
+
+
+def test_central_quotient_rejects_bracket_outside_span():
+    """A projector that leaves brackets outside ker eta trips the span
+    check of the elimination."""
+    c = CAT["heisenberg5"].contact()
+    broken = dataclasses.replace(c, projector=tuple(map(tuple, identity(5))))
+    with pytest.raises(InternalInvariantError, match="span"):
+        central_quotient(broken)
 
 
 def test_round_trip_symplectic_entries():

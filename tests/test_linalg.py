@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from contactlie.errors import SingularSystemError
-from contactlie.linalg import (coordinates_in_span, det, inverse, mat_mul,
-                               mat_vec, nullspace, rank, rref, solve_unique)
+from contactlie.linalg import (det, inverse, mat_mul, mat_vec, nullspace,
+                               pfaffian, rank, rref, solve_unique)
 from contactlie.scalars import GaussianRational
 
 
@@ -73,11 +73,69 @@ def test_gaussian_rational_field():
     assert prod[1][0] == 0 and prod[1][1] == 1
 
 
-def test_coordinates_in_span():
-    basis = [[Fraction(1), Fraction(0), Fraction(1)],
-             [Fraction(0), Fraction(1), Fraction(1)]]
-    coords = coordinates_in_span(basis, [Fraction(2), Fraction(3),
-                                         Fraction(5)])
-    assert coords == [2, 3]
-    with pytest.raises(SingularSystemError):
-        coordinates_in_span(basis, [Fraction(0), Fraction(0), Fraction(1)])
+def test_int_input_stays_exact():
+    """Python int entries give the same exact results as Fractions, never
+    binary64; singular matrices included."""
+    assert rref([[2, 1], [1, 1]]) == ([[1, 0], [0, 1]], [0, 1])
+    rng = random.Random(0)
+    singular = 0
+    for _ in range(300):
+        m = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(4)]
+        f = frac_matrix(m)
+        d = det(m)
+        assert isinstance(d, Fraction) and d == det(f)
+        rows, pivots = rref(m)
+        assert (rows, pivots) == rref(f)
+        assert not any(isinstance(x, float) for r in rows for x in r)
+        if d == 0:
+            singular += 1
+            assert nullspace(m) == nullspace(f)
+        else:
+            assert inverse(m) == inverse(f)
+            assert all(isinstance(x, Fraction) for r in inverse(m) for x in r)
+    assert singular > 0
+
+
+def pfaffian_by_expansion(a):
+    """Pf(A) = sum_j (-1)^(j+1) a_0j Pf(A without rows/columns 0, j)."""
+    n = len(a)
+    if n == 0:
+        return 1
+    total = 0
+    for j in range(1, n):
+        keep = [k for k in range(1, n) if k != j]
+        minor = [[a[r][c] for c in keep] for r in keep]
+        total += (-1) ** (j + 1) * a[0][j] * pfaffian_by_expansion(minor)
+    return total
+
+
+def random_skew(rng, n, entries):
+    a = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            a[i][j] = entries(rng)
+            a[j][i] = -a[i][j]
+    return a
+
+
+def test_pfaffian_against_expansion_and_det():
+    rng = random.Random(13)
+    assert pfaffian([[0, 3], [-3, 0]]) == 3
+    assert pfaffian([]) == 1
+    assert pfaffian(random_skew(rng, 3, lambda r: Fraction(1))) == 0
+    for n in (2, 4, 6, 8):
+        for _ in range(15):
+            # sparse entries force row and column swaps and zero Pfaffians
+            a = random_skew(rng, n, lambda r: Fraction(
+                r.choice([0, 0, 0, 1, -2, 3]), r.randint(1, 3)))
+            pf = pfaffian(a)
+            assert pf == pfaffian_by_expansion(a)
+            assert pf * pf == det(a)
+
+
+def test_pfaffian_gaussian_rational():
+    rng = random.Random(17)
+    for _ in range(10):
+        a = random_skew(rng, 6, lambda r: GaussianRational(
+            r.choice([0, 1, -1, 2]), r.choice([0, 1, -3])))
+        assert pfaffian(a) == pfaffian_by_expansion(a)

@@ -1,21 +1,29 @@
-"""Property tests: exact auto metrics survive a random change of basis.
+"""Property tests under a random change of basis.
 
 The dim-5 K-contact entries are conjugated by a random invertible integer
 matrix P; the auto-constructed metric must stay associated with zero
-tolerance and the pipeline must keep its verdicts.
+tolerance and the pipeline must keep its verdicts.  The structure-constant
+kernels (check_jacobi, the Pfaffian contact test, the sparse differential)
+must agree exactly with the direct definitions they replaced.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from contactlie.algebra import LieAlgebra, bracket
-from contactlie.catalog import catalog
+from contactlie.algebra import LieAlgebra, bracket, check_jacobi, complexify
+from contactlie.catalog import abelian, catalog
 from contactlie.contact import contact_structure
-from contactlie.extension import analyze_kcontact
-from contactlie.forms import one_form, one_form_coefficients
+from contactlie.extension import (SymplecticAlgebra, analyze_kcontact,
+                                  central_extension)
+from contactlie.forms import (AlternatingForm, basis_dual, ce_differential,
+                              complexify_form, is_contact, one_form,
+                              one_form_coefficients, two_form, wedge,
+                              zero_form)
 from contactlie.linalg import det, inverse, mat_vec
 from contactlie.metric import construct_associated_metric, is_associated
+from contactlie.scalars import GaussianRational
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
@@ -32,18 +40,27 @@ matrices5 = st.lists(st.integers(-2, 2), min_size=25, max_size=25).map(
     lambda xs: tuple(tuple(xs[5 * i:5 * i + 5]) for i in range(5)))
 
 
-def conjugate(algebra, eta, p):
-    """(algebra, eta) in the basis e'_a = sum_i P[i][a] e_i."""
+def _columns(p):
+    n = len(p)
+    return [[Fraction(p[i][a]) for i in range(n)] for a in range(n)]
+
+
+def conjugate_algebra(algebra, p):
+    """The algebra in the basis e'_a = sum_i P[i][a] e_i."""
     n = algebra.dim
-    cols = [[Fraction(p[i][a]) for i in range(n)] for a in range(n)]
+    cols = _columns(p)
     pinv = inverse([[Fraction(x) for x in row] for row in p])
     brackets = {(a, b): tuple(mat_vec(pinv, bracket(algebra, cols[a],
                                                     cols[b])))
                 for a in range(n) for b in range(a + 1, n)}
+    return LieAlgebra(algebra.name + "_P", n, brackets=brackets)
+
+
+def conjugate(algebra, eta, p):
+    """(algebra, eta) in the basis e'_a = sum_i P[i][a] e_i."""
     eta_row = one_form_coefficients(eta)
-    eta_p = [sum(x * y for x, y in zip(eta_row, col)) for col in cols]
-    return LieAlgebra(algebra.name + "_P", n, brackets=brackets), \
-        one_form(n, eta_p)
+    eta_p = [sum(x * y for x, y in zip(eta_row, col)) for col in _columns(p)]
+    return conjugate_algebra(algebra, p), one_form(algebra.dim, eta_p)
 
 
 @settings(max_examples=20, deadline=None, database=None)
@@ -59,3 +76,198 @@ def test_auto_metric_kcontact_under_basis_change(name, p):
     rep = analyze_kcontact(c, g)
     assert rep.is_kcontact and rep.ad_xi_zero
     assert rep.quotient.algebra.dim == c.algebra.dim - 1
+
+
+# -- kernels against independent references ---------------------------------
+#
+# The fast kernels work on the nonzero structure constants; the references
+# below are the direct definitions they replaced.
+
+def jacobi_by_brackets(algebra):
+    """Reference Jacobi check: three full brackets per basis triple."""
+    violations = []
+    n = algebra.dim
+    basis = [algebra.basis_vector(i) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            bij = algebra.structure_vector(i, j)
+            for k in range(j + 1, n):
+                total = [
+                    t + u + v for t, u, v in zip(
+                        bracket(algebra, bij, basis[k]),
+                        bracket(algebra, algebra.structure_vector(j, k),
+                                basis[i]),
+                        bracket(algebra, algebra.structure_vector(k, i),
+                                basis[j]))]
+                if any(x != 0 for x in total):
+                    violations.append((i + 1, j + 1, k + 1))
+    return violations
+
+
+def differential_by_coefficients(algebra, form):
+    """Reference differential: every basis tuple, every pair, every m."""
+    k = form.degree
+    if k >= algebra.dim:
+        return zero_form(algebra.dim, algebra.dim)
+    coeffs = {}
+    for key in combinations(range(algebra.dim), k + 1):
+        total = Fraction(0)
+        for a in range(k + 1):
+            for b in range(a + 1, k + 1):
+                rest = key[:a] + key[a + 1:b] + key[b + 1:]
+                cvec = algebra.structure_vector(key[a], key[b])
+                term = sum((c * form.coefficient((m,) + rest)
+                            for m, c in enumerate(cvec) if c != 0),
+                           Fraction(0))
+                total += (-1) ** (a + b) * term
+        coeffs[key] = Fraction(1, 2) * total
+    return AlternatingForm(algebra.dim, k + 1, coeffs)
+
+
+def wedge_top_coefficient(algebra, eta):
+    """Reference contact coefficient: eta ^ (d eta)^n expanded by wedge."""
+    deta = ce_differential(algebra, eta)
+    top = eta
+    for _ in range((algebra.dim - 1) // 2):
+        top = wedge(top, deta)
+    return top.coeffs.get(tuple(range(algebra.dim)), Fraction(0))
+
+
+def _unit(dim, k):
+    return tuple(Fraction(int(m == k)) for m in range(dim))
+
+
+def _symplectic_extension(algebra):
+    """Central extension of `algebra` with sum_k f_{2k-1}* ^ f_{2k}*."""
+    dim = algebra.dim
+    omega = two_form(dim, [(2 * k, 2 * k + 1, Fraction(1))
+                           for k in range(dim // 2)])
+    return central_extension(SymplecticAlgebra(algebra, omega))
+
+
+def _aff1_power(k):
+    """aff(1)^k: [f_{2i-1}, f_{2i}] = f_{2i}."""
+    return LieAlgebra("aff1^%d" % k, 2 * k,
+                      brackets={(2 * i, 2 * i + 1): _unit(2 * k, 2 * i + 1)
+                                for i in range(k)})
+
+
+def _contact_inputs():
+    """(algebra, eta) of every odd dim 3-11, with non-contact forms."""
+    out = {}
+    for k in range(1, 6):
+        out["h%d" % (2 * k + 1)] = _symplectic_extension(abelian(2 * k))
+        out["aff1^%d ext" % k] = _symplectic_extension(_aff1_power(k))
+    for name in ("su2", "sl2r", "nilpotent_nondiag5"):
+        out[name] = (CAT[name].algebra, CAT[name].eta)
+    # non-contact: e1* on h7 and sl(2,R), any 1-form on an abelian algebra
+    h7 = out["h7"][0]
+    out["h7, e1*"] = (h7, basis_dual(7, 0))
+    out["sl2r, e1*"] = (CAT["sl2r"].algebra, basis_dual(3, 0))
+    out["abelian5"] = (abelian(5), basis_dual(5, 4))
+    return out
+
+
+CONTACT_INPUTS = _contact_inputs()
+
+
+@st.composite
+def change_of_basis(draw, n, unimodular=False):
+    """P = L diag(d) U, L and U unit triangular with entries in [-2, 2]:
+    dense and invertible by construction; det P = 1 when unimodular."""
+    entries = st.integers(-2, 2)
+    low = draw(st.lists(entries, min_size=n * n, max_size=n * n))
+    up = draw(st.lists(entries, min_size=n * n, max_size=n * n))
+    d = [1] * n if unimodular else draw(
+        st.lists(st.sampled_from([-2, -1, 1, 2]), min_size=n, max_size=n))
+    l_mat = [[low[n * i + j] if j < i else int(i == j) for j in range(n)]
+             for i in range(n)]
+    u_mat = [[up[n * i + j] if j > i else d[i] * int(i == j)
+              for j in range(n)] for i in range(n)]
+    return tuple(tuple(sum(l_mat[i][t] * u_mat[t][j] for t in range(n))
+                       for j in range(n)) for i in range(n))
+
+
+JACOBI_NAMES = sorted(name for name, e in CAT.items()
+                      if e.algebra.dim > 2 and e.algebra.brackets)
+
+
+@pytest.mark.parametrize("field", ["real", "complex", "int"])
+@pytest.mark.parametrize("name", JACOBI_NAMES)
+@settings(max_examples=5, deadline=None, database=None)
+@given(data=st.data())
+def test_check_jacobi_matches_bracket_reference(name, field, data):
+    """One structure constant of a conjugated catalog algebra is bumped
+    until Jacobi fails; both checks must name the same triples."""
+    algebra = CAT[name].algebra
+    n = algebra.dim
+    conjugated = conjugate_algebra(algebra, data.draw(
+        change_of_basis(n, unimodular=(field == "int"))))
+    if field == "int":   # det P = 1 keeps the catalog's integer constants
+        assert all(x.denominator == 1
+                   for v in conjugated.brackets.values() for x in v)
+    # scaling every constant by 1 + i keeps the Jacobiator's zeros
+    scalar = {"real": Fraction, "int": int,
+              "complex": lambda x: GaussianRational(x, x)}[field]
+    brackets = {key: [scalar(x) for x in v]
+                for key, v in conjugated.brackets.items()}
+    pair = tuple(sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=2,
+                                           max_size=2, unique=True))))
+    m = data.draw(st.integers(0, n - 1))
+    delta = data.draw(st.integers(-3, 3).filter(bool))
+    vec = brackets.setdefault(pair, [scalar(0)] * n)
+    vec[m] += GaussianRational(0, delta) if field == "complex" else delta
+    perturbed = LieAlgebra("perturbed", n,
+                           field="complex" if field == "complex" else "real",
+                           brackets={k: tuple(v) for k, v in brackets.items()})
+    expected = jacobi_by_brackets(perturbed)
+    assume(expected)
+    assert check_jacobi(perturbed) == expected
+
+
+PFAFFIAN_CASES = [(name, False) for name in sorted(CONTACT_INPUTS)] + [
+    # the wedge reference over the Gaussian rationals takes seconds at dim 11
+    (name, True) for name, (a, _) in sorted(CONTACT_INPUTS.items())
+    if a.dim <= 7]
+
+
+@pytest.mark.parametrize("name, complexified", PFAFFIAN_CASES)
+@settings(max_examples=3, deadline=None, database=None)
+@given(data=st.data())
+def test_pfaffian_contact_coefficient_matches_wedge(name, complexified, data):
+    algebra, eta = CONTACT_INPUTS[name]
+    p = data.draw(change_of_basis(algebra.dim))
+    before = is_contact(algebra, eta)[1]
+    algebra, eta = conjugate(algebra, eta, p)
+    if complexified:
+        algebra, eta = complexify(algebra), complexify_form(eta)
+    ok, coeff = is_contact(algebra, eta)
+    assert coeff == wedge_top_coefficient(algebra, eta)
+    assert coeff == det([[Fraction(x) for x in row] for row in p]) * before
+    assert ok == (coeff != 0)
+    assert ok == (not name.startswith(("abelian", "h7,", "sl2r,")))
+
+
+def random_forms(dim, degree, complexified):
+    values = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    if complexified:
+        values = st.builds(GaussianRational, values, values)
+    keys = st.sampled_from(list(combinations(range(dim), degree)))
+    return st.dictionaries(keys, values, max_size=8).map(
+        lambda coeffs: AlternatingForm(dim, degree, coeffs))
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, (a, _) in CONTACT_INPUTS.items() if a.dim <= 7))
+@settings(max_examples=8, deadline=None, database=None)
+@given(degree=st.integers(0, 3), complexified=st.booleans(), data=st.data())
+def test_sparse_differential_matches_coefficient_reference(
+        name, degree, complexified, data):
+    algebra = CONTACT_INPUTS[name][0]
+    algebra = conjugate_algebra(algebra, data.draw(
+        change_of_basis(algebra.dim)))
+    if complexified:
+        algebra = complexify(algebra)
+    form = data.draw(random_forms(algebra.dim, degree, complexified))
+    assert ce_differential(algebra, form) == \
+        differential_by_coefficients(algebra, form)
