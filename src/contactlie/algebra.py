@@ -138,13 +138,25 @@ def check_jacobi(algebra):
 
 
 def ad(algebra, x):
-    """Matrix of ad(x): column j holds the coordinates of [x, e_j]."""
-    if len(x) != algebra.dim:
+    """Matrix of ad(x): column j holds the coordinates of [x, e_j].
+
+    Read off the structure constants: the stored [e_i, e_j] adds
+    x_i [e_i, e_j] to column j and -x_j [e_i, e_j] to column i.
+    """
+    n = algebra.dim
+    if len(x) != n:
         raise InputError("vector length does not match algebra dimension")
-    cols = [bracket(algebra, x, algebra.basis_vector(j))
-            for j in range(algebra.dim)]
-    return [[cols[j][i] for j in range(algebra.dim)]
-            for i in range(algebra.dim)]
+    m = [[algebra.zero_scalar()] * n for _ in range(n)]
+    for (i, j), coeffs in algebra.brackets.items():
+        xi, xj = x[i], x[j]
+        if xi == 0 and xj == 0:
+            continue
+        for k, c in enumerate(coeffs):
+            if c != 0:
+                row = m[k]
+                row[j] = row[j] + xi * c
+                row[i] = row[i] - xj * c
+    return m
 
 
 def complexify(algebra):

@@ -15,16 +15,14 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from .algebra import REAL, ad, complexify
+from .algebra import REAL
 from .catalog import catalog
-from .contact import contact_structure
+from .contact import complexify_structure, contact_structure
 from .errors import (ContactLieError, InputError, InternalInvariantError)
 from .extension import (SymplecticAlgebra, analyze_kcontact, central_extension,
                         central_quotient)
 from .fileformat import AlgebraFile, load, save
-from .forms import complexify_form, is_contact
+from .forms import is_contact
 from .metric import (construct_associated_metric, kcontact_obstruction,
                      skew_normal_form)
 from .scalars import format_scalar
@@ -172,11 +170,9 @@ def _cmd_analyze(args):
 def _cmd_roots(args):
     af = _load_input(args.file)
     eta = _get_form(af, args.form, degree=1)
-    algebra = af.algebra
-    if algebra.field == REAL:
-        algebra = complexify(algebra)
-        eta = complexify_form(eta)
-    c = contact_structure(algebra, eta)
+    c = contact_structure(af.algebra, eta)
+    if c.algebra.field == REAL:
+        c = complexify_structure(c)
     obstruction = kcontact_obstruction(c)
     rd = root_decomposition(c)
     report = {
@@ -197,7 +193,7 @@ def _cmd_roots(args):
                     % (_scalar_out(r), len(rd.spaces[r])))
         for v in rd.spaces[r]:
             text.append("    eigenvector: "
-                        + _format_combination(v, algebra.basis_labels))
+                        + _format_combination(v, c.algebra.basis_labels))
     if obstruction.obstructed:
         text.append("obstruction: %s" % obstruction.reason)
     text.extend(rd.warnings)
@@ -251,6 +247,7 @@ def _cmd_normal_form(args):
     if (not isinstance(doc, list)
             or any(not isinstance(row, list) for row in doc)):
         raise InputError("expected a JSON array of arrays (square matrix)")
+    import numpy as np
     try:
         b = np.asarray(doc, dtype=float)
     except (TypeError, ValueError):
@@ -318,8 +315,7 @@ def _cmd_catalog(args):
         report["obstruction"] = (obstruction.reason
                                  if obstruction.obstructed else None)
         text.append("kcontact_obstruction: %s" % obstruction)
-        adxi = ad(a, list(c.reeb))
-        report["ad_xi_zero"] = all(x == 0 for row in adxi for x in row)
+        report["ad_xi_zero"] = all(x == 0 for row in c.ad_reeb for x in row)
     else:
         report["omega"] = [[i, j, _scalar_out(v)]
                            for (i, j), v in sorted(e.omega.coeffs.items())]

@@ -4,12 +4,15 @@ the splitting X = eta(X) xi + HX."""
 from dataclasses import dataclass
 from functools import cached_property
 
-from .algebra import LieAlgebra, bracket
+from .algebra import LieAlgebra, ad, bracket, complexify
 from .errors import InputError, InternalInvariantError, SingularSystemError
-from .forms import (AlternatingForm, ce_differential, evaluate, is_contact,
-                    one_form_coefficients, two_form_matrix)
-from .linalg import (mat_eq, mat_mul, mat_vec, nullspace, solve_unique,
-                     vec_is_zero)
+from .forms import (AlternatingForm, ce_differential, complexify_form,
+                    evaluate, is_contact, one_form_coefficients,
+                    two_form_matrix)
+from .linalg import (dot, mat_eq, mat_mul, mat_vec, nullspace, solve_unique,
+                     transpose, vec_is_zero)
+from .polynomials import Polynomial, minimal_polynomial
+from .scalars import to_gaussian
 
 
 @dataclass(frozen=True)
@@ -17,7 +20,9 @@ class ContactStructure:
     """A contact Lie algebra together with its derived data.
 
     horizontal_basis spans ker(eta); projector is P = I - xi (x) eta, the
-    projection onto the horizontal space along the Reeb line.
+    projection onto the horizontal space along the Reeb line.  d eta,
+    ad(xi) and the minimal polynomial of ad(xi) are computed at most once
+    per structure, on first use.
     """
 
     algebra: LieAlgebra
@@ -34,6 +39,25 @@ class ContactStructure:
     def deta(self):
         return ce_differential(self.algebra, self.eta)
 
+    @cached_property
+    def ad_reeb(self):
+        """ad(xi) as a tuple of rows."""
+        return _rows(ad(self.algebra, list(self.reeb)))
+
+    @cached_property
+    def ad_reeb_minpoly(self):
+        """Monic minimal polynomial of ad(xi)."""
+        return minimal_polynomial(self.ad_reeb)
+
+
+def _rows(m):
+    return tuple(tuple(r) for r in m)
+
+
+def _require_one_form(algebra, eta):
+    if eta.degree != 1 or eta.dim != algebra.dim:
+        raise InputError("eta must be a 1-form on the algebra")
+
 
 def reeb(algebra, eta):
     """The unique xi with eta(xi) = 1 and d(eta)(xi, e_j) = 0 for all j.
@@ -41,23 +65,18 @@ def reeb(algebra, eta):
     Solved as one exact linear system; it is singular exactly when
     eta ^ (d eta)^n = 0, i.e. when eta is not contact.
     """
+    _require_one_form(algebra, eta)
     try:
-        return _solve_reeb(algebra, eta)
+        return _solve_reeb(algebra, eta, ce_differential(algebra, eta))
     except SingularSystemError as exc:
         raise InputError(
             "no unique Reeb field: eta is not a contact form "
             "(the defining linear system is singular)") from exc
 
 
-def _solve_reeb(algebra, eta):
-    if eta.degree != 1 or eta.dim != algebra.dim:
-        raise InputError("eta must be a 1-form on the algebra")
-    deta = ce_differential(algebra, eta)
-    d = two_form_matrix(deta)
-    rows = [one_form_coefficients(eta)]
-    # equation j:  sum_i xi_i * deta(e_i, e_j) = 0
-    for j in range(algebra.dim):
-        rows.append([d[i][j] for i in range(algebra.dim)])
+def _solve_reeb(algebra, eta, deta):
+    # equation j:  sum_i xi_i * deta(e_i, e_j) = 0, a row of D^T
+    rows = [one_form_coefficients(eta)] + transpose(two_form_matrix(deta))
     rhs = [algebra.one_scalar()] + [algebra.zero_scalar()] * algebra.dim
     return solve_unique(rows, rhs)
 
@@ -70,8 +89,10 @@ def contact_structure(algebra, eta):
     """
     if algebra.dim % 2 == 0:
         raise InputError("contact requires odd dimension, got %d" % algebra.dim)
+    _require_one_form(algebra, eta)
+    deta = ce_differential(algebra, eta)
     try:
-        xi = _solve_reeb(algebra, eta)
+        xi = _solve_reeb(algebra, eta, deta)
     except SingularSystemError as exc:
         if is_contact(algebra, eta)[0]:
             raise InternalInvariantError(
@@ -89,28 +110,56 @@ def contact_structure(algebra, eta):
         algebra=algebra,
         eta=eta,
         reeb=tuple(xi),
-        horizontal_basis=tuple(tuple(v) for v in kernel),
-        projector=tuple(tuple(r) for r in proj),
+        horizontal_basis=_rows(kernel),
+        projector=_rows(proj),
     )
+    vars(structure)["deta"] = deta  # seed the cache
+    _validate(structure)
+    return structure
+
+
+def complexify_structure(c):
+    """The contact structure of (complexify(algebra), complexify_form(eta))
+    by transport: xi, the horizontal basis, the projector, d eta, ad(xi)
+    and its minimal polynomial are the real ones embedded into the
+    Gaussian rationals (each is the unique solution, or the deterministic
+    elimination result, of the same system over a larger field).  The
+    Reeb system is not solved again; the result is validated like any
+    other structure.
+    """
+    def embed(rows):
+        return tuple(tuple(to_gaussian(x) for x in r) for r in rows)
+
+    structure = ContactStructure(
+        algebra=complexify(c.algebra),
+        eta=complexify_form(c.eta),
+        reeb=tuple(to_gaussian(x) for x in c.reeb),
+        horizontal_basis=embed(c.horizontal_basis),
+        projector=embed(c.projector),
+    )
+    vars(structure).update(
+        deta=complexify_form(c.deta),
+        ad_reeb=embed(c.ad_reeb),
+        ad_reeb_minpoly=Polynomial(
+            to_gaussian(x) for x in c.ad_reeb_minpoly.coeffs))
     _validate(structure)
     return structure
 
 
 def _validate(c):
-    eta, xi = c.eta, list(c.reeb)
-    if evaluate(eta, xi) != 1:
+    eta, xi = one_form_coefficients(c.eta), c.reeb
+    if dot(eta, xi) != 1:
         raise InternalInvariantError("eta(xi) != 1 after solve")
-    deta = c.deta
-    for j in range(c.algebra.dim):
-        if evaluate(deta, xi, c.algebra.basis_vector(j)) != 0:
-            raise InternalInvariantError("d eta(xi, e_j) != 0 after solve")
+    # d eta(xi, e_j) is the j-th entry of xi^T D
+    if not vec_is_zero(mat_vec(transpose(two_form_matrix(c.deta)), xi)):
+        raise InternalInvariantError("d eta(xi, e_j) != 0 after solve")
     p = [list(r) for r in c.projector]
     if not mat_eq(mat_mul(p, p), p):
         raise InternalInvariantError("projector is not idempotent")
     if not vec_is_zero(mat_vec(p, xi)):
         raise InternalInvariantError("projector does not kill the Reeb field")
     for v in c.horizontal_basis:
-        if evaluate(eta, list(v)) != 0:
+        if dot(eta, v) != 0:
             raise InternalInvariantError("horizontal basis vector not in ker eta")
 
 

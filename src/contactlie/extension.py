@@ -6,14 +6,14 @@ plus the end-to-end K-contact analysis pipeline."""
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import LieAlgebra, ad, bracket, check_jacobi, complexify
-from .contact import contact_structure
+from .algebra import LieAlgebra, bracket, check_jacobi
+from .contact import complexify_structure, contact_structure
 from .errors import InputError, InternalInvariantError
-from .forms import (AlternatingForm, ce_differential, complexify_form,
-                    evaluate, is_contact, one_form, two_form_matrix)
-from .linalg import det, mat_vec, rref, transpose
-from .metric import is_associated, is_kcontact, kcontact_obstruction
-from .spectral import root_decomposition, verify_reeb_theorem
+from .forms import (AlternatingForm, ce_differential, is_contact, one_form,
+                    two_form_matrix)
+from .linalg import det, dot, mat_vec, rref, transpose
+from .metric import is_kcontact, kcontact_obstruction
+from .spectral import verify_reeb_theorem
 
 
 @dataclass(frozen=True)
@@ -37,8 +37,7 @@ class SymplecticAlgebra:
 def central_quotient(c):
     """Quotient by the central Reeb line: s = g / <xi> with
     omega(Xbar, Ybar) = d eta(X, Y) on images of the horizontal basis."""
-    a = ad(c.algebra, list(c.reeb))
-    if any(x != 0 for row in a for x in row):
+    if any(x != 0 for row in c.ad_reeb for x in row):
         raise InputError(
             "Reeb field is not central (ad(xi) != 0); quotient undefined")
     basis = [list(v) for v in c.horizontal_basis]
@@ -65,11 +64,11 @@ def central_quotient(c):
     if check_jacobi(quotient):
         raise InternalInvariantError(
             "central quotient violates the Jacobi identity")
-    deta = c.deta
+    # omega(b_i, b_j) = d eta(b_i, b_j) = b_i^T D b_j
+    d = two_form_matrix(c.deta)
+    d_basis = [mat_vec(d, b) for b in basis]
     omega = AlternatingForm(
-        m, 2,
-        {(i, j): evaluate(deta, basis[i], basis[j])
-         for i in range(m) for j in range(i + 1, m)})
+        m, 2, {(i, j): dot(basis[i], d_basis[j]) for i, j in pairs})
     return SymplecticAlgebra(quotient, omega)  # validates closed + nondeg
 
 
@@ -155,9 +154,9 @@ class MainTheoremReport:
 
 
 def analyze_kcontact(c, g):
-    """Run the full main-theorem pipeline on (contact structure, metric)."""
-    if not is_associated(c, g):
-        raise InputError("metric is not associated to the contact structure")
+    """Run the full main-theorem pipeline on (contact structure, metric).
+
+    An unassociated metric raises InputError (from the K-contact test)."""
     dim = c.algebra.dim
     notes = []
     if not is_kcontact(c, g):
@@ -171,14 +170,10 @@ def analyze_kcontact(c, g):
     if obstruction.obstructed:
         raise InternalInvariantError(
             "K-contact structure with spectral obstruction %s" % obstruction)
-    complexified = contact_structure(
-        complexify(c.algebra), complexify_form(c.eta))
-    rd = root_decomposition(complexified)
-    a = ad(c.algebra, list(c.reeb))
-    ad_zero = all(x == 0 for row in a for x in row)
+    report = verify_reeb_theorem(complexify_structure(c))
+    ad_zero = all(x == 0 for row in c.ad_reeb for x in row)
     quotient = None
     if dim >= 5:
-        report = verify_reeb_theorem(complexified)
         if not report.conclusion_verified:
             raise InternalInvariantError(
                 "K-contact in dim >= 5 but the vanishing theorem checker "
@@ -194,4 +189,4 @@ def analyze_kcontact(c, g):
             "ad(xi) %s zero" % ("is" if ad_zero else "is not"))
     return MainTheoremReport(
         is_kcontact=True, dim=dim, ad_xi_zero=ad_zero, quotient=quotient,
-        complexification_roots=tuple(rd.roots), notes=tuple(notes))
+        complexification_roots=report.roots, notes=tuple(notes))

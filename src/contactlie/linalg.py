@@ -38,13 +38,17 @@ def transpose(m):
     return [list(col) for col in zip(*m)]
 
 
+def dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
 def mat_mul(a, b):
     bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[dot(row, col) for col in bt] for row in a]
 
 
 def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    return [dot(row, v) for row in a]
 
 
 def vec_is_zero(v):

@@ -12,16 +12,14 @@ tolerances.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-import numpy as np
-
-from .algebra import REAL, ad
+from .algebra import REAL
 from .errors import InputError, InternalInvariantError
 from .forms import evaluate, one_form_coefficients, two_form_matrix
-from .linalg import det, inverse, mat_eq, mat_mul, mat_vec, transpose
+from .linalg import det, dot, inverse, mat_eq, mat_mul, mat_vec, transpose
 from .polynomials import (format_polynomial, has_only_purely_imaginary_roots,
                           is_squarefree)
-from .spectral import minimal_polynomial
 
 SKEW_INPUT_TOL = 1e-12
 ORTHOGONAL_TOL = 1e-12
@@ -53,6 +51,11 @@ class MetricData:
     def dim(self):
         return len(self.matrix)
 
+    @cached_property
+    def inverse(self):
+        """G^-1 as a tuple of rows."""
+        return tuple(tuple(r) for r in inverse([list(r) for r in self.matrix]))
+
     def _require_symmetric(self):
         n = self.dim
         for i in range(n):
@@ -61,6 +64,10 @@ class MetricData:
                     raise InputError("metric matrix is not symmetric")
 
     def is_positive_definite(self):
+        return self._positive_definite
+
+    @cached_property
+    def _positive_definite(self):
         rows = [list(r) for r in self.matrix]
         return all(
             det([row[: k + 1] for row in rows[: k + 1]]) > 0
@@ -88,7 +95,7 @@ def levi_civita(algebra, g):
         raise InputError("metric is not positive-definite")
     n = algebra.dim
     grows = [list(r) for r in g.matrix]
-    ginv = inverse(grows)
+    ginv = g.inverse
     s = [[mat_vec(grows, algebra.structure_vector(a, b))
           for b in range(n)] for a in range(n)]
     half = Fraction(1, 2)
@@ -105,9 +112,7 @@ def levi_civita(algebra, g):
 
 def compute_phi(c, g):
     """The unique phi with g(X, phi Y) = d eta(X, Y); phi = G^-1 D."""
-    d = two_form_matrix(c.deta)
-    return mat_mul(inverse([list(r) for r in g.matrix]),
-                   [list(r) for r in d])
+    return mat_mul(g.inverse, two_form_matrix(c.deta))
 
 
 def _phi_square_target(c):
@@ -118,40 +123,59 @@ def _phi_square_target(c):
              for j in range(n)] for i in range(n)]
 
 
-def is_associated(c, g):
-    """Both associated-metric criteria: eta = g(., xi) and
-    phi^2 = -I + eta (x) xi."""
+def _associated_phi(c, g):
+    """phi when g is associated (eta = g(., xi) and phi^2 = -I + eta (x)
+    xi), else None."""
     if not g.is_positive_definite():
         raise InputError("metric is not positive-definite")
     eta = one_form_coefficients(c.eta)
-    gxi = mat_vec([list(r) for r in g.matrix], list(c.reeb))
+    gxi = mat_vec(g.matrix, c.reeb)
     if any(a != b for a, b in zip(gxi, eta)):
-        return False
+        return None
     phi = compute_phi(c, g)
-    return mat_eq(mat_mul(phi, phi), _phi_square_target(c))
+    if not mat_eq(mat_mul(phi, phi), _phi_square_target(c)):
+        return None
+    return phi
 
 
-def _reeb_derivative(c, conn):
-    """Matrix N with N X = nabla_X xi (column j is nabla_{e_j} xi)."""
+def is_associated(c, g):
+    """Both associated-metric criteria: eta = g(., xi) and
+    phi^2 = -I + eta (x) xi."""
+    return _associated_phi(c, g) is not None
+
+
+def _reeb_derivative(c, g):
+    """Matrix N with N X = nabla_X xi (column j is nabla_{e_j} xi).
+
+    The Koszul formula with Y = xi reads
+
+        g(nabla_X xi, Z) = -1/2 ( g([xi,Z],X) + g([X,Z],xi) + g([xi,X],Z) ),
+
+    that is K = -1/2 (G A + W + A^T G) with A = ad(xi), K[j][k] =
+    g(nabla_{e_j} xi, e_k) and W[j][k] = (G xi)([e_j, e_k]); then
+    N = G^-1 K^T.  O(n^3), without the n^2 Christoffel vectors.
+    """
     n = c.algebra.dim
-    cols = []
-    for j in range(n):
-        v = [Fraction(0)] * n
-        for i in range(n):
-            if c.reeb[i] != 0:
-                v = [a + c.reeb[i] * b for a, b in zip(v, conn.gamma[j][i])]
-        cols.append(v)
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    grows = g.matrix
+    ga = mat_mul(grows, c.ad_reeb)
+    w = mat_vec(grows, c.reeb)
+    wb = [[0] * n for _ in range(n)]
+    for (j, k), coeffs in c.algebra.brackets.items():
+        x = dot(w, coeffs)
+        wb[j][k], wb[k][j] = x, -x
+    half = Fraction(1, 2)
+    kt = [[-half * (ga[j][k] + wb[j][k] + ga[k][j]) for j in range(n)]
+          for k in range(n)]
+    return mat_mul(g.inverse, kt)
 
 
 def compute_h(c, g):
     """The tensor h from nabla_X xi = -phi X - phi h X; verifies that very
     identity, g-symmetry of h and h xi = 0 before returning."""
-    if not is_associated(c, g):
+    phi = _associated_phi(c, g)
+    if phi is None:
         raise InputError("metric is not associated to the contact structure")
-    conn = levi_civita(c.algebra, g)
-    phi = compute_phi(c, g)
-    nmat = _reeb_derivative(c, conn)
+    nmat = _reeb_derivative(c, g)
     n = c.algebra.dim
     proj = [list(r) for r in c.projector]
     phin = mat_mul(phi, nmat)
@@ -178,15 +202,14 @@ def is_kcontact(c, g):
     """K-contact verdict; computes both criteria (h = 0, and g-skewness of
     ad(xi) on the horizontal space) and insists they agree."""
     hm = compute_h(c, g)  # raises InputError if not associated
-    a = ad(c.algebra, list(c.reeb))
-    hb = [list(v) for v in c.horizontal_basis]
+    a = c.ad_reeb
     crit_h = all(x == 0 for row in hm for x in row)
     grows = [list(r) for r in g.matrix]
     s = [[x + y for x, y in zip(r1, r2)]
          for r1, r2 in zip(mat_mul(transpose(a), grows), mat_mul(grows, a))]
-    crit_skew = all(
-        sum(xi * sij for xi, sij in zip(x, mat_vec(s, y))) == 0
-        for x in hb for y in hb)
+    s_hb = [mat_vec(s, y) for y in c.horizontal_basis]
+    crit_skew = all(dot(x, sy) == 0
+                    for x in c.horizontal_basis for sy in s_hb)
     if crit_h != crit_skew:
         raise InternalInvariantError(
             "the two K-contact criteria disagree (h = 0: %s, "
@@ -213,8 +236,7 @@ def kcontact_obstruction(c):
     Decided exactly (squarefree minimal polynomial + Sturm count); a
     NoObstruction verdict does not assert existence of such a metric.
     """
-    a = ad(c.algebra, list(c.reeb))
-    m = minimal_polynomial(a)
+    m = c.ad_reeb_minpoly
     if not is_squarefree(m):
         return ObstructionReport(
             True,
@@ -241,6 +263,7 @@ class SkewNormalForm:
     zero_count: int
 
     def block_matrix(self):
+        import numpy as np
         n = 2 * len(self.blocks) + self.zero_count
         out = np.zeros((n, n))
         for k, b in enumerate(self.blocks):
@@ -257,6 +280,7 @@ def skew_normal_form(b):
     eigenvector v for b > 0 gives the rows sqrt(2) Im v, sqrt(2) Re v.
     The kernel gets a real orthonormal basis from the zero eigenspace.
     """
+    import numpy as np
     b = np.asarray(b, dtype=float)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise InputError("expected a square matrix")
@@ -351,7 +375,7 @@ def symplectic_is_associated(algebra, omega, k):
     w = two_form_matrix(omega)
     if det(w) == 0:
         raise InputError("omega is degenerate")
-    j = mat_mul(inverse([list(r) for r in k.matrix]), [list(r) for r in w])
+    j = mat_mul(k.inverse, w)
     n = algebra.dim
     minus_i = [[Fraction(-1) if a == b else Fraction(0) for b in range(n)]
                for a in range(n)]

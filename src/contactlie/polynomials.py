@@ -7,8 +7,9 @@ the exact purely-imaginary-spectrum test for ad(xi).
 
 from fractions import Fraction
 
-from .errors import InputError
-from .scalars import GaussianRational, scalar_re_im
+from .errors import InputError, InternalInvariantError, SingularSystemError
+from .linalg import solve_unique
+from .scalars import scalar_re_im
 
 
 class Polynomial:
@@ -83,7 +84,7 @@ class Polynomial:
         rem = list(self.coeffs)
         div = other.coeffs
         q = [Fraction(0)] * max(0, len(rem) - len(div) + 1)
-        inv_lead = 1 / other.leading
+        inv_lead = Fraction(1) / other.leading
         for k in range(len(rem) - len(div), -1, -1):
             c = rem[k + len(div) - 1] * inv_lead
             q[k] = c
@@ -107,7 +108,7 @@ class Polynomial:
     def monic(self):
         if self.is_zero:
             return self
-        inv = 1 / self.leading
+        inv = Fraction(1) / self.leading
         return Polynomial([inv * c for c in self.coeffs])
 
     def is_real(self):
@@ -122,6 +123,33 @@ class Polynomial:
                 raise InputError("polynomial has non-real coefficients")
             out.append(re)
         return out
+
+
+def minimal_polynomial(m):
+    """Monic minimal polynomial of an exact square matrix, found as the
+    first linear dependency among vec(I), vec(M), vec(M^2), ..."""
+    n = len(m)
+    power = [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
+             for i in range(n)]
+    vecs = []
+    while True:
+        vecs.append([power[i][j] for i in range(n) for j in range(n)])
+        if len(vecs) > 1:
+            a = [[vecs[r][c] for r in range(len(vecs) - 1)]
+                 for c in range(n * n)]
+            try:
+                coeffs = solve_unique(a, vecs[-1])
+            except SingularSystemError:
+                coeffs = None
+            if coeffs is not None:
+                return Polynomial(
+                    [-c for c in coeffs] + [Fraction(1)])
+        nxt = [[sum(m[i][k] * power[k][j] for k in range(n))
+                for j in range(n)] for i in range(n)]
+        power = nxt
+        if len(vecs) > n + 1:
+            raise InternalInvariantError(
+                "minimal polynomial search exceeded the dimension bound")
 
 
 def poly_gcd(a, b):

@@ -2,50 +2,20 @@
 contact Lie algebras, and the checker for the vanishing theorem
 (diagonalizable ad(xi) with n > 1 forces ad(xi) = 0)."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-import numpy as np
-
-from .algebra import COMPLEX, ad, bracket
+from .algebra import COMPLEX, bracket
 from .contact import ContactStructure
-from .errors import (InputError, InternalInvariantError,
-                     SingularSystemError)
-from .forms import evaluate
-from .linalg import mat_vec, nullspace, solve_unique, vec_is_zero
-from .polynomials import Polynomial, is_squarefree
+from .errors import InputError, InternalInvariantError
+from .forms import evaluate, one_form_coefficients
+from .linalg import dot, mat_vec, nullspace, vec_is_zero
+from .polynomials import Polynomial, is_squarefree, minimal_polynomial
 from .scalars import (GaussianRational, scalar_re_im, scalar_sort_key,
                       scalar_to_complex)
 
 EIGEN_TOL = 1e-9
-
-
-def minimal_polynomial(m):
-    """Monic minimal polynomial of an exact square matrix, found as the
-    first linear dependency among vec(I), vec(M), vec(M^2), ..."""
-    n = len(m)
-    power = [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
-             for i in range(n)]
-    vecs = []
-    while True:
-        vecs.append([power[i][j] for i in range(n) for j in range(n)])
-        if len(vecs) > 1:
-            a = [[vecs[r][c] for r in range(len(vecs) - 1)]
-                 for c in range(n * n)]
-            try:
-                coeffs = solve_unique(a, vecs[-1])
-            except SingularSystemError:
-                coeffs = None
-            if coeffs is not None:
-                return Polynomial(
-                    [-c for c in coeffs] + [Fraction(1)])
-        nxt = [[sum(m[i][k] * power[k][j] for k in range(n))
-                for j in range(n)] for i in range(n)]
-        power = nxt
-        if len(vecs) > n + 1:
-            raise InternalInvariantError(
-                "minimal polynomial search exceeded the dimension bound")
 
 
 def characteristic_polynomial(m):
@@ -55,7 +25,7 @@ def characteristic_polynomial(m):
     mk = [row[:] for row in m]
     for k in range(1, n + 1):
         trace = sum(mk[i][i] for i in range(n))
-        coeffs.append(-trace / k)
+        coeffs.append(-trace * Fraction(1, k))
         if k < n:
             shifted = [[mk[i][j] + (coeffs[-1] if i == j else 0)
                         for j in range(n)] for i in range(n)]
@@ -81,6 +51,7 @@ def _rationalize_roots(minpoly):
     root with denominators up to 10^6 is still found by continued
     fractions.  Every candidate is verified exactly.
     """
+    import numpy as np
     parts = [scalar_re_im(c) for c in minpoly.coeffs]
     scale = lcm(*(x.denominator for pair in parts for x in pair))
     coeffs = [scalar_to_complex(c) for c in minpoly.coeffs]
@@ -123,8 +94,7 @@ def root_decomposition(c):
     """Decompose the algebra into eigenspaces g_alpha of ad(xi)."""
     if c.algebra.field != COMPLEX:
         raise InputError("root decomposition requires a complex algebra")
-    a = ad(c.algebra, list(c.reeb))
-    minpoly = minimal_polynomial(a)
+    a, minpoly = c.ad_reeb, c.ad_reeb_minpoly
     if not is_squarefree(minpoly):
         raise InputError(
             "ad(xi) is not diagonalizable; the root-space hypothesis fails")
@@ -147,6 +117,7 @@ def root_decomposition(c):
         _validate_decomposition(rd)
         return rd
     # spectrum outside the Gaussian rationals: floating fallback
+    import numpy as np
     af = np.array([[scalar_to_complex(x) for x in row] for row in a])
     vals, vecs = np.linalg.eig(af)
     clusters = []
@@ -178,15 +149,16 @@ def root_decomposition(c):
 
 def _validate_decomposition(rd):
     c = rd.contact
-    a = ad(c.algebra, list(c.reeb))
-    if 0 not in [r for r in rd.roots]:
+    a = c.ad_reeb
+    eta = one_form_coefficients(c.eta)
+    if 0 not in rd.roots:
         raise InternalInvariantError("0 is not a root, but xi is in g_0")
     for r, basis in rd.spaces.items():
         for v in basis:
             av = mat_vec(a, list(v))
             if any(x != r * y for x, y in zip(av, v)):
                 raise InternalInvariantError("eigenvector equation failed")
-            if r != 0 and evaluate(c.eta, list(v)) != 0:
+            if r != 0 and dot(eta, v) != 0:
                 raise InternalInvariantError(
                     "nonzero-root space is not horizontal")
 
@@ -204,7 +176,7 @@ def verify_graded_bracket(rd):
     if not rd.exact:
         raise InputError("graded bracket check requires an exact decomposition")
     c = rd.contact
-    a = ad(c.algebra, list(c.reeb))
+    a = c.ad_reeb
     deta = c.deta
     pairs = 0
     for alpha in rd.roots:
@@ -251,8 +223,7 @@ def find_dual_partner(rd, x, alpha):
     coeff = 1 / weights[pick]
     y = [coeff * t for t in basis[pick]]
     z = [p - q for p, q in zip(bracket(c.algebra, list(x), y), c.reeb)]
-    a = ad(c.algebra, list(c.reeb))
-    if not vec_is_zero(mat_vec(a, z)):
+    if not vec_is_zero(mat_vec(c.ad_reeb, z)):
         raise InternalInvariantError("Z is not in g_0")
     if evaluate(c.eta, z) != 0:
         raise InternalInvariantError("Z is not horizontal")
@@ -294,9 +265,9 @@ def verify_reeb_theorem(c):
     if c.algebra.field != COMPLEX:
         raise InputError("theorem checker expects a complex contact algebra")
     n = c.n
-    a = ad(c.algebra, list(c.reeb))
+    a = c.ad_reeb
     failures = []
-    diagonalizable = is_diagonalizable(a)
+    diagonalizable = is_squarefree(c.ad_reeb_minpoly)
     if not diagonalizable:
         failures.append("ad(xi) is not diagonalizable")
     if n <= 1:

@@ -194,11 +194,12 @@ def test_json_determinism(capsys):
 
 
 def test_import_leaves_scipy_unloaded():
-    """numpy is the only third-party dependency; scipy must stay out."""
+    """numpy is the only third-party dependency; scipy must stay out, and
+    numpy loads only when a floating routine first runs."""
     src = os.path.dirname(os.path.dirname(contactlie.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, contactlie, contactlie.cli; "
-            "print('scipy' in sys.modules)")
+    code = ("import sys, contactlie, contactlie.cli; contactlie.catalog(); "
+            "print('scipy' in sys.modules, 'numpy' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"

@@ -1,9 +1,12 @@
 """Structural guards: the load -> extend -> quotient -> analyze path must
 not reach the combinatorial kernels.  `wedge` expands eta ^ (d eta)^n term
 by term and `bracket`-per-triple Jacobi checks are O(n^6); both stay public
-but are patched here to raise wherever a contactlie module holds them."""
+but are patched here to raise wherever a contactlie module holds them.
+Derived data of a contact structure is computed once: call counts of the
+expensive steps are pinned per call."""
 
 import sys
+from collections import Counter
 
 import pytest
 
@@ -18,17 +21,36 @@ from contactlie.forms import is_contact
 CAT = catalog()
 
 
-def forbid(monkeypatch, module, name):
-    """Replace module.name by a raiser at every contactlie import site."""
+def replace(monkeypatch, module, name, make):
+    """Replace module.name by make(original) at every contactlie import
+    site."""
     original = getattr(module, name)
-
-    def raiser(*args, **kwargs):
-        raise AssertionError("%s reached from a hot path" % name)
-
+    replacement = make(original)
     for mod_name, mod in list(sys.modules.items()):
         if mod_name.split(".")[0] == "contactlie" and \
                 getattr(mod, name, None) is original:
-            monkeypatch.setattr(mod, name, raiser)
+            monkeypatch.setattr(mod, name, replacement)
+
+
+def forbid(monkeypatch, module, name):
+    """Replace module.name by a raiser at every contactlie import site."""
+    def make(original):
+        def raiser(*args, **kwargs):
+            raise AssertionError("%s reached from a hot path" % name)
+        return raiser
+
+    replace(monkeypatch, module, name, make)
+
+
+def count(monkeypatch, calls, module, name):
+    """Count the calls of module.name in calls[name]."""
+    def make(original):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    replace(monkeypatch, module, name, make)
 
 
 def test_pipeline_never_calls_wedge(monkeypatch):
@@ -54,3 +76,34 @@ def test_check_jacobi_never_calls_bracket(monkeypatch):
     for e in CAT.values():
         assert check_jacobi(e.algebra) == []
     assert check_jacobi(extension) == []
+
+
+METRIC_ENTRIES = sorted(name for name, e in CAT.items()
+                        if e.kind == "contact" and e.metric is not None)
+
+
+def test_analyze_kcontact_computes_derived_data_once(monkeypatch):
+    calls = Counter()
+    for module, name in ((contactlie.spectral, "root_decomposition"),
+                         (contactlie.polynomials, "minimal_polynomial"),
+                         (contactlie.contact, "contact_structure"),
+                         (contactlie.forms, "ce_differential"),
+                         (contactlie.algebra, "ad")):
+        count(monkeypatch, calls, module, name)
+    for name in METRIC_ENTRIES:
+        e = CAT[name]
+        calls.clear()
+        c = contactlie.contact.contact_structure(e.algebra, e.eta)
+        assert calls == {"contact_structure": 1, "ce_differential": 1}, name
+        assert c.deta is c.deta and calls["ce_differential"] == 1
+        calls.clear()
+        rep = analyze_kcontact(c, e.metric)
+        assert rep.dim == e.algebra.dim
+        for counted in ("root_decomposition", "minimal_polynomial",
+                        "contact_structure", "ad"):
+            assert calls[counted] <= 1, (name, counted, calls)
+        assert c.ad_reeb is c.ad_reeb
+        assert c.ad_reeb_minpoly is c.ad_reeb_minpoly
+        calls.clear()
+        analyze_kcontact(c, e.metric)
+        assert calls["ad"] == calls["minimal_polynomial"] == 0, name

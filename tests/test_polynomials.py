@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction
 
 from contactlie.polynomials import (Polynomial, cauchy_root_bound,
                                     count_real_roots, format_polynomial,
                                     has_only_purely_imaginary_roots,
-                                    is_squarefree, poly_from_roots, poly_gcd,
+                                    is_squarefree, minimal_polynomial,
+                                    poly_from_roots, poly_gcd,
                                     sturm_sequence)
+from contactlie.spectral import characteristic_polynomial
 
 
 def P(*coeffs):
@@ -74,3 +77,35 @@ def test_purely_imaginary_detection():
 
 def test_format():
     assert "t^2" in format_polynomial(P(1, 0, 1))
+
+
+def _no_float(*polys):
+    return not any(isinstance(c, float) for p in polys for c in p.coeffs)
+
+
+def test_int_input_stays_exact():
+    """Python-int matrices and polynomials give exactly the results of
+    the same input as Fractions, and never a binary64 coefficient."""
+    assert characteristic_polynomial([[1, 2], [3, 4]]) == P(-2, -5, 1)
+    assert _no_float(characteristic_polynomial([[1, 2], [3, 4]]))
+    rng = random.Random(11)
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        mf = [[Fraction(x) for x in row] for row in m]
+        for f in (characteristic_polynomial, minimal_polynomial):
+            got = f(m)
+            assert got == f(mf) and _no_float(got)
+    for _ in range(300):
+        a, b = ([rng.randint(-4, 4) for _ in range(rng.randint(1, 6))]
+                for _ in range(2))
+        a[-1] = b[-1] = rng.choice([-3, -2, -1, 1, 2, 3])
+        pa, pb = Polynomial(a), Polynomial(b)
+        fa, fb = P(*a), P(*b)
+        q, r = divmod(pa, pb)
+        assert (q, r) == divmod(fa, fb) and _no_float(q, r)
+        assert pa.monic() == fa.monic() and _no_float(pa.monic())
+        g = poly_gcd(pa, pb)
+        assert g == poly_gcd(fa, fb) and _no_float(g)
+        assert is_squarefree(pa) == is_squarefree(fa)
+        assert is_squarefree(pa * pa) == (pa.degree == 0)

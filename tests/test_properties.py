@@ -3,8 +3,10 @@
 The dim-5 K-contact entries are conjugated by a random invertible integer
 matrix P; the auto-constructed metric must stay associated with zero
 tolerance and the pipeline must keep its verdicts.  The structure-constant
-kernels (check_jacobi, the Pfaffian contact test, the sparse differential)
-must agree exactly with the direct definitions they replaced.
+kernels (check_jacobi, the Pfaffian contact test, the sparse differential,
+ad) and the derived data of a contact structure (nabla xi from the
+contracted Koszul formula, the complexification by transport) must agree
+exactly with the direct definitions they replaced.
 """
 
 from fractions import Fraction
@@ -12,17 +14,21 @@ from itertools import combinations
 
 import pytest
 
-from contactlie.algebra import LieAlgebra, bracket, check_jacobi, complexify
+from contactlie.algebra import (LieAlgebra, ad, bracket, check_jacobi,
+                                complexify)
 from contactlie.catalog import abelian, catalog
-from contactlie.contact import contact_structure
+from contactlie.contact import complexify_structure, contact_structure
 from contactlie.extension import (SymplecticAlgebra, analyze_kcontact,
                                   central_extension)
 from contactlie.forms import (AlternatingForm, basis_dual, ce_differential,
                               complexify_form, is_contact, one_form,
                               one_form_coefficients, two_form, wedge,
                               zero_form)
-from contactlie.linalg import det, inverse, mat_vec
-from contactlie.metric import construct_associated_metric, is_associated
+from contactlie.linalg import det, inverse, mat_mul, mat_vec, transpose
+from contactlie.metric import (MetricData, _reeb_derivative,
+                               construct_associated_metric, is_associated,
+                               levi_civita)
+from contactlie.polynomials import minimal_polynomial
 from contactlie.scalars import GaussianRational
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -271,3 +277,118 @@ def test_sparse_differential_matches_coefficient_reference(
     form = data.draw(random_forms(algebra.dim, degree, complexified))
     assert ce_differential(algebra, form) == \
         differential_by_coefficients(algebra, form)
+
+
+def ad_by_brackets(algebra, x):
+    """Reference ad: one full bracket per basis vector."""
+    cols = [bracket(algebra, x, algebra.basis_vector(j))
+            for j in range(algebra.dim)]
+    return [[cols[j][i] for j in range(algebra.dim)]
+            for i in range(algebra.dim)]
+
+
+def reeb_derivative_by_christoffels(c, g):
+    """Reference nabla xi: column j is sum_i xi_i Gamma[j][i], from all n^2
+    Christoffel vectors of levi_civita."""
+    n = c.algebra.dim
+    conn = levi_civita(c.algebra, g)
+    cols = []
+    for j in range(n):
+        v = [Fraction(0)] * n
+        for i in range(n):
+            v = [a + c.reeb[i] * b for a, b in zip(v, conn.gamma[j][i])]
+        cols.append(v)
+    return transpose(cols)
+
+
+FIELD_SCALARS = {"real": Fraction, "int": int,
+                 "complex": lambda x: GaussianRational(x, x)}
+
+
+def conjugated_input(data, name, field):
+    """CONTACT_INPUTS[name] under a random dense P, with structure
+    constants as Fractions, Python ints (det P = 1) or Fractions embedded
+    into the Gaussian rationals."""
+    algebra, eta = CONTACT_INPUTS[name]
+    algebra, eta = conjugate(algebra, eta, data.draw(
+        change_of_basis(algebra.dim, unimodular=(field == "int"))))
+    if field == "int":
+        algebra = LieAlgebra(algebra.name, algebra.dim, brackets={
+            key: tuple(int(x) for x in v)
+            for key, v in algebra.brackets.items()})
+    elif field == "complex":
+        algebra, eta = complexify(algebra), complexify_form(eta)
+    return algebra, eta
+
+
+def contact_names(max_dim):
+    return sorted(name for name, (a, _) in CONTACT_INPUTS.items()
+                  if a.dim <= max_dim
+                  and not name.startswith(("abelian", "h7,", "sl2r,")))
+
+
+@pytest.mark.parametrize("field", ["real", "complex", "int"])
+@pytest.mark.parametrize("name", contact_names(7))
+@settings(max_examples=5, deadline=None, database=None)
+@given(data=st.data())
+def test_sparse_ad_matches_bracket_reference(name, field, data):
+    algebra, _ = conjugated_input(data, name, field)
+    scalar = FIELD_SCALARS[field]
+    x = [scalar(v) for v in data.draw(
+        st.lists(st.integers(-3, 3), min_size=algebra.dim,
+                 max_size=algebra.dim))]
+    assert ad(algebra, x) == ad_by_brackets(algebra, x)
+
+
+def random_metric(data, n):
+    """M^T M + I for a random integer M: positive-definite, not associated
+    to anything in particular."""
+    m = [data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+         for _ in range(n)]
+    mtm = mat_mul(transpose(m), m)
+    return MetricData.from_rows(
+        [[x + (i == j) for j, x in enumerate(row)]
+         for i, row in enumerate(mtm)])
+
+
+@pytest.mark.parametrize("field", ["real", "complex", "int"])
+@pytest.mark.parametrize("name", contact_names(7))
+@settings(max_examples=3, deadline=None, database=None)
+@given(associated=st.booleans(), data=st.data())
+def test_koszul_reeb_derivative_matches_levi_civita(name, field, associated,
+                                                    data):
+    """nabla_X xi from the contracted Koszul formula equals the Reeb
+    contraction of the full connection, for associated metrics and for
+    arbitrary positive-definite ones."""
+    algebra, eta = conjugated_input(
+        data, name, "real" if field == "complex" else field)
+    c = contact_structure(algebra, eta)
+    g = (construct_associated_metric(c) if associated
+         else random_metric(data, algebra.dim))
+    if field == "complex":
+        c = complexify_structure(c)
+    assert _reeb_derivative(c, g) == reeb_derivative_by_christoffels(c, g)
+
+
+@pytest.mark.parametrize("field", ["real", "int"])
+@pytest.mark.parametrize("name", contact_names(9))
+@settings(max_examples=3, deadline=None, database=None)
+@given(data=st.data())
+def test_transported_complexification_matches_direct(name, field, data):
+    """complexify_structure equals the structure built from scratch over
+    the Gaussian rationals, field by field and in its derived data."""
+    algebra, eta = conjugated_input(data, name, field)
+    real = contact_structure(algebra, eta)
+    transported = complexify_structure(real)
+    direct = contact_structure(complexify(algebra), complexify_form(eta))
+    assert transported == direct
+    assert transported.deta == direct.deta
+    assert transported.ad_reeb == tuple(map(tuple, ad(
+        direct.algebra, list(direct.reeb))))
+    assert transported.ad_reeb_minpoly == minimal_polynomial(direct.ad_reeb)
+    values = (list(transported.reeb) + list(transported.deta.coeffs.values())
+              + [x for m in (transported.horizontal_basis,
+                             transported.projector, transported.ad_reeb)
+                 for row in m for x in row]
+              + list(transported.ad_reeb_minpoly.coeffs))
+    assert all(isinstance(x, GaussianRational) for x in values)
