@@ -158,9 +158,8 @@ def _validate(c):
         raise InternalInvariantError("projector is not idempotent")
     if not vec_is_zero(mat_vec(p, xi)):
         raise InternalInvariantError("projector does not kill the Reeb field")
-    for v in c.horizontal_basis:
-        if dot(eta, v) != 0:
-            raise InternalInvariantError("horizontal basis vector not in ker eta")
+    if not vec_is_zero(mat_vec(c.horizontal_basis, eta)):
+        raise InternalInvariantError("horizontal basis vector not in ker eta")
 
 
 def decompose(c, x):

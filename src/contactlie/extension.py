@@ -11,7 +11,7 @@ from .contact import complexify_structure, contact_structure
 from .errors import InputError, InternalInvariantError
 from .forms import (AlternatingForm, ce_differential, is_contact, one_form,
                     two_form_matrix)
-from .linalg import det, dot, mat_vec, rref, transpose
+from .linalg import det, mat_mul, rref, transpose
 from .metric import is_kcontact, kcontact_obstruction
 from .spectral import verify_reeb_theorem
 
@@ -42,13 +42,13 @@ def central_quotient(c):
             "Reeb field is not central (ad(xi) != 0); quotient undefined")
     basis = [list(v) for v in c.horizontal_basis]
     m = len(basis)
-    proj = [list(r) for r in c.projector]
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    # one elimination of [basis | H[b_i, b_j] for every pair] gives the
-    # coordinates of every projected bracket in the horizontal basis
-    columns = basis + [mat_vec(proj, bracket(c.algebra, basis[i], basis[j]))
-                       for i, j in pairs]
-    rows, pivots = rref(transpose(columns))
+    # one product projects every bracket [b_i, b_j] (its columns), and
+    # one elimination of [basis | projected brackets] gives their
+    # coordinates in the horizontal basis
+    projected = mat_mul(c.projector, transpose(
+        [bracket(c.algebra, basis[i], basis[j]) for i, j in pairs]))
+    rows, pivots = rref([b + h for b, h in zip(transpose(basis), projected)])
     if pivots != list(range(m)):
         raise InternalInvariantError(
             "a projected bracket is not in the span of the horizontal basis")
@@ -64,11 +64,9 @@ def central_quotient(c):
     if check_jacobi(quotient):
         raise InternalInvariantError(
             "central quotient violates the Jacobi identity")
-    # omega(b_i, b_j) = d eta(b_i, b_j) = b_i^T D b_j
-    d = two_form_matrix(c.deta)
-    d_basis = [mat_vec(d, b) for b in basis]
-    omega = AlternatingForm(
-        m, 2, {(i, j): dot(basis[i], d_basis[j]) for i, j in pairs})
+    # omega(b_i, b_j) = d eta(b_i, b_j) = b_i^T D b_j, the entries of B D B^T
+    w = mat_mul(basis, mat_mul(two_form_matrix(c.deta), transpose(basis)))
+    omega = AlternatingForm(m, 2, {(i, j): w[i][j] for i, j in pairs})
     return SymplecticAlgebra(quotient, omega)  # validates closed + nondeg
 
 

@@ -17,7 +17,8 @@ from functools import cached_property
 from .algebra import REAL
 from .errors import InputError, InternalInvariantError
 from .forms import evaluate, one_form_coefficients, two_form_matrix
-from .linalg import det, dot, inverse, mat_eq, mat_mul, mat_vec, transpose
+from .linalg import (det, dot, inverse, leading_minors, mat_eq, mat_mul,
+                     mat_vec, transpose)
 from .polynomials import (format_polynomial, has_only_purely_imaginary_roots,
                           is_squarefree)
 
@@ -68,10 +69,7 @@ class MetricData:
 
     @cached_property
     def _positive_definite(self):
-        rows = [list(r) for r in self.matrix]
-        return all(
-            det([row[: k + 1] for row in rows[: k + 1]]) > 0
-            for k in range(self.dim))
+        return all(minor > 0 for minor in leading_minors(self.matrix))
 
 
 @dataclass(frozen=True)
@@ -207,9 +205,10 @@ def is_kcontact(c, g):
     grows = [list(r) for r in g.matrix]
     s = [[x + y for x, y in zip(r1, r2)]
          for r1, r2 in zip(mat_mul(transpose(a), grows), mat_mul(grows, a))]
-    s_hb = [mat_vec(s, y) for y in c.horizontal_basis]
-    crit_skew = all(dot(x, sy) == 0
-                    for x in c.horizontal_basis for sy in s_hb)
+    # y_i^T S y_j for all horizontal basis vectors: the entries of Y S Y^T
+    hb = [list(y) for y in c.horizontal_basis]
+    crit_skew = all(x == 0 for row in mat_mul(hb, mat_mul(s, transpose(hb)))
+                    for x in row)
     if crit_h != crit_skew:
         raise InternalInvariantError(
             "the two K-contact criteria disagree (h = 0: %s, "

@@ -8,7 +8,7 @@ the exact purely-imaginary-spectrum test for ad(xi).
 from fractions import Fraction
 
 from .errors import InputError, InternalInvariantError, SingularSystemError
-from .linalg import solve_unique
+from .linalg import mat_mul, solve_unique
 from .scalars import scalar_re_im
 
 
@@ -25,6 +25,10 @@ class Polynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
+
+    def __reduce__(self):
+        # the default slots reduction would go through __setattr__
+        return (Polynomial, (self.coeffs,))
 
     @property
     def is_zero(self):
@@ -144,9 +148,7 @@ def minimal_polynomial(m):
             if coeffs is not None:
                 return Polynomial(
                     [-c for c in coeffs] + [Fraction(1)])
-        nxt = [[sum(m[i][k] * power[k][j] for k in range(n))
-                for j in range(n)] for i in range(n)]
-        power = nxt
+        power = mat_mul(m, power)
         if len(vecs) > n + 1:
             raise InternalInvariantError(
                 "minimal polynomial search exceeded the dimension bound")

@@ -23,6 +23,10 @@ class GaussianRational:
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
+    def __reduce__(self):
+        # the default slots reduction would go through __setattr__
+        return (GaussianRational, (self.re, self.im))
+
     # -- arithmetic -------------------------------------------------------
 
     @staticmethod

@@ -10,7 +10,7 @@ from .algebra import COMPLEX, bracket
 from .contact import ContactStructure
 from .errors import InputError, InternalInvariantError
 from .forms import evaluate, one_form_coefficients
-from .linalg import dot, mat_vec, nullspace, vec_is_zero
+from .linalg import mat_mul, mat_vec, nullspace, transpose, vec_is_zero
 from .polynomials import Polynomial, is_squarefree, minimal_polynomial
 from .scalars import (GaussianRational, scalar_re_im, scalar_sort_key,
                       scalar_to_complex)
@@ -29,8 +29,7 @@ def characteristic_polynomial(m):
         if k < n:
             shifted = [[mk[i][j] + (coeffs[-1] if i == j else 0)
                         for j in range(n)] for i in range(n)]
-            mk = [[sum(m[i][l] * shifted[l][j] for l in range(n))
-                   for j in range(n)] for i in range(n)]
+            mk = mat_mul(m, shifted)
     return Polynomial(list(reversed(coeffs)))
 
 
@@ -153,14 +152,17 @@ def _validate_decomposition(rd):
     eta = one_form_coefficients(c.eta)
     if 0 not in rd.roots:
         raise InternalInvariantError("0 is not a root, but xi is in g_0")
-    for r, basis in rd.spaces.items():
-        for v in basis:
-            av = mat_vec(a, list(v))
-            if any(x != r * y for x, y in zip(av, v)):
-                raise InternalInvariantError("eigenvector equation failed")
-            if r != 0 and dot(eta, v) != 0:
-                raise InternalInvariantError(
-                    "nonzero-root space is not horizontal")
+    roots = [r for r, basis in rd.spaces.items() for _ in basis]
+    vectors = [v for basis in rd.spaces.values() for v in basis]
+    # one product each applies ad(xi) and eta to every basis vector
+    images = transpose(mat_mul(a, transpose(vectors)))
+    for r, v, av, height in zip(roots, vectors, images,
+                                mat_vec(vectors, eta)):
+        if any(x != r * y for x, y in zip(av, v)):
+            raise InternalInvariantError("eigenvector equation failed")
+        if r != 0 and height != 0:
+            raise InternalInvariantError(
+                "nonzero-root space is not horizontal")
 
 
 @dataclass(frozen=True)

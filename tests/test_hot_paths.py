@@ -3,10 +3,13 @@ not reach the combinatorial kernels.  `wedge` expands eta ^ (d eta)^n term
 by term and `bracket`-per-triple Jacobi checks are O(n^6); both stay public
 but are patched here to raise wherever a contactlie module holds them.
 Derived data of a contact structure is computed once: call counts of the
-expensive steps are pinned per call."""
+expensive steps are pinned per call.  Real-valued Gaussian matrices take
+the integer kernels of linalg, without GaussianRational arithmetic."""
 
+import random
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -17,6 +20,8 @@ from contactlie.contact import contact_structure
 from contactlie.extension import (analyze_kcontact, central_extension,
                                   central_quotient)
 from contactlie.forms import is_contact
+from contactlie.linalg import det, mat_mul, mat_vec, rref
+from contactlie.scalars import GaussianRational
 
 CAT = catalog()
 
@@ -107,3 +112,35 @@ def test_analyze_kcontact_computes_derived_data_once(monkeypatch):
         calls.clear()
         analyze_kcontact(c, e.metric)
         assert calls["ad"] == calls["minimal_polynomial"] == 0, name
+
+
+GAUSS_OPS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+             "__rmul__", "__truediv__", "__rtruediv__", "__neg__")
+
+
+def test_real_valued_gaussian_linalg_runs_no_gaussian_arithmetic(
+        monkeypatch):
+    """Gaussian input with no imaginary part runs the integer kernels of
+    rref, det and the products; input with one runs the field path."""
+    calls = Counter()
+    for name in GAUSS_OPS:
+        def make(original, name=name):
+            def counted(*args):
+                calls[name] += 1
+                return original(*args)
+            return counted
+        monkeypatch.setattr(GaussianRational, name,
+                            make(getattr(GaussianRational, name)))
+    rng = random.Random(11)
+    m = [[GaussianRational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+          for _ in range(6)] for _ in range(5)]
+    square = [row[:5] for row in m]
+    rows, _ = rref(m)
+    assert det(square) == det([[x.re for x in row] for row in square])
+    mat_mul(square, m)
+    mat_vec(m, m[0])
+    assert calls == {}
+    assert all(isinstance(x, GaussianRational) for row in rows for x in row)
+    square[0][0] = GaussianRational(1, 1)
+    rref(square)
+    assert calls["__mul__"] > 0

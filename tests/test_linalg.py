@@ -1,11 +1,14 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from contactlie.errors import SingularSystemError
-from contactlie.linalg import (det, inverse, mat_mul, mat_vec, nullspace,
-                               pfaffian, rank, rref, solve_unique)
+from contactlie.linalg import (det, inverse, leading_minors, mat_mul,
+                               mat_vec, nullspace, pfaffian, rank, rref,
+                               solve_unique, transpose)
+from contactlie.metric import MetricData
 from contactlie.scalars import GaussianRational
 
 
@@ -139,3 +142,49 @@ def test_pfaffian_gaussian_rational():
         a = random_skew(rng, 6, lambda r: GaussianRational(
             r.choice([0, 1, -1, 2]), r.choice([0, 1, -3])))
         assert pfaffian(a) == pfaffian_by_expansion(a)
+
+
+def test_singular_gaussian_det_is_the_fields_zero():
+    g = GaussianRational
+    for m in ([[g(0), g(1)], [g(0), g(2)]],            # zero first column
+              [[g(1), g(2)], [g(2), g(4)]],
+              [[g(0), g(1, 1)], [g(0), g(2)]],         # complex path
+              [[g(1, 1), g(2)], [g(2, 2), g(4)]],
+              [[g(1, 1), g(0), g(1)], [g(0), g(0), g(2)],
+               [g(2), g(0), g(1, -1)]]):
+        d = det(m)
+        assert d == 0 and type(d) is GaussianRational, m
+    d = det([[Fraction(0), Fraction(1)], [Fraction(0), Fraction(2)]])
+    assert d == 0 and type(d) is Fraction
+
+
+def test_leading_minors_match_minor_by_minor_determinants():
+    # a zero leading minor stops the elimination; no row may be swapped
+    assert list(leading_minors([[0, 1], [1, 0]])) == [0]
+    assert list(leading_minors([[1, 1, 0], [1, 1, 1], [0, 1, 1]])) == [1, 0]
+    assert list(leading_minors([[2, 1], [1, 1]])) == [2, 1]
+    rng = random.Random(23)
+    seen = Counter()
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        k = rng.randint(1, n)
+        m = [[Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+              for _ in range(n)] for _ in range(k)]
+        mtm = mat_mul(transpose(m), m)  # semidefinite, singular when k < n
+        shape = rng.choice(["definite", "semidefinite", "indefinite"])
+        if shape == "definite":
+            s = [[x + (i == j) for j, x in enumerate(row)]
+                 for i, row in enumerate(mtm)]
+        elif shape == "semidefinite":
+            s = mtm
+        else:
+            s = [[x - 2 * (i == j) for j, x in enumerate(row)]
+                 for i, row in enumerate(mtm)]
+        minors = [det([row[:j + 1] for row in s[:j + 1]]) for j in range(n)]
+        cut = next((j + 1 for j, x in enumerate(minors) if x == 0), n)
+        assert list(leading_minors(s)) == minors[:cut]
+        definite = all(x > 0 for x in minors)
+        assert MetricData.from_rows(s).is_positive_definite() == definite
+        seen[shape, definite] += 1
+    assert seen["definite", True] and seen["semidefinite", False]
+    assert seen["indefinite", False]

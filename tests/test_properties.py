@@ -4,8 +4,9 @@ The dim-5 K-contact entries are conjugated by a random invertible integer
 matrix P; the auto-constructed metric must stay associated with zero
 tolerance and the pipeline must keep its verdicts.  The structure-constant
 kernels (check_jacobi, the Pfaffian contact test, the sparse differential,
-ad) and the derived data of a contact structure (nabla xi from the
-contracted Koszul formula, the complexification by transport) must agree
+ad), the derived data of a contact structure (nabla xi from the
+contracted Koszul formula, the complexification by transport) and the
+integer kernels of linalg (rref, det, mat_mul, mat_vec) must agree
 exactly with the direct definitions they replaced.
 """
 
@@ -24,7 +25,8 @@ from contactlie.forms import (AlternatingForm, basis_dual, ce_differential,
                               complexify_form, is_contact, one_form,
                               one_form_coefficients, two_form, wedge,
                               zero_form)
-from contactlie.linalg import det, inverse, mat_mul, mat_vec, transpose
+from contactlie.linalg import (det, inverse, mat_mul, mat_vec, rref,
+                               transpose)
 from contactlie.metric import (MetricData, _reeb_derivative,
                                construct_associated_metric, is_associated,
                                levi_civita)
@@ -392,3 +394,134 @@ def test_transported_complexification_matches_direct(name, field, data):
                  for row in m for x in row]
               + list(transported.ad_reeb_minpoly.coeffs))
     assert all(isinstance(x, GaussianRational) for x in values)
+
+
+# -- exact linear algebra against the Fraction-arithmetic references ---------
+#
+# The integer kernels of linalg replaced the pivoted elimination and the
+# dot-product matrix product below; both are exact over any field, and
+# RREF and det do not depend on the pivot order.
+
+def _pivot_size(x):
+    return x.norm() if isinstance(x, GaussianRational) else abs(x)
+
+
+def rref_by_fractions(m):
+    """Reference RREF: Gauss-Jordan over the field, largest pivot first."""
+    rows = [list(r) for r in m]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        pivot = max(range(r, nrows), key=lambda i: _pivot_size(rows[i][c]))
+        if rows[pivot][c] == 0:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = Fraction(1) / rows[r][c]
+        rows[r] = [inv * x for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def det_by_fractions(m):
+    """Reference det: Gaussian elimination over the field."""
+    n = len(m)
+    rows = [list(r) for r in m]
+    sign = 1
+    result = Fraction(1)
+    for c in range(n):
+        pivot = max(range(c, n), key=lambda i: _pivot_size(rows[i][c]))
+        if rows[pivot][c] == 0:
+            return Fraction(0) * rows[pivot][c]  # the field's zero
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            sign = -sign
+        result = result * rows[c][c]
+        inv = Fraction(1) / rows[c][c]
+        for i in range(c + 1, n):
+            if rows[i][c] != 0:
+                f = rows[i][c] * inv
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return sign * result
+
+
+def mat_mul_by_dot(a, b):
+    """Reference product: one Fraction dot product per entry."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+def assert_same_entries(got, want):
+    """Equal values and entry types, except that the reference's Python
+    ints (products of ints, untouched zero rows) come back as Fractions:
+    the kernels give Fractions for every real input."""
+    assert got == want
+    got_types = [type(x) for row in got for x in row]
+    want_types = [type(x) for row in want for x in row]
+    assert got_types == [Fraction if t is int else t for t in want_types]
+
+
+_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+ENTRIES = {
+    "int": st.integers(-3, 3),
+    "fraction": _RATIONALS,
+    "real gaussian": _RATIONALS.map(GaussianRational),
+    "complex gaussian": st.builds(GaussianRational, _RATIONALS, _RATIONALS),
+}
+
+
+@st.composite
+def matrices(draw, kind, rows, cols):
+    """A rows x cols matrix of `kind` entries: generic, or of rank at most
+    k (a product of rows x k and k x cols factors), with some columns
+    zeroed."""
+    entries = ENTRIES[kind]
+
+    def block(r, c):
+        return [[draw(entries) for _ in range(c)] for _ in range(r)]
+
+    k = draw(st.integers(1, min(rows, cols)))
+    m = (block(rows, cols) if draw(st.booleans())
+         else mat_mul_by_dot(block(rows, k), block(k, cols)))
+    zero = {"int": 0, "fraction": Fraction(0)}.get(kind, GaussianRational(0))
+    dropped = draw(st.sets(st.integers(0, cols - 1), max_size=2))
+    return [[zero if j in dropped else x for j, x in enumerate(row)]
+            for row in m]
+
+
+@pytest.mark.parametrize("kind", sorted(ENTRIES))
+@settings(max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_rref_and_det_match_fraction_reference(kind, data):
+    rows, cols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
+    m = data.draw(matrices(kind, rows, cols))
+    got, pivots = rref(m)
+    want, want_pivots = rref_by_fractions(m)
+    assert pivots == want_pivots
+    assert_same_entries(got, want)
+    n = data.draw(st.integers(0, 5))
+    square = data.draw(matrices(kind, n, n)) if n else []
+    d = det(square)
+    assert_same_entries([[d]], [[det_by_fractions(square)]])
+
+
+@pytest.mark.parametrize("left", sorted(ENTRIES))
+@pytest.mark.parametrize("right", sorted(ENTRIES))
+@settings(max_examples=10, deadline=None, database=None)
+@given(data=st.data())
+def test_mat_mul_matches_dot_reference(left, right, data):
+    p, q, r = (data.draw(st.integers(1, 5)) for _ in range(3))
+    a = data.draw(matrices(left, p, q))
+    b = data.draw(matrices(right, q, r))
+    assert_same_entries(mat_mul(a, b), mat_mul_by_dot(a, b))
+    column = [row[0] for row in b]
+    assert_same_entries([mat_vec(a, column)],
+                        [[row[0] for row in mat_mul_by_dot(a, b)]])

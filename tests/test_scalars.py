@@ -1,11 +1,16 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 
+from contactlie.catalog import catalog
+from contactlie.contact import complexify_structure
 from contactlie.errors import InputError
 from contactlie.scalars import (GaussianRational, format_scalar,
                                 parse_scalar, scalar_sort_key,
                                 scalar_to_complex, to_gaussian)
+from contactlie.spectral import root_decomposition
 
 
 def test_basic_arithmetic():
@@ -83,3 +88,16 @@ def test_to_gaussian():
     assert to_gaussian(Fraction(1, 3)) == GaussianRational(Fraction(1, 3))
     z = GaussianRational(1, 1)
     assert to_gaussian(z) is z
+
+
+def test_copy_deepcopy_and_pickle_round_trip():
+    z = GaussianRational(Fraction(1, 2), Fraction(-3, 4))
+    for clone in (copy.copy(z), copy.deepcopy(z),
+                  pickle.loads(pickle.dumps(z))):
+        assert clone == z and type(clone) is GaussianRational
+        assert type(clone.re) is Fraction and type(clone.im) is Fraction
+    # a complexified structure caches GaussianRational data and polynomials
+    rd = root_decomposition(complexify_structure(catalog()["su2"].contact()))
+    for clone in (copy.deepcopy(rd), pickle.loads(pickle.dumps(rd))):
+        assert clone == rd
+        assert clone.contact.ad_reeb_minpoly == rd.contact.ad_reeb_minpoly
