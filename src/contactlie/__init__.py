@@ -7,8 +7,7 @@ Lie algebras."""
 from .algebra import (COMPLEX, REAL, LieAlgebra, ad, bracket, check_jacobi,
                       complexify)
 from .catalog import CatalogEntry, catalog
-from .contact import (ContactStructure, complexify_structure,
-                      contact_structure, decompose, reeb)
+from .contact import ContactStructure, contact_structure, decompose, reeb
 from .errors import (ContactLieError, InputError, InternalInvariantError,
                      SingularSystemError)
 from .extension import (MainTheoremReport, SymplecticAlgebra,

@@ -15,9 +15,8 @@ import json
 import os
 import sys
 
-from .algebra import REAL
 from .catalog import catalog
-from .contact import complexify_structure, contact_structure
+from .contact import contact_structure
 from .errors import (ContactLieError, InputError, InternalInvariantError)
 from .extension import (SymplecticAlgebra, analyze_kcontact, central_extension,
                         central_quotient)
@@ -171,8 +170,6 @@ def _cmd_roots(args):
     af = _load_input(args.file)
     eta = _get_form(af, args.form, degree=1)
     c = contact_structure(af.algebra, eta)
-    if c.algebra.field == REAL:
-        c = complexify_structure(c)
     obstruction = kcontact_obstruction(c)
     rd = root_decomposition(c)
     report = {
@@ -360,8 +357,8 @@ def build_parser():
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("roots",
-                       help="root-space decomposition of ad(xi) "
-                            "(complexifies real input)")
+                       help="root-space decomposition of ad(xi) over "
+                            "the complexification")
     p.add_argument("file")
     p.add_argument("--form", default="eta")
     p.set_defaults(func=_cmd_roots)

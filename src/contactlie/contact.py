@@ -4,15 +4,13 @@ the splitting X = eta(X) xi + HX."""
 from dataclasses import dataclass
 from functools import cached_property
 
-from .algebra import LieAlgebra, ad, bracket, complexify
+from .algebra import LieAlgebra, ad, bracket
 from .errors import InputError, InternalInvariantError, SingularSystemError
-from .forms import (AlternatingForm, ce_differential, complexify_form,
-                    evaluate, is_contact, one_form_coefficients,
-                    two_form_matrix)
+from .forms import (AlternatingForm, ce_differential, evaluate, is_contact,
+                    one_form_coefficients, two_form_matrix)
 from .linalg import (dot, mat_eq, mat_mul, mat_vec, nullspace, solve_unique,
                      transpose, vec_is_zero)
-from .polynomials import Polynomial, minimal_polynomial
-from .scalars import to_gaussian
+from .polynomials import minimal_polynomial
 
 
 @dataclass(frozen=True)
@@ -114,34 +112,6 @@ def contact_structure(algebra, eta):
         projector=_rows(proj),
     )
     vars(structure)["deta"] = deta  # seed the cache
-    _validate(structure)
-    return structure
-
-
-def complexify_structure(c):
-    """The contact structure of (complexify(algebra), complexify_form(eta))
-    by transport: xi, the horizontal basis, the projector, d eta, ad(xi)
-    and its minimal polynomial are the real ones embedded into the
-    Gaussian rationals (each is the unique solution, or the deterministic
-    elimination result, of the same system over a larger field).  The
-    Reeb system is not solved again; the result is validated like any
-    other structure.
-    """
-    def embed(rows):
-        return tuple(tuple(to_gaussian(x) for x in r) for r in rows)
-
-    structure = ContactStructure(
-        algebra=complexify(c.algebra),
-        eta=complexify_form(c.eta),
-        reeb=tuple(to_gaussian(x) for x in c.reeb),
-        horizontal_basis=embed(c.horizontal_basis),
-        projector=embed(c.projector),
-    )
-    vars(structure).update(
-        deta=complexify_form(c.deta),
-        ad_reeb=embed(c.ad_reeb),
-        ad_reeb_minpoly=Polynomial(
-            to_gaussian(x) for x in c.ad_reeb_minpoly.coeffs))
     _validate(structure)
     return structure
 

@@ -152,11 +152,16 @@ def one_form_coefficients(form):
 
 
 def two_form_matrix(form):
-    """Full antisymmetric matrix D with D[i][j] = form(e_i, e_j)."""
+    """Full antisymmetric matrix D with D[i][j] = form(e_i, e_j), filled
+    from the stored coefficients; the other entries are the zero of the
+    coefficients' field."""
     if form.degree != 2:
         raise InputError("expected a 2-form")
-    n = form.dim
-    return [[form.coefficient((i, j)) for j in range(n)] for i in range(n)]
+    zero = next((0 * v for v in form.coeffs.values()), Fraction(0))
+    d = [[zero] * form.dim for _ in range(form.dim)]
+    for (i, j), value in form.coeffs.items():
+        d[i][j], d[j][i] = value, -value
+    return d
 
 
 def evaluate(form, *vectors):

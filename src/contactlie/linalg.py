@@ -44,10 +44,6 @@ def identity(n):
             for i in range(n)]
 
 
-def zeros(rows, cols):
-    return [[Fraction(0)] * cols for _ in range(rows)]
-
-
 def transpose(m):
     return [list(col) for col in zip(*m)]
 

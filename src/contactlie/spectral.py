@@ -1,12 +1,16 @@
-"""Diagonalizability of ad(xi), root-space decomposition of complex
-contact Lie algebras, and the checker for the vanishing theorem
-(diagonalizable ad(xi) with n > 1 forces ad(xi) = 0)."""
+"""Diagonalizability of ad(xi), root-space decomposition of contact Lie
+algebras over their complexification, and the checker for the vanishing
+theorem (diagonalizable ad(xi) with n > 1 forces ad(xi) = 0).
+
+On g^C the Reeb adjoint is ad(xi) extended C-linearly, the same matrix,
+so every function here takes a real or complex structure as it is; the
+Gaussian-rational roots carry the computation over to g^C."""
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .algebra import COMPLEX, bracket
+from .algebra import bracket
 from .contact import ContactStructure
 from .errors import InputError, InternalInvariantError
 from .forms import evaluate, one_form_coefficients
@@ -74,9 +78,10 @@ def _rationalize_roots(minpoly):
 
 @dataclass(frozen=True)
 class RootDecomposition:
-    """Roots of xi and the eigenspaces of ad(xi) on a complex contact
-    Lie algebra.  Exact when the spectrum lies in the Gaussian rationals;
-    otherwise a floating fallback flagged by exact=False."""
+    """Roots of xi and the eigenspaces of ad(xi) on the complexification
+    of a contact Lie algebra.  Exact when the spectrum lies in the
+    Gaussian rationals (the roots are then GaussianRational); otherwise
+    a floating fallback flagged by exact=False."""
 
     contact: ContactStructure
     roots: tuple
@@ -90,9 +95,8 @@ class RootDecomposition:
 
 
 def root_decomposition(c):
-    """Decompose the algebra into eigenspaces g_alpha of ad(xi)."""
-    if c.algebra.field != COMPLEX:
-        raise InputError("root decomposition requires a complex algebra")
+    """Decompose the complexified algebra into eigenspaces g_alpha of
+    ad(xi)."""
     a, minpoly = c.ad_reeb, c.ad_reeb_minpoly
     if not is_squarefree(minpoly):
         raise InputError(
@@ -202,12 +206,17 @@ def verify_graded_bracket(rd):
 
 def find_dual_partner(rd, x, alpha):
     """For 0 != X in g_alpha produce Y in g_{-alpha} with [X, Y] = xi + Z
-    and Z in g_0 intersect H; returns (Y, Z)."""
+    and Z in g_0 intersect H; returns (Y, Z).  For alpha = 0, X must not
+    be a multiple of xi, since [xi, g_0] = 0."""
     if not rd.exact:
         raise InputError("dual partner search requires an exact decomposition")
     if vec_is_zero(list(x)):
         raise InputError("X must be nonzero")
     c = rd.contact
+    if alpha == 0 and vec_is_zero(mat_vec(c.projector, list(x))):
+        raise InputError(
+            "X is a multiple of xi, which brackets g_0 to zero; the "
+            "dual-pairing statement needs a horizontal part")
     minus = -alpha
     if minus not in rd.spaces:
         raise InternalInvariantError(
@@ -248,7 +257,8 @@ def pairing_matrix(rd, alpha):
 
 @dataclass(frozen=True)
 class TheoremReport:
-    """Outcome of the vanishing-theorem check on a complex contact algebra."""
+    """Outcome of the vanishing-theorem check on the complexification of a
+    contact algebra."""
 
     applicable: bool
     hypothesis_failures: tuple
@@ -258,14 +268,13 @@ class TheoremReport:
 
 
 def verify_reeb_theorem(c):
-    """If ad(xi) is diagonalizable and n > 1, assert ad(xi) = 0 exactly.
+    """If ad(xi) is diagonalizable on the complexification and n > 1,
+    assert ad(xi) = 0 exactly.
 
     n = 1 inputs are reported as excluded, non-diagonalizable ones as
     hypothesis failures; an applicable case with ad(xi) != 0 would
     contradict the theorem and raises an internal error.
     """
-    if c.algebra.field != COMPLEX:
-        raise InputError("theorem checker expects a complex contact algebra")
     n = c.n
     a = c.ad_reeb
     failures = []

@@ -9,7 +9,6 @@ from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
-import pytest
 
 from contactlie.algebra import (LieAlgebra, ad, bracket, check_jacobi,
                                 complexify)

@@ -108,7 +108,10 @@ def test_roots_sl2r(capsys):
     code, doc = run_json(capsys, "roots", "sl2r")
     assert code == 0 and doc["exact"] is True
     assert [r["root"] for r in doc["roots"]] == ["-1,0", "0,0", "1,0"]
-    assert doc["obstruction"]
+    # the real minimal polynomial of ad(xi), as `catalog show` prints it
+    assert "minimal polynomial -1*t + t^3" in doc["obstruction"]
+    _, show = run_json(capsys, "catalog", "show", "sl2r")
+    assert doc["obstruction"] == show["obstruction"]
 
 
 def test_roots_su2(capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from contactlie.algebra import LieAlgebra, ad, bracket, check_jacobi
+from contactlie.algebra import LieAlgebra, bracket, check_jacobi
 from contactlie.catalog import catalog
 from contactlie.contact import contact_structure
 from contactlie.errors import InputError, InternalInvariantError

@@ -7,8 +7,9 @@ import pytest
 from contactlie.catalog import abelian, catalog
 from contactlie.errors import InputError
 from contactlie.forms import (AlternatingForm, basis_dual, ce_differential,
-                              evaluate, is_contact, one_form, two_form,
-                              two_form_matrix, wedge)
+                              complexify_form, evaluate, is_contact,
+                              one_form, two_form, two_form_matrix, wedge)
+from contactlie.scalars import GaussianRational
 
 CAT = catalog()
 
@@ -197,8 +198,28 @@ def test_is_contact_even_dim_rejected():
 
 
 def test_two_form_matrix():
+    """Every entry equals form.coefficient((i, j)), and every entry, the
+    diagonal and the unstored ones included, is in the coefficients'
+    field: Fraction for a real form, GaussianRational for a Gaussian one."""
     f = two_form(3, [(0, 1, Fraction(2)), (1, 2, Fraction(-1))])
     m = two_form_matrix(f)
     assert m[0][1] == 2 and m[1][0] == -2
     assert m[1][2] == -1 and m[2][1] == 1
     assert all(m[i][i] == 0 for i in range(3))
+    rng = random.Random(7)
+    for dim in range(2, 7):
+        for _ in range(5):
+            real = random_form(rng, dim, 2, density=0.5)
+            gaussian = AlternatingForm(dim, 2, {
+                key: GaussianRational(c, rng.randint(-2, 2))
+                for key, c in real.coeffs.items()})
+            for form, kind in ((real, Fraction),
+                               (complexify_form(real), GaussianRational),
+                               (gaussian, GaussianRational)):
+                m = two_form_matrix(form)
+                assert m == [[form.coefficient((i, j)) for j in range(dim)]
+                             for i in range(dim)]
+                if form.coeffs:
+                    assert all(type(x) is kind for row in m for x in row)
+    zero = two_form_matrix(AlternatingForm(3, 2, {}))
+    assert all(type(x) is Fraction and x == 0 for row in zero for x in row)

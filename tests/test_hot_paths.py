@@ -92,14 +92,18 @@ def test_analyze_kcontact_computes_derived_data_once(monkeypatch):
     for module, name in ((contactlie.spectral, "root_decomposition"),
                          (contactlie.polynomials, "minimal_polynomial"),
                          (contactlie.contact, "contact_structure"),
+                         (contactlie.contact, "_validate"),
                          (contactlie.forms, "ce_differential"),
-                         (contactlie.algebra, "ad")):
+                         (contactlie.forms, "complexify_form"),
+                         (contactlie.algebra, "ad"),
+                         (contactlie.algebra, "complexify")):
         count(monkeypatch, calls, module, name)
     for name in METRIC_ENTRIES:
         e = CAT[name]
         calls.clear()
         c = contactlie.contact.contact_structure(e.algebra, e.eta)
-        assert calls == {"contact_structure": 1, "ce_differential": 1}, name
+        assert calls == {"contact_structure": 1, "_validate": 1,
+                         "ce_differential": 1}, name
         assert c.deta is c.deta and calls["ce_differential"] == 1
         calls.clear()
         rep = analyze_kcontact(c, e.metric)
@@ -107,6 +111,9 @@ def test_analyze_kcontact_computes_derived_data_once(monkeypatch):
         for counted in ("root_decomposition", "minimal_polynomial",
                         "contact_structure", "ad"):
             assert calls[counted] <= 1, (name, counted, calls)
+        # the spectral checks run on c itself: no complex copy is built
+        for counted in ("_validate", "complexify", "complexify_form"):
+            assert calls[counted] == 0, (name, counted, calls)
         assert c.ad_reeb is c.ad_reeb
         assert c.ad_reeb_minpoly is c.ad_reeb_minpoly
         calls.clear()

@@ -5,9 +5,10 @@ matrix P; the auto-constructed metric must stay associated with zero
 tolerance and the pipeline must keep its verdicts.  The structure-constant
 kernels (check_jacobi, the Pfaffian contact test, the sparse differential,
 ad), the derived data of a contact structure (nabla xi from the
-contracted Koszul formula, the complexification by transport) and the
-integer kernels of linalg (rref, det, mat_mul, mat_vec) must agree
-exactly with the direct definitions they replaced.
+contracted Koszul formula), the spectral layer on a real structure (which
+complexifies through its scalars) and the integer kernels of linalg
+(rref, det, mat_mul, mat_vec) must agree exactly with the direct
+definitions they replaced.
 """
 
 from fractions import Fraction
@@ -18,7 +19,8 @@ import pytest
 from contactlie.algebra import (LieAlgebra, ad, bracket, check_jacobi,
                                 complexify)
 from contactlie.catalog import abelian, catalog
-from contactlie.contact import complexify_structure, contact_structure
+from contactlie.contact import contact_structure
+from contactlie.errors import InputError
 from contactlie.extension import (SymplecticAlgebra, analyze_kcontact,
                                   central_extension)
 from contactlie.forms import (AlternatingForm, basis_dual, ce_differential,
@@ -30,8 +32,11 @@ from contactlie.linalg import (det, inverse, mat_mul, mat_vec, rref,
 from contactlie.metric import (MetricData, _reeb_derivative,
                                construct_associated_metric, is_associated,
                                levi_civita)
-from contactlie.polynomials import minimal_polynomial
+from contactlie.polynomials import is_squarefree
 from contactlie.scalars import GaussianRational
+from contactlie.spectral import (find_dual_partner, pairing_matrix,
+                                 root_decomposition, verify_graded_bracket,
+                                 verify_reeb_theorem)
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
@@ -368,32 +373,59 @@ def test_koszul_reeb_derivative_matches_levi_civita(name, field, associated,
     g = (construct_associated_metric(c) if associated
          else random_metric(data, algebra.dim))
     if field == "complex":
-        c = complexify_structure(c)
+        c = contact_structure(complexify(algebra), complexify_form(eta))
     assert _reeb_derivative(c, g) == reeb_derivative_by_christoffels(c, g)
+
+
+def assert_spectral_layer_matches_complexified(algebra, eta):
+    """The spectral layer on the real structure of (algebra, eta) equals
+    its result on the structure built over the Gaussian rationals: roots,
+    eigenspaces, graded-bracket and theorem reports, pairing matrices and
+    dual partners (alpha != 0).  Non-diagonalizable input raises on both."""
+    real = contact_structure(algebra, eta)
+    direct = contact_structure(complexify(algebra), complexify_form(eta))
+    # the horizontal basis (nullspace puts Fraction 0 and 1 at the free
+    # variables) and the monic leading 1 of the minimal polynomial excepted
+    values = (list(direct.reeb) + list(direct.deta.coeffs.values())
+              + [x for m in (direct.projector, direct.ad_reeb)
+                 for row in m for x in row]
+              + list(direct.ad_reeb_minpoly.coeffs[:-1]))
+    assert all(isinstance(x, GaussianRational) for x in values)
+    assert verify_reeb_theorem(real) == verify_reeb_theorem(direct)
+    if not is_squarefree(real.ad_reeb_minpoly):
+        for c in (real, direct):
+            with pytest.raises(InputError, match="not diagonalizable"):
+                root_decomposition(c)
+        return
+    rd_real, rd_direct = root_decomposition(real), root_decomposition(direct)
+    assert rd_real.exact and rd_direct.exact
+    assert rd_real.roots == rd_direct.roots
+    assert all(isinstance(r, GaussianRational) for r in rd_real.roots)
+    assert rd_real.spaces == rd_direct.spaces
+    assert verify_graded_bracket(rd_real) == verify_graded_bracket(rd_direct)
+    for alpha in rd_real.roots:
+        assert pairing_matrix(rd_real, alpha) == \
+            pairing_matrix(rd_direct, alpha)
+        if alpha != 0:
+            for x in rd_real.spaces[alpha]:
+                assert find_dual_partner(rd_real, x, alpha) == \
+                    find_dual_partner(rd_direct, x, alpha)
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, e in CAT.items() if e.kind == "contact"))
+def test_spectral_layer_matches_complexified_catalog_entry(name):
+    assert_spectral_layer_matches_complexified(CAT[name].algebra,
+                                               CAT[name].eta)
 
 
 @pytest.mark.parametrize("field", ["real", "int"])
 @pytest.mark.parametrize("name", contact_names(9))
 @settings(max_examples=3, deadline=None, database=None)
 @given(data=st.data())
-def test_transported_complexification_matches_direct(name, field, data):
-    """complexify_structure equals the structure built from scratch over
-    the Gaussian rationals, field by field and in its derived data."""
-    algebra, eta = conjugated_input(data, name, field)
-    real = contact_structure(algebra, eta)
-    transported = complexify_structure(real)
-    direct = contact_structure(complexify(algebra), complexify_form(eta))
-    assert transported == direct
-    assert transported.deta == direct.deta
-    assert transported.ad_reeb == tuple(map(tuple, ad(
-        direct.algebra, list(direct.reeb))))
-    assert transported.ad_reeb_minpoly == minimal_polynomial(direct.ad_reeb)
-    values = (list(transported.reeb) + list(transported.deta.coeffs.values())
-              + [x for m in (transported.horizontal_basis,
-                             transported.projector, transported.ad_reeb)
-                 for row in m for x in row]
-              + list(transported.ad_reeb_minpoly.coeffs))
-    assert all(isinstance(x, GaussianRational) for x in values)
+def test_spectral_layer_matches_complexified_structure(name, field, data):
+    assert_spectral_layer_matches_complexified(
+        *conjugated_input(data, name, field))
 
 
 # -- exact linear algebra against the Fraction-arithmetic references ---------

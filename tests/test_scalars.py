@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from contactlie.algebra import complexify
 from contactlie.catalog import catalog
-from contactlie.contact import complexify_structure
+from contactlie.contact import contact_structure
 from contactlie.errors import InputError
+from contactlie.forms import complexify_form
 from contactlie.scalars import (GaussianRational, format_scalar,
                                 parse_scalar, scalar_sort_key,
                                 scalar_to_complex, to_gaussian)
@@ -96,8 +98,10 @@ def test_copy_deepcopy_and_pickle_round_trip():
                   pickle.loads(pickle.dumps(z))):
         assert clone == z and type(clone) is GaussianRational
         assert type(clone.re) is Fraction and type(clone.im) is Fraction
-    # a complexified structure caches GaussianRational data and polynomials
-    rd = root_decomposition(complexify_structure(catalog()["su2"].contact()))
+    # a complex structure caches GaussianRational data and polynomials
+    e = catalog()["su2"]
+    rd = root_decomposition(contact_structure(complexify(e.algebra),
+                                              complexify_form(e.eta)))
     for clone in (copy.deepcopy(rd), pickle.loads(pickle.dumps(rd))):
         assert clone == rd
         assert clone.contact.ad_reeb_minpoly == rd.contact.ad_reeb_minpoly

@@ -78,11 +78,6 @@ def test_root_decomposition_sl2r():
     assert rd.spaces[-one][0][1] == 1  # e2 spans g_{-1}
 
 
-def test_root_decomposition_requires_complex():
-    with pytest.raises(InputError):
-        root_decomposition(CAT["su2"].contact())
-
-
 def test_root_decomposition_rejects_nondiagonalizable():
     with pytest.raises(InputError):
         root_decomposition(complex_contact("nilpotent_nondiag5"))
@@ -128,6 +123,27 @@ def test_dual_partner_all_roots():
                 assert evaluate(c.eta, z) == 0
 
 
+def test_dual_partner_rejects_multiples_of_reeb_field():
+    """[xi, g_0] = 0, so a multiple of xi has no dual partner in g_0: an
+    input error, not a violated theorem.  A vector of g_0 with a nonzero
+    horizontal part still gets its partner."""
+    zero = GaussianRational(0)
+    for name in ("su2", "sl2r", "heisenberg5"):
+        for c in (CAT[name].contact(), complex_contact(name)):
+            rd = root_decomposition(c)
+            for x in (c.reeb, [3 * t for t in c.reeb]):
+                with pytest.raises(InputError, match="multiple of xi"):
+                    find_dual_partner(rd, x, zero)
+    c = complex_contact("heisenberg5")
+    rd = root_decomposition(c)
+    for h in c.horizontal_basis:
+        x = [p + q for p, q in zip(h, c.reeb)]
+        y, z = find_dual_partner(rd, x, zero)
+        xy = bracket(c.algebra, x, y)
+        assert [p - q for p, q in zip(xy, c.reeb)] == z
+        assert evaluate(c.eta, z) == 0
+
+
 def test_pairing_matrix_invertible():
     for name in ("su2", "sl2r"):
         rd = root_decomposition(complex_contact(name))
@@ -153,11 +169,6 @@ def test_theorem_checker():
         rep = verify_reeb_theorem(complex_contact(name))
         assert rep.applicable and rep.conclusion_verified, name
         assert rep.roots == (GaussianRational(0),)
-
-
-def test_theorem_checker_requires_complex():
-    with pytest.raises(InputError):
-        verify_reeb_theorem(CAT["heisenberg5"].contact())
 
 
 def test_root_decomposition_large_denominator_is_exact():
