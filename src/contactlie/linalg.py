@@ -52,6 +52,13 @@ def dot(u, v):
     return sum(x * y for x, y in zip(u, v))
 
 
+def field_one(m):
+    """GaussianRational(1) if an entry of m is Gaussian, else Fraction(1)."""
+    if any(isinstance(x, GaussianRational) for row in m for x in row):
+        return GaussianRational(1)
+    return Fraction(1)
+
+
 # -- integer scaling -----------------------------------------------------------
 
 def _parts(m):
@@ -240,14 +247,15 @@ def solve_unique(a, b):
 
 def nullspace(m):
     """Deterministic kernel basis: free variables in ascending column order,
-    each set to 1 in turn with pivot variables back-solved."""
+    each set to the field's 1 in turn with pivot variables back-solved."""
     rows, pivots = rref(m)
     ncols = len(m[0])
     free = [c for c in range(ncols) if c not in pivots]
+    one = field_one(m)
     basis = []
     for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
+        v = [0 * one] * ncols
+        v[f] = one
         for r, c in enumerate(pivots):
             v[c] = -rows[r][f]
         basis.append(v)

@@ -8,7 +8,7 @@ the exact purely-imaginary-spectrum test for ad(xi).
 from fractions import Fraction
 
 from .errors import InputError, InternalInvariantError, SingularSystemError
-from .linalg import mat_mul, solve_unique
+from .linalg import field_one, mat_mul, solve_unique
 from .scalars import scalar_re_im
 
 
@@ -133,7 +133,8 @@ def minimal_polynomial(m):
     """Monic minimal polynomial of an exact square matrix, found as the
     first linear dependency among vec(I), vec(M), vec(M^2), ..."""
     n = len(m)
-    power = [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
+    one = field_one(m)
+    power = [[one if i == j else 0 * one for j in range(n)]
              for i in range(n)]
     vecs = []
     while True:
@@ -147,7 +148,7 @@ def minimal_polynomial(m):
                 coeffs = None
             if coeffs is not None:
                 return Polynomial(
-                    [-c for c in coeffs] + [Fraction(1)])
+                    [-c for c in coeffs] + [one])
         power = mat_mul(m, power)
         if len(vecs) > n + 1:
             raise InternalInvariantError(

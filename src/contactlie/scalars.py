@@ -4,9 +4,13 @@ Real algebras use Fraction throughout.  Complex algebras use
 GaussianRational, an ordered pair (re, im) of reduced fractions.  Both
 types interoperate: Fraction * GaussianRational etc. all work, so generic
 linear-algebra code never needs to know which field it is over.
+QuadraticNumber, a + b sqrt(d) over Q(i), holds the roots of ad(xi)
+outside Q(i) in dim 3 and their eigenvectors; linalg does not take it.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from .errors import InputError
 
@@ -115,9 +119,6 @@ class GaussianRational:
     def __bool__(self):
         return self.re != 0 or self.im != 0
 
-    def __complex__(self):
-        return complex(float(self.re), float(self.im))
-
     def __repr__(self):
         return "GaussianRational(%s, %s)" % (self.re, self.im)
 
@@ -125,15 +126,79 @@ class GaussianRational:
         return format_scalar(self)
 
 
+@dataclass(frozen=True, eq=False)
+class QuadraticNumber:
+    """a + b sqrt(d): a, b Gaussian rationals, d a non-square of Q(i) in
+    the field it is given in.  Numbers with different d do not mix."""
+
+    a: GaussianRational
+    b: GaussianRational
+    d: object
+
+    def __post_init__(self):
+        object.__setattr__(self, "a", to_gaussian(self.a))
+        object.__setattr__(self, "b", to_gaussian(self.b))
+
+    def _coerce(self, other):
+        if isinstance(other, QuadraticNumber) and other.d == self.d:
+            return other
+        if isinstance(other, (int, Fraction, GaussianRational)):
+            return QuadraticNumber(other, 0, self.d)
+        raise TypeError("cannot combine %r with %r" % (self, other))
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        return QuadraticNumber(self.a + o.a, self.b + o.b, self.d)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -self._coerce(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        return QuadraticNumber(self.a * o.a + self.b * o.b * self.d,
+                               self.a * o.b + self.b * o.a, self.d)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        # the norm a^2 - b^2 d is 0 only at 0, since d is no square
+        norm = o.a * o.a - o.b * o.b * self.d
+        return self * QuadraticNumber(o.a / norm, -o.b / norm, self.d)
+
+    def __rtruediv__(self, other):
+        return self._coerce(other) / self
+
+    def __neg__(self):
+        return QuadraticNumber(-self.a, -self.b, self.d)
+
+    def __eq__(self, other):
+        if isinstance(other, QuadraticNumber):
+            return (self.a == other.a and self.b == other.b
+                    and (self.b == 0 or self.d == other.d))
+        if isinstance(other, (int, Fraction, GaussianRational)):
+            return self.b == 0 and self.a == other
+        return NotImplemented
+
+    def __hash__(self):
+        if self.b == 0:
+            return hash(self.a)
+        return hash((self.a, self.b, self.d))
+
+    def __bool__(self):
+        return bool(self.a) or bool(self.b)
+
+
 def to_gaussian(x):
     """Embed a real scalar into the Gaussian rationals (identity on them)."""
     if isinstance(x, GaussianRational):
         return x
     return GaussianRational(x)
-
-
-def is_zero(x):
-    return x == 0
 
 
 def scalar_re_im(x):
@@ -149,10 +214,24 @@ def scalar_sort_key(x):
     return (re, im)
 
 
-def scalar_to_complex(x):
-    if isinstance(x, GaussianRational):
-        return complex(x)
-    return complex(float(x), 0.0)
+def _rational_sqrt(x):
+    """sqrt(x) for a Fraction x >= 0 when it is rational, else None."""
+    root = Fraction(isqrt(x.numerator), isqrt(x.denominator))
+    return root if root * root == x else None
+
+
+def gaussian_sqrt(x):
+    """The square root of x in Q(i) with re > 0, or re = 0 < im; None when
+    there is none.  (u + v i)^2 = p + q i gives u^2, v^2 = (|x| +- p) / 2."""
+    p, q = scalar_re_im(x)
+    norm = _rational_sqrt(p * p + q * q)
+    if norm is None:
+        return None
+    re, im = _rational_sqrt((norm + p) / 2), _rational_sqrt((norm - p) / 2)
+    if re is None or im is None:
+        return None
+    root = GaussianRational(re, im if q >= 0 else -im)
+    return root if root * root == x else None
 
 
 def parse_scalar(text, allow_complex=False):
@@ -181,7 +260,19 @@ def parse_scalar(text, allow_complex=False):
 
 
 def format_scalar(x):
-    """Canonical text form: "p/q" for rationals, "p/q,r/s" for complex."""
+    """Canonical text form: "p/q" for rationals, "p/q,r/s" for complex,
+    "a + b*sqrt(d)" without zero terms and unit factors, e.g. "-sqrt(1/2)"."""
+    if isinstance(x, QuadraticNumber):
+        if not x.b:
+            return format_scalar(x.a)
+        root = "sqrt(%s)" % format_scalar(x.d)
+        if x.b == 1:
+            term = root
+        elif x.b == -1:
+            term = "-" + root
+        else:
+            term = "%s*%s" % (format_scalar(x.b), root)
+        return "%s + %s" % (format_scalar(x.a), term) if x.a else term
     if isinstance(x, GaussianRational):
         return "%s,%s" % (x.re, x.im)
     return str(Fraction(x))

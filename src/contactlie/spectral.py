@@ -3,23 +3,24 @@ algebras over their complexification, and the checker for the vanishing
 theorem (diagonalizable ad(xi) with n > 1 forces ad(xi) = 0).
 
 On g^C the Reeb adjoint is ad(xi) extended C-linearly, the same matrix,
-so every function here takes a real or complex structure as it is; the
-Gaussian-rational roots carry the computation over to g^C."""
+so every function here takes a real or complex structure as it is.  The
+theorem leaves t as the only squarefree minimal polynomial of ad(xi), and
+t^3 - d t when n = 1 (ad(xi) kills xi and is trace-free on ker eta), so
+the roots 0 and +-sqrt(d) are written down exactly: Gaussian rationals,
+or QuadraticNumbers when d is no square in Q(i)."""
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .algebra import bracket
 from .contact import ContactStructure
 from .errors import InputError, InternalInvariantError
-from .forms import evaluate, one_form_coefficients
-from .linalg import mat_mul, mat_vec, nullspace, transpose, vec_is_zero
-from .polynomials import Polynomial, is_squarefree, minimal_polynomial
-from .scalars import (GaussianRational, scalar_re_im, scalar_sort_key,
-                      scalar_to_complex)
-
-EIGEN_TOL = 1e-9
+from .forms import one_form_coefficients, two_form_matrix
+from .linalg import dot, mat_mul, transpose, vec_is_zero
+from .polynomials import (Polynomial, format_polynomial, is_squarefree,
+                          minimal_polynomial)
+from .scalars import (GaussianRational, QuadraticNumber, gaussian_sqrt,
+                      to_gaussian)
 
 
 def characteristic_polynomial(m):
@@ -42,52 +43,18 @@ def is_diagonalizable(m):
     return is_squarefree(minimal_polynomial(m))
 
 
-def _rationalize_roots(minpoly):
-    """Try to realize all roots of the (squarefree) minimal polynomial as
-    Gaussian rationals; None when the polynomial does not split there.
-
-    With L the lcm of the denominators of the monic minpoly's real and
-    imaginary parts, L z is a root of a monic polynomial over Z[i]; a
-    Gaussian-rational root z therefore has L z in Z[i], and rounding the
-    floating L z to the nearest Gaussian integer recovers it exactly
-    while L |z| stays well inside binary64 precision.  Beyond that, a
-    root with denominators up to 10^6 is still found by continued
-    fractions.  Every candidate is verified exactly.
-    """
-    import numpy as np
-    parts = [scalar_re_im(c) for c in minpoly.coeffs]
-    scale = lcm(*(x.denominator for pair in parts for x in pair))
-    coeffs = [scalar_to_complex(c) for c in minpoly.coeffs]
-    found = []
-    for z in np.roots(list(reversed(coeffs))):
-        cands = [GaussianRational(Fraction(z.real).limit_denominator(10 ** 6),
-                                  Fraction(z.imag).limit_denominator(10 ** 6))]
-        try:
-            cands.insert(0, GaussianRational(
-                Fraction(round(scale * z.real), scale),
-                Fraction(round(scale * z.imag), scale)))
-        except OverflowError:
-            pass
-        cand = next((w for w in cands if minpoly(w) == 0), None)
-        if cand is not None and cand not in found:
-            found.append(cand)
-    if len(found) != minpoly.degree:
-        return None
-    return sorted(found, key=scalar_sort_key)
-
-
 @dataclass(frozen=True)
 class RootDecomposition:
     """Roots of xi and the eigenspaces of ad(xi) on the complexification
-    of a contact Lie algebra.  Exact when the spectrum lies in the
-    Gaussian rationals (the roots are then GaussianRational); otherwise
-    a floating fallback flagged by exact=False."""
+    of a contact Lie algebra, always exact: the roots and eigenvector
+    entries are GaussianRationals, or QuadraticNumbers when n = 1 and the
+    spectrum leaves Q(i).  Roots are ordered -s, 0, s."""
 
     contact: ContactStructure
     roots: tuple
     spaces: dict                  # root -> tuple of basis vectors
-    exact: bool = True
-    warnings: tuple = ()
+    exact = True                  # kept for callers that ask
+    warnings = ()
 
     @property
     def multiplicities(self):
@@ -96,72 +63,80 @@ class RootDecomposition:
 
 def root_decomposition(c):
     """Decompose the complexified algebra into eigenspaces g_alpha of
-    ad(xi)."""
-    a, minpoly = c.ad_reeb, c.ad_reeb_minpoly
+    ad(xi), from the minimal polynomial t or t^3 - d t."""
+    minpoly = c.ad_reeb_minpoly
     if not is_squarefree(minpoly):
         raise InputError(
             "ad(xi) is not diagonalizable; the root-space hypothesis fails")
-    n = c.algebra.dim
-    roots = _rationalize_roots(minpoly)
-    if roots is not None:
-        spaces = {}
-        total = 0
-        for r in roots:
-            shifted = [[a[i][j] - (r if i == j else 0 * r)
-                        for j in range(n)] for i in range(n)]
-            basis = nullspace(shifted)
-            spaces[r] = tuple(tuple(v) for v in basis)
-            total += len(basis)
-        if total != n:
-            raise InternalInvariantError(
-                "eigenspace dimensions do not sum to the dimension")
-        rd = RootDecomposition(
-            contact=c, roots=tuple(roots), spaces=spaces, exact=True)
-        _validate_decomposition(rd)
-        return rd
-    # spectrum outside the Gaussian rationals: floating fallback
-    import numpy as np
-    af = np.array([[scalar_to_complex(x) for x in row] for row in a])
-    vals, vecs = np.linalg.eig(af)
-    clusters = []
-    for idx, v in enumerate(vals):
-        for cl in clusters:
-            if abs(cl[0] - v) <= EIGEN_TOL:
-                cl[1].append(idx)
-                break
-        else:
-            clusters.append([v, [idx]])
-    spaces = {}
-    roots = []
-    for val, idxs in clusters:
-        key = complex(val)
-        roots.append(key)
-        cols = [tuple(vecs[:, i]) for i in idxs]
-        for v in cols:
-            res = np.max(np.abs(af @ np.array(v) - key * np.array(v)))
-            if res > EIGEN_TOL * max(1.0, np.max(np.abs(v))):
-                raise InternalInvariantError(
-                    "floating eigen-residual above tolerance")
-        spaces[key] = tuple(cols)
-    roots.sort(key=lambda z: (z.real, z.imag))
-    return RootDecomposition(
-        contact=c, roots=tuple(roots), spaces=spaces, exact=False,
-        warnings=("spectrum is not Gaussian-rational; floating fallback "
-                  "with tolerance 1e-9 (ill-conditioning not excluded)",))
+    coeffs = minpoly.coeffs
+    if coeffs == (0, 1):
+        n = c.algebra.dim
+        spaces = {GaussianRational(0): tuple(
+            tuple(GaussianRational(int(i == j)) for j in range(n))
+            for i in range(n))}
+    elif c.n == 1 and len(coeffs) == 4 and coeffs[0] == coeffs[2] == 0:
+        spaces = _dim3_spaces(c, -coeffs[1])
+    else:
+        raise InternalInvariantError(
+            "ad(xi) has the squarefree minimal polynomial %s with n = %d; "
+            "the vanishing theorem allows only t, and t^3 - d*t when n = 1"
+            % (format_polynomial(minpoly), c.n))
+    rd = RootDecomposition(contact=c, roots=tuple(spaces), spaces=spaces)
+    _validate_decomposition(rd)
+    return rd
+
+
+def _dim3_spaces(c, d):
+    """g_{-s}, g_0 = <xi> and g_s for the minimal polynomial t^3 - d t.
+    A = ad(xi) preserves ker eta and A^2 = d there, so A u + r u lies in g_r
+    for horizontal u and r = +-s = +-sqrt(d)."""
+    s = gaussian_sqrt(d)
+    if s is None:
+        s = QuadraticNumber(0, 1, d)
+    horizontal = c.horizontal_basis
+    images = _images(c.ad_reeb, horizontal)
+
+    def eigenvector(r):
+        candidates = ([x + r * y for x, y in zip(au, u)]
+                      for au, u in zip(images, horizontal))
+        return _normalized(next(v for v in candidates if not vec_is_zero(v)))
+
+    return {-s: (eigenvector(-s),),
+            GaussianRational(0): (
+                _normalized([to_gaussian(x) for x in c.reeb]),),
+            s: (eigenvector(s),)}
+
+
+def _normalized(v):
+    """v scaled to end in 1, as nullspace scales a 1-dimensional kernel."""
+    last = next(x for x in reversed(v) if x != 0)
+    return tuple(x / last for x in v)
+
+
+def _images(m, vectors):
+    """[m v for v in vectors]: one integer product of linalg, or plain
+    products for the QuadraticNumbers of dim 3, which linalg does not take."""
+    if any(isinstance(x, QuadraticNumber) for v in vectors for x in v):
+        return [[dot(row, v) for row in m] for v in vectors]
+    return transpose(mat_mul(m, transpose(vectors)))
+
+
+def _pair(d, x, y):
+    """d eta(x, y) = x^T D y, D the matrix of d eta."""
+    (dy,) = _images(d, [y])
+    return dot(x, dy)
 
 
 def _validate_decomposition(rd):
     c = rd.contact
-    a = c.ad_reeb
     eta = one_form_coefficients(c.eta)
     if 0 not in rd.roots:
         raise InternalInvariantError("0 is not a root, but xi is in g_0")
     roots = [r for r, basis in rd.spaces.items() for _ in basis]
     vectors = [v for basis in rd.spaces.values() for v in basis]
     # one product each applies ad(xi) and eta to every basis vector
-    images = transpose(mat_mul(a, transpose(vectors)))
-    for r, v, av, height in zip(roots, vectors, images,
-                                mat_vec(vectors, eta)):
+    for r, v, av, (height,) in zip(roots, vectors, _images(c.ad_reeb, vectors),
+                                   _images([eta], vectors)):
         if any(x != r * y for x, y in zip(av, v)):
             raise InternalInvariantError("eigenvector equation failed")
         if r != 0 and height != 0:
@@ -179,11 +154,9 @@ class GradedBracketReport:
 def verify_graded_bracket(rd):
     """Check, exactly, that ad(xi)[X, Y] = (alpha+beta)[X, Y] on root-space
     basis pairs and that d eta(X, Y) = 0 whenever alpha + beta != 0."""
-    if not rd.exact:
-        raise InputError("graded bracket check requires an exact decomposition")
     c = rd.contact
     a = c.ad_reeb
-    deta = c.deta
+    d = two_form_matrix(c.deta)
     pairs = 0
     for alpha in rd.roots:
         for beta in rd.roots:
@@ -191,13 +164,13 @@ def verify_graded_bracket(rd):
             for x in rd.spaces[alpha]:
                 for y in rd.spaces[beta]:
                     xy = bracket(c.algebra, list(x), list(y))
-                    lhs = mat_vec(a, xy)
+                    (lhs,) = _images(a, [xy])
                     rhs = [target * t for t in xy]
                     if any(p != q for p, q in zip(lhs, rhs)):
                         raise InternalInvariantError(
                             "graded bracket relation ad(xi)[X,Y] = "
                             "(a+b)[X,Y] failed")
-                    if target != 0 and evaluate(deta, list(x), list(y)) != 0:
+                    if target != 0 and _pair(d, x, y) != 0:
                         raise InternalInvariantError(
                             "d eta(X, Y) != 0 although alpha + beta != 0")
                     pairs += 1
@@ -208,12 +181,10 @@ def find_dual_partner(rd, x, alpha):
     """For 0 != X in g_alpha produce Y in g_{-alpha} with [X, Y] = xi + Z
     and Z in g_0 intersect H; returns (Y, Z).  For alpha = 0, X must not
     be a multiple of xi, since [xi, g_0] = 0."""
-    if not rd.exact:
-        raise InputError("dual partner search requires an exact decomposition")
     if vec_is_zero(list(x)):
         raise InputError("X must be nonzero")
     c = rd.contact
-    if alpha == 0 and vec_is_zero(mat_vec(c.projector, list(x))):
+    if alpha == 0 and vec_is_zero(_images(c.projector, [x])[0]):
         raise InputError(
             "X is a multiple of xi, which brackets g_0 to zero; the "
             "dual-pairing statement needs a horizontal part")
@@ -223,10 +194,9 @@ def find_dual_partner(rd, x, alpha):
             "-alpha is not a root although alpha is (violates the "
             "dual-pairing statement)")
     basis = rd.spaces[minus]
-    weights = [
-        evaluate(c.eta, bracket(c.algebra, list(x), list(yb)))
-        for yb in basis
-    ]
+    eta = one_form_coefficients(c.eta)
+    weights = [dot(eta, bracket(c.algebra, list(x), list(yb)))
+               for yb in basis]
     pick = next((i for i, wgt in enumerate(weights) if wgt != 0), None)
     if pick is None:
         raise InternalInvariantError(
@@ -234,9 +204,9 @@ def find_dual_partner(rd, x, alpha):
     coeff = 1 / weights[pick]
     y = [coeff * t for t in basis[pick]]
     z = [p - q for p, q in zip(bracket(c.algebra, list(x), y), c.reeb)]
-    if not vec_is_zero(mat_vec(c.ad_reeb, z)):
+    if not vec_is_zero(_images(c.ad_reeb, [z])[0]):
         raise InternalInvariantError("Z is not in g_0")
-    if evaluate(c.eta, z) != 0:
+    if dot(eta, z) != 0:
         raise InternalInvariantError("Z is not horizontal")
     return y, z
 
@@ -248,11 +218,9 @@ def pairing_matrix(rd, alpha):
     minus = -alpha
     if minus not in rd.spaces:
         return []
-    deta = c.deta
-    return [
-        [evaluate(deta, list(x), list(y)) for y in rd.spaces[minus]]
-        for x in rd.spaces[alpha]
-    ]
+    d = two_form_matrix(c.deta)
+    return [[_pair(d, x, y) for y in rd.spaces[minus]]
+            for x in rd.spaces[alpha]]
 
 
 @dataclass(frozen=True)

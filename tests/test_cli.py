@@ -4,7 +4,10 @@ import subprocess
 import sys
 
 import contactlie
+from contactlie.catalog import catalog
 from contactlie.cli import main
+from contactlie.fileformat import AlgebraFile, save
+from contactlie.forms import one_form
 
 
 def run(capsys, *argv):
@@ -120,6 +123,23 @@ def test_roots_su2(capsys):
     assert doc["obstruction"] is None
 
 
+def sl2r_file(path):
+    """sl(2,R) with eta = e1* + e2*, whose roots are 0 and +-sqrt(1/2)."""
+    save(str(path), AlgebraFile(algebra=catalog()["sl2r"].algebra,
+                                forms={"eta": one_form(3, [1, 1, 0])}))
+    return str(path)
+
+
+def test_roots_outside_gaussian_rationals(capsys, tmp_path):
+    code, doc = run_json(capsys, "roots", sl2r_file(tmp_path / "sl2r.json"))
+    assert code == 0 and doc["exact"] is True and doc["warnings"] == []
+    assert [r["root"] for r in doc["roots"]] == \
+        ["-sqrt(1/2)", "0,0", "sqrt(1/2)"]
+    assert [r["eigenbasis"] for r in doc["roots"]] == [
+        [["sqrt(1/2)", "-sqrt(1/2)", "1,0"]], [["1,0", "1,0", "0,0"]],
+        [["-sqrt(1/2)", "sqrt(1/2)", "1,0"]]]
+
+
 def test_roots_nondiagonalizable(capsys):
     code, doc = run_json(capsys, "roots", "nilpotent_nondiag5")
     assert code == 2
@@ -196,13 +216,18 @@ def test_json_determinism(capsys):
     assert first == second
 
 
-def test_import_leaves_scipy_unloaded():
+def test_import_leaves_scipy_unloaded(tmp_path):
     """numpy is the only third-party dependency; scipy must stay out, and
-    numpy loads only when a floating routine first runs."""
+    numpy loads only for normal-form: not on import, and not for roots and
+    analyze, also when the roots leave the Gaussian rationals."""
     src = os.path.dirname(os.path.dirname(contactlie.__file__))
     env = dict(os.environ, PYTHONPATH=src)
+    commands = [["roots", "su2"], ["analyze", "aff1_aff1_ext5"],
+                ["roots", sl2r_file(tmp_path / "sl2r.json")]]
     code = ("import sys, contactlie, contactlie.cli; contactlie.catalog(); "
-            "print('scipy' in sys.modules, 'numpy' in sys.modules)")
+            "[contactlie.cli.main(['--json'] + argv) for argv in %r]; "
+            "print('scipy' in sys.modules, 'numpy' in sys.modules)"
+            % (commands,))
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False False"
+    assert out.stdout.strip().splitlines()[-1] == "False False"

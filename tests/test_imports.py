@@ -1,8 +1,9 @@
-"""Every import in the package modules and in the tests is used.
+"""Every import in the package modules and in the tests is used, and
+numpy is imported only by the floating routines.
 
-`__init__.py` is exempt: its imports are the public re-exports.  A name
-counts as used when it is read anywhere in the module, including as the
-base of an attribute access."""
+`__init__.py` is exempt from the first check: its imports are the public
+re-exports.  A name counts as used when it is read anywhere in the
+module, including as the base of an attribute access."""
 
 import ast
 from pathlib import Path
@@ -10,9 +11,13 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(p for p in (ROOT / "src" / "contactlie").glob("*.py")
-                 if p.name != "__init__.py") + sorted(
+PACKAGE = sorted((ROOT / "src" / "contactlie").glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"] + sorted(
     (ROOT / "tests").glob("*.py"))
+# the one binary64 routine, its block matrix and the command that runs it
+NUMPY_SCOPES = {"metric.py": {"skew_normal_form",
+                              "SkewNormalForm.block_matrix"},
+                "cli.py": {"_cmd_normal_form"}}
 
 
 def unused_imports(source):
@@ -40,3 +45,43 @@ def test_checker_finds_unused_imports():
                          ids=[str(p.relative_to(ROOT)) for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def numpy_import_scopes(source):
+    """Qualified name of the function or class enclosing each import of
+    numpy, "" at module level."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Import):
+                modules = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                modules = [child.module or ""]
+            else:
+                modules = []
+            if any(m.split(".")[0] == "numpy" for m in modules):
+                found.append(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_checker_finds_numpy_imports():
+    source = ("import numpy\nclass A:\n    def f(self):\n"
+              "        from numpy.linalg import eig\n"
+              "def g():\n    if True:\n        import numpy as np\n"
+              "    import os\n")
+    assert numpy_import_scopes(source) == ["", "A.f", "g"]
+
+
+@pytest.mark.parametrize("path", PACKAGE,
+                         ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
+def test_numpy_only_in_floating_routines(path):
+    allowed = NUMPY_SCOPES.get(path.name, set())
+    assert set(numpy_import_scopes(path.read_text())) <= allowed

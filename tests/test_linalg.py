@@ -46,6 +46,13 @@ def test_nullspace():
     assert len(basis) == 2
     for v in basis:
         assert mat_vec(a, v) == [0]
+    # free variables too are in the field of the input
+    for a in ([[GaussianRational(1), 2, 3]], [[GaussianRational(0, 1), 2, 0]],
+              [[GaussianRational(0)] * 3]):
+        basis = nullspace(a)
+        assert len(basis) == 3 - rank(a)
+        assert all(isinstance(x, GaussianRational) for v in basis for x in v)
+        assert all(mat_vec(a, v) == [0] for v in basis)
 
 
 def test_inverse_and_det():

@@ -33,7 +33,8 @@ from contactlie.metric import (MetricData, _reeb_derivative,
                                construct_associated_metric, is_associated,
                                levi_civita)
 from contactlie.polynomials import is_squarefree
-from contactlie.scalars import GaussianRational
+from contactlie.scalars import (GaussianRational, QuadraticNumber,
+                                gaussian_sqrt)
 from contactlie.spectral import (find_dual_partner, pairing_matrix,
                                  root_decomposition, verify_graded_bracket,
                                  verify_reeb_theorem)
@@ -384,12 +385,11 @@ def assert_spectral_layer_matches_complexified(algebra, eta):
     dual partners (alpha != 0).  Non-diagonalizable input raises on both."""
     real = contact_structure(algebra, eta)
     direct = contact_structure(complexify(algebra), complexify_form(eta))
-    # the horizontal basis (nullspace puts Fraction 0 and 1 at the free
-    # variables) and the monic leading 1 of the minimal polynomial excepted
     values = (list(direct.reeb) + list(direct.deta.coeffs.values())
-              + [x for m in (direct.projector, direct.ad_reeb)
+              + [x for m in (direct.horizontal_basis, direct.projector,
+                             direct.ad_reeb)
                  for row in m for x in row]
-              + list(direct.ad_reeb_minpoly.coeffs[:-1]))
+              + list(direct.ad_reeb_minpoly.coeffs))
     assert all(isinstance(x, GaussianRational) for x in values)
     assert verify_reeb_theorem(real) == verify_reeb_theorem(direct)
     if not is_squarefree(real.ad_reeb_minpoly):
@@ -402,6 +402,9 @@ def assert_spectral_layer_matches_complexified(algebra, eta):
     assert rd_real.roots == rd_direct.roots
     assert all(isinstance(r, GaussianRational) for r in rd_real.roots)
     assert rd_real.spaces == rd_direct.spaces
+    assert all(isinstance(x, GaussianRational)
+               for rd in (rd_real, rd_direct) for basis in rd.spaces.values()
+               for v in basis for x in v)
     assert verify_graded_bracket(rd_real) == verify_graded_bracket(rd_direct)
     for alpha in rd_real.roots:
         assert pairing_matrix(rd_real, alpha) == \
@@ -426,6 +429,99 @@ def test_spectral_layer_matches_complexified_catalog_entry(name):
 def test_spectral_layer_matches_complexified_structure(name, field, data):
     assert_spectral_layer_matches_complexified(
         *conjugated_input(data, name, field))
+
+
+# -- exact spectra in dim 3 ---------------------------------------------------
+#
+# For n = 1 the minimal polynomial of ad(xi) is t or t^3 - d t, whatever
+# eta is; the roots +-sqrt(d) are Gaussian rationals or QuadraticNumbers.
+
+def exact_scalar(x):
+    return isinstance(x, (GaussianRational, QuadraticNumber))
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("name", ["heisenberg3", "sl2r", "su2"])
+@settings(max_examples=8, deadline=None, database=None)
+@given(data=st.data())
+def test_dim3_spectrum_is_exact(name, field, data):
+    """Random integer eta on a dim-3 catalog algebra, under a random dense
+    P: the roots are exact zeros of the minimal polynomial, and the
+    graded-bracket, dual-partner and pairing statements hold."""
+    eta = one_form(3, data.draw(st.lists(st.integers(-4, 4), min_size=3,
+                                         max_size=3)))
+    algebra = CAT[name].algebra
+    assume(is_contact(algebra, eta)[0])
+    algebra, eta = conjugate(algebra, eta, data.draw(change_of_basis(3)))
+    if field == "complex":
+        algebra, eta = complexify(algebra), complexify_form(eta)
+    c = contact_structure(algebra, eta)
+    rd = root_decomposition(c)
+    assert all(exact_scalar(r) and c.ad_reeb_minpoly(r) == 0
+               for r in rd.roots)
+    assert all(exact_scalar(x) for basis in rd.spaces.values()
+               for v in basis for x in v)
+    assert sum(rd.multiplicities.values()) == 3
+    verify_graded_bracket(rd)
+    for alpha in rd.roots:
+        pairing = pairing_matrix(rd, alpha)
+        # g_0 = <xi> pairs to zero under d eta, any larger g_0 does not
+        if alpha != 0 or len(rd.spaces[alpha]) > 1:
+            assert any(x != 0 for row in pairing for x in row)
+        if alpha != 0:
+            for x in rd.spaces[alpha]:
+                y, z = find_dual_partner(rd, x, alpha)
+                xy = bracket(c.algebra, list(x), y)
+                assert [p - q for p, q in zip(xy, c.reeb)] == z
+
+
+def _sympy_scalar(sympy, x):
+    if isinstance(x, QuadraticNumber):
+        return (_sympy_scalar(sympy, x.a) + _sympy_scalar(sympy, x.b)
+                * sympy.sqrt(_sympy_scalar(sympy, x.d)))
+    re, im = (x.re, x.im) if isinstance(x, GaussianRational) else (x, 0)
+    return sympy.Rational(re) + sympy.I * sympy.Rational(im)
+
+
+gaussians = st.builds(
+    GaussianRational,
+    st.fractions(min_value=-6, max_value=6, max_denominator=6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=6))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(z=gaussians, square=st.booleans())
+def test_gaussian_sqrt_matches_sympy(z, square):
+    """gaussian_sqrt(x) exists iff t^2 - x splits over Q(i)."""
+    sympy = pytest.importorskip("sympy")
+    x = z * z if square else z
+    t = sympy.Symbol("t")
+    _, factors = sympy.factor_list(t ** 2 - _sympy_scalar(sympy, x), t,
+                                   extension=sympy.I)
+    splits = all(sympy.degree(f, t) == 1 for f, _ in factors)
+    root = gaussian_sqrt(x)
+    assert (root is not None) == splits
+    if square:
+        assert root in (z, -z)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(d=gaussians, parts=st.lists(gaussians, min_size=4, max_size=4))
+def test_quadratic_arithmetic_matches_sympy(d, parts):
+    sympy = pytest.importorskip("sympy")
+    assume(gaussian_sqrt(d) is None)
+    x = QuadraticNumber(parts[0], parts[1], d)
+    y = QuadraticNumber(parts[2], parts[3], d)
+    sx, sy = _sympy_scalar(sympy, x), _sympy_scalar(sympy, y)
+
+    def same(value, expected):
+        return sympy.expand(_sympy_scalar(sympy, value) - expected) == 0
+
+    assert same(x + y, sx + sy) and same(x - y, sx - sy)
+    assert same(x * y, sx * sy) and same(-x, -sx)
+    if y:   # the quotient q is the one number with q y = x
+        assert sympy.expand(_sympy_scalar(sympy, x / y) * sy - sx) == 0
+    assert (x == y) == (sympy.expand(sx - sy) == 0)
 
 
 # -- exact linear algebra against the Fraction-arithmetic references ---------

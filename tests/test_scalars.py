@@ -8,10 +8,10 @@ from contactlie.algebra import complexify
 from contactlie.catalog import catalog
 from contactlie.contact import contact_structure
 from contactlie.errors import InputError
-from contactlie.forms import complexify_form
-from contactlie.scalars import (GaussianRational, format_scalar,
-                                parse_scalar, scalar_sort_key,
-                                scalar_to_complex, to_gaussian)
+from contactlie.forms import complexify_form, one_form
+from contactlie.scalars import (GaussianRational, QuadraticNumber,
+                                format_scalar, gaussian_sqrt, parse_scalar,
+                                scalar_sort_key, to_gaussian)
 from contactlie.spectral import root_decomposition
 
 
@@ -54,11 +54,6 @@ def test_sort_key_deterministic():
     ordered = sorted(vals, key=scalar_sort_key)
     assert ordered == [GaussianRational(-1), GaussianRational(0, -1),
                        GaussianRational(0, 1), GaussianRational(1)]
-
-
-def test_to_complex():
-    assert scalar_to_complex(Fraction(1, 2)) == 0.5 + 0j
-    assert scalar_to_complex(GaussianRational(1, -2)) == 1 - 2j
 
 
 def test_parse_rational():
@@ -105,3 +100,71 @@ def test_copy_deepcopy_and_pickle_round_trip():
     for clone in (copy.deepcopy(rd), pickle.loads(pickle.dumps(rd))):
         assert clone == rd
         assert clone.contact.ad_reeb_minpoly == rd.contact.ad_reeb_minpoly
+    # and so does a decomposition with roots +-sqrt(1/2)
+    e = catalog()["sl2r"]
+    rd = root_decomposition(contact_structure(e.algebra,
+                                              one_form(3, [1, 1, 0])))
+    q = rd.roots[-1]
+    assert isinstance(q, QuadraticNumber)
+    for clone in (copy.copy(q), copy.deepcopy(q),
+                  pickle.loads(pickle.dumps(q)), copy.deepcopy(rd).roots[-1],
+                  pickle.loads(pickle.dumps(rd)).roots[-1]):
+        assert clone == q and type(clone) is QuadraticNumber
+        assert (clone.a, clone.b, clone.d) == (q.a, q.b, q.d)
+
+
+R = QuadraticNumber(0, 1, Fraction(1, 2))  # sqrt(1/2)
+
+
+def test_quadratic_arithmetic():
+    i = GaussianRational(0, 1)
+    assert R * R == Fraction(1, 2)
+    x = 1 + 2 * R
+    y = i - R
+    assert x + y == QuadraticNumber(1 + i, 1, Fraction(1, 2))
+    assert x - y == QuadraticNumber(1 - i, 3, Fraction(1, 2))
+    assert x * y == QuadraticNumber(i - 1, 2 * i - 1, Fraction(1, 2))
+    assert (x / y) * y == x and (1 / x) * x == 1
+    assert Fraction(1, 3) - R == -(R - Fraction(1, 3))
+    assert i / R == QuadraticNumber(0, 2 * i, Fraction(1, 2))
+    with pytest.raises(ZeroDivisionError):
+        x / (R - R)
+    with pytest.raises(TypeError):
+        R + QuadraticNumber(0, 1, 3)
+    with pytest.raises(AttributeError):
+        R.a = 1
+
+
+def test_quadratic_equality_hash_and_bool():
+    """b = 0 compares and hashes as a; d may be real or Gaussian."""
+    z = GaussianRational(1, 1)
+    assert QuadraticNumber(z, 0, 2) == z and z == QuadraticNumber(z, 0, 2)
+    assert QuadraticNumber(Fraction(3, 7), 0, 2) == Fraction(3, 7)
+    assert hash(QuadraticNumber(Fraction(3, 7), 0, 2)) == hash(Fraction(3, 7))
+    assert R != QuadraticNumber(0, 1, 2) and R != 0
+    same = QuadraticNumber(0, 1, GaussianRational(Fraction(1, 2)))
+    assert {R: "r"}[same] == "r"
+    assert not QuadraticNumber(0, 0, 2) and R
+
+
+def test_quadratic_format():
+    assert format_scalar(-R) == "-sqrt(1/2)"
+    assert format_scalar(R) == "sqrt(1/2)"
+    assert format_scalar(QuadraticNumber(0, 0, 2)) == "0,0"
+    x = QuadraticNumber(Fraction(-1, 2), Fraction(3, 2), Fraction(1, 3))
+    assert format_scalar(x) == "-1/2,0 + 3/2,0*sqrt(1/3)"
+    x = QuadraticNumber(0, 2, GaussianRational(Fraction(-1, 5)))
+    assert format_scalar(x) == "2,0*sqrt(-1/5,0)"
+
+
+def test_gaussian_sqrt():
+    i = GaussianRational(0, 1)
+    assert gaussian_sqrt(Fraction(1, 4)) == Fraction(1, 2)
+    assert gaussian_sqrt(Fraction(-9, 4)) == Fraction(3, 2) * i
+    assert gaussian_sqrt(GaussianRational(3, 4)) == 2 + i
+    assert gaussian_sqrt(GaussianRational(3, -4)) == 2 - i
+    assert gaussian_sqrt(GaussianRational(-3, 4)) == 1 + 2 * i
+    assert gaussian_sqrt(2 * i) == 1 + i
+    for x in (Fraction(1, 2), Fraction(-1, 5), GaussianRational(1, 1),
+              GaussianRational(2, 4)):
+        assert gaussian_sqrt(x) is None

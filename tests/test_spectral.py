@@ -5,13 +5,12 @@ import pytest
 from contactlie.algebra import ad, bracket, complexify
 from contactlie.catalog import catalog
 from contactlie.contact import contact_structure
-from contactlie.errors import InputError
+from contactlie.errors import InputError, InternalInvariantError
 from contactlie.forms import complexify_form, evaluate, one_form
 from contactlie.linalg import det
 from contactlie.polynomials import Polynomial
-from contactlie.scalars import GaussianRational
-from contactlie.spectral import (_rationalize_roots,
-                                 characteristic_polynomial,
+from contactlie.scalars import GaussianRational, QuadraticNumber, format_scalar
+from contactlie.spectral import (characteristic_polynomial,
                                  find_dual_partner, is_diagonalizable,
                                  minimal_polynomial, pairing_matrix,
                                  root_decomposition, verify_graded_bracket,
@@ -183,15 +182,45 @@ def test_root_decomposition_large_denominator_is_exact():
     assert rd.roots == (-i, GaussianRational(0), i)
 
 
-def test_rationalize_roots_many_moderate_denominators():
-    """Roots 0, +-1/97, +-1/89, +-1/83, +-1/79: the lcm of the
-    coefficient denominators exceeds binary64 precision, so these roots
-    come from the continued-fraction candidate, still verified exactly."""
-    roots = [Fraction(0)] + [Fraction(s, d) for d in (97, 89, 83, 79)
-                             for s in (1, -1)]
-    p = Polynomial([Fraction(1)])
-    for r in roots:
-        p = p * Polynomial([-r, Fraction(1)])
-    found = _rationalize_roots(p)
-    assert found is not None
-    assert sorted(x.re for x in found) == sorted(roots)
+# eta on sl(2,R) and su(2) whose roots leave the Gaussian rationals; the
+# minimal polynomial of ad(xi) is t^3 - d t with d no square in Q(i)
+QUADRATIC_SPECTRA = [("sl2r", [1, 1, 0], "1/2"), ("sl2r", [1, 1, 1], "1/3"),
+                     ("sl2r", [3, 1, 1], "1/7"), ("su2", [1, 2, 0], "-1/5")]
+
+
+@pytest.mark.parametrize("complexified", [False, True])
+@pytest.mark.parametrize("name, eta, d", QUADRATIC_SPECTRA)
+def test_quadratic_spectrum_is_exact(name, eta, d, complexified):
+    algebra, form = CAT[name].algebra, one_form(3, eta)
+    if complexified:
+        algebra, form = complexify(algebra), complexify_form(form)
+        d += ",0"
+    c = contact_structure(algebra, form)
+    rd = root_decomposition(c)
+    assert [format_scalar(r) for r in rd.roots] == \
+        ["-sqrt(%s)" % d, "0,0", "sqrt(%s)" % d]
+    assert all(c.ad_reeb_minpoly(r) == 0 for r in rd.roots)
+    assert all(isinstance(x, QuadraticNumber)
+               for r in (rd.roots[0], rd.roots[2]) for x in rd.spaces[r][0])
+    assert verify_graded_bracket(rd).pairs_checked == 9
+    for alpha in (rd.roots[0], rd.roots[2]):
+        assert pairing_matrix(rd, alpha)[0][0] != 0
+        (x,) = rd.spaces[alpha]
+        y, z = find_dual_partner(rd, x, alpha)
+        assert bracket(c.algebra, list(x), y) == list(c.reeb)
+        assert all(t == 0 for t in z)
+
+
+@pytest.mark.parametrize("name, coeffs", [
+    ("heisenberg5", [0, -1, 0, 1]),     # t^3 - t
+    ("heisenberg5", [-1, 1]),           # t - 1
+    ("aff1_aff1_ext5", [1, 0, 1]),      # t^2 + 1
+    ("sl2r", [0, -1, 1]),               # t^2 - t at n = 1
+])
+def test_theorem_forbidden_minimal_polynomial_raises(name, coeffs):
+    """A squarefree minimal polynomial other than t, and t^3 - d t when
+    n = 1, contradicts the vanishing theorem."""
+    c = CAT[name].contact()
+    vars(c)["ad_reeb_minpoly"] = F(*coeffs)   # seed the cache
+    with pytest.raises(InternalInvariantError, match="vanishing theorem"):
+        root_decomposition(c)
