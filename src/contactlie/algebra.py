@@ -10,6 +10,7 @@ import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .errors import InputError
 from .linalg import vec_is_zero
@@ -95,23 +96,62 @@ def bracket(algebra, x, y):
     return out
 
 
-def _sparse_constants(algebra):
-    """Structure constants as {(a, b): [(m, c), ...]} over all ordered
-    pairs a != b, nonzero c only.  A real algebra's constants are scaled
-    by the lcm of their denominators, so c is a Python int; the
-    Jacobiator is quadratic in them and keeps its zeros."""
-    scale = 1
-    if algebra.field == REAL:
-        scale = lcm(*(c.denominator for coeffs in algebra.brackets.values()
-                      for c in coeffs))
-    out = {}
-    for (i, j), coeffs in algebra.brackets.items():
-        if algebra.field == REAL:
-            coeffs = [c.numerator * (scale // c.denominator) for c in coeffs]
-        nonzero = [(m, c) for m, c in enumerate(coeffs) if c != 0]
-        out[(i, j)] = nonzero
-        out[(j, i)] = [(m, -c) for m, c in nonzero]
+def integer_scale(values):
+    """(s, ints) with ints[i] = s * values[i] a Python int, s the lcm of the
+    denominators, when every value is rational; (1, values) otherwise, so
+    Gaussian rationals run the same loops in their own arithmetic."""
+    values = list(values)
+    if not all(isinstance(v, (int, Fraction)) for v in values):
+        return 1, values
+    s = lcm(*{v.denominator for v in values})
+    return s, [v.numerator * (s // v.denominator) for v in values]
+
+
+def unscale(totals, d, field=None):
+    """Each sum in totals divided by the positive int d: a Fraction for an
+    int sum, embedded into the Gaussian rationals when field is COMPLEX;
+    other sums divide in their own arithmetic.  One call per kernel, not
+    per entry."""
+    out = [Fraction(t, d) if isinstance(t, int) else t / d for t in totals]
+    if field == COMPLEX:
+        out = [GaussianRational(v) if isinstance(v, Fraction) else v
+               for v in out]
     return out
+
+
+def structure_table(algebra):
+    """(scale, t): t[a][b] lists the (m, c) of the nonzero coordinates of
+    [e_a, e_b], for every ordered pair, with c = scale * c_ab^m.
+
+    Over the reals each c is a Python int, scale the lcm of all the
+    denominators; brackets, the Jacobiator and d are polynomial in the
+    constants, so they are summed in ints and divided once.  Gaussian
+    constants are kept as they are, with scale 1.  Each call builds its
+    own table, linear in the number of constants: kept on the algebra it
+    saved a few percent and held memory for as long as the algebra lived.
+    """
+    n = algebra.dim
+    scale, flat = integer_scale(
+        c for coeffs in algebra.brackets.values() for c in coeffs)
+    t = [[[] for _ in range(n)] for _ in range(n)]
+    for r, (i, j) in enumerate(algebra.brackets):
+        nonzero = [(m, c) for m, c in enumerate(flat[r * n:(r + 1) * n]) if c]
+        t[i][j] = nonzero
+        t[j][i] = [(m, -c) for m, c in nonzero]
+    return scale, t
+
+
+def _ad_rows(t, x):
+    """ad(x) from the table, for x scaled like it: row k holds the k-th
+    coordinates of the brackets [x, e_b]."""
+    n = len(t)
+    columns = [[0] * n for _ in range(n)]
+    for a, xa in enumerate(x):
+        if xa:
+            for column, constants in zip(columns, t[a]):
+                for k, c in constants:
+                    column[k] += xa * c
+    return list(zip(*columns))
 
 
 def check_jacobi(algebra):
@@ -119,44 +159,60 @@ def check_jacobi(algebra):
 
     Empty list iff the structure constants define a Lie algebra.  The
     Jacobiator sum_l c_ij^l c_lk^m + c_jk^l c_li^m + c_ki^l c_lj^m is
-    summed straight from the nonzero structure constants.
+    summed straight from the nonzero entries of the structure table.
     """
-    sparse = _sparse_constants(algebra)
+    _, t = structure_table(algebra)
     violations = []
     n = algebra.dim
     for i in range(n):
+        ti = t[i]
         for j in range(i + 1, n):
+            tj = t[j]
             for k in range(j + 1, n):
-                total = {}
-                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    for l, x in sparse.get((a, b), ()):
-                        for m, y in sparse.get((l, c), ()):
-                            total[m] = total.get(m, 0) + x * y
-                if any(total.values()):
+                tk = t[k]
+                total = [0] * n
+                # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]
+                for constants, right in ((ti[j], tk), (tj[k], ti),
+                                         (tk[i], tj)):
+                    for l, x in constants:
+                        for m, y in right[l]:
+                            total[m] += x * y
+                if any(total):
                     violations.append((i + 1, j + 1, k + 1))
     return violations
 
 
 def ad(algebra, x):
-    """Matrix of ad(x): column j holds the coordinates of [x, e_j].
-
-    Read off the structure constants: the stored [e_i, e_j] adds
-    x_i [e_i, e_j] to column j and -x_j [e_i, e_j] to column i.
-    """
+    """Matrix of ad(x): column j holds the coordinates of [x, e_j],
+    sum_a x_a [e_a, e_j], read off the structure table."""
     n = algebra.dim
     if len(x) != n:
         raise InputError("vector length does not match algebra dimension")
-    m = [[algebra.zero_scalar()] * n for _ in range(n)]
-    for (i, j), coeffs in algebra.brackets.items():
-        xi, xj = x[i], x[j]
-        if xi == 0 and xj == 0:
-            continue
-        for k, c in enumerate(coeffs):
-            if c != 0:
-                row = m[k]
-                row[j] = row[j] + xi * c
-                row[i] = row[i] - xj * c
-    return m
+    scale, t = structure_table(algebra)
+    x_scale, xs = integer_scale(x)
+    flat = unscale([v for row in _ad_rows(t, xs) for v in row],
+                   scale * x_scale, algebra.field)
+    return [flat[k * n:(k + 1) * n] for k in range(n)]
+
+
+def subspace_brackets(algebra, basis, pairs):
+    """[b_i, b_j] for each (i, j) in pairs, b_i the rows of basis.
+
+    Entry k is (B C_k B^T)_ij, C_k the matrix of the constants c_ab^k,
+    computed as ad(b_i) b_j: summed in ints over the common denominator
+    of B and the table, and divided once per entry.
+    """
+    n = algebra.dim
+    if any(len(row) != n for row in basis):
+        raise InputError("vector length does not match algebra dimension")
+    scale, t = structure_table(algebra)
+    b_scale, flat = integer_scale(x for row in basis for x in row)
+    rows = [flat[r * n:(r + 1) * n] for r in range(len(basis))]
+    ads = {i: _ad_rows(t, rows[i]) for i in {i for i, _ in pairs}}
+    flat = unscale([sum(map(mul, row, rows[j]))
+                    for i, j in pairs for row in ads[i]],
+                   scale * b_scale * b_scale, algebra.field)
+    return [flat[p * n:(p + 1) * n] for p in range(len(pairs))]
 
 
 def complexify(algebra):

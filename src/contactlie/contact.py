@@ -4,7 +4,7 @@ the splitting X = eta(X) xi + HX."""
 from dataclasses import dataclass
 from functools import cached_property
 
-from .algebra import LieAlgebra, ad, bracket
+from .algebra import LieAlgebra, ad
 from .errors import InputError, InternalInvariantError, SingularSystemError
 from .forms import (AlternatingForm, ce_differential, evaluate, is_contact,
                     one_form_coefficients, two_form_matrix)
@@ -142,10 +142,8 @@ def decompose(c, x):
 
 
 def reeb_bracket_is_horizontal(c):
-    """eta([xi, X]) = 0 for every basis X; follows from the Reeb equations."""
-    xi = list(c.reeb)
-    for j in range(c.algebra.dim):
-        v = bracket(c.algebra, xi, c.algebra.basis_vector(j))
-        if evaluate(c.eta, v) != 0:
-            return False
-    return True
+    """eta([xi, X]) = 0 for every basis X; follows from the Reeb equations.
+
+    The values eta([xi, e_j]) are the entries of the row eta * ad(xi)."""
+    eta = one_form_coefficients(c.eta)
+    return vec_is_zero(mat_vec(transpose(c.ad_reeb), eta))

@@ -6,7 +6,7 @@ plus the end-to-end K-contact analysis pipeline."""
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import LieAlgebra, bracket, check_jacobi
+from .algebra import LieAlgebra, check_jacobi, subspace_brackets
 from .contact import contact_structure
 from .errors import InputError, InternalInvariantError
 from .forms import (AlternatingForm, ce_differential, is_contact, one_form,
@@ -47,7 +47,7 @@ def central_quotient(c):
     # one elimination of [basis | projected brackets] gives their
     # coordinates in the horizontal basis
     projected = mat_mul(c.projector, transpose(
-        [bracket(c.algebra, basis[i], basis[j]) for i, j in pairs]))
+        subspace_brackets(c.algebra, basis, pairs)))
     rows, pivots = rref([b + h for b, h in zip(transpose(basis), projected)])
     if pivots != list(range(m)):
         raise InternalInvariantError(

@@ -29,6 +29,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
+from .algebra import integer_scale, structure_table, unscale
 from .errors import InputError
 from .linalg import det, pfaffian
 from .scalars import to_gaussian
@@ -218,7 +219,9 @@ def ce_differential(algebra, form):
 
     Only nonzero structure constants c_ab^m enter; k(e_m, rest) is read
     off the stored coefficient of the sorted tuple with m inserted at
-    position pos, with sign (-1)^pos on top of (-1)^(a+b).
+    position pos, with sign (-1)^pos on top of (-1)^(a+b).  The sums run
+    in ints over the structure table and the form's scaled values, with
+    one division per output coefficient.
     """
     if form.dim != algebra.dim:
         raise InputError("form does not live on this algebra")
@@ -226,17 +229,19 @@ def ce_differential(algebra, form):
     if k >= algebra.dim:
         # top degree: the differential is canonically zero
         return zero_form(algebra.dim, algebra.dim)
-    sparse = {pair: [(m, c) for m, c in enumerate(cvec) if c != 0]
-              for pair, cvec in algebra.brackets.items()}
-    values = form.coeffs
-    half = Fraction(1, 2)
-    coeffs = {}
+    scale, t = structure_table(algebra)
+    form_scale, scaled = integer_scale(form.coeffs.values())
+    values = dict(zip(form.coeffs, scaled))
+    # the 1/2 of the convention, the table's and the form's scales
+    d = 2 * scale * form_scale
+    totals = {}
     for key in combinations(range(algebra.dim), k + 1):
-        total = Fraction(0)
+        total = 0
         for a in range(k + 1):
+            row = t[key[a]]
             for b in range(a + 1, k + 1):
-                constants = sparse.get((key[a], key[b]))
-                if constants is None:
+                constants = row[key[b]]
+                if not constants:
                     continue
                 rest = key[:a] + key[a + 1:b] + key[b + 1:]
                 for m, c in constants:
@@ -245,13 +250,13 @@ def ce_differential(algebra, form):
                     value = values.get(rest[:pos] + (m,) + rest[pos:])
                     if value is not None:
                         if (a + b + pos) % 2:
-                            total = total - c * value
+                            total -= c * value
                         else:
-                            total = total + c * value
-        total = half * total
-        if total != 0:
-            coeffs[key] = total
-    return AlternatingForm(algebra.dim, k + 1, coeffs)
+                            total += c * value
+        if total:
+            totals[key] = total
+    return AlternatingForm(algebra.dim, k + 1,
+                           dict(zip(totals, unscale(totals.values(), d))))
 
 
 def is_contact(algebra, eta):

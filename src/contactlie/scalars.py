@@ -95,9 +95,6 @@ class GaussianRational:
     def __pos__(self):
         return self
 
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
-
     def norm(self):
         """re^2 + im^2 as a Fraction (the field norm, used for pivoting)."""
         return self.re * self.re + self.im * self.im
@@ -206,12 +203,6 @@ def scalar_re_im(x):
     if isinstance(x, GaussianRational):
         return x.re, x.im
     return Fraction(x), Fraction(0)
-
-
-def scalar_sort_key(x):
-    """Deterministic ordering of exact scalars by (re, im)."""
-    re, im = scalar_re_im(x)
-    return (re, im)
 
 
 def _rational_sqrt(x):

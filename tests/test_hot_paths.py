@@ -1,9 +1,11 @@
 """Structural guards: the load -> extend -> quotient -> analyze path must
 not reach the combinatorial kernels.  `wedge` expands eta ^ (d eta)^n term
-by term and `bracket`-per-triple Jacobi checks are O(n^6); both stay public
-but are patched here to raise wherever a contactlie module holds them.
-Derived data of a contact structure is computed once: call counts of the
-expensive steps are pinned per call.  Real-valued Gaussian matrices take
+by term, and `bracket` sums Fractions per pair where Jacobi checks and
+central quotients read one integer structure table; both stay public but
+are patched here to raise wherever a contactlie module holds them.  The
+table is built per call, never kept on the algebra.  Derived data of a
+contact structure is computed once: call counts of the expensive steps
+are pinned per call.  Real-valued Gaussian matrices take
 the integer kernels of linalg, without GaussianRational arithmetic."""
 
 import random
@@ -14,12 +16,12 @@ from fractions import Fraction
 import pytest
 
 import contactlie
-from contactlie.algebra import check_jacobi
+from contactlie.algebra import ad, check_jacobi
 from contactlie.catalog import catalog
 from contactlie.contact import contact_structure
 from contactlie.extension import (analyze_kcontact, central_extension,
                                   central_quotient)
-from contactlie.forms import is_contact
+from contactlie.forms import basis_dual, ce_differential, is_contact, two_form
 from contactlie.linalg import det, mat_mul, mat_vec, rref
 from contactlie.scalars import GaussianRational
 
@@ -81,6 +83,33 @@ def test_check_jacobi_never_calls_bracket(monkeypatch):
     for e in CAT.values():
         assert check_jacobi(e.algebra) == []
     assert check_jacobi(extension) == []
+
+
+def test_central_quotient_never_calls_bracket(monkeypatch):
+    structures = [contact_structure(*central_extension(CAT[name].symplectic()))
+                  for name, e in CAT.items() if e.kind == "symplectic"]
+    structures += [CAT[name].contact() for name in
+                   ("heisenberg5", "heisenberg7", "aff1_aff1_ext5")]
+    forbid(monkeypatch, contactlie.algebra, "bracket")
+    for c in structures:
+        assert central_quotient(c).algebra.dim == c.algebra.dim - 1
+
+
+def test_kernels_keep_nothing_on_the_algebra():
+    algebras = [e.algebra for e in CAT.values()]
+    algebras += [central_extension(CAT[name].symplectic())[0]
+                 for name, e in CAT.items() if e.kind == "symplectic"]
+    for algebra in algebras:
+        n = algebra.dim
+        before = dict(vars(algebra))
+        check_jacobi(algebra)
+        ad(algebra, [Fraction(k + 1, 2) for k in range(n)])
+        ce_differential(algebra, basis_dual(n, n - 1))
+        if n > 2:
+            ce_differential(algebra, two_form(n, [(0, 1, Fraction(1, 3))]))
+        assert vars(algebra) == before, algebra.name
+        assert all(vars(algebra)[key] is value
+                   for key, value in before.items()), algebra.name
 
 
 METRIC_ENTRIES = sorted(name for name, e in CAT.items()

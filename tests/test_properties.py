@@ -2,13 +2,14 @@
 
 The dim-5 K-contact entries are conjugated by a random invertible integer
 matrix P; the auto-constructed metric must stay associated with zero
-tolerance and the pipeline must keep its verdicts.  The structure-constant
-kernels (check_jacobi, the Pfaffian contact test, the sparse differential,
-ad), the derived data of a contact structure (nabla xi from the
-contracted Koszul formula), the spectral layer on a real structure (which
-complexifies through its scalars) and the integer kernels of linalg
-(rref, det, mat_mul, mat_vec) must agree exactly with the direct
-definitions they replaced.
+tolerance and the pipeline must keep its verdicts.  Every catalog contact
+entry keeps its K-contact verdict, roots and quotient dimension.  The
+structure-constant kernels (check_jacobi, the Pfaffian contact test, the
+sparse differential, ad, the brackets of a subspace), the derived data of
+a contact structure (nabla xi from the contracted Koszul formula), the
+spectral layer on a real structure (which complexifies through its
+scalars) and the integer kernels of linalg (rref, det, mat_mul, mat_vec)
+must agree exactly with the direct definitions they replaced.
 """
 
 from fractions import Fraction
@@ -17,7 +18,7 @@ from itertools import combinations
 import pytest
 
 from contactlie.algebra import (LieAlgebra, ad, bracket, check_jacobi,
-                                complexify)
+                                complexify, subspace_brackets)
 from contactlie.catalog import abelian, catalog
 from contactlie.contact import contact_structure
 from contactlie.errors import InputError
@@ -31,7 +32,7 @@ from contactlie.linalg import (det, inverse, mat_mul, mat_vec, rref,
                                transpose)
 from contactlie.metric import (MetricData, _reeb_derivative,
                                construct_associated_metric, is_associated,
-                               levi_civita)
+                               is_kcontact, kcontact_obstruction, levi_civita)
 from contactlie.polynomials import is_squarefree
 from contactlie.scalars import (GaussianRational, QuadraticNumber,
                                 gaussian_sqrt)
@@ -348,6 +349,42 @@ def test_sparse_ad_matches_bracket_reference(name, field, data):
     assert ad(algebra, x) == ad_by_brackets(algebra, x)
 
 
+SUBSPACE_ENTRIES = {
+    "int": st.integers(-3, 3),
+    "real": st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    # Gaussian rows with Fraction entries mixed in
+    "complex": st.one_of(
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+        st.builds(GaussianRational,
+                  st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                  st.fractions(min_value=-3, max_value=3, max_denominator=4))),
+}
+
+
+@pytest.mark.parametrize("field", ["real", "complex", "int"])
+@pytest.mark.parametrize("name", contact_names(7))
+@settings(max_examples=5, deadline=None, database=None)
+@given(data=st.data())
+def test_subspace_brackets_match_bracket_reference(name, field, data):
+    """Every bracket of a random dense basis, values and entry types equal
+    to one `bracket` per pair, over any ordered pairs, repeats included."""
+    algebra, _ = conjugated_input(data, name, field)
+    n = algebra.dim
+    rows = data.draw(st.integers(1, n))
+    basis = [data.draw(st.lists(SUBSPACE_ENTRIES[field], min_size=n,
+                                max_size=n)) for _ in range(rows)]
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, rows - 1),
+                                         st.integers(0, rows - 1)),
+                               min_size=1, max_size=12))
+    got = subspace_brackets(algebra, basis, pairs)
+    want = [bracket(algebra, basis[i], basis[j]) for i, j in pairs]
+    assert got == want
+    assert [[type(x) for x in v] for v in got] == \
+        [[type(x) for x in v] for v in want]
+    expected = GaussianRational if field == "complex" else Fraction
+    assert all(type(x) is expected for v in got for x in v)
+
+
 def random_metric(data, n):
     """M^T M + I for a random integer M: positive-definite, not associated
     to anything in particular."""
@@ -429,6 +466,44 @@ def test_spectral_layer_matches_complexified_catalog_entry(name):
 def test_spectral_layer_matches_complexified_structure(name, field, data):
     assert_spectral_layer_matches_complexified(
         *conjugated_input(data, name, field))
+
+
+def congruent_metric(g, p):
+    """P^T g P: the metric in the basis e'_a = sum_i P[i][a] e_i."""
+    m = [[Fraction(x) for x in row] for row in p]
+    return MetricData.from_rows(
+        mat_mul(transpose(m), mat_mul([list(r) for r in g.matrix], m)))
+
+
+def kcontact_verdict(algebra, eta, g):
+    """(K-contact verdict, obstruction, root multiplicities, quotient
+    dimension); the roots are None when ad(xi) is not diagonalizable."""
+    c = contact_structure(algebra, eta)
+    obstructed = kcontact_obstruction(c).obstructed
+    roots = None
+    if is_squarefree(c.ad_reeb_minpoly):
+        roots = root_decomposition(c).multiplicities
+    if g is None:
+        return None, obstructed, roots, None
+    rep = analyze_kcontact(c, g)
+    assert rep.is_kcontact == is_kcontact(c, g)
+    quotient_dim = rep.quotient.algebra.dim if rep.quotient else None
+    return rep.is_kcontact, obstructed, roots, quotient_dim
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, e in CAT.items() if e.kind == "contact"))
+@settings(max_examples=5, deadline=None, database=None)
+@given(data=st.data())
+def test_kcontact_verdict_is_invariant_under_basis_change(name, data):
+    """The K-contact verdict, the multiset of roots of ad(xi) and the
+    dimension of the central quotient do not depend on the basis; the
+    metric moves to P^T g P."""
+    e = CAT[name]
+    p = data.draw(change_of_basis(e.algebra.dim))
+    g = e.metric and congruent_metric(e.metric, p)
+    before = kcontact_verdict(e.algebra, e.eta, e.metric)
+    assert kcontact_verdict(*conjugate(e.algebra, e.eta, p), g) == before
 
 
 # -- exact spectra in dim 3 ---------------------------------------------------

@@ -11,7 +11,7 @@ from contactlie.errors import InputError
 from contactlie.forms import complexify_form, one_form
 from contactlie.scalars import (GaussianRational, QuadraticNumber,
                                 format_scalar, gaussian_sqrt, parse_scalar,
-                                scalar_sort_key, to_gaussian)
+                                to_gaussian)
 from contactlie.spectral import root_decomposition
 
 
@@ -46,14 +46,6 @@ def test_equality_and_hash_against_real():
     assert GaussianRational(1, 1) != 1
     d = {GaussianRational(2): "a"}
     assert d[Fraction(2)] == "a"
-
-
-def test_sort_key_deterministic():
-    vals = [GaussianRational(0, 1), GaussianRational(0, -1),
-            GaussianRational(-1), GaussianRational(1)]
-    ordered = sorted(vals, key=scalar_sort_key)
-    assert ordered == [GaussianRational(-1), GaussianRational(0, -1),
-                       GaussianRational(0, 1), GaussianRational(1)]
 
 
 def test_parse_rational():
