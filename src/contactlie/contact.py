@@ -10,7 +10,7 @@ from .forms import (AlternatingForm, ce_differential, evaluate, is_contact,
                     one_form_coefficients, two_form_matrix)
 from .linalg import (dot, mat_eq, mat_mul, mat_vec, nullspace, solve_unique,
                      transpose, vec_is_zero)
-from .polynomials import minimal_polynomial
+from .polynomials import format_polynomial, is_squarefree, minimal_polynomial
 
 
 @dataclass(frozen=True)
@@ -20,7 +20,8 @@ class ContactStructure:
     horizontal_basis spans ker(eta); projector is P = I - xi (x) eta, the
     projection onto the horizontal space along the Reeb line.  d eta,
     ad(xi) and the minimal polynomial of ad(xi) are computed at most once
-    per structure, on first use.
+    per structure, on first use, and so is the classification of that
+    polynomial that the vanishing theorem allows (ad_reeb_root_square).
     """
 
     algebra: LieAlgebra
@@ -46,6 +47,28 @@ class ContactStructure:
     def ad_reeb_minpoly(self):
         """Monic minimal polynomial of ad(xi)."""
         return minimal_polynomial(self.ad_reeb)
+
+    @cached_property
+    def ad_reeb_root_square(self):
+        """d with ad(xi) diagonalizable over C with roots 0 and +-sqrt(d):
+        0 for the minimal polynomial t, -c1 for t^3 + c1 t when n = 1;
+        None when the minimal polynomial is not squarefree.
+
+        ad(xi) kills xi, and for n = 1 it is trace-free on ker eta; for
+        n > 1 a diagonalizable ad(xi) is zero.  Any other squarefree
+        minimal polynomial contradicts the vanishing theorem."""
+        m = self.ad_reeb_minpoly
+        if not is_squarefree(m):
+            return None
+        coeffs = m.coeffs
+        if coeffs == (0, 1):
+            return coeffs[0]
+        if self.n == 1 and len(coeffs) == 4 and coeffs[0] == coeffs[2] == 0:
+            return -coeffs[1]
+        raise InternalInvariantError(
+            "ad(xi) has the squarefree minimal polynomial %s with n = %d; "
+            "the vanishing theorem allows only t, and t^3 - d*t when n = 1"
+            % (format_polynomial(m), self.n))
 
 
 def _rows(m):

@@ -19,8 +19,8 @@ from .errors import InputError, InternalInvariantError
 from .forms import evaluate, one_form_coefficients, two_form_matrix
 from .linalg import (det, dot, inverse, leading_minors, mat_eq, mat_mul,
                      mat_vec, transpose)
-from .polynomials import (format_polynomial, has_only_purely_imaginary_roots,
-                          is_squarefree)
+from .polynomials import format_polynomial
+from .scalars import scalar_re_im
 
 SKEW_INPUT_TOL = 1e-12
 ORTHOGONAL_TOL = 1e-12
@@ -232,11 +232,15 @@ def kcontact_obstruction(c):
     """Necessary condition for a K-contact metric to exist: ad(xi) must be
     diagonalizable over C with purely imaginary spectrum.
 
-    Decided exactly (squarefree minimal polynomial + Sturm count); a
-    NoObstruction verdict does not assert existence of such a metric.
+    Decided exactly from c.ad_reeb_root_square, the d of the minimal
+    polynomial t or t^3 - d t that the vanishing theorem allows: the roots
+    0 and +-sqrt(d) are purely imaginary iff d <= 0.  For n > 1 a
+    NoObstruction verdict therefore means ad(xi) = 0; for n = 1 it does
+    not assert that such a metric exists.
     """
     m = c.ad_reeb_minpoly
-    if not is_squarefree(m):
+    d = c.ad_reeb_root_square
+    if d is None:
         return ObstructionReport(
             True,
             "minimal polynomial %s of ad(xi) is not squarefree"
@@ -245,12 +249,12 @@ def kcontact_obstruction(c):
     if not m.is_real():
         raise InputError(
             "spectrum obstruction test requires real structure constants")
-    ok, reason = has_only_purely_imaginary_roots(m)
-    if not ok:
+    if scalar_re_im(d)[0] > 0:
         return ObstructionReport(
             True,
-            "spectrum of ad(xi) is not purely imaginary (%s; minimal "
-            "polynomial %s)" % (reason, format_polynomial(m)),
+            "spectrum of ad(xi) is not purely imaginary (only 0 of 1 "
+            "eigenvalue pairs are purely imaginary; minimal polynomial %s)"
+            % format_polynomial(m),
             m)
     return ObstructionReport(False, None, m)
 

@@ -1,13 +1,11 @@
-"""Exact univariate polynomials, squarefree tests and Sturm sequences.
+"""Exact univariate polynomials, minimal polynomials and squarefree tests.
 
-Coefficients are ascending-degree Fractions or GaussianRationals.  The
-Sturm machinery is restricted to real (Fraction) coefficients; it backs
-the exact purely-imaginary-spectrum test for ad(xi).
+Coefficients are ascending-degree Fractions or GaussianRationals.
 """
 
 from fractions import Fraction
 
-from .errors import InputError, InternalInvariantError, SingularSystemError
+from .errors import InternalInvariantError, SingularSystemError
 from .linalg import field_one, mat_mul, solve_unique
 from .scalars import scalar_re_im
 
@@ -118,16 +116,6 @@ class Polynomial:
     def is_real(self):
         return all(scalar_re_im(c)[1] == 0 for c in self.coeffs)
 
-    def real_coeffs(self):
-        """Coefficients as Fractions; error if any is genuinely complex."""
-        out = []
-        for c in self.coeffs:
-            re, im = scalar_re_im(c)
-            if im != 0:
-                raise InputError("polynomial has non-real coefficients")
-            out.append(re)
-        return out
-
 
 def minimal_polynomial(m):
     """Monic minimal polynomial of an exact square matrix, found as the
@@ -168,93 +156,6 @@ def is_squarefree(p):
     if p.is_zero:
         return False
     return poly_gcd(p, p.derivative()).degree <= 0
-
-
-def sturm_sequence(p):
-    """Sturm chain of a real polynomial (Fraction coefficients)."""
-    p = Polynomial(p.real_coeffs())
-    chain = [p, p.derivative()]
-    while chain[-1].degree > 0:
-        chain.append(-(chain[-2] % chain[-1]))
-    if chain[-1].is_zero:
-        chain.pop()
-    return chain
-
-
-def _sign_variations(chain, x):
-    signs = []
-    for q in chain:
-        v = q(x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def count_real_roots(p, a, b):
-    """Number of distinct real roots of p in the half-open interval (a, b]."""
-    chain = sturm_sequence(p)
-    return _sign_variations(chain, a) - _sign_variations(chain, b)
-
-
-def cauchy_root_bound(p):
-    """All real roots lie in [-B, B] with B = 1 + max|c_i|/|lead|."""
-    cs = p.real_coeffs()
-    lead = abs(cs[-1])
-    if lead == 0:
-        raise ValueError("zero polynomial")
-    return 1 + max(abs(c) for c in cs[:-1]) / lead if len(cs) > 1 else Fraction(1)
-
-
-def split_even_part(p):
-    """Write p = t^delta * q(t) with q(0) != 0; return (delta, q)."""
-    cs = list(p.coeffs)
-    delta = 0
-    while cs and cs[0] == 0:
-        cs.pop(0)
-        delta += 1
-    return delta, Polynomial(cs)
-
-
-def has_only_purely_imaginary_roots(p):
-    """Exact test: every root of the real polynomial p lies on the
-    imaginary axis (zero allowed).
-
-    Requires p squarefree.  Returns (verdict, reason); reason is None on a
-    positive verdict.
-    """
-    p = Polynomial(p.real_coeffs())
-    if p.is_zero:
-        raise InputError("zero polynomial has no spectrum")
-    if p.degree == 0:
-        return True, None
-    delta, q = split_even_part(p)
-    if delta > 1:
-        # not squarefree at 0; caller should have checked, report anyway
-        return False, "repeated zero root"
-    if any(i % 2 == 1 and c != 0 for i, c in enumerate(q.coeffs)):
-        # purely imaginary spectra of real polynomials pair up as +-bi,
-        # which forces the nonzero part to be even
-        return False, "roots not closed under negation (odd terms present)"
-    # substitute s = -t^2: roots t = +-i*sqrt(s) are purely imaginary
-    # exactly when every root s is real and positive
-    s_coeffs = [c * (-1) ** (i // 2) for i, c in enumerate(q.coeffs)
-                if i % 2 == 0]
-    qs = Polynomial(s_coeffs)
-    if qs.degree == 0:
-        return True, None
-    bound = cauchy_root_bound(qs)
-    positive_roots = count_real_roots(qs, Fraction(0), bound)
-    if positive_roots == qs.degree:
-        return True, None
-    return False, ("only %d of %d eigenvalue pairs are purely imaginary"
-                   % (positive_roots, qs.degree))
-
-
-def poly_from_roots(roots):
-    p = Polynomial([Fraction(1)])
-    for r in roots:
-        p = p * Polynomial([-r, Fraction(1)])
-    return p
 
 
 def format_polynomial(p, var="t"):

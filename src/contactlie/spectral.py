@@ -5,7 +5,8 @@ theorem (diagonalizable ad(xi) with n > 1 forces ad(xi) = 0).
 On g^C the Reeb adjoint is ad(xi) extended C-linearly, the same matrix,
 so every function here takes a real or complex structure as it is.  The
 theorem leaves t as the only squarefree minimal polynomial of ad(xi), and
-t^3 - d t when n = 1 (ad(xi) kills xi and is trace-free on ker eta), so
+t^3 - d t when n = 1 (ad(xi) kills xi and is trace-free on ker eta).
+ContactStructure.ad_reeb_root_square reads d off once per structure, and
 the roots 0 and +-sqrt(d) are written down exactly: Gaussian rationals,
 or QuadraticNumbers when d is no square in Q(i)."""
 
@@ -17,8 +18,7 @@ from .contact import ContactStructure
 from .errors import InputError, InternalInvariantError
 from .forms import one_form_coefficients, two_form_matrix
 from .linalg import dot, mat_mul, transpose, vec_is_zero
-from .polynomials import (Polynomial, format_polynomial, is_squarefree,
-                          minimal_polynomial)
+from .polynomials import Polynomial, is_squarefree, minimal_polynomial
 from .scalars import (GaussianRational, QuadraticNumber, gaussian_sqrt,
                       to_gaussian)
 
@@ -63,24 +63,18 @@ class RootDecomposition:
 
 def root_decomposition(c):
     """Decompose the complexified algebra into eigenspaces g_alpha of
-    ad(xi), from the minimal polynomial t or t^3 - d t."""
-    minpoly = c.ad_reeb_minpoly
-    if not is_squarefree(minpoly):
+    ad(xi), from the minimal polynomial t (d = 0) or t^3 - d t."""
+    d = c.ad_reeb_root_square
+    if d is None:
         raise InputError(
             "ad(xi) is not diagonalizable; the root-space hypothesis fails")
-    coeffs = minpoly.coeffs
-    if coeffs == (0, 1):
+    if d == 0:
         n = c.algebra.dim
         spaces = {GaussianRational(0): tuple(
             tuple(GaussianRational(int(i == j)) for j in range(n))
             for i in range(n))}
-    elif c.n == 1 and len(coeffs) == 4 and coeffs[0] == coeffs[2] == 0:
-        spaces = _dim3_spaces(c, -coeffs[1])
     else:
-        raise InternalInvariantError(
-            "ad(xi) has the squarefree minimal polynomial %s with n = %d; "
-            "the vanishing theorem allows only t, and t^3 - d*t when n = 1"
-            % (format_polynomial(minpoly), c.n))
+        spaces = _dim3_spaces(c, d)
     rd = RootDecomposition(contact=c, roots=tuple(spaces), spaces=spaces)
     _validate_decomposition(rd)
     return rd
@@ -246,7 +240,7 @@ def verify_reeb_theorem(c):
     n = c.n
     a = c.ad_reeb
     failures = []
-    diagonalizable = is_squarefree(c.ad_reeb_minpoly)
+    diagonalizable = c.ad_reeb_root_square is not None
     if not diagonalizable:
         failures.append("ad(xi) is not diagonalizable")
     if n <= 1:

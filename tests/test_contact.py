@@ -34,6 +34,16 @@ def test_reeb_defining_equations_exact():
             assert evaluate(deta, xi, c.algebra.basis_vector(j)) == 0, name
 
 
+@pytest.mark.parametrize("name, d", [
+    ("heisenberg3", 0), ("heisenberg5", 0), ("heisenberg7", 0),
+    ("aff1_aff1_ext5", 0),          # minimal polynomial t
+    ("su2", -1), ("sl2r", 1),       # t^3 - d t
+    ("nilpotent_nondiag5", None),   # t^4, not squarefree
+])
+def test_ad_reeb_root_square_catalog(name, d):
+    assert CAT[name].contact().ad_reeb_root_square == d
+
+
 def test_reeb_singular_for_noncontact():
     a3 = abelian(3)
     eta = one_form(3, [Fraction(0), Fraction(0), Fraction(1)])

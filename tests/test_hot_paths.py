@@ -120,6 +120,7 @@ def test_analyze_kcontact_computes_derived_data_once(monkeypatch):
     calls = Counter()
     for module, name in ((contactlie.spectral, "root_decomposition"),
                          (contactlie.polynomials, "minimal_polynomial"),
+                         (contactlie.polynomials, "is_squarefree"),
                          (contactlie.contact, "contact_structure"),
                          (contactlie.contact, "_validate"),
                          (contactlie.forms, "ce_differential"),
@@ -138,7 +139,7 @@ def test_analyze_kcontact_computes_derived_data_once(monkeypatch):
         rep = analyze_kcontact(c, e.metric)
         assert rep.dim == e.algebra.dim
         for counted in ("root_decomposition", "minimal_polynomial",
-                        "contact_structure", "ad"):
+                        "is_squarefree", "contact_structure", "ad"):
             assert calls[counted] <= 1, (name, counted, calls)
         # the spectral checks run on c itself: no complex copy is built
         for counted in ("_validate", "complexify", "complexify_form"):
@@ -148,6 +149,7 @@ def test_analyze_kcontact_computes_derived_data_once(monkeypatch):
         calls.clear()
         analyze_kcontact(c, e.metric)
         assert calls["ad"] == calls["minimal_polynomial"] == 0, name
+        assert calls["is_squarefree"] == 0, name
 
 
 GAUSS_OPS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",

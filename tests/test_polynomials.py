@@ -1,12 +1,9 @@
 import random
 from fractions import Fraction
 
-from contactlie.polynomials import (Polynomial, cauchy_root_bound,
-                                    count_real_roots, format_polynomial,
-                                    has_only_purely_imaginary_roots,
+from contactlie.polynomials import (Polynomial, format_polynomial,
                                     is_squarefree, minimal_polynomial,
-                                    poly_from_roots, poly_gcd,
-                                    sturm_sequence)
+                                    poly_gcd)
 from contactlie.spectral import characteristic_polynomial
 
 
@@ -37,42 +34,6 @@ def test_gcd_and_squarefree():
     assert is_squarefree(p)
     assert not is_squarefree(sq)
     assert is_squarefree(P(0, 1) * P(-1, 1) * P(1, 1))
-
-
-def test_poly_from_roots():
-    p = poly_from_roots([Fraction(1), Fraction(-2), Fraction(0)])
-    assert p == P(0, -2, 1, 1)
-    for r in (1, -2, 0):
-        assert p(Fraction(r)) == 0
-    assert p.degree == 3
-
-
-def test_sturm_real_root_count():
-    p = poly_from_roots([Fraction(-3), Fraction(1, 2), Fraction(2)])
-    assert len(sturm_sequence(p)) >= 2
-    bound = cauchy_root_bound(p)
-    assert bound >= 3
-    assert count_real_roots(p, -bound, bound) == 3
-    assert count_real_roots(p, Fraction(0), bound) == 2
-    # t^2 + 1 has no real roots at all
-    q = P(1, 0, 1)
-    b = cauchy_root_bound(q)
-    assert count_real_roots(q, -b, b) == 0
-
-
-def test_purely_imaginary_detection():
-    # t (t^2 + 1): roots 0, i, -i
-    ok, _ = has_only_purely_imaginary_roots(P(0, 1, 0, 1))
-    assert ok
-    # t^2 - 1: roots 1, -1
-    ok, reason = has_only_purely_imaginary_roots(P(-1, 0, 1))
-    assert not ok and reason
-    # t^2 + 2t + 2: roots -1 +- i
-    ok, _ = has_only_purely_imaginary_roots(P(2, 2, 1))
-    assert not ok
-    # t^4 + 5t^2 + 4 = (t^2+1)(t^2+4): all of i, -i, 2i, -2i
-    ok, _ = has_only_purely_imaginary_roots(P(4, 0, 5, 0, 1))
-    assert ok
 
 
 def test_format():

@@ -9,7 +9,9 @@ sparse differential, ad, the brackets of a subspace), the derived data of
 a contact structure (nabla xi from the contracted Koszul formula), the
 spectral layer on a real structure (which complexifies through its
 scalars) and the integer kernels of linalg (rref, det, mat_mul, mat_vec)
-must agree exactly with the direct definitions they replaced.
+must agree exactly with the direct definitions they replaced.  The
+K-contact obstruction must agree with sympy's spectrum of ad(xi) in dim 3
+and with the centrality of xi above.
 """
 
 from fractions import Fraction
@@ -548,6 +550,52 @@ def test_dim3_spectrum_is_exact(name, field, data):
                 y, z = find_dual_partner(rd, x, alpha)
                 xy = bracket(c.algebra, list(x), y)
                 assert [p - q for p, q in zip(xy, c.reeb)] == z
+
+
+# -- the K-contact obstruction against independent oracles ------------------
+#
+# kcontact_obstruction reads the classification of ad(xi) that the
+# vanishing theorem allows; the oracles decide the spectrum directly.
+
+def _reeb_is_central(c):
+    return all(x == 0 for j in range(c.algebra.dim)
+               for x in bracket(c.algebra, list(c.reeb),
+                                c.algebra.basis_vector(j)))
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("name", ["heisenberg3", "sl2r", "su2"])
+@settings(max_examples=8, deadline=None, database=None)
+@given(data=st.data())
+def test_dim3_obstruction_matches_sympy_spectrum(name, field, data):
+    """n = 1: no obstruction iff ad(xi) is diagonalizable over C with
+    every eigenvalue on the imaginary axis, as sympy decides it."""
+    sympy = pytest.importorskip("sympy")
+    eta = one_form(3, data.draw(st.lists(st.integers(-4, 4), min_size=3,
+                                         max_size=3)))
+    algebra = CAT[name].algebra
+    assume(is_contact(algebra, eta)[0])
+    algebra, eta = conjugate(algebra, eta, data.draw(change_of_basis(3)))
+    if field == "complex":
+        algebra, eta = complexify(algebra), complexify_form(eta)
+    c = contact_structure(algebra, eta)
+    a = sympy.Matrix([[_sympy_scalar(sympy, x) for x in row]
+                      for row in c.ad_reeb])
+    imaginary = a.is_diagonalizable() and all(
+        sympy.simplify(sympy.re(r)) == 0 for r in a.eigenvals())
+    assert kcontact_obstruction(c).obstructed == (not imaginary)
+
+
+@pytest.mark.parametrize("field", ["real", "complex", "int"])
+@pytest.mark.parametrize("name", [name for name in contact_names(9)
+                                  if CONTACT_INPUTS[name][0].dim >= 5])
+@settings(max_examples=3, deadline=None, database=None)
+@given(data=st.data())
+def test_obstruction_iff_reeb_not_central(name, field, data):
+    """n > 1: a diagonalizable ad(xi) is zero, so the obstruction holds
+    exactly when some [xi, e_j] is nonzero."""
+    c = contact_structure(*conjugated_input(data, name, field))
+    assert kcontact_obstruction(c).obstructed == (not _reeb_is_central(c))
 
 
 def _sympy_scalar(sympy, x):

@@ -8,6 +8,7 @@ from contactlie.contact import contact_structure
 from contactlie.errors import InputError, InternalInvariantError
 from contactlie.forms import complexify_form, evaluate, one_form
 from contactlie.linalg import det
+from contactlie.metric import kcontact_obstruction
 from contactlie.polynomials import Polynomial
 from contactlie.scalars import GaussianRational, QuadraticNumber, format_scalar
 from contactlie.spectral import (characteristic_polynomial,
@@ -219,8 +220,10 @@ def test_quadratic_spectrum_is_exact(name, eta, d, complexified):
 ])
 def test_theorem_forbidden_minimal_polynomial_raises(name, coeffs):
     """A squarefree minimal polynomial other than t, and t^3 - d t when
-    n = 1, contradicts the vanishing theorem."""
+    n = 1, contradicts the vanishing theorem wherever it is read."""
     c = CAT[name].contact()
     vars(c)["ad_reeb_minpoly"] = F(*coeffs)   # seed the cache
-    with pytest.raises(InternalInvariantError, match="vanishing theorem"):
-        root_decomposition(c)
+    for check in (root_decomposition, kcontact_obstruction,
+                  verify_reeb_theorem):
+        with pytest.raises(InternalInvariantError, match="vanishing theorem"):
+            check(c)
