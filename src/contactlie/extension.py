@@ -9,7 +9,8 @@ from fractions import Fraction
 from .algebra import LieAlgebra, check_jacobi, subspace_brackets
 from .contact import contact_structure
 from .errors import InputError, InternalInvariantError
-from .forms import AlternatingForm, ce_differential, one_form, two_form_matrix
+from .forms import (AlternatingForm, ce_differential, is_contact, one_form,
+                    two_form_matrix)
 from .linalg import det, mat_mul, rref, transpose
 from .metric import is_kcontact, kcontact_obstruction
 from .spectral import verify_reeb_theorem
@@ -97,13 +98,11 @@ def central_extension(s):
             "central extension of a closed cocycle violates Jacobi at %r"
             % (violations,))
     eta = one_form(dim, [Fraction(0)] * m + [Fraction(1)])
-    # the Reeb solve of contact_structure is itself the contact test
-    try:
-        c = contact_structure(algebra, eta)
-    except InputError as exc:
+    ok, _ = is_contact(algebra, eta)
+    if not ok:
         raise InternalInvariantError(
-            "central extension of a nondegenerate cocycle is not contact"
-        ) from exc
+            "central extension of a nondegenerate cocycle is not contact")
+    c = contact_structure(algebra, eta)
     xi = algebra.basis_vector(m)
     if list(c.reeb) != xi:
         raise InternalInvariantError("Reeb field of the extension is not xi")
