@@ -66,6 +66,13 @@ def _get_form(af, name, degree=None):
     return form
 
 
+def _load_contact(args):
+    """(algebra file, contact structure of its 1-form --form)."""
+    af = _load_input(args.file)
+    return af, contact_structure(af.algebra,
+                                 _get_form(af, args.form, degree=1))
+
+
 def _cmd_validate(args):
     af = _load_input(args.file)
     a = af.algebra
@@ -101,9 +108,7 @@ def _cmd_contact_check(args):
 
 
 def _cmd_reeb(args):
-    af = _load_input(args.file)
-    eta = _get_form(af, args.form, degree=1)
-    c = contact_structure(af.algebra, eta)
+    af, c = _load_contact(args)
     report = {"reeb": _vector_out(c.reeb),
               "basis": list(af.algebra.basis_labels)}
     text = ["reeb field: " + _format_combination(c.reeb,
@@ -120,9 +125,7 @@ def _format_combination(coeffs, labels):
 
 
 def _cmd_analyze(args):
-    af = _load_input(args.file)
-    eta = _get_form(af, args.form, degree=1)
-    c = contact_structure(af.algebra, eta)
+    af, c = _load_contact(args)
     metric_kind = "exact"
     if args.auto_metric:
         g = construct_associated_metric(c)
@@ -158,9 +161,7 @@ def _cmd_analyze(args):
 
 
 def _cmd_roots(args):
-    af = _load_input(args.file)
-    eta = _get_form(af, args.form, degree=1)
-    c = contact_structure(af.algebra, eta)
+    _, c = _load_contact(args)
     obstruction = kcontact_obstruction(c)
     rd = root_decomposition(c)
     report = {
@@ -188,9 +189,7 @@ def _cmd_roots(args):
 
 
 def _cmd_quotient(args):
-    af = _load_input(args.file)
-    eta = _get_form(af, args.form, degree=1)
-    c = contact_structure(af.algebra, eta)
+    _, c = _load_contact(args)
     s = central_quotient(c)
     out = AlgebraFile(algebra=s.algebra, forms={"omega": s.omega})
     save(args.output, out)

@@ -6,7 +6,7 @@ from functools import cached_property
 
 from .algebra import LieAlgebra, ad
 from .errors import InputError, InternalInvariantError, SingularSystemError
-from .forms import (AlternatingForm, ce_differential, evaluate, is_contact,
+from .forms import (AlternatingForm, ce_differential, is_contact,
                     one_form_coefficients, two_form_matrix)
 from .linalg import (dot, mat_eq, mat_mul, mat_vec, nullspace, solve_unique,
                      transpose, vec_is_zero)
@@ -18,10 +18,11 @@ class ContactStructure:
     """A contact Lie algebra together with its derived data.
 
     horizontal_basis spans ker(eta); projector is P = I - xi (x) eta, the
-    projection onto the horizontal space along the Reeb line.  d eta,
-    ad(xi) and the minimal polynomial of ad(xi) are computed at most once
-    per structure, on first use, and so is the classification of that
-    polynomial that the vanishing theorem allows (ad_reeb_root_square).
+    projection onto the horizontal space along the Reeb line.  deta, its
+    matrix D[i][j] = d eta(e_i, e_j) and eta_row are kept from the Reeb
+    solve; ad(xi), its minimal polynomial and the classification of that
+    polynomial that the vanishing theorem allows (ad_reeb_root_square) are
+    computed at most once per structure, on first use.
     """
 
     algebra: LieAlgebra
@@ -29,14 +30,13 @@ class ContactStructure:
     reeb: tuple
     horizontal_basis: tuple
     projector: tuple  # rows
+    deta: AlternatingForm
+    deta_matrix: tuple  # rows
+    eta_row: tuple
 
     @property
     def n(self):
         return (self.algebra.dim - 1) // 2
-
-    @cached_property
-    def deta(self):
-        return ce_differential(self.algebra, self.eta)
 
     @cached_property
     def ad_reeb(self):
@@ -87,23 +87,25 @@ def reeb(algebra, eta):
     eta ^ (d eta)^n = 0, i.e. when eta is not contact.
     """
     _require_one_form(algebra, eta)
+    d = two_form_matrix(ce_differential(algebra, eta))
     try:
-        return _solve_reeb(algebra, eta, ce_differential(algebra, eta))
+        return _solve_reeb(algebra, one_form_coefficients(eta), d)
     except SingularSystemError as exc:
         raise InputError(
             "no unique Reeb field: eta is not a contact form "
             "(the defining linear system is singular)") from exc
 
 
-def _solve_reeb(algebra, eta, deta):
+def _solve_reeb(algebra, eta_row, d):
     # equation j:  sum_i xi_i * deta(e_i, e_j) = 0, a row of D^T
-    rows = [one_form_coefficients(eta)] + transpose(two_form_matrix(deta))
+    rows = [eta_row] + transpose(d)
     rhs = [algebra.one_scalar()] + [algebra.zero_scalar()] * algebra.dim
     return solve_unique(rows, rhs)
 
 
 def contact_structure(algebra, eta):
-    """Bundle (algebra, eta, xi, horizontal basis, projector), validated.
+    """Bundle eta with its Reeb field, horizontal basis, projector and d eta,
+    validated.
 
     The Reeb system doubles as the contact test: on an odd-dimensional
     algebra it is singular exactly when eta ^ (d eta)^n = 0.
@@ -112,8 +114,10 @@ def contact_structure(algebra, eta):
         raise InputError("contact requires odd dimension, got %d" % algebra.dim)
     _require_one_form(algebra, eta)
     deta = ce_differential(algebra, eta)
+    d = _rows(two_form_matrix(deta))
+    eta_row = tuple(one_form_coefficients(eta))
     try:
-        xi = _solve_reeb(algebra, eta, deta)
+        xi = _solve_reeb(algebra, eta_row, d)
     except SingularSystemError as exc:
         if is_contact(algebra, eta)[0]:
             raise InternalInvariantError(
@@ -121,7 +125,6 @@ def contact_structure(algebra, eta):
         raise InputError(
             "eta is not a contact form on %r (eta ^ d eta^n = 0)"
             % algebra.name) from exc
-    eta_row = one_form_coefficients(eta)
     kernel = nullspace([eta_row])
     if len(kernel) != algebra.dim - 1:
         raise InternalInvariantError("ker(eta) has unexpected dimension")
@@ -133,18 +136,20 @@ def contact_structure(algebra, eta):
         reeb=tuple(xi),
         horizontal_basis=_rows(kernel),
         projector=_rows(proj),
+        deta=deta,
+        deta_matrix=d,
+        eta_row=eta_row,
     )
-    vars(structure)["deta"] = deta  # seed the cache
     _validate(structure)
     return structure
 
 
 def _validate(c):
-    eta, xi = one_form_coefficients(c.eta), c.reeb
+    eta, xi = c.eta_row, c.reeb
     if dot(eta, xi) != 1:
         raise InternalInvariantError("eta(xi) != 1 after solve")
     # d eta(xi, e_j) is the j-th entry of xi^T D
-    if not vec_is_zero(mat_vec(transpose(two_form_matrix(c.deta)), xi)):
+    if not vec_is_zero(mat_vec(transpose(c.deta_matrix), xi)):
         raise InternalInvariantError("d eta(xi, e_j) != 0 after solve")
     p = [list(r) for r in c.projector]
     if not mat_eq(mat_mul(p, p), p):
@@ -159,7 +164,7 @@ def decompose(c, x):
     """Split x = s * xi + hx with s = eta(x) and hx horizontal."""
     if len(x) != c.algebra.dim:
         raise InputError("vector length does not match algebra dimension")
-    s = evaluate(c.eta, list(x))
+    s = dot(c.eta_row, x)
     hx = mat_vec([list(r) for r in c.projector], list(x))
     return s, hx
 
@@ -168,5 +173,4 @@ def reeb_bracket_is_horizontal(c):
     """eta([xi, X]) = 0 for every basis X; follows from the Reeb equations.
 
     The values eta([xi, e_j]) are the entries of the row eta * ad(xi)."""
-    eta = one_form_coefficients(c.eta)
-    return vec_is_zero(mat_vec(transpose(c.ad_reeb), eta))
+    return vec_is_zero(mat_vec(transpose(c.ad_reeb), c.eta_row))

@@ -32,6 +32,10 @@ from .forms import one_form, two_form
 from .metric import MetricData
 from .scalars import format_scalar, parse_scalar
 
+# largest accepted dim: the Jacobi check visits every basis triple, so its
+# cost grows as dim^3 before any other validation can fail
+MAX_DIM = 64
+
 
 @dataclass(frozen=True)
 class AlgebraFile:
@@ -46,11 +50,16 @@ def _require(doc, key, kind, where):
     if key not in doc:
         raise InputError("missing %r in %s" % (key, where))
     value = doc[key]
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise InputError(
             "%r in %s must be %s, got %r"
             % (key, where, kind.__name__, type(value).__name__))
     return value
+
+
+def _is_index(x):
+    """An int that is not a bool (JSON true and false parse to bools)."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _parse_brackets(doc, dim, allow_complex):
@@ -74,7 +83,7 @@ def _parse_brackets(doc, dim, allow_complex):
         seen = set()
         for term in terms:
             if (not isinstance(term, list) or len(term) != 2
-                    or not isinstance(term[0], int)):
+                    or not _is_index(term[0])):
                 raise InputError(
                     "%s: each term must be [index, coefficient]" % where)
             k, text = term
@@ -110,8 +119,8 @@ def _parse_form(name, spec, dim, allow_complex):
     if all(isinstance(x, list) for x in spec):
         entries = []
         for pos, item in enumerate(spec):
-            if (len(item) != 3 or not isinstance(item[0], int)
-                    or not isinstance(item[1], int)):
+            if (len(item) != 3 or not _is_index(item[0])
+                    or not _is_index(item[1])):
                 raise InputError(
                     "%s[%d]: 2-form entries are [i, j, coefficient]"
                     % (where, pos))
@@ -170,6 +179,9 @@ def parse_algebra_file(text):
         raise InputError("top level must be a JSON object")
     name = _require(doc, "name", str, "the file")
     dim = _require(doc, "dim", int, "the file")
+    if dim > MAX_DIM:
+        raise InputError("'dim' is %d, above the limit MAX_DIM = %d"
+                         % (dim, MAX_DIM))
     field_name = doc.get("field", REAL)
     if field_name not in (REAL, COMPLEX):
         raise InputError("'field' must be 'real' or 'complex'")

@@ -16,7 +16,7 @@ from functools import cached_property
 
 from .algebra import REAL
 from .errors import InputError, InternalInvariantError
-from .forms import evaluate, one_form_coefficients, two_form_matrix
+from .forms import two_form_matrix
 from .linalg import (det, dot, inverse, leading_minors, mat_eq, mat_mul,
                      mat_vec, transpose)
 from .polynomials import format_polynomial
@@ -110,14 +110,13 @@ def levi_civita(algebra, g):
 
 def compute_phi(c, g):
     """The unique phi with g(X, phi Y) = d eta(X, Y); phi = G^-1 D."""
-    return mat_mul(g.inverse, two_form_matrix(c.deta))
+    return mat_mul(g.inverse, c.deta_matrix)
 
 
 def _phi_square_target(c):
     """-I + xi (x) eta as a matrix."""
     n = c.algebra.dim
-    eta = one_form_coefficients(c.eta)
-    return [[(-1 if i == j else 0) + c.reeb[i] * eta[j]
+    return [[(-1 if i == j else 0) + c.reeb[i] * c.eta_row[j]
              for j in range(n)] for i in range(n)]
 
 
@@ -126,9 +125,8 @@ def _associated_phi(c, g):
     xi), else None."""
     if not g.is_positive_definite():
         raise InputError("metric is not positive-definite")
-    eta = one_form_coefficients(c.eta)
     gxi = mat_vec(g.matrix, c.reeb)
-    if any(a != b for a, b in zip(gxi, eta)):
+    if any(a != b for a, b in zip(gxi, c.eta_row)):
         return None
     phi = compute_phi(c, g)
     if not mat_eq(mat_mul(phi, phi), _phi_square_target(c)):
@@ -287,6 +285,8 @@ def skew_normal_form(b):
     b = np.asarray(b, dtype=float)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise InputError("expected a square matrix")
+    if not np.isfinite(b).all():
+        raise InputError("matrix entries must be finite")
     n = b.shape[0]
     if np.max(np.abs(b + b.T)) > SKEW_INPUT_TOL:
         raise InputError("matrix is not skew-symmetric within 1e-12")
@@ -336,13 +336,12 @@ def construct_associated_metric(c, horizontal_frame=None):
             raise InputError("frame vector %d has %d entries, expected %d"
                              % (i, len(v), n))
         v = [Fraction(x) for x in v]
-        if evaluate(c.eta, v) != 0:
+        if dot(c.eta_row, v) != 0:
             raise InputError("frame vector %d is not in ker eta" % i)
         rest.append(v)
-    d = two_form_matrix(c.deta)
 
     def deta(u, v):
-        return sum(x * y for x, y in zip(u, mat_vec(d, v)))
+        return sum(x * y for x, y in zip(u, mat_vec(c.deta_matrix, v)))
 
     columns, scale = [], []
     while rest:

@@ -16,7 +16,6 @@ from fractions import Fraction
 from .algebra import bracket
 from .contact import ContactStructure
 from .errors import InputError, InternalInvariantError
-from .forms import one_form_coefficients, two_form_matrix
 from .linalg import dot, mat_mul, transpose, vec_is_zero
 from .polynomials import Polynomial, is_squarefree, minimal_polynomial
 from .scalars import (GaussianRational, QuadraticNumber, gaussian_sqrt,
@@ -123,14 +122,13 @@ def _pair(d, x, y):
 
 def _validate_decomposition(rd):
     c = rd.contact
-    eta = one_form_coefficients(c.eta)
     if 0 not in rd.roots:
         raise InternalInvariantError("0 is not a root, but xi is in g_0")
     roots = [r for r, basis in rd.spaces.items() for _ in basis]
     vectors = [v for basis in rd.spaces.values() for v in basis]
     # one product each applies ad(xi) and eta to every basis vector
     for r, v, av, (height,) in zip(roots, vectors, _images(c.ad_reeb, vectors),
-                                   _images([eta], vectors)):
+                                   _images([c.eta_row], vectors)):
         if any(x != r * y for x, y in zip(av, v)):
             raise InternalInvariantError("eigenvector equation failed")
         if r != 0 and height != 0:
@@ -150,7 +148,6 @@ def verify_graded_bracket(rd):
     basis pairs and that d eta(X, Y) = 0 whenever alpha + beta != 0."""
     c = rd.contact
     a = c.ad_reeb
-    d = two_form_matrix(c.deta)
     pairs = 0
     for alpha in rd.roots:
         for beta in rd.roots:
@@ -164,7 +161,7 @@ def verify_graded_bracket(rd):
                         raise InternalInvariantError(
                             "graded bracket relation ad(xi)[X,Y] = "
                             "(a+b)[X,Y] failed")
-                    if target != 0 and _pair(d, x, y) != 0:
+                    if target != 0 and _pair(c.deta_matrix, x, y) != 0:
                         raise InternalInvariantError(
                             "d eta(X, Y) != 0 although alpha + beta != 0")
                     pairs += 1
@@ -188,8 +185,7 @@ def find_dual_partner(rd, x, alpha):
             "-alpha is not a root although alpha is (violates the "
             "dual-pairing statement)")
     basis = rd.spaces[minus]
-    eta = one_form_coefficients(c.eta)
-    weights = [dot(eta, bracket(c.algebra, list(x), list(yb)))
+    weights = [dot(c.eta_row, bracket(c.algebra, list(x), list(yb)))
                for yb in basis]
     pick = next((i for i, wgt in enumerate(weights) if wgt != 0), None)
     if pick is None:
@@ -200,7 +196,7 @@ def find_dual_partner(rd, x, alpha):
     z = [p - q for p, q in zip(bracket(c.algebra, list(x), y), c.reeb)]
     if not vec_is_zero(_images(c.ad_reeb, [z])[0]):
         raise InternalInvariantError("Z is not in g_0")
-    if dot(eta, z) != 0:
+    if dot(c.eta_row, z) != 0:
         raise InternalInvariantError("Z is not horizontal")
     return y, z
 
@@ -212,8 +208,7 @@ def pairing_matrix(rd, alpha):
     minus = -alpha
     if minus not in rd.spaces:
         return []
-    d = two_form_matrix(c.deta)
-    return [[_pair(d, x, y) for y in rd.spaces[minus]]
+    return [[_pair(c.deta_matrix, x, y) for y in rd.spaces[minus]]
             for x in rd.spaces[alpha]]
 
 

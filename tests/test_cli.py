@@ -40,10 +40,11 @@ def test_validate_file(capsys, tmp_path):
 
 def test_validate_input_error(capsys, tmp_path):
     p = tmp_path / "bad.json"
-    p.write_text('{"name": "bad", "dim": 2, "brackets": [{"i": 0, "j": 5,'
-                 ' "terms": []}]}')
-    code, doc = run_json(capsys, "validate", str(p))
-    assert code == 2 and "error" in doc
+    for text in ('{"name": "bad", "dim": 2, "brackets": [{"i": 0, "j": 5,'
+                 ' "terms": []}]}', '{"name": "bad", "dim": true}'):
+        p.write_text(text)
+        code, doc = run_json(capsys, "validate", str(p))
+        assert code == 2 and "error" in doc and "dim" not in doc, text
 
 
 def test_unknown_input(capsys):
@@ -182,6 +183,15 @@ def test_normal_form_rejects_nonskew(capsys, tmp_path):
     p.write_text(json.dumps([[1, 0], [0, 1]]))
     code, doc = run_json(capsys, "normal-form", "--skew-matrix", str(p))
     assert code == 2
+
+
+def test_normal_form_rejects_nonfinite(capsys, tmp_path):
+    # json reads NaN and Infinity; every tolerance test passes NaN
+    p = tmp_path / "m.json"
+    for text in ("[[NaN, 1], [-1, 0]]", "[[0, Infinity], [-Infinity, 0]]"):
+        p.write_text(text)
+        code, doc = run_json(capsys, "normal-form", "--skew-matrix", str(p))
+        assert code == 2 and "finite" in doc["error"], text
 
 
 def test_catalog_list(capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from contactlie import extension
 from contactlie.algebra import LieAlgebra, bracket, check_jacobi
 from contactlie.catalog import catalog
 from contactlie.contact import contact_structure
@@ -11,7 +12,8 @@ from contactlie.errors import InputError, InternalInvariantError
 from contactlie.extension import (SymplecticAlgebra, analyze_kcontact,
                                   central_extension, central_quotient,
                                   round_trip)
-from contactlie.forms import ce_differential, is_contact, two_form
+from contactlie.forms import (AlternatingForm, ce_differential, is_contact,
+                              two_form)
 from contactlie.linalg import identity, mat_vec
 from contactlie.metric import construct_associated_metric
 
@@ -48,6 +50,23 @@ def test_central_extension_h3():
     assert list(c.reeb) == [0, 0, 1]
     # d eta restricts to omega
     assert c.deta.coefficient((0, 1)) == s.omega.coefficient((0, 1))
+
+
+@pytest.mark.parametrize("key", [(0, 1), (0, 4)], ids=["base", "xi"])
+def test_central_extension_rejects_d_eta_off_omega(monkeypatch, key):
+    """d eta off by one coefficient, on the base (d eta != omega there) or
+    against xi (xi is not the Reeb field), fails the one d eta check."""
+    s = CAT["aff1_aff1_sympl"].symplectic()
+
+    def perturbed(algebra, form):
+        d = ce_differential(algebra, form)
+        coeffs = dict(d.coeffs)
+        coeffs[key] = coeffs.get(key, 0) + 1
+        return AlternatingForm(d.dim, d.degree, coeffs)
+
+    monkeypatch.setattr(extension, "ce_differential", perturbed)
+    with pytest.raises(InternalInvariantError, match="d eta"):
+        central_extension(s)
 
 
 def test_central_quotient_h3_frozen():

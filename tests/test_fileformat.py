@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from contactlie import fileformat
 from contactlie.catalog import catalog
 from contactlie.errors import InputError
 from contactlie.fileformat import (AlgebraFile, load, parse_algebra_file,
@@ -116,6 +117,26 @@ def test_missing_fields():
         parse_algebra_file('{"dim": 3}')
     with pytest.raises(InputError, match="dim"):
         parse_algebra_file('{"name": "x"}')
+
+
+def test_dim_budget(monkeypatch):
+    monkeypatch.setattr(fileformat, "MAX_DIM", 2)
+    with pytest.raises(InputError, match="MAX_DIM = 2"):
+        parse_algebra_file(H3_TEXT)
+    assert parse_algebra_file(
+        '{"name": "r2", "dim": 2, "brackets": []}').algebra.dim == 2
+
+
+def test_bool_is_no_integer():
+    with pytest.raises(InputError, match="'dim' in the file must be int"):
+        parse_algebra_file('{"name": "x", "dim": true}')
+    with pytest.raises(InputError, match="'i' in brackets"):
+        parse_algebra_file(H3_TEXT.replace('"i": 0', '"i": false'))
+    with pytest.raises(InputError, match="index, coefficient"):
+        parse_algebra_file(H3_TEXT.replace('[[2, "1"]]', '[[true, "1"]]'))
+    doc = {"name": "r2", "dim": 2, "forms": {"omega": [[False, 1, "1"]]}}
+    with pytest.raises(InputError, match="i, j, coefficient"):
+        parse_algebra_file(json.dumps(doc))
 
 
 def test_two_form_entries():

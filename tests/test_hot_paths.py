@@ -152,6 +152,46 @@ def test_analyze_kcontact_computes_derived_data_once(monkeypatch):
         assert calls["is_squarefree"] == 0, name
 
 
+def test_central_extension_checks_d_eta_without_a_contact_structure(
+        monkeypatch):
+    calls = Counter()
+    for module, name in ((contactlie.contact, "contact_structure"),
+                         (contactlie.contact, "_validate"),
+                         (contactlie.forms, "ce_differential")):
+        count(monkeypatch, calls, module, name)
+    for name, e in CAT.items():
+        if e.kind != "symplectic":
+            continue
+        s = e.symplectic()
+        calls.clear()
+        central_extension(s)
+        assert calls["contact_structure"] == calls["_validate"] == 0, name
+        # one in is_contact, one for d eta = omega
+        assert calls["ce_differential"] <= 2, (name, calls)
+
+
+def test_analyze_kcontact_reads_eta_and_d_eta_off_the_structure(
+        monkeypatch):
+    """No matrix or coefficient row of a form on g is rebuilt; the one
+    two_form_matrix call left is SymplecticAlgebra checking the quotient's
+    omega, a form on g / <xi>."""
+    dims = Counter()
+    for name in ("two_form_matrix", "one_form_coefficients", "evaluate"):
+        def make(original, name=name):
+            def counted(form, *args):
+                dims[name, form.dim] += 1
+                return original(form, *args)
+            return counted
+        replace(monkeypatch, contactlie.forms, name, make)
+    for name in METRIC_ENTRIES:
+        e = CAT[name]
+        c = e.contact()
+        dims.clear()
+        analyze_kcontact(c, e.metric)
+        assert set(dims) <= {("two_form_matrix", e.algebra.dim - 1)}, (
+            name, dims)
+
+
 GAUSS_OPS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
              "__rmul__", "__truediv__", "__rtruediv__", "__neg__")
 

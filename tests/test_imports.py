@@ -1,5 +1,6 @@
-"""Every import in the package modules and in the tests is used, and
-numpy is imported only by the floating routines.
+"""Every import in the package modules and in the tests is used, numpy
+is imported only by the floating routines, and the coefficient row of eta
+and the matrix of d eta are built only by contact_structure.
 
 `__init__.py` is exempt from the first check: its imports are the public
 re-exports.  A name counts as used when it is read anywhere in the
@@ -18,6 +19,11 @@ MODULES = [p for p in PACKAGE if p.name != "__init__.py"] + sorted(
 NUMPY_SCOPES = {"metric.py": {"skew_normal_form",
                               "SkewNormalForm.block_matrix"},
                 "cli.py": {"_cmd_normal_form"}}
+# the row of eta and the matrix of d eta are fields of ContactStructure,
+# built once by contact_structure; these modules read them off it
+FORM_HELPERS = {"evaluate", "one_form_coefficients", "two_form_matrix"}
+NO_FORM_HELPERS = {"metric.py": {"evaluate", "one_form_coefficients"},
+                   "spectral.py": FORM_HELPERS}
 
 
 def unused_imports(source):
@@ -85,3 +91,34 @@ def test_checker_finds_numpy_imports():
 def test_numpy_only_in_floating_routines(path):
     allowed = NUMPY_SCOPES.get(path.name, set())
     assert set(numpy_import_scopes(path.read_text())) <= allowed
+
+
+def structure_form_calls(source):
+    """(line, helper) of every call of a form helper on an attribute eta
+    or deta, as in two_form_matrix(c.deta)."""
+    return [(node.lineno, node.func.id) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in FORM_HELPERS and node.args
+            and isinstance(node.args[0], ast.Attribute)
+            and node.args[0].attr in ("eta", "deta")]
+
+
+def test_checker_finds_structure_form_calls():
+    source = ("d = two_form_matrix(c.deta)\nw = two_form_matrix(omega)\n"
+              "r = one_form_coefficients(s.eta)\n")
+    assert structure_form_calls(source) == [(1, "two_form_matrix"),
+                                            (3, "one_form_coefficients")]
+
+
+OUTSIDE_CONTACT = [p for p in PACKAGE if p.name != "contact.py"]
+
+
+@pytest.mark.parametrize("path", OUTSIDE_CONTACT,
+                         ids=[str(p.relative_to(ROOT))
+                              for p in OUTSIDE_CONTACT])
+def test_contact_data_is_read_off_the_structure(path):
+    source = path.read_text()
+    assert structure_form_calls(source) == []
+    imported = {alias.name for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not imported & NO_FORM_HELPERS.get(path.name, set())
