@@ -17,7 +17,7 @@ from .fileformat import (AlgebraFile, load, parse_algebra_file, save,
                          serialize_algebra_file)
 from .forms import (AlternatingForm, basis_dual, ce_differential,
                     complexify_form, evaluate, is_contact, one_form,
-                    two_form, wedge, zero_form)
+                    two_form, wedge)
 from .metric import (Connection, MetricData, ObstructionReport,
                      SkewNormalForm, compute_h, compute_phi,
                      construct_associated_metric, is_associated,

@@ -80,10 +80,29 @@ def _su2_entry():
                   (0, 2): tuple(-x for x in _unit(3, 1))})
     return _contact_entry(
         "su2",
-        "su(2); K-contact with ad(xi) != 0, documenting the n = 1 "
-        "boundary of the vanishing theorem",
+        "su(2); K-contact with ad(xi) != 0 in dim 3, where the vanishing "
+        "theorem does not apply",
         algebra, [0, 0, 1],
         metric_diag=[Fraction(1, 2), Fraction(1, 2), Fraction(1)])
+
+
+def _su2_aff1_entry():
+    # su(2) on e1..e3 and aff(1) on e4, e5: [e4, e5] = e5; xi = e3 rotates
+    # e1 and e2, and the centre is 0
+    algebra = LieAlgebra(
+        name="su2_aff1", dim=5,
+        brackets={(0, 1): _unit(5, 2), (1, 2): _unit(5, 0),
+                  (0, 2): tuple(-x for x in _unit(5, 1)),
+                  (3, 4): _unit(5, 4)})
+    half = Fraction(1, 2)
+    return _contact_entry(
+        "su2_aff1",
+        "su(2)+aff(1) with eta = e3* + e5*; K-contact in dimension 5 with "
+        "non-central Reeb field (ad(xi) diagonalizable over C, roots 0 and "
+        "+-i): a counterexample to the vanishing theorem for n > 1",
+        algebra, [0, 0, 1, 0, 1],
+        metric_rows=[[half, 0, 0, 0, 0], [0, half, 0, 0, 0], [0, 0, 1, 0, 1],
+                     [0, 0, 0, half, 0], [0, 0, 1, 0, Fraction(3, 2)]])
 
 
 def _sl2r_entry():
@@ -171,6 +190,7 @@ def catalog():
         _heisenberg_entry(2),
         _heisenberg_entry(3),
         _su2_entry(),
+        _su2_aff1_entry(),
         _sl2r_entry(),
         _ext5_entry(),
         _nilpotent_nondiag5_entry(),

@@ -10,7 +10,8 @@ from .forms import (AlternatingForm, ce_differential, is_contact,
                     one_form_coefficients, two_form_matrix)
 from .linalg import (dot, mat_eq, mat_mul, mat_vec, nullspace, solve_unique,
                      transpose, vec_is_zero)
-from .polynomials import format_polynomial, is_squarefree, minimal_polynomial
+from .polynomials import (Polynomial, format_polynomial, is_squarefree,
+                          minimal_polynomial)
 
 
 @dataclass(frozen=True)
@@ -20,9 +21,9 @@ class ContactStructure:
     horizontal_basis spans ker(eta); projector is P = I - xi (x) eta, the
     projection onto the horizontal space along the Reeb line.  deta, its
     matrix D[i][j] = d eta(e_i, e_j) and eta_row are kept from the Reeb
-    solve; ad(xi), its minimal polynomial and the classification of that
-    polynomial that the vanishing theorem allows (ad_reeb_root_square) are
-    computed at most once per structure, on first use.
+    solve; ad(xi), its minimal polynomial and whether that polynomial is
+    squarefree (ad_reeb_diagonalizable) are computed at most once per
+    structure, on first use.
     """
 
     algebra: LieAlgebra
@@ -49,58 +50,32 @@ class ContactStructure:
         return minimal_polynomial(self.ad_reeb)
 
     @cached_property
-    def ad_reeb_root_square(self):
-        """d with ad(xi) diagonalizable over C with roots 0 and +-sqrt(d):
-        0 for the minimal polynomial t, -c1 for t^3 + c1 t when n = 1;
-        None when the minimal polynomial is not squarefree.
+    def ad_reeb_diagonalizable(self):
+        """ad(xi) is diagonalizable over C: its minimal polynomial is
+        squarefree."""
+        return is_squarefree(self.ad_reeb_minpoly)
 
-        ad(xi) kills xi, and for n = 1 it is trace-free on ker eta; for
-        n > 1 a diagonalizable ad(xi) is zero.  Any other squarefree
-        minimal polynomial contradicts the vanishing theorem."""
+    @property
+    def ad_reeb_root_squares(self):
+        """q with m(t) = t q(t^2), m the squarefree minimal polynomial of
+        ad(xi): ad(xi) kills xi and preserves d eta on ker eta, so its
+        spectrum is symmetric under t -> -t and m is odd."""
         m = self.ad_reeb_minpoly
-        if not is_squarefree(m):
-            return None
-        coeffs = m.coeffs
-        if coeffs == (0, 1):
-            return coeffs[0]
-        if self.n == 1 and len(coeffs) == 4 and coeffs[0] == coeffs[2] == 0:
-            return -coeffs[1]
-        raise InternalInvariantError(
-            "ad(xi) has the squarefree minimal polynomial %s with n = %d; "
-            "the vanishing theorem allows only t, and t^3 - d*t when n = 1"
-            % (format_polynomial(m), self.n))
+        if any(m.coeffs[0::2]):
+            raise InternalInvariantError(
+                "the squarefree minimal polynomial %s of ad(xi) is not odd"
+                % format_polynomial(m))
+        return Polynomial(m.coeffs[1::2])
 
 
 def _rows(m):
     return tuple(tuple(r) for r in m)
 
 
-def _require_one_form(algebra, eta):
-    if eta.degree != 1 or eta.dim != algebra.dim:
-        raise InputError("eta must be a 1-form on the algebra")
-
-
 def reeb(algebra, eta):
-    """The unique xi with eta(xi) = 1 and d(eta)(xi, e_j) = 0 for all j.
-
-    Solved as one exact linear system; it is singular exactly when
-    eta ^ (d eta)^n = 0, i.e. when eta is not contact.
-    """
-    _require_one_form(algebra, eta)
-    d = two_form_matrix(ce_differential(algebra, eta))
-    try:
-        return _solve_reeb(algebra, one_form_coefficients(eta), d)
-    except SingularSystemError as exc:
-        raise InputError(
-            "no unique Reeb field: eta is not a contact form "
-            "(the defining linear system is singular)") from exc
-
-
-def _solve_reeb(algebra, eta_row, d):
-    # equation j:  sum_i xi_i * deta(e_i, e_j) = 0, a row of D^T
-    rows = [eta_row] + transpose(d)
-    rhs = [algebra.one_scalar()] + [algebra.zero_scalar()] * algebra.dim
-    return solve_unique(rows, rhs)
+    """The unique xi with eta(xi) = 1 and d(eta)(xi, e_j) = 0 for all j;
+    InputError when eta is not contact (see contact_structure)."""
+    return list(contact_structure(algebra, eta).reeb)
 
 
 def contact_structure(algebra, eta):
@@ -112,12 +87,15 @@ def contact_structure(algebra, eta):
     """
     if algebra.dim % 2 == 0:
         raise InputError("contact requires odd dimension, got %d" % algebra.dim)
-    _require_one_form(algebra, eta)
+    if eta.degree != 1 or eta.dim != algebra.dim:
+        raise InputError("eta must be a 1-form on the algebra")
     deta = ce_differential(algebra, eta)
     d = _rows(two_form_matrix(deta))
     eta_row = tuple(one_form_coefficients(eta))
+    # equation j:  sum_i xi_i * deta(e_i, e_j) = 0, a row of D^T
+    rhs = [algebra.one_scalar()] + [algebra.zero_scalar()] * algebra.dim
     try:
-        xi = _solve_reeb(algebra, eta_row, d)
+        xi = solve_unique([eta_row] + transpose(d), rhs)
     except SingularSystemError as exc:
         if is_contact(algebra, eta)[0]:
             raise InternalInvariantError(

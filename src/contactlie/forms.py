@@ -54,7 +54,8 @@ def _sort_index_tuple(indices):
 @dataclass(frozen=True)
 class AlternatingForm:
     """Degree-k alternating form; coeffs maps strictly increasing index
-    tuples to nonzero scalars."""
+    tuples to nonzero scalars.  Above the dimension only the zero form
+    exists."""
 
     dim: int
     degree: int
@@ -63,9 +64,6 @@ class AlternatingForm:
     def __post_init__(self):
         if self.degree < 0:
             raise InputError("form degree must be >= 0")
-        if self.degree > self.dim:
-            raise InputError(
-                "degree %d exceeds dimension %d" % (self.degree, self.dim))
         clean = {}
         for key, value in self.coeffs.items():
             key = tuple(key)
@@ -118,10 +116,6 @@ class AlternatingForm:
         return all(
             self.coeffs.get(k, Fraction(0)) == other.coeffs.get(k, Fraction(0))
             for k in keys)
-
-
-def zero_form(dim, degree):
-    return AlternatingForm(dim, degree, {})
 
 
 def one_form(dim, coeffs):
@@ -226,9 +220,6 @@ def ce_differential(algebra, form):
     if form.dim != algebra.dim:
         raise InputError("form does not live on this algebra")
     k = form.degree
-    if k >= algebra.dim:
-        # top degree: the differential is canonically zero
-        return zero_form(algebra.dim, algebra.dim)
     scale, t = structure_table(algebra)
     form_scale, scaled = integer_scale(form.coeffs.values())
     values = dict(zip(form.coeffs, scaled))

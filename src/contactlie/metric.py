@@ -230,15 +230,14 @@ def kcontact_obstruction(c):
     """Necessary condition for a K-contact metric to exist: ad(xi) must be
     diagonalizable over C with purely imaginary spectrum.
 
-    Decided exactly from c.ad_reeb_root_square, the d of the minimal
-    polynomial t or t^3 - d t that the vanishing theorem allows: the roots
-    0 and +-sqrt(d) are purely imaginary iff d <= 0.  For n > 1 a
-    NoObstruction verdict therefore means ad(xi) = 0; for n = 1 it does
-    not assert that such a metric exists.
+    Decided exactly from the minimal polynomial m(t) = t q(t^2): the roots
+    are purely imaginary iff those of q are real and negative, iff Hermite's
+    form of q weighted by -t is positive definite (Basu, Pollack and Roy,
+    Algorithms in Real Algebraic Geometry, ch. 4).  NoObstruction does not
+    assert that such a metric exists.
     """
     m = c.ad_reeb_minpoly
-    d = c.ad_reeb_root_square
-    if d is None:
+    if not c.ad_reeb_diagonalizable:
         return ObstructionReport(
             True,
             "minimal polynomial %s of ad(xi) is not squarefree"
@@ -247,14 +246,27 @@ def kcontact_obstruction(c):
     if not m.is_real():
         raise InputError(
             "spectrum obstruction test requires real structure constants")
-    if scalar_re_im(d)[0] > 0:
+    h = _hermite_matrix(c.ad_reeb_root_squares)
+    if not all(minor > 0 for minor in leading_minors(h)):
         return ObstructionReport(
             True,
-            "spectrum of ad(xi) is not purely imaginary (only 0 of 1 "
-            "eigenvalue pairs are purely imaginary; minimal polynomial %s)"
-            % format_polynomial(m),
+            "spectrum of ad(xi) is not purely imaginary (minimal "
+            "polynomial %s)" % format_polynomial(m),
             m)
     return ObstructionReport(False, None, m)
+
+
+def _hermite_matrix(q):
+    """H[i][j] = -p_{i+j+1}, p_j the power sums of the roots of the real
+    monic q = s^k + a_1 s^(k-1) + ... + a_k by Newton's identities (a_j = 0
+    for j > k); its signature is #(negative roots) - #(positive roots)."""
+    a = [scalar_re_im(x)[0] for x in reversed(q.coeffs)]
+    k = len(a) - 1
+    a += [0] * k
+    p = [k]
+    for j in range(1, 2 * k):
+        p.append(-j * a[j] - sum(a[i] * p[j - i] for i in range(1, j)))
+    return [[-p[i + j + 1] for j in range(k)] for i in range(k)]
 
 
 @dataclass(frozen=True)

@@ -1,23 +1,23 @@
 """Diagonalizability of ad(xi), root-space decomposition of contact Lie
 algebras over their complexification, and the checker for the vanishing
-theorem (diagonalizable ad(xi) with n > 1 forces ad(xi) = 0).
+theorem (diagonalizable ad(xi) with n > 1 forces ad(xi) = 0; false, so
+counterexamples are reported).
 
 On g^C the Reeb adjoint is ad(xi) extended C-linearly, the same matrix,
 so every function here takes a real or complex structure as it is.  The
-theorem leaves t as the only squarefree minimal polynomial of ad(xi), and
-t^3 - d t when n = 1 (ad(xi) kills xi and is trace-free on ker eta).
-ContactStructure.ad_reeb_root_square reads d off once per structure, and
-the roots 0 and +-sqrt(d) are written down exactly: Gaussian rationals,
-or QuadraticNumbers when d is no square in Q(i)."""
+minimal polynomial t or t^3 - d t of ad(xi) gives the exact roots 0 and
++-sqrt(d): Gaussian rationals, or QuadraticNumbers when d is no square
+in Q(i)."""
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import bracket
+from .algebra import COMPLEX, bracket
 from .contact import ContactStructure
 from .errors import InputError, InternalInvariantError
-from .linalg import dot, mat_mul, transpose, vec_is_zero
-from .polynomials import Polynomial, is_squarefree, minimal_polynomial
+from .linalg import dot, mat_mul, nullspace, rank, transpose, vec_is_zero
+from .polynomials import (Polynomial, format_polynomial, is_squarefree,
+                          minimal_polynomial)
 from .scalars import (GaussianRational, QuadraticNumber, gaussian_sqrt,
                       to_gaussian)
 
@@ -46,8 +46,8 @@ def is_diagonalizable(m):
 class RootDecomposition:
     """Roots of xi and the eigenspaces of ad(xi) on the complexification
     of a contact Lie algebra, always exact: the roots and eigenvector
-    entries are GaussianRationals, or QuadraticNumbers when n = 1 and the
-    spectrum leaves Q(i).  Roots are ordered -s, 0, s."""
+    entries are GaussianRationals, or QuadraticNumbers when the spectrum
+    leaves Q(i).  Roots are ordered -s, 0, s."""
 
     contact: ContactStructure
     roots: tuple
@@ -62,42 +62,61 @@ class RootDecomposition:
 
 def root_decomposition(c):
     """Decompose the complexified algebra into eigenspaces g_alpha of
-    ad(xi), from the minimal polynomial t (d = 0) or t^3 - d t."""
-    d = c.ad_reeb_root_square
-    if d is None:
+    ad(xi), from the minimal polynomial t or t^3 - d t: g_0 = ker A and
+    g_{+-s} for s = sqrt(d)."""
+    if not c.ad_reeb_diagonalizable:
         raise InputError(
             "ad(xi) is not diagonalizable; the root-space hypothesis fails")
-    if d == 0:
+    q = c.ad_reeb_root_squares
+    if q.degree > 1:
+        raise InputError(
+            "exact roots need the minimal polynomial t or t^3 - d*t of "
+            "ad(xi), not %s" % format_polynomial(c.ad_reeb_minpoly))
+    a = c.ad_reeb
+    zero = GaussianRational(0)
+    if q.degree == 0:
         n = c.algebra.dim
-        spaces = {GaussianRational(0): tuple(
+        spaces = {zero: tuple(
             tuple(GaussianRational(int(i == j)) for j in range(n))
             for i in range(n))}
     else:
-        spaces = _dim3_spaces(c, d)
+        d = -q.coeffs[0]
+        s = gaussian_sqrt(d)
+        if s is None:
+            s = QuadraticNumber(0, 1, d)
+        # ker(A - s) when s lies in the structure's field; otherwise no
+        # vector there has the eigenvalue s
+        if isinstance(s, GaussianRational) and (
+                not s.im or c.algebra.field == COMPLEX):
+            minus, plus = _kernel(a, -s), _kernel(a, s)
+        else:
+            minus, plus = _image_spaces(a, s)
+        spaces = {-s: minus, zero: _kernel(a, 0), s: plus}
     rd = RootDecomposition(contact=c, roots=tuple(spaces), spaces=spaces)
     _validate_decomposition(rd)
     return rd
 
 
-def _dim3_spaces(c, d):
-    """g_{-s}, g_0 = <xi> and g_s for the minimal polynomial t^3 - d t.
-    A = ad(xi) preserves ker eta and A^2 = d there, so A u + r u lies in g_r
-    for horizontal u and r = +-s = +-sqrt(d)."""
-    s = gaussian_sqrt(d)
-    if s is None:
-        s = QuadraticNumber(0, 1, d)
-    horizontal = c.horizontal_basis
-    images = _images(c.ad_reeb, horizontal)
+def _kernel(a, r):
+    """A basis of ker(A - r), with Gaussian rational entries."""
+    shifted = [[x - r if i == j else x for j, x in enumerate(row)]
+               for i, row in enumerate(a)]
+    return tuple(tuple(map(to_gaussian, _normalized(v)))
+                 for v in nullspace(shifted))
 
-    def eigenvector(r):
-        candidates = ([x + r * y for x, y in zip(au, u)]
-                      for au, u in zip(images, horizontal))
-        return _normalized(next(v for v in candidates if not vec_is_zero(v)))
 
-    return {-s: (eigenvector(-s),),
-            GaussianRational(0): (
-                _normalized([to_gaussian(x) for x in c.reeb]),),
-            s: (eigenvector(s),)}
+def _image_spaces(a, s):
+    """Bases A u_j -+ s u_j of g_{-+s} for s outside the field of A, with
+    u_j picked among the columns of A so that the u_j and A u_j form a
+    basis of im A (A^2 = s^2 there, and no u_j is an eigenvector)."""
+    picked, basis = [], []
+    for u in transpose(a):
+        (au,) = _images(a, [u])
+        if rank(basis + [u, au]) == len(basis) + 2:
+            basis += [u, au]
+            picked.append((u, au))
+    return tuple(tuple(_normalized([x + r * y for x, y in zip(au, u)])
+                       for u, au in picked) for r in (-s, s))
 
 
 def _normalized(v):
@@ -108,7 +127,7 @@ def _normalized(v):
 
 def _images(m, vectors):
     """[m v for v in vectors]: one integer product of linalg, or plain
-    products for the QuadraticNumbers of dim 3, which linalg does not take."""
+    products for QuadraticNumbers, which linalg does not take."""
     if any(isinstance(x, QuadraticNumber) for v in vectors for x in v):
         return [[dot(row, v) for row in m] for v in vectors]
     return transpose(mat_mul(m, transpose(vectors)))
@@ -122,10 +141,12 @@ def _pair(d, x, y):
 
 def _validate_decomposition(rd):
     c = rd.contact
-    if 0 not in rd.roots:
-        raise InternalInvariantError("0 is not a root, but xi is in g_0")
     roots = [r for r, basis in rd.spaces.items() for _ in basis]
     vectors = [v for basis in rd.spaces.values() for v in basis]
+    if len(vectors) != c.algebra.dim:
+        raise InternalInvariantError(
+            "root multiplicities sum to %d, not to dim %d"
+            % (len(vectors), c.algebra.dim))
     # one product each applies ad(xi) and eta to every basis vector
     for r, v, av, (height,) in zip(roots, vectors, _images(c.ad_reeb, vectors),
                                    _images([c.eta_row], vectors)):
@@ -215,7 +236,7 @@ def pairing_matrix(rd, alpha):
 @dataclass(frozen=True)
 class TheoremReport:
     """Outcome of the vanishing-theorem check on the complexification of a
-    contact algebra."""
+    contact algebra; an applicable counterexample is a failure too."""
 
     applicable: bool
     hypothesis_failures: tuple
@@ -226,30 +247,23 @@ class TheoremReport:
 
 def verify_reeb_theorem(c):
     """If ad(xi) is diagonalizable on the complexification and n > 1,
-    assert ad(xi) = 0 exactly.
+    check ad(xi) = 0 exactly.
 
-    n = 1 inputs are reported as excluded, non-diagonalizable ones as
-    hypothesis failures; an applicable case with ad(xi) != 0 would
-    contradict the theorem and raises an internal error.
+    n <= 1 inputs are reported as excluded, non-diagonalizable ones as
+    hypothesis failures, an applicable case with ad(xi) != 0 (such as
+    su(2) + aff(1)) as a counterexample.
     """
     n = c.n
-    a = c.ad_reeb
     failures = []
-    diagonalizable = c.ad_reeb_root_square is not None
-    if not diagonalizable:
+    if not c.ad_reeb_diagonalizable:
         failures.append("ad(xi) is not diagonalizable")
     if n <= 1:
         failures.append("n = %d (theorem requires n > 1)" % n)
-    applicable = not failures
-    roots = ()
-    if diagonalizable:
-        roots = tuple(root_decomposition(c).roots)
-    if not applicable:
+    roots = root_decomposition(c).roots if c.ad_reeb_diagonalizable else ()
+    if failures:
         return TheoremReport(False, tuple(failures), False, roots, n)
-    ad_zero = all(x == 0 for row in a for x in row)
+    ad_zero = all(x == 0 for row in c.ad_reeb for x in row)
     if not ad_zero:
-        raise InternalInvariantError(
-            "diagonalizable ad(xi) with n > 1 but ad(xi) != 0: this "
-            "contradicts the vanishing theorem; input passed validation "
-            "incorrectly. ad(xi) = %r, roots = %r" % (a, roots))
-    return TheoremReport(True, (), True, roots, n)
+        failures.append("counterexample: diagonalizable ad(xi) != 0 with "
+                        "n = %d" % n)
+    return TheoremReport(True, tuple(failures), ad_zero, roots, n)

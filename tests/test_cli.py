@@ -90,6 +90,7 @@ def test_analyze_exact_metric(capsys):
 def test_analyze_auto_metric(capsys):
     verdicts = {"aff1_aff1_ext5": True, "heisenberg3": True,
                 "heisenberg5": True, "heisenberg7": True, "su2": True,
+                "su2_aff1": True,
                 "nilpotent_nondiag5": False, "sl2r": False}
     for name, kcontact in verdicts.items():
         code, doc = run_json(capsys, "analyze", name, "--auto-metric")
@@ -122,6 +123,34 @@ def test_roots_su2(capsys):
     code, doc = run_json(capsys, "roots", "su2")
     assert [r["root"] for r in doc["roots"]] == ["0,-1", "0,0", "0,1"]
     assert doc["obstruction"] is None
+
+
+def test_su2_aff1_counterexample(capsys):
+    """K-contact in dim 5 with non-central Reeb field: analyze answers
+    instead of reporting a violated invariant, with no quotient."""
+    code, out = run(capsys, "analyze", "su2_aff1")
+    assert code == 0
+    assert "K-contact: yes" in out and "ad(xi) = 0: no" in out
+    assert "counterexample" in out and "central quotient:" not in out
+    code, doc = run_json(capsys, "roots", "su2_aff1")
+    assert code == 0 and doc["obstruction"] is None
+    assert [(r["root"], r["multiplicity"]) for r in doc["roots"]] == \
+        [("0,-1", 1), ("0,0", 3), ("0,1", 1)]
+
+
+def test_one_dimensional_contact_algebra(capsys, tmp_path):
+    """eta = e1* on R is contact with n = 0: d eta is the zero 2-form."""
+    p = tmp_path / "a.json"
+    p.write_text(json.dumps({"name": "a", "dim": 1,
+                             "forms": {"eta": ["1"]}}))
+    code, doc = run_json(capsys, "contact-check", str(p))
+    assert code == 0 and doc["top_coefficient"] == "1"
+    code, doc = run_json(capsys, "reeb", str(p))
+    assert code == 0 and doc["reeb"] == ["1"]
+    code, doc = run_json(capsys, "analyze", str(p), "--auto-metric")
+    assert code == 0 and doc["kcontact"] is True
+    assert doc["notes"] == ["dim = 1 (n = 0): excluded from the vanishing "
+                            "theorem; ad(xi) is zero"]
 
 
 def sl2r_file(path):
@@ -199,7 +228,7 @@ def test_catalog_list(capsys):
     assert code == 0
     names = [e["name"] for e in doc["entries"]]
     assert names == sorted(names)
-    assert "heisenberg3" in names and len(names) == 10
+    assert "heisenberg3" in names and len(names) == 11
 
 
 def test_catalog_show(capsys):

@@ -8,11 +8,12 @@ from contactlie.contact import (contact_structure, decompose, reeb,
                                 reeb_bracket_is_horizontal)
 from contactlie.errors import InputError
 from contactlie.forms import evaluate, one_form
+from contactlie.polynomials import Polynomial
 
 CAT = catalog()
 
 CONTACT_NAMES = ["heisenberg3", "heisenberg5", "heisenberg7", "su2",
-                 "sl2r", "aff1_aff1_ext5", "nilpotent_nondiag5"]
+                 "su2_aff1", "sl2r", "aff1_aff1_ext5", "nilpotent_nondiag5"]
 
 
 def test_reeb_catalog_values():
@@ -38,10 +39,16 @@ def test_reeb_defining_equations_exact():
     ("heisenberg3", 0), ("heisenberg5", 0), ("heisenberg7", 0),
     ("aff1_aff1_ext5", 0),          # minimal polynomial t
     ("su2", -1), ("sl2r", 1),       # t^3 - d t
+    ("su2_aff1", -1),               # t^3 + t with n = 2
     ("nilpotent_nondiag5", None),   # t^4, not squarefree
 ])
 def test_ad_reeb_root_square_catalog(name, d):
-    assert CAT[name].contact().ad_reeb_root_square == d
+    """The minimal polynomial t q(t^2) of ad(xi) has q = 1 or q = s - d,
+    d the square of the nonzero roots."""
+    c = CAT[name].contact()
+    assert c.ad_reeb_diagonalizable == (d is not None)
+    if d is not None:
+        assert c.ad_reeb_root_squares == Polynomial([-d, 1] if d else [1])
 
 
 def test_reeb_singular_for_noncontact():

@@ -9,9 +9,9 @@ from contactlie.algebra import LieAlgebra, bracket, check_jacobi
 from contactlie.catalog import catalog
 from contactlie.contact import contact_structure
 from contactlie.errors import InputError, InternalInvariantError
-from contactlie.extension import (SymplecticAlgebra, analyze_kcontact,
-                                  central_extension, central_quotient,
-                                  round_trip)
+from contactlie.extension import (MainTheoremReport, SymplecticAlgebra,
+                                  analyze_kcontact, central_extension,
+                                  central_quotient, round_trip)
 from contactlie.forms import (AlternatingForm, ce_differential, is_contact,
                               two_form)
 from contactlie.linalg import identity, mat_vec
@@ -191,6 +191,16 @@ def test_analyze_kcontact_pipeline():
     rep = analyze_kcontact(CAT["su2"].contact(), CAT["su2"].metric)
     assert rep.is_kcontact and not rep.ad_xi_zero
     assert rep.quotient is None and any("n = 1" in t for t in rep.notes)
+    # dim 5 with non-central Reeb field: reported, no quotient
+    rep = analyze_kcontact(CAT["su2_aff1"].contact(), CAT["su2_aff1"].metric)
+    assert rep.is_kcontact and not rep.ad_xi_zero and rep.quotient is None
+    assert any("counterexample" in t for t in rep.notes)
+
+
+def test_main_theorem_report_requires_quotient_for_central_reeb_field():
+    with pytest.raises(InternalInvariantError, match="no central quotient"):
+        MainTheoremReport(is_kcontact=True, dim=5, ad_xi_zero=True)
+    MainTheoremReport(is_kcontact=True, dim=5, ad_xi_zero=False)
 
 
 def test_analyze_with_auto_metric():

@@ -10,8 +10,10 @@ a contact structure (nabla xi from the contracted Koszul formula), the
 spectral layer on a real structure (which complexifies through its
 scalars) and the integer kernels of linalg (rref, det, mat_mul, mat_vec)
 must agree exactly with the direct definitions they replaced.  The
-K-contact obstruction must agree with sympy's spectrum of ad(xi) in dim 3
-and with the centrality of xi above.
+K-contact obstruction must agree with sympy's spectrum of ad(xi), and with
+the signs a_j b_j of a seeded block matrix 0 + sum_j [[0, a_j], [-b_j, 0]].
+Contact + Frobenius algebras su(2) or sl(2,R) + aff(1)^k, whose Reeb field
+is not central for n > 1, run through the whole pipeline.
 """
 
 from fractions import Fraction
@@ -28,8 +30,7 @@ from contactlie.extension import (SymplecticAlgebra, analyze_kcontact,
                                   central_extension)
 from contactlie.forms import (AlternatingForm, basis_dual, ce_differential,
                               complexify_form, is_contact, one_form,
-                              one_form_coefficients, two_form, wedge,
-                              zero_form)
+                              one_form_coefficients, two_form, wedge)
 from contactlie.linalg import (det, inverse, mat_mul, mat_vec, rref,
                                transpose)
 from contactlie.metric import (MetricData, _reeb_derivative,
@@ -124,8 +125,6 @@ def jacobi_by_brackets(algebra):
 def differential_by_coefficients(algebra, form):
     """Reference differential: every basis tuple, every pair, every m."""
     k = form.degree
-    if k >= algebra.dim:
-        return zero_form(algebra.dim, algebra.dim)
     coeffs = {}
     for key in combinations(range(algebra.dim), k + 1):
         total = Fraction(0)
@@ -554,13 +553,23 @@ def test_dim3_spectrum_is_exact(name, field, data):
 
 # -- the K-contact obstruction against independent oracles ------------------
 #
-# kcontact_obstruction reads the classification of ad(xi) that the
-# vanishing theorem allows; the oracles decide the spectrum directly.
+# kcontact_obstruction decides the spectrum of ad(xi) from Hermite's form of
+# q, where m(t) = t q(t^2) is the minimal polynomial; the oracles decide the
+# spectrum directly.
 
 def _reeb_is_central(c):
     return all(x == 0 for j in range(c.algebra.dim)
                for x in bracket(c.algebra, list(c.reeb),
                                 c.algebra.basis_vector(j)))
+
+
+def sympy_imaginary_spectrum(a):
+    """sympy's verdict: the matrix a is diagonalizable over C with every
+    eigenvalue on the imaginary axis."""
+    sympy = pytest.importorskip("sympy")
+    m = sympy.Matrix([[_sympy_scalar(sympy, x) for x in row] for row in a])
+    return m.is_diagonalizable() and all(
+        sympy.simplify(sympy.re(r)) == 0 for r in m.eigenvals())
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -570,7 +579,6 @@ def _reeb_is_central(c):
 def test_dim3_obstruction_matches_sympy_spectrum(name, field, data):
     """n = 1: no obstruction iff ad(xi) is diagonalizable over C with
     every eigenvalue on the imaginary axis, as sympy decides it."""
-    sympy = pytest.importorskip("sympy")
     eta = one_form(3, data.draw(st.lists(st.integers(-4, 4), min_size=3,
                                          max_size=3)))
     algebra = CAT[name].algebra
@@ -579,11 +587,8 @@ def test_dim3_obstruction_matches_sympy_spectrum(name, field, data):
     if field == "complex":
         algebra, eta = complexify(algebra), complexify_form(eta)
     c = contact_structure(algebra, eta)
-    a = sympy.Matrix([[_sympy_scalar(sympy, x) for x in row]
-                      for row in c.ad_reeb])
-    imaginary = a.is_diagonalizable() and all(
-        sympy.simplify(sympy.re(r)) == 0 for r in a.eigenvals())
-    assert kcontact_obstruction(c).obstructed == (not imaginary)
+    assert kcontact_obstruction(c).obstructed == \
+        (not sympy_imaginary_spectrum(c.ad_reeb))
 
 
 @pytest.mark.parametrize("field", ["real", "complex", "int"])
@@ -592,10 +597,88 @@ def test_dim3_obstruction_matches_sympy_spectrum(name, field, data):
 @settings(max_examples=3, deadline=None, database=None)
 @given(data=st.data())
 def test_obstruction_iff_reeb_not_central(name, field, data):
-    """n > 1: a diagonalizable ad(xi) is zero, so the obstruction holds
-    exactly when some [xi, e_j] is nonzero."""
+    """n > 1 on central extensions and the Jordan-block entry: the
+    obstruction agrees with sympy's spectrum of ad(xi), and on these
+    inputs it holds exactly when some [xi, e_j] is nonzero.  On
+    su(2) + aff(1) the equivalence fails (see
+    test_contact_plus_frobenius_pipeline)."""
     c = contact_structure(*conjugated_input(data, name, field))
-    assert kcontact_obstruction(c).obstructed == (not _reeb_is_central(c))
+    obstructed = kcontact_obstruction(c).obstructed
+    assert obstructed == (not sympy_imaginary_spectrum(c.ad_reeb))
+    assert obstructed == (not _reeb_is_central(c))
+
+
+@pytest.mark.parametrize("pairs", [2, 3])
+@settings(max_examples=10, deadline=None, database=None)
+@given(data=st.data())
+def test_obstruction_matches_block_spectrum(pairs, data):
+    """ad(xi) seeded as 0 + sum_j [[0, a_j], [-b_j, 0]] under a dense P,
+    with distinct products a_j b_j, so that q has degree `pairs`: the
+    block j has the eigenvalues +-sqrt(-a_j b_j), and the spectrum is
+    purely imaginary iff every a_j b_j > 0."""
+    nonzero = st.integers(-4, 4).filter(bool)
+    a = data.draw(st.lists(nonzero, min_size=pairs, max_size=pairs))
+    b = data.draw(st.lists(nonzero, min_size=pairs, max_size=pairs))
+    assume(len({x * y for x, y in zip(a, b)}) == pairs)
+    n = 2 * pairs + 1
+    blocks = [[Fraction(0)] * n for _ in range(n)]
+    for j, (x, y) in enumerate(zip(a, b)):
+        blocks[2 * j + 1][2 * j + 2], blocks[2 * j + 2][2 * j + 1] = x, -y
+    p = [[Fraction(x) for x in row] for row in data.draw(change_of_basis(n))]
+    c = CAT["heisenberg%d" % n].contact()
+    vars(c)["ad_reeb"] = mat_mul(inverse(p), mat_mul(blocks, p))
+    assert c.ad_reeb_root_squares.degree == pairs
+    assert kcontact_obstruction(c).obstructed == \
+        any(x * y < 0 for x, y in zip(a, b))
+
+
+def _direct_sum(g1, f):
+    """g1 + f, each bracketing on its own block of the basis."""
+    m, n = g1.dim, g1.dim + f.dim
+    brackets = {(i, j): tuple(v) + (0,) * f.dim
+                for (i, j), v in g1.brackets.items()}
+    brackets.update({(m + i, m + j): (0,) * m + tuple(v)
+                     for (i, j), v in f.brackets.items()})
+    return LieAlgebra(g1.name + "+" + f.name, n, brackets=brackets)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("name", ["su2", "sl2r"])
+@settings(max_examples=3, deadline=None, database=None)
+@given(data=st.data())
+def test_contact_plus_frobenius_pipeline(name, k, data):
+    """eta = eta1 + alpha on g1 + aff(1)^k, with eta1 contact on the dim-3
+    g1 and d alpha nondegenerate, under a dense P: the Reeb field is the
+    transported Reeb field xi1 of eta1, the obstruction is sympy's verdict
+    on ad(xi1) in dim 3, and no step of the pipeline reports a violated
+    invariant.  g1 has no centre, so ad(xi) != 0 although n = k + 1 > 1."""
+    ints = st.integers(-4, 4)
+    eta1 = data.draw(st.lists(ints, min_size=3, max_size=3))
+    g1 = CAT[name].algebra
+    assume(is_contact(g1, one_form(3, eta1))[0])
+    alpha = []
+    for _ in range(k):
+        alpha += [data.draw(ints), data.draw(ints.filter(bool))]
+    algebra = _direct_sum(g1, _aff1_power(k))
+    p = data.draw(change_of_basis(algebra.dim))
+    c = contact_structure(*conjugate(
+        algebra, one_form(algebra.dim, eta1 + alpha), p))
+    c1 = contact_structure(g1, one_form(3, eta1))
+    # coordinates transform by P: xi = P xi' for the Reeb field xi' of c
+    assert mat_vec(transpose(_columns(p)), list(c.reeb)) == \
+        list(c1.reeb) + [0] * (2 * k)
+    obstructed = kcontact_obstruction(c).obstructed
+    assert obstructed == (not sympy_imaginary_spectrum(c1.ad_reeb))
+    if c.ad_reeb_diagonalizable:
+        rd = root_decomposition(c)
+        assert sum(rd.multiplicities.values()) == algebra.dim
+        verify_graded_bracket(rd)
+    report = verify_reeb_theorem(c)
+    assert report.applicable == c.ad_reeb_diagonalizable
+    assert not report.conclusion_verified
+    rep = analyze_kcontact(c, construct_associated_metric(c))
+    assert not (rep.is_kcontact and obstructed)
+    assert rep.quotient is None and not rep.ad_xi_zero
 
 
 def _sympy_scalar(sympy, x):

@@ -213,17 +213,55 @@ def test_quadratic_spectrum_is_exact(name, eta, d, complexified):
 
 
 @pytest.mark.parametrize("name, coeffs", [
-    ("heisenberg5", [0, -1, 0, 1]),     # t^3 - t
+    ("heisenberg5", [-1, 0, 1]),        # t^2 - 1
     ("heisenberg5", [-1, 1]),           # t - 1
     ("aff1_aff1_ext5", [1, 0, 1]),      # t^2 + 1
     ("sl2r", [0, -1, 1]),               # t^2 - t at n = 1
 ])
 def test_theorem_forbidden_minimal_polynomial_raises(name, coeffs):
-    """A squarefree minimal polynomial other than t, and t^3 - d t when
-    n = 1, contradicts the vanishing theorem wherever it is read."""
+    """ad(xi) kills xi and is infinitesimally symplectic on ker eta, so a
+    squarefree minimal polynomial is odd; one that is not contradicts that
+    theorem wherever it is read."""
     c = CAT[name].contact()
     vars(c)["ad_reeb_minpoly"] = F(*coeffs)   # seed the cache
     for check in (root_decomposition, kcontact_obstruction,
                   verify_reeb_theorem):
-        with pytest.raises(InternalInvariantError, match="vanishing theorem"):
+        with pytest.raises(InternalInvariantError, match="not odd"):
             check(c)
+
+
+@pytest.mark.parametrize("name", ["heisenberg5", "sl2r"])
+@pytest.mark.parametrize("coeffs, obstructed", [
+    ([0, -1, 0, 1], True),              # t^3 - t: roots 0, +-1
+    ([0, 1, 0, 1], False),              # t^3 + t: roots 0, +-i
+])
+def test_seeded_odd_minimal_polynomial_is_decided(name, coeffs, obstructed):
+    """t q(t^2) is decided from q for every n, also at n = 2 where the
+    refuted vanishing lemma allowed only t."""
+    c = CAT[name].contact()
+    vars(c)["ad_reeb_minpoly"] = F(*coeffs)   # seed the cache
+    assert kcontact_obstruction(c).obstructed == obstructed
+
+
+def test_root_decomposition_names_minimal_polynomial_beyond_one_root_pair():
+    """t (t^2 + 1)(t^2 + 4): exact roots for two root pairs are out of
+    scope, an input error that names the minimal polynomial."""
+    c = CAT["heisenberg5"].contact()
+    vars(c)["ad_reeb_minpoly"] = F(0, 4, 0, 5, 0, 1)
+    with pytest.raises(InputError, match=r"4\*t \+ 5\*t\^3 \+ t\^5"):
+        root_decomposition(c)
+    assert not kcontact_obstruction(c).obstructed
+
+
+def test_theorem_checker_reports_counterexample():
+    """su(2) + aff(1): n = 2, ad(xi) diagonalizable with roots 0, +-i and
+    nonzero; the checker reports it instead of raising."""
+    c = CAT["su2_aff1"].contact()
+    rep = verify_reeb_theorem(c)
+    assert rep.applicable and not rep.conclusion_verified
+    assert any("counterexample" in f for f in rep.hypothesis_failures)
+    i = GaussianRational(0, 1)
+    assert rep.roots == (-i, GaussianRational(0), i)
+    rd = root_decomposition(c)
+    assert rd.multiplicities == {-i: 1, GaussianRational(0): 3, i: 1}
+    assert verify_graded_bracket(rd).pairs_checked == 25
