@@ -23,11 +23,10 @@ from .metric import (Connection, MetricData, ObstructionReport,
                      construct_associated_metric, is_associated,
                      is_kcontact, kcontact_obstruction, levi_civita,
                      skew_normal_form, symplectic_is_associated)
+from .polynomials import minimal_polynomial
 from .scalars import GaussianRational, format_scalar, parse_scalar
 from .spectral import (GradedBracketReport, RootDecomposition,
-                       TheoremReport, characteristic_polynomial,
-                       find_dual_partner, is_diagonalizable,
-                       minimal_polynomial, pairing_matrix,
+                       TheoremReport, find_dual_partner, pairing_matrix,
                        root_decomposition, verify_graded_bracket,
                        verify_reeb_theorem)
 

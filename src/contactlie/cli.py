@@ -301,7 +301,7 @@ def _cmd_catalog(args):
         report["obstruction"] = (obstruction.reason
                                  if obstruction.obstructed else None)
         text.append("kcontact_obstruction: %s" % obstruction)
-        report["ad_xi_zero"] = all(x == 0 for row in c.ad_reeb for x in row)
+        report["ad_xi_zero"] = c.ad_reeb_is_zero
     else:
         report["omega"] = [[i, j, format_scalar(v)]
                            for (i, j), v in sorted(e.omega.coeffs.items())]

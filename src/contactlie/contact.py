@@ -21,9 +21,9 @@ class ContactStructure:
     horizontal_basis spans ker(eta); projector is P = I - xi (x) eta, the
     projection onto the horizontal space along the Reeb line.  deta, its
     matrix D[i][j] = d eta(e_i, e_j) and eta_row are kept from the Reeb
-    solve; ad(xi), its minimal polynomial and whether that polynomial is
-    squarefree (ad_reeb_diagonalizable) are computed at most once per
-    structure, on first use.
+    solve; ad(xi), whether it is zero, its minimal polynomial and whether
+    that polynomial is squarefree (ad_reeb_diagonalizable) are computed at
+    most once per structure, on first use.
     """
 
     algebra: LieAlgebra
@@ -43,6 +43,11 @@ class ContactStructure:
     def ad_reeb(self):
         """ad(xi) as a tuple of rows."""
         return _rows(ad(self.algebra, list(self.reeb)))
+
+    @cached_property
+    def ad_reeb_is_zero(self):
+        """ad(xi) = 0: the Reeb field is central."""
+        return all(x == 0 for row in self.ad_reeb for x in row)
 
     @cached_property
     def ad_reeb_minpoly(self):

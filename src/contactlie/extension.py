@@ -37,7 +37,7 @@ class SymplecticAlgebra:
 def central_quotient(c):
     """Quotient by the central Reeb line: s = g / <xi> with
     omega(Xbar, Ybar) = d eta(X, Y) on images of the horizontal basis."""
-    if any(x != 0 for row in c.ad_reeb for x in row):
+    if not c.ad_reeb_is_zero:
         raise InputError(
             "Reeb field is not central (ad(xi) != 0); quotient undefined")
     basis = [list(v) for v in c.horizontal_basis]
@@ -165,7 +165,7 @@ def analyze_kcontact(c, g):
         raise InternalInvariantError(
             "K-contact structure with spectral obstruction %s" % obstruction)
     report = verify_reeb_theorem(c)
-    ad_zero = all(x == 0 for row in c.ad_reeb for x in row)
+    ad_zero = c.ad_reeb_is_zero
     quotient = None
     if dim < 5:
         note = ("dim = %d (n = %d): excluded from the vanishing theorem; "

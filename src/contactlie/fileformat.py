@@ -35,6 +35,10 @@ from .scalars import format_scalar, parse_scalar
 # largest accepted dim: the Jacobi check visits every basis triple, so its
 # cost grows as dim^3 before any other validation can fail
 MAX_DIM = 64
+# largest accepted number of nonzero structure constants, the other input
+# the Jacobi check's cost grows with; it admits every fully dense file up
+# to dim 32 (15872 constants) and none from dim 33 (17424)
+MAX_CONSTANTS = 16384
 
 
 @dataclass(frozen=True)
@@ -191,6 +195,11 @@ def parse_algebra_file(text):
                    or any(not isinstance(x, str) for x in labels)):
         raise InputError("'basis' must be a list of strings")
     brackets = _parse_brackets(doc, dim, allow_complex)
+    constants = sum(1 for coeffs in brackets.values() for c in coeffs if c)
+    if constants > MAX_CONSTANTS:
+        raise InputError(
+            "%d nonzero structure constants, above the limit "
+            "MAX_CONSTANTS = %d" % (constants, MAX_CONSTANTS))
     algebra = LieAlgebra(name=name, dim=dim, field=field_name,
                          brackets=brackets, basis_labels=tuple(labels))
     violations = check_jacobi(algebra)

@@ -11,13 +11,11 @@ for products), so only the final conversion back to Fractions pays a
 gcd, once per result entry.  rref is a fraction-free
 Gauss-Jordan elimination and det a Bareiss elimination (Bareiss 1968,
 "Sylvester's identity and multistep integer-preserving Gaussian
-elimination"); every division in them is exact.  A product splits a
-Gaussian operand into integer real and imaginary matrices and skips an
-all-zero imaginary part.  Input with a nonzero imaginary part keeps the
-pivoted elimination over the Gaussian rationals: the same fraction-free
-elimination in GaussianRational arithmetic over Z[i] took twice as long
-on dense 5x5 and 9x9 complex matrices.  RREF and det do not depend on
-the pivot order, so both paths give the same values.
+elimination"); every division in them is exact.  Input with a nonzero
+imaginary part runs the same two eliminations in GaussianRational
+arithmetic, where the exact division is the field's.  A product splits
+a Gaussian operand into integer real and imaginary matrices and skips an
+all-zero imaginary part.
 """
 
 from fractions import Fraction
@@ -25,18 +23,7 @@ from math import lcm, prod
 from operator import add, mul, sub
 
 from .errors import SingularSystemError
-from .scalars import GaussianRational
-
-
-def _inverse(x):
-    """Exact 1 / x; Fraction defers to GaussianRational.__rtruediv__."""
-    return Fraction(1) / x
-
-
-def _pivot_size(x):
-    if isinstance(x, GaussianRational):
-        return x.norm()
-    return abs(x)
+from .scalars import GaussianRational, to_gaussian
 
 
 def identity(n):
@@ -152,11 +139,18 @@ def mat_eq(a, b):
 
 # -- elimination ---------------------------------------------------------------
 
+def _gaussian_rows(m):
+    """m with every entry a GaussianRational, for the kernels below."""
+    return [[to_gaussian(x) for x in row] for row in m]
+
+
 def rref(m):
     """Reduced row echelon form.  Returns (rows, pivot_columns)."""
     re, im, gaussian = _parts(m)
     if im is not None:
-        return _rref_pivoted(m)
+        rows = _gaussian_rows(m)
+        pivots, d = _rref_integer(rows, len(rows[0]))
+        return [[x / d for x in row] for row in rows], pivots
     rows, _ = _integer_rows(re)
     ncols = len(rows[0]) if rows else 0
     pivots, d = _rref_integer(rows, ncols)
@@ -167,12 +161,13 @@ def rref(m):
 
 
 def _rref_integer(a, ncols):
-    """Fraction-free Gauss-Jordan elimination of the integer rows a, in
-    place.  Every row i != r becomes (piv * row_i - f * row_r) // prev,
-    also when its entry f in the pivot column is already 0, so that after
-    each step all pivot rows share the pivot as their pivot entry and
-    every entry is a minor of a (Sylvester's identity): the divisions are
-    exact.  Returns (pivot columns, d) with d times the RREF in a."""
+    """Fraction-free Gauss-Jordan elimination of the integer (or
+    GaussianRational) rows a, in place.  Every row i != r becomes
+    (piv * row_i - f * row_r) // prev, also when its entry f in the pivot
+    column is already 0, so that after each step all pivot rows share the
+    pivot as their pivot entry and every entry is a minor of a
+    (Sylvester's identity): the divisions are exact.  Returns (pivot
+    columns, d) with d times the RREF in a."""
     nrows = len(a)
     pivots = []
     prev = 1
@@ -194,32 +189,6 @@ def _rref_integer(a, ncols):
         prev = piv
         pivots.append(c)
     return pivots, prev
-
-
-def _rref_pivoted(m):
-    """rref over a field, inverting the largest pivot of each column (by
-    |.| resp. the field norm)."""
-    rows = [list(r) for r in m]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        pivot = max(range(r, nrows), key=lambda i: _pivot_size(rows[i][c]))
-        if rows[pivot][c] == 0:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = _inverse(rows[r][c])
-        rows[r] = [inv * x for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows, pivots
 
 
 def rank(m):
@@ -272,11 +241,11 @@ def inverse(m):
 
 
 def _bareiss(a, pivoting=True):
-    """Fraction-free forward elimination of the square integer rows a
-    (Bareiss 1968).  Yields the pivot of each step times the sign of the
-    row swaps so far; the last value is det a.  Without pivoting no row
-    is swapped and the k-th value is the k-th leading principal minor of
-    a.  Stops after a zero value."""
+    """Fraction-free forward elimination of the square integer (or
+    GaussianRational) rows a (Bareiss 1968).  Yields the pivot of each
+    step times the sign of the row swaps so far; the last value is det a.
+    Without pivoting no row is swapped and the k-th value is the k-th
+    leading principal minor of a.  Stops after a zero value."""
     sign, prev = 1, 1
     while a:
         if pivoting:
@@ -301,35 +270,15 @@ def det(m):
     """Determinant; the zero of the field for a singular matrix."""
     re, im, gaussian = _parts(m)
     if im is not None:
-        return _det_pivoted(m)
+        for d in _bareiss(_gaussian_rows(m)):
+            pass
+        return to_gaussian(d)
     rows, scales = _integer_rows(re)
     d = 1
     for d in _bareiss(rows):
         pass
     value = Fraction(d, prod(scales))
     return GaussianRational(value) if gaussian else value
-
-
-def _det_pivoted(m):
-    """det over a field by Gaussian elimination with the largest pivot."""
-    n = len(m)
-    rows = [list(r) for r in m]
-    sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        pivot = max(range(c, n), key=lambda i: _pivot_size(rows[i][c]))
-        if rows[pivot][c] == 0:
-            return Fraction(0) * rows[pivot][c]  # the field's zero
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            sign = -sign
-        result = result * rows[c][c]
-        inv = _inverse(rows[c][c])
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return sign * result
 
 
 def leading_minors(m):
@@ -368,7 +317,7 @@ def pfaffian(m):
             result = -result
         pivot = a[k][k + 1]
         result = result * pivot
-        inv = _inverse(pivot)
+        inv = Fraction(1) / pivot
         u = a[k + 1]
         tau = [x * inv for x in a[k]]
         # A'[i][j] = A[i][j] - tau_i A[k+1][j] + tau_j A[k+1][i], i, j > k+1

@@ -5,7 +5,7 @@ GaussianRational, an ordered pair (re, im) of reduced fractions.  Both
 types interoperate: Fraction * GaussianRational etc. all work, so generic
 linear-algebra code never needs to know which field it is over.
 QuadraticNumber, a + b sqrt(d) over Q(i), holds the roots of ad(xi)
-outside Q(i) in dim 3 and their eigenvectors; linalg does not take it.
+outside Q(i) and their eigenvectors; linalg does not take it.
 """
 
 from dataclasses import dataclass
@@ -89,6 +89,11 @@ class GaussianRational:
             return NotImplemented
         return o.__truediv__(self)
 
+    # the fraction-free eliminations of linalg divide only where the
+    # quotient is exact (Sylvester's identity); over Q(i) that is the
+    # field division
+    __floordiv__ = __truediv__
+
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
 
@@ -96,7 +101,7 @@ class GaussianRational:
         return self
 
     def norm(self):
-        """re^2 + im^2 as a Fraction (the field norm, used for pivoting)."""
+        """re^2 + im^2 as a Fraction (the field norm)."""
         return self.re * self.re + self.im * self.im
 
     # -- comparison / container protocol ----------------------------------

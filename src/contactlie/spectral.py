@@ -1,6 +1,6 @@
-"""Diagonalizability of ad(xi), root-space decomposition of contact Lie
-algebras over their complexification, and the checker for the vanishing
-theorem (diagonalizable ad(xi) with n > 1 forces ad(xi) = 0; false, so
+"""Root-space decomposition of contact Lie algebras over their
+complexification, and the checker for the vanishing theorem
+(diagonalizable ad(xi) with n > 1 forces ad(xi) = 0; false, so
 counterexamples are reported).
 
 On g^C the Reeb adjoint is ad(xi) extended C-linearly, the same matrix,
@@ -10,36 +10,14 @@ minimal polynomial t or t^3 - d t of ad(xi) gives the exact roots 0 and
 in Q(i)."""
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import COMPLEX, bracket
 from .contact import ContactStructure
 from .errors import InputError, InternalInvariantError
 from .linalg import dot, mat_mul, nullspace, rank, transpose, vec_is_zero
-from .polynomials import (Polynomial, format_polynomial, is_squarefree,
-                          minimal_polynomial)
+from .polynomials import format_polynomial
 from .scalars import (GaussianRational, QuadraticNumber, gaussian_sqrt,
                       to_gaussian)
-
-
-def characteristic_polynomial(m):
-    """Characteristic polynomial det(tI - M) by Faddeev-LeVerrier."""
-    n = len(m)
-    coeffs = [Fraction(1)]  # leading first; reversed at the end
-    mk = [row[:] for row in m]
-    for k in range(1, n + 1):
-        trace = sum(mk[i][i] for i in range(n))
-        coeffs.append(-trace * Fraction(1, k))
-        if k < n:
-            shifted = [[mk[i][j] + (coeffs[-1] if i == j else 0)
-                        for j in range(n)] for i in range(n)]
-            mk = mat_mul(m, shifted)
-    return Polynomial(list(reversed(coeffs)))
-
-
-def is_diagonalizable(m):
-    """Exact: the minimal polynomial is squarefree."""
-    return is_squarefree(minimal_polynomial(m))
 
 
 @dataclass(frozen=True)
@@ -262,8 +240,7 @@ def verify_reeb_theorem(c):
     roots = root_decomposition(c).roots if c.ad_reeb_diagonalizable else ()
     if failures:
         return TheoremReport(False, tuple(failures), False, roots, n)
-    ad_zero = all(x == 0 for row in c.ad_reeb for x in row)
-    if not ad_zero:
+    if not c.ad_reeb_is_zero:
         failures.append("counterexample: diagonalizable ad(xi) != 0 with "
                         "n = %d" % n)
-    return TheoremReport(True, tuple(failures), ad_zero, roots, n)
+    return TheoremReport(True, tuple(failures), c.ad_reeb_is_zero, roots, n)

@@ -4,10 +4,11 @@ import subprocess
 import sys
 
 import contactlie
+from contactlie.algebra import complexify
 from contactlie.catalog import catalog
 from contactlie.cli import main
 from contactlie.fileformat import AlgebraFile, save
-from contactlie.forms import one_form
+from contactlie.forms import complexify_form, one_form
 
 
 def run(capsys, *argv):
@@ -123,6 +124,24 @@ def test_roots_su2(capsys):
     code, doc = run_json(capsys, "roots", "su2")
     assert [r["root"] for r in doc["roots"]] == ["0,-1", "0,0", "0,1"]
     assert doc["obstruction"] is None
+
+
+def test_complex_su2_file(capsys, tmp_path):
+    """A `field: complex` file runs complex elimination end to end: roots
+    takes ker(A -+ i) over the Gaussian rationals."""
+    e = catalog()["su2"]
+    p = str(tmp_path / "su2c.json")
+    save(p, AlgebraFile(algebra=complexify(e.algebra),
+                        forms={"eta": complexify_form(e.eta)}))
+    code, doc = run_json(capsys, "contact-check", p)
+    assert code == 0 and doc["top_coefficient"] == "-1/2,0"
+    code, doc = run_json(capsys, "reeb", p)
+    assert code == 0 and doc["reeb"] == ["0,0", "0,0", "1,0"]
+    code, doc = run_json(capsys, "roots", p)
+    assert code == 0 and doc["obstruction"] is None
+    assert [(r["root"], r["eigenbasis"]) for r in doc["roots"]] == [
+        ("0,-1", [["0,-1", "1,0", "0,0"]]), ("0,0", [["0,0", "0,0", "1,0"]]),
+        ("0,1", [["0,1", "1,0", "0,0"]])]
 
 
 def test_su2_aff1_counterexample(capsys):

@@ -43,10 +43,11 @@ def test_reeb_defining_equations_exact():
     ("nilpotent_nondiag5", None),   # t^4, not squarefree
 ])
 def test_ad_reeb_root_square_catalog(name, d):
-    """The minimal polynomial t q(t^2) of ad(xi) has q = 1 or q = s - d,
-    d the square of the nonzero roots."""
+    """The minimal polynomial t q(t^2) of ad(xi) has q = 1 (ad(xi) = 0)
+    or q = s - d, d the square of the nonzero roots."""
     c = CAT[name].contact()
     assert c.ad_reeb_diagonalizable == (d is not None)
+    assert c.ad_reeb_is_zero == (d == 0)
     if d is not None:
         assert c.ad_reeb_root_squares == Polynomial([-d, 1] if d else [1])
 

@@ -5,6 +5,7 @@ import pytest
 
 from contactlie import fileformat
 from contactlie.catalog import catalog
+from contactlie.cli import main
 from contactlie.errors import InputError
 from contactlie.fileformat import (AlgebraFile, load, parse_algebra_file,
                                    save, serialize_algebra_file)
@@ -125,6 +126,34 @@ def test_dim_budget(monkeypatch):
         parse_algebra_file(H3_TEXT)
     assert parse_algebra_file(
         '{"name": "r2", "dim": 2, "brackets": []}').algebra.dim == 2
+
+
+def test_structure_constant_budget(monkeypatch, tmp_path, capsys):
+    """More nonzero constants than MAX_CONSTANTS is an input error (exit
+    2) raised before the Jacobi check, which need not even run."""
+    def no_jacobi(algebra):
+        raise AssertionError("check_jacobi ran")
+
+    # [e1, e2] = e3 + e4 and [e1, e3] = e1: 3 nonzero constants, and no
+    # Lie algebra
+    text = json.dumps({"name": "x", "dim": 4, "brackets": [
+        {"i": 0, "j": 1, "terms": [[2, "1"], [3, "1"]]},
+        {"i": 0, "j": 2, "terms": [[0, "1"]]}]})
+    with pytest.raises(InputError, match="Jacobi"):
+        parse_algebra_file(text)
+    monkeypatch.setattr(fileformat, "MAX_CONSTANTS", 2)
+    monkeypatch.setattr(fileformat, "check_jacobi", no_jacobi)
+    with pytest.raises(InputError,
+                       match="3 nonzero structure constants, above the "
+                             "limit MAX_CONSTANTS = 2"):
+        parse_algebra_file(text)
+    p = tmp_path / "x.json"
+    p.write_text(text)
+    assert main(["validate", str(p)]) == 2
+    assert "MAX_CONSTANTS" in capsys.readouterr().out
+    monkeypatch.undo()
+    monkeypatch.setattr(fileformat, "MAX_CONSTANTS", 1)
+    assert parse_algebra_file(H3_TEXT).algebra.dim == 3  # 1 constant
 
 
 def test_bool_is_no_integer():

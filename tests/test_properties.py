@@ -732,9 +732,11 @@ def test_quadratic_arithmetic_matches_sympy(d, parts):
 
 # -- exact linear algebra against the Fraction-arithmetic references ---------
 #
-# The integer kernels of linalg replaced the pivoted elimination and the
-# dot-product matrix product below; both are exact over any field, and
-# RREF and det do not depend on the pivot order.
+# linalg eliminates fraction-free only, over ints for real input and in
+# GaussianRational arithmetic otherwise.  The pivoted eliminations below
+# are the only ones left, its independent oracle for both; they and the
+# dot-product matrix product are exact over any field, and RREF and det
+# do not depend on the pivot order.
 
 def _pivot_size(x):
     return x.norm() if isinstance(x, GaussianRational) else abs(x)

@@ -2,18 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from contactlie.algebra import ad, bracket, complexify
+from contactlie.algebra import bracket, complexify
 from contactlie.catalog import catalog
 from contactlie.contact import contact_structure
 from contactlie.errors import InputError, InternalInvariantError
 from contactlie.forms import complexify_form, evaluate, one_form
 from contactlie.linalg import det
 from contactlie.metric import kcontact_obstruction
-from contactlie.polynomials import Polynomial
+from contactlie.polynomials import Polynomial, minimal_polynomial
 from contactlie.scalars import GaussianRational, QuadraticNumber, format_scalar
-from contactlie.spectral import (characteristic_polynomial,
-                                 find_dual_partner, is_diagonalizable,
-                                 minimal_polynomial, pairing_matrix,
+from contactlie.spectral import (find_dual_partner, pairing_matrix,
                                  root_decomposition, verify_graded_bracket,
                                  verify_reeb_theorem)
 
@@ -38,23 +36,12 @@ def test_minimal_polynomial_small():
     assert minimal_polynomial(diag) == F(6, -5, 1)
 
 
-def test_characteristic_polynomial():
-    m = [[Fraction(2), Fraction(1)], [Fraction(0), Fraction(3)]]
-    p = characteristic_polynomial(m)
-    assert p == F(6, -5, 1)
-    # char poly of ad(xi) on sl2r: t(t-1)(t+1)
-    c = CAT["sl2r"].contact()
-    a = ad(c.algebra, list(c.reeb))
-    assert characteristic_polynomial(a) == F(0, -1, 0, 1)
-
-
 def test_diagonalizability():
     c = CAT["sl2r"].contact()
-    assert is_diagonalizable(ad(c.algebra, list(c.reeb)))
+    assert c.ad_reeb_diagonalizable
     c = CAT["nilpotent_nondiag5"].contact()
-    a = ad(c.algebra, list(c.reeb))
-    assert not is_diagonalizable(a)
-    assert minimal_polynomial(a) == F(0, 0, 0, 0, 1)  # t^4
+    assert not c.ad_reeb_diagonalizable
+    assert c.ad_reeb_minpoly == F(0, 0, 0, 0, 1)  # t^4
 
 
 def test_root_decomposition_su2():
