@@ -13,7 +13,7 @@ from math import lcm
 from operator import mul
 
 from .errors import InputError
-from .linalg import vec_is_zero
+from .linalg import ScaledMatrix, vec_is_zero
 from .scalars import GaussianRational, to_gaussian
 
 REAL = "real"
@@ -119,22 +119,25 @@ def unscale(totals, d, field=None):
     return out
 
 
-def structure_table(algebra):
+def structure_table(algebra, rows=None):
     """(scale, t): t[a][b] lists the (m, c) of the nonzero coordinates of
     [e_a, e_b], for every ordered pair, with c = scale * c_ab^m.
 
     Over the reals each c is a Python int, scale the lcm of all the
     denominators; brackets, the Jacobiator and d are polynomial in the
     constants, so they are summed in ints and divided once.  Gaussian
-    constants are kept as they are, with scale 1.  Each call builds its
-    own table, linear in the number of constants: kept on the algebra it
-    saved a few percent and held memory for as long as the algebra lived.
+    constants are kept as they are, with scale 1.  Given a set of indices
+    rows, only the brackets [e_a, .] with a in rows are read, and only the
+    rows t[a] for those a are complete.  Each call builds its own table,
+    linear in the number of constants: kept on the algebra it saved a few
+    percent and held memory for as long as the algebra lived.
     """
     n = algebra.dim
-    scale, flat = integer_scale(
-        c for coeffs in algebra.brackets.values() for c in coeffs)
+    pairs = [(pair, coeffs) for pair, coeffs in algebra.brackets.items()
+             if rows is None or not rows.isdisjoint(pair)]
+    scale, flat = integer_scale(c for _, coeffs in pairs for c in coeffs)
     t = [[[] for _ in range(n)] for _ in range(n)]
-    for r, (i, j) in enumerate(algebra.brackets):
+    for r, ((i, j), _) in enumerate(pairs):
         nonzero = [(m, c) for m, c in enumerate(flat[r * n:(r + 1) * n]) if c]
         t[i][j] = nonzero
         t[j][i] = [(m, -c) for m, c in nonzero]
@@ -184,11 +187,13 @@ def check_jacobi(algebra):
 
 def ad(algebra, x):
     """Matrix of ad(x): column j holds the coordinates of [x, e_j],
-    sum_a x_a [e_a, e_j], read off the structure table."""
+    sum_a x_a [e_a, e_j], read off the rows of the structure table for the
+    a with x_a != 0."""
     n = algebra.dim
     if len(x) != n:
         raise InputError("vector length does not match algebra dimension")
-    scale, t = structure_table(algebra)
+    scale, t = structure_table(
+        algebra, {a for a, xa in enumerate(x) if xa})
     x_scale, xs = integer_scale(x)
     flat = unscale([v for row in _ad_rows(t, xs) for v in row],
                    scale * x_scale, algebra.field)
@@ -196,11 +201,12 @@ def ad(algebra, x):
 
 
 def subspace_brackets(algebra, basis, pairs):
-    """[b_i, b_j] for each (i, j) in pairs, b_i the rows of basis.
+    """The brackets [b_i, b_j] for (i, j) in pairs, b_i the rows of basis,
+    as the rows of one ScaledMatrix, Gaussian over the complex field.
 
     Entry k is (B C_k B^T)_ij, C_k the matrix of the constants c_ab^k,
     computed as ad(b_i) b_j: summed in ints over the common denominator
-    of B and the table, and divided once per entry.
+    of B and the table, which is the denominator of the result.
     """
     n = algebra.dim
     if any(len(row) != n for row in basis):
@@ -209,10 +215,11 @@ def subspace_brackets(algebra, basis, pairs):
     b_scale, flat = integer_scale(x for row in basis for x in row)
     rows = [flat[r * n:(r + 1) * n] for r in range(len(basis))]
     ads = {i: _ad_rows(t, rows[i]) for i in {i for i, _ in pairs}}
-    flat = unscale([sum(map(mul, row, rows[j]))
-                    for i, j in pairs for row in ads[i]],
-                   scale * b_scale * b_scale, algebra.field)
-    return [flat[p * n:(p + 1) * n] for p in range(len(pairs))]
+    brackets = ScaledMatrix.of([[sum(map(mul, row, rows[j]))
+                                 for row in ads[i]] for i, j in pairs],
+                               scale * b_scale * b_scale)
+    return ScaledMatrix(brackets.re, brackets.im, brackets.d,
+                        brackets.gaussian or algebra.field == COMPLEX)
 
 
 def complexify(algebra):

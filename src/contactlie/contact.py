@@ -8,7 +8,7 @@ from .algebra import LieAlgebra, ad
 from .errors import InputError, InternalInvariantError, SingularSystemError
 from .forms import (AlternatingForm, ce_differential, is_contact,
                     one_form_coefficients, two_form_matrix)
-from .linalg import (dot, mat_eq, mat_mul, mat_vec, nullspace, solve_unique,
+from .linalg import (ScaledMatrix, dot, mat_vec, nullspace, solve_unique,
                      transpose, vec_is_zero)
 from .polynomials import (Polynomial, format_polynomial, is_squarefree,
                           minimal_polynomial)
@@ -23,7 +23,10 @@ class ContactStructure:
     matrix D[i][j] = d eta(e_i, e_j) and eta_row are kept from the Reeb
     solve; ad(xi), whether it is zero, its minimal polynomial and whether
     that polynomial is squarefree (ad_reeb_diagonalizable) are computed at
-    most once per structure, on first use.
+    most once per structure, on first use.  So are the ScaledMatrix forms
+    of ad(xi), D, the projector, the horizontal basis (one row per
+    vector), xi (a column) and eta (a row), which the checks of this
+    module, metric, spectral and extension multiply.
     """
 
     algebra: LieAlgebra
@@ -43,6 +46,30 @@ class ContactStructure:
     def ad_reeb(self):
         """ad(xi) as a tuple of rows."""
         return _rows(ad(self.algebra, list(self.reeb)))
+
+    @cached_property
+    def scaled_ad_reeb(self):
+        return ScaledMatrix.of(self.ad_reeb)
+
+    @cached_property
+    def scaled_deta(self):
+        return ScaledMatrix.of(self.deta_matrix)
+
+    @cached_property
+    def scaled_projector(self):
+        return ScaledMatrix.of(self.projector)
+
+    @cached_property
+    def scaled_horizontal(self):
+        return ScaledMatrix.of(self.horizontal_basis)
+
+    @cached_property
+    def scaled_reeb(self):
+        return ScaledMatrix.of([self.reeb]).T
+
+    @cached_property
+    def scaled_eta(self):
+        return ScaledMatrix.of([self.eta_row])
 
     @cached_property
     def ad_reeb_is_zero(self):
@@ -128,18 +155,17 @@ def contact_structure(algebra, eta):
 
 
 def _validate(c):
-    eta, xi = c.eta_row, c.reeb
-    if dot(eta, xi) != 1:
+    eta, xi, p = c.scaled_eta, c.scaled_reeb, c.scaled_projector
+    if eta @ xi != ScaledMatrix.identity(1):
         raise InternalInvariantError("eta(xi) != 1 after solve")
     # d eta(xi, e_j) is the j-th entry of xi^T D
-    if not vec_is_zero(mat_vec(transpose(c.deta_matrix), xi)):
+    if not (xi.T @ c.scaled_deta).is_zero:
         raise InternalInvariantError("d eta(xi, e_j) != 0 after solve")
-    p = [list(r) for r in c.projector]
-    if not mat_eq(mat_mul(p, p), p):
+    if p @ p != p:
         raise InternalInvariantError("projector is not idempotent")
-    if not vec_is_zero(mat_vec(p, xi)):
+    if not (p @ xi).is_zero:
         raise InternalInvariantError("projector does not kill the Reeb field")
-    if not vec_is_zero(mat_vec(c.horizontal_basis, eta)):
+    if not (c.scaled_horizontal @ eta.T).is_zero:
         raise InternalInvariantError("horizontal basis vector not in ker eta")
 
 

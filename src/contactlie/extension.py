@@ -11,7 +11,7 @@ from .contact import contact_structure
 from .errors import InputError, InternalInvariantError
 from .forms import (AlternatingForm, ce_differential, is_contact, one_form,
                     two_form_matrix)
-from .linalg import det, mat_mul, rref, transpose
+from .linalg import det, rref
 from .metric import is_kcontact, kcontact_obstruction
 from .spectral import verify_reeb_theorem
 
@@ -44,16 +44,17 @@ def central_quotient(c):
     m = len(basis)
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
     # one product projects every bracket [b_i, b_j] (its columns), and
-    # one elimination of [basis | projected brackets] gives their
+    # one elimination of [B^T | projected brackets] gives their
     # coordinates in the horizontal basis
-    projected = mat_mul(c.projector, transpose(
-        subspace_brackets(c.algebra, basis, pairs)))
-    rows, pivots = rref([b + h for b, h in zip(transpose(basis), projected)])
+    projected = c.scaled_projector @ subspace_brackets(c.algebra, basis,
+                                                       pairs).T
+    hb = c.scaled_horizontal
+    reduced, pivots = rref(hb.T.beside(projected))
     if pivots != list(range(m)):
         raise InternalInvariantError(
             "a projected bracket is not in the span of the horizontal basis")
-    brackets = {pair: tuple(rows[r][m + t] for r in range(m))
-                for t, pair in enumerate(pairs)}
+    coordinates = reduced[:m, m:].T.rows()
+    brackets = {pair: tuple(coordinates[t]) for t, pair in enumerate(pairs)}
     quotient = LieAlgebra(
         name=c.algebra.name + "/center",
         dim=m,
@@ -65,7 +66,7 @@ def central_quotient(c):
         raise InternalInvariantError(
             "central quotient violates the Jacobi identity")
     # omega(b_i, b_j) = d eta(b_i, b_j) = b_i^T D b_j, the entries of B D B^T
-    w = mat_mul(basis, mat_mul(c.deta_matrix, transpose(basis)))
+    w = (hb @ c.scaled_deta @ hb.T).rows()
     omega = AlternatingForm(m, 2, {(i, j): w[i][j] for i, j in pairs})
     return SymplecticAlgebra(quotient, omega)  # validates closed + nondeg
 

@@ -30,7 +30,7 @@ from .algebra import COMPLEX, REAL, LieAlgebra, check_jacobi
 from .errors import InputError
 from .forms import one_form, two_form
 from .metric import MetricData
-from .scalars import format_scalar, parse_scalar
+from .scalars import GaussianRational, format_scalar, parse_scalar
 
 # largest accepted dim: the Jacobi check visits every basis triple, so its
 # cost grows as dim^3 before any other validation can fail
@@ -39,6 +39,11 @@ MAX_DIM = 64
 # the Jacobi check's cost grows with; it admits every fully dense file up
 # to dim 32 (15872 constants) and none from dim 33 (17424)
 MAX_CONSTANTS = 16384
+# largest accepted bit length of a coefficient's numerator or denominator
+# (of each part, on complex algebras): exact arithmetic slows with the
+# size of its integers, and every catalog and benchmark input stays
+# within 18 bits
+MAX_COEFF_BITS = 4096
 
 
 @dataclass(frozen=True)
@@ -58,6 +63,23 @@ def _require(doc, key, kind, where):
         raise InputError(
             "%r in %s must be %s, got %r"
             % (key, where, kind.__name__, type(value).__name__))
+    return value
+
+
+def _coefficient(text, allow_complex=False):
+    """parse_scalar within the MAX_COEFF_BITS budget."""
+    value = parse_scalar(text, allow_complex)
+    # an integer written with at most L characters has at most 4 L bits
+    if 4 * len(text) <= MAX_COEFF_BITS:
+        return value
+    parts = ((value.re, value.im) if isinstance(value, GaussianRational)
+             else (value,))
+    bits = max(max(p.numerator.bit_length(), p.denominator.bit_length())
+               for p in parts)
+    if bits > MAX_COEFF_BITS:
+        raise InputError(
+            "coefficient of %d bits, above the limit MAX_COEFF_BITS = %d"
+            % (bits, MAX_COEFF_BITS))
     return value
 
 
@@ -99,7 +121,7 @@ def _parse_brackets(doc, dim, allow_complex):
                 raise InputError("%s: duplicate term index %d" % (where, k))
             seen.add(k)
             try:
-                coeffs[k] = parse_scalar(text, allow_complex)
+                coeffs[k] = _coefficient(text, allow_complex)
             except InputError as exc:
                 raise InputError("%s, term e%d: %s" % (where, k + 1, exc))
         brackets[(i, j)] = tuple(coeffs)
@@ -116,7 +138,7 @@ def _parse_form(name, spec, dim, allow_complex):
                 "%s: 1-form needs %d coefficients, got %d"
                 % (where, dim, len(spec)))
         try:
-            return one_form(dim, [parse_scalar(x, allow_complex)
+            return one_form(dim, [_coefficient(x, allow_complex)
                                   for x in spec])
         except InputError as exc:
             raise InputError("%s: %s" % (where, exc))
@@ -134,7 +156,7 @@ def _parse_form(name, spec, dim, allow_complex):
                     "%s[%d]: need 0 <= i < j < dim, got i=%d, j=%d"
                     % (where, pos, i, j))
             try:
-                entries.append((i, j, parse_scalar(text, allow_complex)))
+                entries.append((i, j, _coefficient(text, allow_complex)))
             except InputError as exc:
                 raise InputError("%s[%d]: %s" % (where, pos, exc))
         return two_form(dim, entries)
@@ -152,8 +174,7 @@ def _parse_metric(name, spec, dim):
         if not isinstance(diag, list) or len(diag) != dim:
             raise InputError("%s: 'diag' needs %d entries" % (where, dim))
         try:
-            return MetricData.from_diag(
-                [parse_scalar(x) for x in diag])
+            return MetricData.from_diag([_coefficient(x) for x in diag])
         except InputError as exc:
             raise InputError("%s: %s" % (where, exc))
     if "matrix" in spec:
@@ -163,7 +184,7 @@ def _parse_metric(name, spec, dim):
                        for r in rows)):
             raise InputError("%s: 'matrix' must be %dx%d" % (where, dim, dim))
         try:
-            parsed = [[parse_scalar(x) for x in row] for row in rows]
+            parsed = [[_coefficient(x) for x in row] for row in rows]
         except InputError as exc:
             raise InputError("%s: %s" % (where, exc))
         if any(parsed[i][j] != parsed[j][i]

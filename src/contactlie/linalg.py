@@ -3,32 +3,35 @@
 Matrices are lists of row lists, vectors are sequences; entries are
 int, Fraction or GaussianRational.  rref, det, mat_mul and mat_vec give
 Fractions for real input and GaussianRationals as soon as one entry is a
-GaussianRational.
+GaussianRational.  rref also takes a ScaledMatrix and gives one back.
 
-The kernels compute over Python ints: each operand is scaled once to
-integers over a common denominator (per row for elimination, per matrix
-for products), so only the final conversion back to Fractions pays a
-gcd, once per result entry.  rref is a fraction-free
-Gauss-Jordan elimination and det a Bareiss elimination (Bareiss 1968,
-"Sylvester's identity and multistep integer-preserving Gaussian
-elimination"); every division in them is exact.  Input with a nonzero
-imaginary part runs the same two eliminations in GaussianRational
-arithmetic, where the exact division is the field's.  A product splits
-a Gaussian operand into integer real and imaginary matrices and skips an
-all-zero imaginary part.
+ScaledMatrix is the one exact matrix type the kernels compute in: integer
+rows, and integer imaginary rows when an entry has a nonzero imaginary
+part, over one positive int denominator.  Code that chains products (the
+metric identities, the root-space checks, the minimal polynomial) keeps
+its matrices in this form from one operation to the next and builds
+Fractions only for the values it returns; mat_mul and mat_vec are one
+product of this type with one conversion in and one out.  Every result
+is divided by the gcd of its denominator and its entries, so the
+integers stay as small as the values allow.
+
+rref is a fraction-free Gauss-Jordan elimination and det a Bareiss
+elimination (Bareiss 1968, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination") of the integer rows, each
+divided by the gcd of its entries first; every division in them is exact.
+The rows rref ends with are the last pivot times the RREF, which is a
+ScaledMatrix over that pivot as it stands, and inverse reads G^-1 off
+it.  Input with a nonzero imaginary part runs the same two eliminations
+in GaussianRational arithmetic, where the exact division is the field's.
 """
 
 from fractions import Fraction
-from math import lcm, prod
-from operator import add, mul, sub
+from itertools import chain
+from math import gcd, lcm, prod
+from operator import add, mul, neg, sub
 
 from .errors import SingularSystemError
 from .scalars import GaussianRational, to_gaussian
-
-
-def identity(n):
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
-            for i in range(n)]
 
 
 def transpose(m):
@@ -46,48 +49,7 @@ def field_one(m):
     return Fraction(1)
 
 
-# -- integer scaling -----------------------------------------------------------
-
-def _parts(m):
-    """(re, im, gaussian): the real and imaginary parts of the entries of
-    m as ints and Fractions; im is None when every entry is real, and
-    gaussian tells whether any entry is a GaussianRational."""
-    if not any(isinstance(x, GaussianRational) for row in m for x in row):
-        return m, None, False
-    re = [[x.re if isinstance(x, GaussianRational) else x for x in row]
-          for row in m]
-    im = [[x.im if isinstance(x, GaussianRational) else 0 for x in row]
-          for row in m]
-    if not any(x for row in im for x in row):
-        im = None
-    return re, im, True
-
-
-def _scaled(row, d):
-    return [x.numerator * (d // x.denominator) for x in row]
-
-
-def _integer_rows(m):
-    """Each row of m (ints and Fractions) times the lcm of its
-    denominators: (integer rows, row scales)."""
-    rows, scales = [], []
-    for row in m:
-        d = lcm(*[x.denominator for x in row])
-        rows.append(_scaled(row, d))
-        scales.append(d)
-    return rows, scales
-
-
-def _integer_parts(re, im):
-    """re and im (im may be None) times the lcm d of all their
-    denominators: (integer re, integer im or None, d)."""
-    parts = [re] if im is None else [re, im]
-    d = lcm(*{x.denominator for p in parts for row in p for x in row})
-    re = [_scaled(row, d) for row in re]
-    if im is not None:
-        im = [_scaled(row, d) for row in im]
-    return re, im, d
-
+# -- the scaled matrix type ----------------------------------------------------
 
 def _integer_product(a, bt):
     """Integer matrix a times the integer matrix whose columns are bt."""
@@ -98,35 +60,191 @@ def _entrywise(op, p, q):
     return [list(map(op, r, s)) for r, s in zip(p, q)]
 
 
-def _product(a, bt):
-    """a times the matrix whose columns are bt: one integer product per
-    nonzero pair of real and imaginary parts, over the product of the
-    two common denominators."""
-    a_re, a_im, a_gaussian = _parts(a)
-    b_re, b_im, b_gaussian = _parts(bt)
-    a_re, a_im, da = _integer_parts(a_re, a_im)
-    b_re, b_im, db = _integer_parts(b_re, b_im)
-    d = da * db
-    re = _integer_product(a_re, b_re)
-    if not (a_gaussian or b_gaussian):
-        return [[Fraction(x, d) for x in row] for row in re]
-    im = [[0] * len(row) for row in re]
-    if a_im is not None:
-        im = _integer_product(a_im, b_re)
-        if b_im is not None:
-            re = _entrywise(sub, re, _integer_product(a_im, b_im))
-    if b_im is not None:
-        im = _entrywise(add, im, _integer_product(a_re, b_im))
-    return [[GaussianRational(Fraction(x, d), Fraction(y, d))
-             for x, y in zip(r, s)] for r, s in zip(re, im)]
+def _times(rows, k):
+    """The integer rows times the int k."""
+    if k == 1:
+        return rows
+    return [[k * x for x in row] for row in rows]
+
+
+def _reduced(re, im, d, gaussian):
+    """(re + i im) / d with the gcd of d and every entry divided out."""
+    g = gcd(d, *chain.from_iterable(re),
+            *(chain.from_iterable(im) if im is not None else ()))
+    if g > 1:
+        d //= g
+        re = [[x // g for x in row] for row in re]
+        if im is not None:
+            im = [[x // g for x in row] for row in im]
+    return ScaledMatrix(re, im, d, gaussian)
+
+
+class ScaledMatrix:
+    """The exact matrix (re + i im) / d: re and im are lists of integer
+    rows, im is None when every imaginary part is 0, and d is a positive
+    int.  gaussian tells whether rows() gives GaussianRationals or
+    Fractions; a result is Gaussian when an operand is.
+
+    Supports @, +, -, negation, rational multiples k * m, the transpose
+    T, == (exact, by cross-multiplication), is_zero, blocks m[rows, cols],
+    beside (the columns of two matrices side by side) and inverse; rref
+    takes it too.  of() and rows() convert from and to lists of scalars.
+    """
+
+    __slots__ = ("re", "im", "d", "gaussian")
+
+    def __init__(self, re, im=None, d=1, gaussian=None):
+        if im is not None and not any(map(any, im)):
+            im = None
+        self.re, self.im, self.d = re, im, d
+        self.gaussian = im is not None if gaussian is None else gaussian
+
+    @classmethod
+    def of(cls, rows, d=1):
+        """The matrix of rows (ints, Fractions, GaussianRationals) divided
+        by the positive int d."""
+        rows = [list(row) for row in rows]
+        gaussian = any(isinstance(x, GaussianRational)
+                       for row in rows for x in row)
+        im = None
+        if gaussian:
+            im = [[x.im if isinstance(x, GaussianRational) else 0
+                   for x in row] for row in rows]
+            rows = [[x.re if isinstance(x, GaussianRational) else x
+                     for x in row] for row in rows]
+        parts = [rows] if im is None else [rows, im]
+        s = lcm(*{x.denominator for p in parts for row in p for x in row})
+        re, *im = [[[x.numerator * (s // x.denominator) for x in row]
+                    for row in p] for p in parts]
+        return _reduced(re, im[0] if im else None, s * d, gaussian)
+
+    @classmethod
+    def identity(cls, n):
+        return cls([[int(i == j) for j in range(n)] for i in range(n)])
+
+    def rows(self):
+        """The entries as lists of Fractions, or of GaussianRationals."""
+        d = self.d
+        if not self.gaussian:
+            return [[Fraction(x, d) for x in row] for row in self.re]
+        im = self.im or [[0] * len(row) for row in self.re]
+        return [[GaussianRational(Fraction(x, d), Fraction(y, d))
+                 for x, y in zip(r, s)] for r, s in zip(self.re, im)]
+
+    @property
+    def is_zero(self):
+        return self.im is None and not any(map(any, self.re))
+
+    @property
+    def T(self):
+        im = None if self.im is None else [list(c) for c in zip(*self.im)]
+        return ScaledMatrix([list(c) for c in zip(*self.re)], im, self.d,
+                            self.gaussian)
+
+    def __getitem__(self, key):
+        """The block m[rows, cols] for a pair of slices."""
+        r, c = key
+        im = None if self.im is None else [row[c] for row in self.im[r]]
+        return _reduced([row[c] for row in self.re[r]], im, self.d,
+                        self.gaussian)
+
+    def __neg__(self):
+        im = None if self.im is None else [list(map(neg, r)) for r in self.im]
+        return ScaledMatrix([list(map(neg, r)) for r in self.re], im,
+                            self.d, self.gaussian)
+
+    def __rmul__(self, k):
+        """k * m for an int or Fraction k."""
+        k = Fraction(k)
+        im = None if self.im is None else _times(self.im, k.numerator)
+        return _reduced(_times(self.re, k.numerator), im,
+                        self.d * k.denominator, self.gaussian)
+
+    def __matmul__(self, other):
+        cols = list(zip(*other.re))
+        re = _integer_product(self.re, cols)
+        im = None
+        if other.im is not None:
+            im_cols = list(zip(*other.im))
+            im = _integer_product(self.re, im_cols)
+            if self.im is not None:
+                re = _entrywise(sub, re, _integer_product(self.im, im_cols))
+        if self.im is not None:
+            part = _integer_product(self.im, cols)
+            im = part if im is None else _entrywise(add, im, part)
+        return _reduced(re, im, self.d * other.d,
+                        self.gaussian or other.gaussian)
+
+    def _aligned(self, other):
+        """(p, q, d): self.d * p = other.d * q = d, the lcm."""
+        d = lcm(self.d, other.d)
+        return d // self.d, d // other.d, d
+
+    def _imaginary(self):
+        return self.im or [[0] * len(row) for row in self.re]
+
+    def _combine(self, other, op):
+        p, q, d = self._aligned(other)
+        re = _entrywise(op, _times(self.re, p), _times(other.re, q))
+        im = None
+        if self.im is not None or other.im is not None:
+            im = _entrywise(op, _times(self._imaginary(), p),
+                            _times(other._imaginary(), q))
+        return _reduced(re, im, d, self.gaussian or other.gaussian)
+
+    def __add__(self, other):
+        return self._combine(other, add)
+
+    def __sub__(self, other):
+        return self._combine(other, sub)
+
+    def __eq__(self, other):
+        if not isinstance(other, ScaledMatrix):
+            return NotImplemented
+        p, q, _ = self._aligned(other)
+        if (self.im is None) != (other.im is None):
+            return False
+        return (_times(self.re, p) == _times(other.re, q)
+                and (self.im is None
+                     or _times(self.im, p) == _times(other.im, q)))
+
+    __hash__ = None
+
+    def beside(self, other):
+        """[self | other], row by row, over one denominator."""
+        p, q, d = self._aligned(other)
+        re = [r + s for r, s in zip(_times(self.re, p), _times(other.re, q))]
+        im = None
+        if self.im is not None or other.im is not None:
+            im = [r + s for r, s in zip(_times(self._imaginary(), p),
+                                        _times(other._imaginary(), q))]
+        return _reduced(re, im, d, self.gaussian or other.gaussian)
+
+    def inverse(self):
+        """The inverse; SingularSystemError for a singular matrix."""
+        n = len(self.re)
+        reduced, pivots = rref(self.beside(ScaledMatrix.identity(n)))
+        if pivots != list(range(n)):
+            raise SingularSystemError("matrix is singular")
+        return reduced[:, n:]
+
+
+def _primitive(rows):
+    """(contents, rows): each integer row divided by its content, the gcd
+    of its entries (a zero row keeps content 0).  Eliminations run on
+    these smallest rows; their results scale with each row."""
+    contents = [gcd(*row) for row in rows]
+    return contents, [[x // g for x in row] if g > 1 else row
+                      for g, row in zip(contents, rows)]
 
 
 def mat_mul(a, b):
-    return _product(a, transpose(b))
+    return (ScaledMatrix.of(a) @ ScaledMatrix.of(b)).rows()
 
 
 def mat_vec(a, v):
-    return [row[0] for row in _product(a, [v])]
+    column = ScaledMatrix.of(a) @ ScaledMatrix.of([v]).T
+    return [x for (x,) in column.rows()]
 
 
 def vec_is_zero(v):
@@ -145,19 +263,26 @@ def _gaussian_rows(m):
 
 
 def rref(m):
-    """Reduced row echelon form.  Returns (rows, pivot_columns)."""
-    re, im, gaussian = _parts(m)
-    if im is not None:
-        rows = _gaussian_rows(m)
-        pivots, d = _rref_integer(rows, len(rows[0]))
-        return [[x / d for x in row] for row in rows], pivots
-    rows, _ = _integer_rows(re)
-    ncols = len(rows[0]) if rows else 0
+    """Reduced row echelon form: (the RREF, pivot columns).  m is a list
+    of rows or a ScaledMatrix, and the RREF comes back in the same form."""
+    if isinstance(m, ScaledMatrix):
+        return _rref_scaled(m)
+    reduced, pivots = _rref_scaled(ScaledMatrix.of(m))
+    return reduced.rows(), pivots
+
+
+def _rref_scaled(m):
+    ncols = len(m.re[0]) if m.re else 0
+    if m.im is not None:
+        rows = [[GaussianRational(x, y) for x, y in zip(r, s)]
+                for r, s in zip(m.re, m.im)]
+        pivots, d = _rref_integer(rows, ncols)
+        return ScaledMatrix.of([[x / d for x in row] for row in rows]), pivots
+    _, rows = _primitive(m.re)
     pivots, d = _rref_integer(rows, ncols)
-    out = [[Fraction(x, d) for x in row] for row in rows]
-    if gaussian:
-        out = [[GaussianRational(x) for x in row] for row in out]
-    return out, pivots
+    if d < 0:
+        rows, d = [list(map(neg, row)) for row in rows], -d
+    return _reduced(rows, None, d, m.gaussian), pivots
 
 
 def _rref_integer(a, ncols):
@@ -232,12 +357,7 @@ def nullspace(m):
 
 
 def inverse(m):
-    n = len(m)
-    aug = [list(row) + ident_row for row, ident_row in zip(m, identity(n))]
-    rows, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise SingularSystemError("matrix is singular")
-    return [row[n:] for row in rows]
+    return ScaledMatrix.of(m).inverse().rows()
 
 
 def _bareiss(a, pivoting=True):
@@ -268,17 +388,17 @@ def _bareiss(a, pivoting=True):
 
 def det(m):
     """Determinant; the zero of the field for a singular matrix."""
-    re, im, gaussian = _parts(m)
-    if im is not None:
+    s = ScaledMatrix.of(m)
+    if s.im is not None:
         for d in _bareiss(_gaussian_rows(m)):
             pass
         return to_gaussian(d)
-    rows, scales = _integer_rows(re)
+    contents, rows = _primitive(s.re)
     d = 1
     for d in _bareiss(rows):
         pass
-    value = Fraction(d, prod(scales))
-    return GaussianRational(value) if gaussian else value
+    value = Fraction(d * prod(contents), s.d ** len(rows))
+    return GaussianRational(value) if s.gaussian else value
 
 
 def leading_minors(m):
@@ -286,11 +406,13 @@ def leading_minors(m):
     Fractions), of size 1 upward, as the pivots of one unpivoted Bareiss
     elimination; stops after the first zero one.  All are positive
     exactly when the symmetric m is positive-definite (Sylvester)."""
-    rows, scales = _integer_rows(m)
-    scale = 1
-    for s, pivot in zip(scales, _bareiss(rows, pivoting=False)):
-        scale *= s
-        yield Fraction(pivot, scale)
+    s = ScaledMatrix.of(m)
+    contents, rows = _primitive(s.re)
+    numerator, denominator = 1, 1
+    for g, pivot in zip(contents, _bareiss(rows, pivoting=False)):
+        numerator *= g
+        denominator *= s.d
+        yield Fraction(pivot * numerator, denominator)
 
 
 def pfaffian(m):

@@ -3,7 +3,8 @@ K-contact criteria, the skew normal form and the K-contact obstruction.
 
 One arithmetic model: metrics have exact rational entries, and every
 identity (associated-metric criteria, Prop. 1, both K-contact criteria)
-is checked with zero tolerance.  Associated metrics are constructed
+is checked with zero tolerance, multiplying and comparing ScaledMatrix
+forms of G, G^-1 and the contact data.  Associated metrics are constructed
 exactly too (Blair, Riemannian Geometry of Contact and Symplectic
 Manifolds, ch. 4).  The one binary64 routine is skew_normal_form, the
 orthogonal normal form of a real skew matrix, with the stated
@@ -14,13 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .algebra import REAL
+from .algebra import REAL, structure_table
 from .errors import InputError, InternalInvariantError
 from .forms import two_form_matrix
-from .linalg import (det, dot, inverse, leading_minors, mat_eq, mat_mul,
-                     mat_vec, transpose)
+from .linalg import (ScaledMatrix, det, dot, inverse, leading_minors, mat_eq,
+                     mat_mul, mat_vec, transpose)
 from .polynomials import format_polynomial
-from .scalars import scalar_re_im
+from .scalars import GaussianRational, scalar_re_im
 
 SKEW_INPUT_TOL = 1e-12
 ORTHOGONAL_TOL = 1e-12
@@ -29,7 +30,8 @@ BLOCK_TOL = 1e-10
 
 @dataclass(frozen=True)
 class MetricData:
-    """Symmetric metric matrix with exact (Fraction) rows."""
+    """Symmetric metric matrix with exact (Fraction) rows; G and G^-1 as
+    ScaledMatrices are computed once, on first use."""
 
     matrix: tuple
     exact = True  # every metric is exact; kept for callers that ask
@@ -53,9 +55,17 @@ class MetricData:
         return len(self.matrix)
 
     @cached_property
+    def scaled(self):
+        return ScaledMatrix.of(self.matrix)
+
+    @cached_property
+    def scaled_inverse(self):
+        return self.scaled.inverse()
+
+    @cached_property
     def inverse(self):
         """G^-1 as a tuple of rows."""
-        return tuple(tuple(r) for r in inverse([list(r) for r in self.matrix]))
+        return tuple(tuple(r) for r in self.scaled_inverse.rows())
 
     def _require_symmetric(self):
         n = self.dim
@@ -110,26 +120,19 @@ def levi_civita(algebra, g):
 
 def compute_phi(c, g):
     """The unique phi with g(X, phi Y) = d eta(X, Y); phi = G^-1 D."""
-    return mat_mul(g.inverse, c.deta_matrix)
-
-
-def _phi_square_target(c):
-    """-I + xi (x) eta as a matrix."""
-    n = c.algebra.dim
-    return [[(-1 if i == j else 0) + c.reeb[i] * c.eta_row[j]
-             for j in range(n)] for i in range(n)]
+    return (g.scaled_inverse @ c.scaled_deta).rows()
 
 
 def _associated_phi(c, g):
-    """phi when g is associated (eta = g(., xi) and phi^2 = -I + eta (x)
-    xi), else None."""
+    """phi as a ScaledMatrix when g is associated (eta = g(., xi) and
+    phi^2 = -I + xi (x) eta), else None."""
     if not g.is_positive_definite():
         raise InputError("metric is not positive-definite")
-    gxi = mat_vec(g.matrix, c.reeb)
-    if any(a != b for a, b in zip(gxi, c.eta_row)):
+    xi, eta = c.scaled_reeb, c.scaled_eta
+    if g.scaled @ xi != eta.T:
         return None
-    phi = compute_phi(c, g)
-    if not mat_eq(mat_mul(phi, phi), _phi_square_target(c)):
+    phi = g.scaled_inverse @ c.scaled_deta
+    if phi @ phi != xi @ eta - ScaledMatrix.identity(c.algebra.dim):
         return None
     return phi
 
@@ -149,20 +152,27 @@ def _reeb_derivative(c, g):
 
     that is K = -1/2 (G A + W + A^T G) with A = ad(xi), K[j][k] =
     g(nabla_{e_j} xi, e_k) and W[j][k] = (G xi)([e_j, e_k]); then
-    N = G^-1 K^T.  O(n^3), without the n^2 Christoffel vectors.
+    N = G^-1 K^T, and K^T = -1/2 (G A + (G A)^T - W) as W is skew.
+    O(n^3), without the n^2 Christoffel vectors.
     """
-    n = c.algebra.dim
-    grows = g.matrix
-    ga = mat_mul(grows, c.ad_reeb)
-    w = mat_vec(grows, c.reeb)
-    wb = [[0] * n for _ in range(n)]
-    for (j, k), coeffs in c.algebra.brackets.items():
-        x = dot(w, coeffs)
-        wb[j][k], wb[k][j] = x, -x
-    half = Fraction(1, 2)
-    kt = [[-half * (ga[j][k] + wb[j][k] + ga[k][j]) for j in range(n)]
-          for k in range(n)]
-    return mat_mul(g.inverse, kt)
+    ga = g.scaled @ c.scaled_ad_reeb
+    w = _covector_brackets(c.algebra, g.scaled @ c.scaled_reeb)
+    return g.scaled_inverse @ (Fraction(-1, 2) * (ga + ga.T - w))
+
+
+def _covector_brackets(algebra, w):
+    """W[j][k] = w([e_j, e_k]) for the column w, summed over the integer
+    structure table and divided once."""
+    scale, t = structure_table(algebra)
+    (ws,) = w.T.re
+    if w.im is not None:
+        ws = [GaussianRational(x, y) for x, y in zip(ws, w.T.im[0])]
+    n = algebra.dim
+    rows = [[0] * n for _ in range(n)]
+    for j, k in algebra.brackets:
+        x = sum(ws[m] * constant for m, constant in t[j][k])
+        rows[j][k], rows[k][j] = x, -x
+    return ScaledMatrix.of(rows, w.d * scale)
 
 
 def compute_h(c, g):
@@ -172,41 +182,29 @@ def compute_h(c, g):
     if phi is None:
         raise InputError("metric is not associated to the contact structure")
     nmat = _reeb_derivative(c, g)
-    n = c.algebra.dim
-    proj = [list(r) for r in c.projector]
-    phin = mat_mul(phi, nmat)
-    hm = mat_mul(
-        [[phin[i][j] - (1 if i == j else 0) for j in range(n)]
-         for i in range(n)],
-        proj)
-    lhs = mat_mul(phi, hm)
-    expected = [[-phi[i][j] - lhs[i][j] for j in range(n)]
-                for i in range(n)]
-    if not mat_eq(nmat, expected):
+    hm = (phi @ nmat - ScaledMatrix.identity(c.algebra.dim)) \
+        @ c.scaled_projector
+    if nmat != -phi - phi @ hm:
         raise InternalInvariantError(
             "nabla_X xi = -phi X - phi h X failed on an exact "
             "associated metric")
-    grows = [list(r) for r in g.matrix]
-    if not mat_eq(mat_mul(grows, hm), mat_mul(transpose(hm), grows)):
+    if g.scaled @ hm != hm.T @ g.scaled:
         raise InternalInvariantError("h is not g-symmetric")
-    if any(x != 0 for x in mat_vec(hm, list(c.reeb))):
+    if not (hm @ c.scaled_reeb).is_zero:
         raise InternalInvariantError("h xi != 0")
-    return hm
+    return hm.rows()
 
 
 def is_kcontact(c, g):
     """K-contact verdict; computes both criteria (h = 0, and g-skewness of
     ad(xi) on the horizontal space) and insists they agree."""
     hm = compute_h(c, g)  # raises InputError if not associated
-    a = c.ad_reeb
     crit_h = all(x == 0 for row in hm for x in row)
-    grows = [list(r) for r in g.matrix]
-    s = [[x + y for x, y in zip(r1, r2)]
-         for r1, r2 in zip(mat_mul(transpose(a), grows), mat_mul(grows, a))]
-    # y_i^T S y_j for all horizontal basis vectors: the entries of Y S Y^T
-    hb = [list(y) for y in c.horizontal_basis]
-    crit_skew = all(x == 0 for row in mat_mul(hb, mat_mul(s, transpose(hb)))
-                    for x in row)
+    # A^T G + G A = (G A)^T + G A, G being symmetric; y_i^T S y_j for all
+    # horizontal basis vectors are the entries of Y S Y^T
+    ga = g.scaled @ c.scaled_ad_reeb
+    hb = c.scaled_horizontal
+    crit_skew = (hb @ (ga.T + ga) @ hb.T).is_zero
     if crit_h != crit_skew:
         raise InternalInvariantError(
             "the two K-contact criteria disagree (h = 0: %s, "

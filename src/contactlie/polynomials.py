@@ -4,10 +4,11 @@ Coefficients are ascending-degree Fractions or GaussianRationals.
 """
 
 from fractions import Fraction
+from itertools import chain
 
-from .errors import InternalInvariantError, SingularSystemError
-from .linalg import field_one, mat_mul, solve_unique
-from .scalars import scalar_re_im
+from .errors import InternalInvariantError
+from .linalg import ScaledMatrix, rref
+from .scalars import GaussianRational, scalar_re_im
 
 
 class Polynomial:
@@ -118,27 +119,31 @@ class Polynomial:
 
 
 def minimal_polynomial(m):
-    """Monic minimal polynomial of an exact square matrix, found as the
-    first linear dependency among vec(I), vec(M), vec(M^2), ..."""
+    """Monic minimal polynomial of an exact square matrix M = R / d, R an
+    integer matrix, found as the first linear dependency among vec(I),
+    vec(R), vec(R^2), ...: R^k = sum_j y_j R^j gives
+    M^k = sum_j y_j d^(j-k) M^j."""
+    s = ScaledMatrix.of(m)
+    r = ScaledMatrix(s.re, s.im, 1, s.gaussian)
     n = len(m)
-    one = field_one(m)
-    power = [[one if i == j else 0 * one for j in range(n)]
-             for i in range(n)]
-    vecs = []
+    power = ScaledMatrix.identity(n)
+    re, im = [], []   # vec(R^j) as rows
     while True:
-        vecs.append([power[i][j] for i in range(n) for j in range(n)])
-        if len(vecs) > 1:
-            a = [[vecs[r][c] for r in range(len(vecs) - 1)]
-                 for c in range(n * n)]
-            try:
-                coeffs = solve_unique(a, vecs[-1])
-            except SingularSystemError:
-                coeffs = None
-            if coeffs is not None:
-                return Polynomial(
-                    [-c for c in coeffs] + [one])
-        power = mat_mul(m, power)
-        if len(vecs) > n + 1:
+        re.append(list(chain.from_iterable(power.re)))
+        im.append(list(chain.from_iterable(power.im or [[0] * n] * n)))
+        k = len(re) - 1
+        if k:
+            reduced, pivots = rref(ScaledMatrix(re, im, 1, s.gaussian).T)
+            if pivots == list(range(k)):
+                # the products -y_j d^j / d^k of a diagonal with y
+                weights = ScaledMatrix.of(
+                    [[-s.d ** j if i == j else 0 for j in range(k)]
+                     for i in range(k)], s.d ** k)
+                coeffs = (weights @ reduced[:k, k:]).rows()
+                one = GaussianRational(1) if s.gaussian else Fraction(1)
+                return Polynomial([y for (y,) in coeffs] + [one])
+        power = r @ power
+        if k > n:
             raise InternalInvariantError(
                 "minimal polynomial search exceeded the dimension bound")
 

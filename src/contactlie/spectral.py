@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from .algebra import COMPLEX, bracket
 from .contact import ContactStructure
 from .errors import InputError, InternalInvariantError
-from .linalg import dot, mat_mul, nullspace, rank, transpose, vec_is_zero
+from .linalg import (ScaledMatrix, dot, mat_mul, nullspace, rank, transpose,
+                     vec_is_zero)
 from .polynomials import format_polynomial
 from .scalars import (GaussianRational, QuadraticNumber, gaussian_sqrt,
                       to_gaussian)
@@ -117,6 +118,23 @@ def _pair(d, x, y):
     return dot(x, dy)
 
 
+def _diagonal(values):
+    return [[x if i == j else 0 for j in range(len(values))]
+            for i, x in enumerate(values)]
+
+
+def _quadratic_parts(rows, quadratic):
+    """The rows of scalars x = a + b sqrt(d) as the ScaledMatrices [a, b],
+    or [a] when quadratic is False and no entry is a QuadraticNumber."""
+    if not quadratic:
+        return [ScaledMatrix.of(rows)]
+    a = [[x.a if isinstance(x, QuadraticNumber) else x for x in row]
+         for row in rows]
+    b = [[x.b if isinstance(x, QuadraticNumber) else 0 for x in row]
+         for row in rows]
+    return [ScaledMatrix.of(a), ScaledMatrix.of(b)]
+
+
 def _validate_decomposition(rd):
     c = rd.contact
     roots = [r for r, basis in rd.spaces.items() for _ in basis]
@@ -125,14 +143,27 @@ def _validate_decomposition(rd):
         raise InternalInvariantError(
             "root multiplicities sum to %d, not to dim %d"
             % (len(vectors), c.algebra.dim))
-    # one product each applies ad(xi) and eta to every basis vector
-    for r, v, av, (height,) in zip(roots, vectors, _images(c.ad_reeb, vectors),
-                                   _images([c.eta_row], vectors)):
-        if any(x != r * y for x, y in zip(av, v)):
-            raise InternalInvariantError("eigenvector equation failed")
-        if r != 0 and height != 0:
-            raise InternalInvariantError(
-                "nonzero-root space is not horizontal")
+    # with V the columns v and R the diagonal of the roots: A V = V R, and
+    # eta V R = 0 since the spaces of nonzero roots are horizontal.  Over
+    # Q(i, sqrt(d)) each matrix X = X_a + X_b sqrt(d) is kept as its parts,
+    # and X R = (X_a R_a + X_b d R_b) + (X_a R_b + X_b R_a) sqrt(d).
+    quadratic = any(isinstance(r, QuadraticNumber) for r in roots)
+    v = [p.T for p in _quadratic_parts(vectors, quadratic)]
+    r = _quadratic_parts(_diagonal(roots), quadratic)
+    if quadratic:
+        (d,) = {x.d for x in roots if isinstance(x, QuadraticNumber)}
+        dr = ScaledMatrix.of(_diagonal([d] * len(roots))) @ r[1]
+
+    def times_roots(x):
+        if not quadratic:
+            return [x[0] @ r[0]]
+        return [x[0] @ r[0] + x[1] @ dr, x[0] @ r[1] + x[1] @ r[0]]
+
+    if [c.scaled_ad_reeb @ p for p in v] != times_roots(v):
+        raise InternalInvariantError("eigenvector equation failed")
+    if not all(p.is_zero for p in
+               times_roots([c.scaled_eta @ p for p in v])):
+        raise InternalInvariantError("nonzero-root space is not horizontal")
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,17 @@ def test_validate_input_error(capsys, tmp_path):
         assert code == 2 and "error" in doc and "dim" not in doc, text
 
 
+def test_coefficient_bit_budget_exits_2(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(contactlie.fileformat, "MAX_COEFF_BITS", 8)
+    p = tmp_path / "big.json"
+    p.write_text('{"name": "h3", "dim": 3, "brackets": [{"i": 0, "j": 1,'
+                 ' "terms": [[2, "512"]]}]}')
+    code, doc = run_json(capsys, "validate", str(p))
+    assert code == 2 and "dim" not in doc
+    assert "brackets[0], term e3: coefficient of 10 bits" in doc["error"]
+    assert "MAX_COEFF_BITS = 8" in doc["error"]
+
+
 def test_unknown_input(capsys):
     code, out = run(capsys, "validate", "no_such_entry")
     assert code == 2

@@ -14,7 +14,7 @@ from contactlie.extension import (MainTheoremReport, SymplecticAlgebra,
                                   central_quotient, round_trip)
 from contactlie.forms import (AlternatingForm, ce_differential, is_contact,
                               two_form)
-from contactlie.linalg import identity, mat_vec
+from contactlie.linalg import ScaledMatrix, mat_vec
 from contactlie.metric import construct_associated_metric
 
 CAT = catalog()
@@ -103,7 +103,8 @@ def test_central_quotient_rejects_bracket_outside_span():
     """A projector that leaves brackets outside ker eta trips the span
     check of the elimination."""
     c = CAT["heisenberg5"].contact()
-    broken = dataclasses.replace(c, projector=tuple(map(tuple, identity(5))))
+    broken = dataclasses.replace(
+        c, projector=tuple(map(tuple, ScaledMatrix.identity(5).rows())))
     with pytest.raises(InternalInvariantError, match="span"):
         central_quotient(broken)
 

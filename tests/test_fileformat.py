@@ -156,6 +156,42 @@ def test_structure_constant_budget(monkeypatch, tmp_path, capsys):
     assert parse_algebra_file(H3_TEXT).algebra.dim == 3  # 1 constant
 
 
+def test_coefficient_bit_budget(monkeypatch):
+    """A numerator or denominator longer than MAX_COEFF_BITS is an input
+    error naming the entry, raised for bracket coefficients before the
+    Jacobi check runs."""
+    def no_jacobi(algebra):
+        raise AssertionError("check_jacobi ran")
+
+    monkeypatch.setattr(fileformat, "MAX_COEFF_BITS", 8)
+    assert parse_algebra_file(H3_TEXT.replace('"1"', '"-255/128"'))
+    monkeypatch.setattr(fileformat, "check_jacobi", no_jacobi)
+    for coefficient in ("256", "-1/511"):
+        with pytest.raises(InputError,
+                           match=r"brackets\[0\], term e3: coefficient of "
+                                 "9 bits, above the limit MAX_COEFF_BITS = 8"):
+            parse_algebra_file(H3_TEXT.replace('"1"', '"%s"' % coefficient))
+    monkeypatch.undo()
+    monkeypatch.setattr(fileformat, "MAX_COEFF_BITS", 8)
+    entries = [
+        ("forms", {"eta": ["0", "0", "300"]}, r"forms\['eta'\]"),
+        ("forms", {"omega": [[0, 1, "1/300"]]}, r"forms\['omega'\]\[0\]"),
+        ("metrics", {"g": {"diag": ["1", "300", "1"]}},
+         r"metrics\['g'\]"),
+        ("metrics", {"g": {"matrix": [["1", "0", "0"], ["0", "1", "0"],
+                                      ["0", "0", "1/300"]]}},
+         r"metrics\['g'\]"),
+    ]
+    for key, value, where in entries:
+        doc = dict(json.loads(H3_TEXT), **{key: value})
+        with pytest.raises(InputError, match=where + ".*MAX_COEFF_BITS = 8"):
+            parse_algebra_file(json.dumps(doc))
+    doc = {"name": "c", "field": "complex", "dim": 3, "brackets": [
+        {"i": 0, "j": 1, "terms": [[2, "1,1/300"]]}]}
+    with pytest.raises(InputError, match="9 bits.*MAX_COEFF_BITS = 8"):
+        parse_algebra_file(json.dumps(doc))
+
+
 def test_bool_is_no_integer():
     with pytest.raises(InputError, match="'dim' in the file must be int"):
         parse_algebra_file('{"name": "x", "dim": true}')

@@ -23,6 +23,7 @@ from contactlie.extension import (analyze_kcontact, central_extension,
                                   central_quotient)
 from contactlie.forms import basis_dual, ce_differential, is_contact, two_form
 from contactlie.linalg import det, mat_mul, mat_vec, rref
+from contactlie.metric import is_kcontact
 from contactlie.scalars import GaussianRational
 
 CAT = catalog()
@@ -190,6 +191,18 @@ def test_analyze_kcontact_reads_eta_and_d_eta_off_the_structure(
         analyze_kcontact(c, e.metric)
         assert set(dims) <= {("two_form_matrix", e.algebra.dim - 1)}, (
             name, dims)
+
+
+def test_is_kcontact_multiplies_only_scaled_matrices(monkeypatch):
+    """The metric chain keeps G, G^-1 and the contact data as ScaledMatrix
+    from one product to the next: no mat_mul or mat_vec, which convert
+    their operands in and their result out."""
+    pairs = [(CAT[name].contact(), CAT[name].metric)
+             for name in METRIC_ENTRIES]
+    forbid(monkeypatch, contactlie.linalg, "mat_mul")
+    forbid(monkeypatch, contactlie.linalg, "mat_vec")
+    verdicts = {c.algebra.name: is_kcontact(c, g) for c, g in pairs}
+    assert verdicts["sl2r"] is False and verdicts["su2_aff1"] is True
 
 
 GAUSS_OPS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",

@@ -21,19 +21,20 @@ from itertools import combinations
 
 import pytest
 
-from contactlie.algebra import (LieAlgebra, ad, bracket, check_jacobi,
-                                complexify, subspace_brackets)
+from contactlie.algebra import (LieAlgebra, _ad_rows, ad, bracket,
+                                check_jacobi, complexify, integer_scale,
+                                structure_table, subspace_brackets, unscale)
 from contactlie.catalog import abelian, catalog
 from contactlie.contact import contact_structure
-from contactlie.errors import InputError
+from contactlie.errors import InputError, InternalInvariantError
 from contactlie.extension import (SymplecticAlgebra, analyze_kcontact,
                                   central_extension)
 from contactlie.forms import (AlternatingForm, basis_dual, ce_differential,
                               complexify_form, is_contact, one_form,
                               one_form_coefficients, two_form, wedge)
-from contactlie.linalg import (det, inverse, mat_mul, mat_vec, rref,
-                               transpose)
-from contactlie.metric import (MetricData, _reeb_derivative,
+from contactlie.linalg import (ScaledMatrix, det, inverse, mat_mul, mat_vec,
+                               rref, transpose)
+from contactlie.metric import (MetricData, _reeb_derivative, compute_h,
                                construct_associated_metric, is_associated,
                                is_kcontact, kcontact_obstruction, levi_civita)
 from contactlie.polynomials import is_squarefree
@@ -350,6 +351,40 @@ def test_sparse_ad_matches_bracket_reference(name, field, data):
     assert ad(algebra, x) == ad_by_brackets(algebra, x)
 
 
+def table_value(c, scale):
+    return c / scale if isinstance(c, GaussianRational) else Fraction(c, scale)
+
+
+@pytest.mark.parametrize("field", ["real", "complex", "int"])
+@pytest.mark.parametrize("name", contact_names(7))
+@settings(max_examples=5, deadline=None, database=None)
+@given(data=st.data())
+def test_ad_reads_only_the_table_rows_of_its_support(name, field, data):
+    """ad(x) reads the rows a of the structure table with x_a != 0 only
+    (one row for xi = e_last of a central extension) and gives what the
+    whole table gives, with the same entry types."""
+    algebra, _ = conjugated_input(data, name, field)
+    n = algebra.dim
+    support = data.draw(st.sets(st.integers(0, n - 1)))
+    x = [FIELD_SCALARS[field](data.draw(st.integers(1, 3)) if a in support
+                              else 0) for a in range(n)]
+    scale, full = structure_table(algebra)
+    x_scale, xs = integer_scale(x)
+    flat = unscale([v for row in _ad_rows(full, xs) for v in row],
+                   scale * x_scale, algebra.field)
+    want = [flat[k * n:(k + 1) * n] for k in range(n)]
+    got = ad(algebra, x)
+    assert got == want
+    assert [type(v) for row in got for v in row] == \
+        [type(v) for row in want for v in row]
+    part_scale, part = structure_table(algebra, support)
+    for a in support:
+        assert [[(m, table_value(c, part_scale)) for m, c in entry]
+                for entry in part[a]] == \
+            [[(m, table_value(c, scale)) for m, c in entry]
+             for entry in full[a]]
+
+
 SUBSPACE_ENTRIES = {
     "int": st.integers(-3, 3),
     "real": st.fractions(min_value=-3, max_value=3, max_denominator=4),
@@ -377,7 +412,7 @@ def test_subspace_brackets_match_bracket_reference(name, field, data):
     pairs = data.draw(st.lists(st.tuples(st.integers(0, rows - 1),
                                          st.integers(0, rows - 1)),
                                min_size=1, max_size=12))
-    got = subspace_brackets(algebra, basis, pairs)
+    got = subspace_brackets(algebra, basis, pairs).rows()
     want = [bracket(algebra, basis[i], basis[j]) for i, j in pairs]
     assert got == want
     assert [[type(x) for x in v] for v in got] == \
@@ -413,7 +448,8 @@ def test_koszul_reeb_derivative_matches_levi_civita(name, field, associated,
          else random_metric(data, algebra.dim))
     if field == "complex":
         c = contact_structure(complexify(algebra), complexify_form(eta))
-    assert _reeb_derivative(c, g) == reeb_derivative_by_christoffels(c, g)
+    assert _reeb_derivative(c, g).rows() == \
+        reeb_derivative_by_christoffels(c, g)
 
 
 def assert_spectral_layer_matches_complexified(algebra, eta):
@@ -861,3 +897,177 @@ def test_mat_mul_matches_dot_reference(left, right, data):
     column = [row[0] for row in b]
     assert_same_entries([mat_vec(a, column)],
                         [[row[0] for row in mat_mul_by_dot(a, b)]])
+
+
+@pytest.mark.parametrize("left", sorted(ENTRIES))
+@pytest.mark.parametrize("right", sorted(ENTRIES))
+@settings(max_examples=10, deadline=None, database=None)
+@given(data=st.data())
+def test_scaled_matrix_matches_fraction_arithmetic(left, right, data):
+    """@, +, -, negation, rational multiples, the transpose and == of
+    ScaledMatrix against plain Fraction and GaussianRational arithmetic,
+    on shapes 1 x n and n x 1 among others and on zero matrices."""
+    p, q, r = (data.draw(st.integers(1, 4)) for _ in range(3))
+    a = data.draw(matrices(left, p, q))
+    if data.draw(st.booleans()):
+        a = [[0 * x for x in row] for row in a]
+    b = data.draw(matrices(right, q, r))
+    c = data.draw(matrices(right, p, q))
+    sa, sb, sc = (ScaledMatrix.of(m) for m in (a, b, c))
+    assert_same_entries(sa.rows(), a)
+    assert_same_entries((sa @ sb).rows(), mat_mul_by_dot(a, b))
+    assert_same_entries((sa + sc).rows(), [[x + y for x, y in zip(u, v)]
+                                           for u, v in zip(a, c)])
+    assert_same_entries((sa - sc).rows(), [[x - y for x, y in zip(u, v)]
+                                           for u, v in zip(a, c)])
+    assert_same_entries((-sa).rows(), [[-x for x in row] for row in a])
+    k = data.draw(_RATIONALS)
+    assert_same_entries((k * sa).rows(), [[k * x for x in row] for row in a])
+    assert_same_entries(sa.T.rows(), transpose(a))
+    assert sa.is_zero == all(x == 0 for row in a for x in row)
+    assert (sa == sc) == (a == c)
+    # the same matrix over a larger denominator, and one entry bumped
+    m = data.draw(st.integers(2, 5))
+    im = None if sa.im is None else [[m * x for x in row] for row in sa.im]
+    larger = ScaledMatrix([[m * x for x in row] for row in sa.re], im,
+                          m * sa.d, sa.gaussian)
+    assert larger == sa and sa == larger and not larger != sa
+    larger.re[0][0] += 1
+    assert larger != sa and sa != larger
+    if sa.im is not None:
+        conjugate = ScaledMatrix(sa.re, [[-x for x in row] for row in sa.im],
+                                 sa.d, True)
+        assert conjugate != sa and sa != conjugate
+
+
+# -- the metric chain against Fraction-list arithmetic -----------------------
+#
+# The associated-metric criteria, nabla xi from the contracted Koszul
+# formula, h with its three checks and both K-contact criteria, as
+# metric.py computed them over lists of Fractions before it moved to
+# ScaledMatrix; products and the inverse here are the reference ones.
+
+def inverse_by_fractions(m):
+    n = len(m)
+    rows, pivots = rref_by_fractions(
+        [list(row) + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(m)])
+    assert pivots == list(range(n))
+    return [row[n:] for row in rows]
+
+
+def compute_h_by_fractions(c, g):
+    if not g.is_positive_definite():
+        raise InputError("metric is not positive-definite")
+    n = c.algebra.dim
+    mul = mat_mul_by_dot
+    grows = [list(r) for r in g.matrix]
+    ginv = inverse_by_fractions(grows)
+    xi, eta = list(c.reeb), list(c.eta_row)
+    gxi = [sum(x * y for x, y in zip(row, xi)) for row in grows]
+    phi = mul(ginv, c.deta_matrix)
+    target = [[-int(i == j) + xi[i] * eta[j] for j in range(n)]
+              for i in range(n)]
+    if gxi != eta or mul(phi, phi) != target:
+        raise InputError("metric is not associated")
+    ga = mul(grows, c.ad_reeb)
+    wb = [[0] * n for _ in range(n)]
+    for (j, k), coeffs in c.algebra.brackets.items():
+        x = sum(w * y for w, y in zip(gxi, coeffs))
+        wb[j][k], wb[k][j] = x, -x
+    half = Fraction(1, 2)
+    kt = [[-half * (ga[j][k] + wb[j][k] + ga[k][j]) for j in range(n)]
+          for k in range(n)]
+    nmat = mul(ginv, kt)
+    phin = mul(phi, nmat)
+    hm = mul([[phin[i][j] - int(i == j) for j in range(n)]
+              for i in range(n)], c.projector)
+    lhs = mul(phi, hm)
+    if nmat != [[-phi[i][j] - lhs[i][j] for j in range(n)]
+                for i in range(n)]:
+        raise InternalInvariantError("nabla xi identity failed")
+    if mul(grows, hm) != mul(transpose(hm), grows):
+        raise InternalInvariantError("h is not g-symmetric")
+    if any(sum(x * y for x, y in zip(row, xi)) != 0 for row in hm):
+        raise InternalInvariantError("h xi != 0")
+    return hm
+
+
+def is_kcontact_by_fractions(c, g):
+    """(verdict, h), raising what is_kcontact raises."""
+    hm = compute_h_by_fractions(c, g)
+    grows = [list(r) for r in g.matrix]
+    a = c.ad_reeb
+    s = [[x + y for x, y in zip(r1, r2)] for r1, r2 in
+         zip(mat_mul_by_dot(transpose(a), grows), mat_mul_by_dot(grows, a))]
+    hb = c.horizontal_basis
+    crit_h = all(x == 0 for row in hm for x in row)
+    crit_skew = all(x == 0 for row in mat_mul_by_dot(
+        hb, mat_mul_by_dot(s, transpose(hb))) for x in row)
+    if crit_h != crit_skew:
+        raise InternalInvariantError("the two K-contact criteria disagree")
+    return crit_h, hm
+
+
+def assert_metric_chain_matches_fractions(c, g):
+    """Equal verdicts and h, or the same error type."""
+    try:
+        want = is_kcontact_by_fractions(c, g)
+    except (InputError, InternalInvariantError) as exc:
+        want = type(exc)
+    try:
+        got = is_kcontact(c, g), compute_h(c, g)
+    except (InputError, InternalInvariantError) as exc:
+        got = type(exc)
+    assert got == want
+    return want
+
+
+def perturbed_metrics(c, g):
+    """Two positive-definite metrics near g that are not associated:
+    g + E_kk with xi_k != 0 breaks eta = g(., xi), and g + y y^T with
+    y = xi_k e_j - xi_j e_k, so that y^T xi = 0, keeps it but breaks
+    phi^2 = -I + xi (x) eta."""
+    xi = c.reeb
+    k = next(i for i, x in enumerate(xi) if x != 0)
+    j = (k + 1) % len(xi)
+    y = [Fraction(0)] * len(xi)
+    y[k], y[j] = -xi[j], xi[k]
+    rows = [list(r) for r in g.matrix]
+    bumped = [[x + int(i == j == k) for j, x in enumerate(row)]
+              for i, row in enumerate(rows)]
+    return [MetricData.from_rows(bumped), MetricData.from_rows(
+        [[x + y[i] * y[j] for j, x in enumerate(row)]
+         for i, row in enumerate(rows)])]
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, e in CAT.items()
+    if e.kind == "contact" and e.metric is not None))
+def test_metric_chain_matches_fractions_on_catalog_metrics(name):
+    e = CAT[name]
+    c = e.contact()
+    verdict = assert_metric_chain_matches_fractions(c, e.metric)
+    assert verdict is not InputError
+    for g in perturbed_metrics(c, e.metric):
+        assert assert_metric_chain_matches_fractions(c, g) is InputError
+
+
+@pytest.mark.parametrize("field", ["real", "int"])
+@pytest.mark.parametrize("name", contact_names(7))
+@settings(max_examples=3, deadline=None, database=None)
+@given(data=st.data())
+def test_metric_chain_matches_fractions_on_constructed_metrics(name, field,
+                                                                data):
+    """Gram-Schmidt metrics are associated: K-contact where the Reeb
+    field is central (the extensions), not K-contact where ad(xi) is
+    obstructed (sl2r, nilpotent_nondiag5)."""
+    c = contact_structure(*conjugated_input(data, name, field))
+    g = construct_associated_metric(c)
+    verdict, _ = assert_metric_chain_matches_fractions(c, g)
+    if name.startswith(("h", "aff1")):
+        assert verdict
+    elif name != "su2":
+        assert not verdict
+    for bad in perturbed_metrics(c, g):
+        assert assert_metric_chain_matches_fractions(c, bad) is InputError
