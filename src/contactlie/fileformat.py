@@ -69,9 +69,6 @@ def _require(doc, key, kind, where):
 def _coefficient(text, allow_complex=False):
     """parse_scalar within the MAX_COEFF_BITS budget."""
     value = parse_scalar(text, allow_complex)
-    # an integer written with at most L characters has at most 4 L bits
-    if 4 * len(text) <= MAX_COEFF_BITS:
-        return value
     parts = ((value.re, value.im) if isinstance(value, GaussianRational)
              else (value,))
     bits = max(max(p.numerator.bit_length(), p.denominator.bit_length())

@@ -183,20 +183,21 @@ class ScaledMatrix:
     def _imaginary(self):
         return self.im or [[0] * len(row) for row in self.re]
 
-    def _combine(self, other, op):
+    def _combine(self, other, row_op):
+        """row_op on each pair of rows, both parts over one denominator."""
         p, q, d = self._aligned(other)
-        re = _entrywise(op, _times(self.re, p), _times(other.re, q))
+        re = list(map(row_op, _times(self.re, p), _times(other.re, q)))
         im = None
         if self.im is not None or other.im is not None:
-            im = _entrywise(op, _times(self._imaginary(), p),
-                            _times(other._imaginary(), q))
+            im = list(map(row_op, _times(self._imaginary(), p),
+                          _times(other._imaginary(), q)))
         return _reduced(re, im, d, self.gaussian or other.gaussian)
 
     def __add__(self, other):
-        return self._combine(other, add)
+        return self._combine(other, lambda r, s: list(map(add, r, s)))
 
     def __sub__(self, other):
-        return self._combine(other, sub)
+        return self._combine(other, lambda r, s: list(map(sub, r, s)))
 
     def __eq__(self, other):
         if not isinstance(other, ScaledMatrix):
@@ -212,13 +213,7 @@ class ScaledMatrix:
 
     def beside(self, other):
         """[self | other], row by row, over one denominator."""
-        p, q, d = self._aligned(other)
-        re = [r + s for r, s in zip(_times(self.re, p), _times(other.re, q))]
-        im = None
-        if self.im is not None or other.im is not None:
-            im = [r + s for r, s in zip(_times(self._imaginary(), p),
-                                        _times(other._imaginary(), q))]
-        return _reduced(re, im, d, self.gaussian or other.gaussian)
+        return self._combine(other, add)
 
     def inverse(self):
         """The inverse; SingularSystemError for a singular matrix."""

@@ -14,8 +14,9 @@ tolerances.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 
-from .algebra import REAL, structure_table
+from .algebra import REAL, integer_scale
 from .errors import InputError, InternalInvariantError
 from .forms import two_form_matrix
 from .linalg import (ScaledMatrix, det, dot, inverse, leading_minors, mat_eq,
@@ -161,16 +162,18 @@ def _reeb_derivative(c, g):
 
 
 def _covector_brackets(algebra, w):
-    """W[j][k] = w([e_j, e_k]) for the column w, summed over the integer
-    structure table and divided once."""
-    scale, t = structure_table(algebra)
+    """W[j][k] = w([e_j, e_k]) for the column w, summed over the structure
+    constants scaled to integers and divided once."""
     (ws,) = w.T.re
     if w.im is not None:
         ws = [GaussianRational(x, y) for x, y in zip(ws, w.T.im[0])]
     n = algebra.dim
+    scale, flat = integer_scale(
+        chain.from_iterable(algebra.brackets.values()))
     rows = [[0] * n for _ in range(n)]
-    for j, k in algebra.brackets:
-        x = sum(ws[m] * constant for m, constant in t[j][k])
+    for r, (j, k) in enumerate(algebra.brackets):
+        x = sum(ws[m] * c
+                for m, c in enumerate(flat[r * n:(r + 1) * n]) if c)
         rows[j][k], rows[k][j] = x, -x
     return ScaledMatrix.of(rows, w.d * scale)
 

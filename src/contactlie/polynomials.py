@@ -135,13 +135,11 @@ def minimal_polynomial(m):
         if k:
             reduced, pivots = rref(ScaledMatrix(re, im, 1, s.gaussian).T)
             if pivots == list(range(k)):
-                # the products -y_j d^j / d^k of a diagonal with y
-                weights = ScaledMatrix.of(
-                    [[-s.d ** j if i == j else 0 for j in range(k)]
-                     for i in range(k)], s.d ** k)
-                coeffs = (weights @ reduced[:k, k:]).rows()
+                solution = reduced[:k, k:].rows()
                 one = GaussianRational(1) if s.gaussian else Fraction(1)
-                return Polynomial([y for (y,) in coeffs] + [one])
+                return Polynomial(
+                    [-y * Fraction(s.d) ** (j - k)
+                     for j, (y,) in enumerate(solution)] + [one])
         power = r @ power
         if k > n:
             raise InternalInvariantError(
