@@ -25,6 +25,7 @@ on complex algebras; no floating input is accepted.
 
 import json
 from dataclasses import dataclass, field
+from math import lcm
 
 from .algebra import COMPLEX, REAL, LieAlgebra, check_jacobi
 from .errors import InputError
@@ -32,17 +33,18 @@ from .forms import one_form, two_form
 from .metric import MetricData
 from .scalars import GaussianRational, format_scalar, parse_scalar
 
-# largest accepted dim: the Jacobi check visits every basis triple, so its
-# cost grows as dim^3 before any other validation can fail
+# largest accepted dim: the Jacobi check makes 3 dim multiply-adds (6 dim
+# on complex constants) for every basis triple, so its cost grows as dim^4
+# before any other validation can fail
 MAX_DIM = 64
-# largest accepted number of nonzero structure constants, the other input
-# the Jacobi check's cost grows with; it admits every fully dense file up
-# to dim 32 (15872 constants) and none from dim 33 (17424)
+# largest accepted number of nonzero structure constants, the input that
+# the Jacobi check packs before its loop; it admits every fully dense file
+# up to dim 32 (15872 constants) and none from dim 33 (17424)
 MAX_CONSTANTS = 16384
 # largest accepted bit length of a coefficient's numerator or denominator
-# (of each part, on complex algebras): exact arithmetic slows with the
-# size of its integers, and every catalog and benchmark input stays
-# within 18 bits
+# (of each part, on complex algebras), and of the lcm of all bracket
+# denominators: exact arithmetic slows with the size of its integers, and
+# every catalog and benchmark input stays within 18 bits
 MAX_COEFF_BITS = 4096
 
 
@@ -90,6 +92,7 @@ def _parse_brackets(doc, dim, allow_complex):
     if not isinstance(entries, list):
         raise InputError("'brackets' must be a list")
     brackets = {}
+    common = 1
     for pos, entry in enumerate(entries):
         where = "brackets[%d]" % pos
         if not isinstance(entry, dict):
@@ -121,6 +124,16 @@ def _parse_brackets(doc, dim, allow_complex):
                 coeffs[k] = _coefficient(text, allow_complex)
             except InputError as exc:
                 raise InputError("%s, term e%d: %s" % (where, k + 1, exc))
+        # the Jacobi check scales every constant by the lcm of all the
+        # denominators, so it shares their budget; checked entry by entry
+        parts = ([x for c in coeffs for x in (c.re, c.im)] if allow_complex
+                 else coeffs)
+        common = lcm(common, *(x.denominator for x in parts))
+        if common.bit_length() > MAX_COEFF_BITS:
+            raise InputError(
+                "%s: the bracket denominators have an lcm of %d bits, above "
+                "the limit MAX_COEFF_BITS = %d"
+                % (where, common.bit_length(), MAX_COEFF_BITS))
         brackets[(i, j)] = tuple(coeffs)
     return brackets
 

@@ -192,6 +192,51 @@ def test_coefficient_bit_budget(monkeypatch):
         parse_algebra_file(json.dumps(doc))
 
 
+def test_bracket_denominator_budget(monkeypatch, tmp_path, capsys):
+    """Bracket denominators whose lcm is longer than MAX_COEFF_BITS are an
+    input error (exit 2) naming the bracket entry that took it over,
+    raised before the Jacobi check, which need not even run."""
+    def no_jacobi(algebra):
+        raise AssertionError("check_jacobi ran")
+
+    def doc(terms, field="real"):
+        return json.dumps({"name": "x", "field": field, "dim": 3,
+                           "brackets": [{"i": 0, "j": 1, "terms": terms}]})
+
+    monkeypatch.setattr(fileformat, "MAX_COEFF_BITS", 8)
+    # lcm(16, 8) = 16 and lcm(17, 3) = 51 stay within 8 bits
+    assert parse_algebra_file(doc([[0, "1/16"], [2, "3/8"]]))
+    assert parse_algebra_file(doc([[0, "1/17"], [2, "1/3"]]))
+    monkeypatch.setattr(fileformat, "check_jacobi", no_jacobi)
+    # 17 and 31 fit 5 bits each; their lcm 527 takes 10
+    over = (r"brackets\[0\]: the bracket denominators have an lcm of 10 "
+            "bits, above the limit MAX_COEFF_BITS = 8")
+    with pytest.raises(InputError, match=over):
+        parse_algebra_file(doc([[0, "1/17"], [2, "2/31"]]))
+    with pytest.raises(InputError, match=over):
+        parse_algebra_file(doc([[0, "1/17,1/31"]], "complex"))
+    # each entry within the budget, not both together
+    two = json.loads(doc([[0, "1/17"]]))
+    two["brackets"].append({"i": 0, "j": 2, "terms": [[0, "1/31"]]})
+    with pytest.raises(InputError, match=r"brackets\[1\]: .*lcm of 10 bits"):
+        parse_algebra_file(json.dumps(two))
+    p = tmp_path / "x.json"
+    p.write_text(doc([[0, "1/17"], [2, "2/31"]]))
+    assert main(["validate", str(p)]) == 2
+    assert "MAX_COEFF_BITS" in capsys.readouterr().out
+    # at the real budget: every coefficient fits, but the pairwise coprime
+    # 4091-bit denominators 2^4090 + k, k odd, of the first entry do not
+    monkeypatch.setattr(fileformat, "MAX_COEFF_BITS", 4096)
+    odd = iter(range(1, 10 ** 6, 2))
+    text = json.dumps({"name": "x", "dim": 5, "brackets": [
+        {"i": i, "j": j, "terms": [[m, "1/%d" % (2 ** 4090 + next(odd))]
+                                   for m in range(5)]}
+        for i in range(5) for j in range(i + 1, 5)]})
+    with pytest.raises(InputError, match=r"brackets\[0\]: .*lcm of 20451 "
+                                         "bits.*MAX_COEFF_BITS = 4096"):
+        parse_algebra_file(text)
+
+
 def test_bool_is_no_integer():
     with pytest.raises(InputError, match="'dim' in the file must be int"):
         parse_algebra_file('{"name": "x", "dim": true}')

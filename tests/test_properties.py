@@ -18,6 +18,7 @@ is not central for n > 1, run through the whole pipeline.
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 
@@ -207,39 +208,60 @@ def change_of_basis(draw, n, unimodular=False):
 
 JACOBI_NAMES = sorted(name for name, e in CAT.items()
                       if e.algebra.dim > 2 and e.algebra.brackets)
+JACOBI_ALGEBRAS = dict({name: CAT[name].algebra for name in JACOBI_NAMES},
+                       abelian4=abelian(4))
 
 
 @pytest.mark.parametrize("field", ["real", "complex", "int"])
-@pytest.mark.parametrize("name", JACOBI_NAMES)
+@pytest.mark.parametrize("name", sorted(JACOBI_ALGEBRAS))
 @settings(max_examples=5, deadline=None, database=None)
 @given(data=st.data())
 def test_check_jacobi_matches_bracket_reference(name, field, data):
-    """One structure constant of a conjugated catalog algebra is bumped
-    until Jacobi fails; both checks must name the same triples."""
-    algebra = CAT[name].algebra
+    """A conjugated algebra, abelian4 included (every constant 0), passes
+    both checks; then one structure constant is bumped by up to the
+    largest constant, of either sign, and both checks must name the same
+    triples, none when the bump keeps Jacobi."""
+    algebra = JACOBI_ALGEBRAS[name]
     n = algebra.dim
     conjugated = conjugate_algebra(algebra, data.draw(
         change_of_basis(n, unimodular=(field == "int"))))
+    constants = [x for v in conjugated.brackets.values() for x in v]
     if field == "int":   # det P = 1 keeps the catalog's integer constants
-        assert all(x.denominator == 1
-                   for v in conjugated.brackets.values() for x in v)
-    # scaling every constant by 1 + i keeps the Jacobiator's zeros
-    scalar = {"real": Fraction, "int": int,
-              "complex": lambda x: GaussianRational(x, x)}[field]
+        assert all(x.denominator == 1 for x in constants)
+    scalar = {"real": Fraction, "int": int, "complex": GaussianRational}[field]
     brackets = {key: [scalar(x) for x in v]
                 for key, v in conjugated.brackets.items()}
+    if field == "complex":
+        # the basis s_a e_a for Gaussian integers s_a != 0: c_ab^m becomes
+        # s_a s_b / s_m c_ab^m, with real and imaginary parts
+        s = [GaussianRational(*data.draw(st.tuples(
+            st.integers(-2, 2), st.integers(-2, 2)).filter(any)))
+            for _ in range(n)]
+        brackets = {(a, b): [s[a] * s[b] / s[m] * x for m, x in enumerate(v)]
+                    for (a, b), v in brackets.items()}
+
+    def lie(brackets):
+        return LieAlgebra(name, n, field="complex" if field == "complex"
+                          else "real",
+                          brackets={k: tuple(v) for k, v in brackets.items()})
+
+    assert check_jacobi(lie(brackets)) == [] == jacobi_by_brackets(
+        lie(brackets))
+    # a bump a/d, |a/d| <= the largest |constant|, d the common denominator
+    d = lcm(*(x.denominator for x in constants))
+    top = max(1, int(max(map(abs, constants), default=0) * d))
+    bump = st.builds(Fraction, st.integers(-top, top), st.just(d))
     pair = tuple(sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=2,
                                            max_size=2, unique=True))))
     m = data.draw(st.integers(0, n - 1))
-    delta = data.draw(st.integers(-3, 3).filter(bool))
     vec = brackets.setdefault(pair, [scalar(0)] * n)
-    vec[m] += GaussianRational(0, delta) if field == "complex" else delta
-    perturbed = LieAlgebra("perturbed", n,
-                           field="complex" if field == "complex" else "real",
-                           brackets={k: tuple(v) for k, v in brackets.items()})
-    expected = jacobi_by_brackets(perturbed)
-    assume(expected)
-    assert check_jacobi(perturbed) == expected
+    if field == "complex":
+        vec[m] += GaussianRational(*data.draw(st.tuples(bump, bump).filter(
+            any)))
+    else:
+        vec[m] += data.draw(bump.filter(bool).map(scalar))
+    perturbed = lie(brackets)
+    assert check_jacobi(perturbed) == jacobi_by_brackets(perturbed)
 
 
 PFAFFIAN_CASES = [(name, False) for name in sorted(CONTACT_INPUTS)] + [
