@@ -1,15 +1,18 @@
 """Finite-dimensional Lie algebras over exact scalars.
 
 Structure constants are stored densely for i < j only; the antisymmetric
-completion is synthesized on access.  All values are immutable and every
-operation is a pure function, so everything here is safe to share across
-threads.
+completion is synthesized on access.  The kernels (check_jacobi, ad,
+subspace_brackets, forms.ce_differential, the brackets of a covector in
+metric) read them as one matrix C = ScaledMatrix.of(brackets.values()),
+row r the bracket of the r-th stored pair, built per call.  All values
+are immutable and every operation is a pure function, so everything here
+is safe to share across threads.
 """
 
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import chain
 from operator import mul
 
 from .errors import InputError
@@ -96,67 +99,6 @@ def bracket(algebra, x, y):
     return out
 
 
-def integer_scale(values):
-    """(s, ints) with ints[i] = s * values[i] a Python int, s the lcm of the
-    denominators, when every value is rational; (1, values) otherwise, so
-    Gaussian rationals run the same loops in their own arithmetic."""
-    values = list(values)
-    if not all(isinstance(v, (int, Fraction)) for v in values):
-        return 1, values
-    s = lcm(*{v.denominator for v in values})
-    return s, [v.numerator * (s // v.denominator) for v in values]
-
-
-def unscale(totals, d, field=None):
-    """Each sum in totals divided by the positive int d: a Fraction for an
-    int sum, embedded into the Gaussian rationals when field is COMPLEX;
-    other sums divide in their own arithmetic.  One call per kernel, not
-    per entry."""
-    out = [Fraction(t, d) if isinstance(t, int) else t / d for t in totals]
-    if field == COMPLEX:
-        out = [GaussianRational(v) if isinstance(v, Fraction) else v
-               for v in out]
-    return out
-
-
-def structure_table(algebra, rows=None):
-    """(scale, t): t[a][b] lists the (m, c) of the nonzero coordinates of
-    [e_a, e_b], for every ordered pair, with c = scale * c_ab^m.
-
-    Over the reals each c is a Python int, scale the lcm of all the
-    denominators; brackets and d are polynomial in the
-    constants, so they are summed in ints and divided once.  Gaussian
-    constants are kept as they are, with scale 1.  Given a set of indices
-    rows, only the brackets [e_a, .] with a in rows are read, and only the
-    rows t[a] for those a are complete.  Each call builds its own table,
-    linear in the number of constants: kept on the algebra it saved a few
-    percent and held memory for as long as the algebra lived.
-    """
-    n = algebra.dim
-    pairs = [(pair, coeffs) for pair, coeffs in algebra.brackets.items()
-             if rows is None or not rows.isdisjoint(pair)]
-    scale, flat = integer_scale(c for _, coeffs in pairs for c in coeffs)
-    t = [[[] for _ in range(n)] for _ in range(n)]
-    for r, ((i, j), _) in enumerate(pairs):
-        nonzero = [(m, c) for m, c in enumerate(flat[r * n:(r + 1) * n]) if c]
-        t[i][j] = nonzero
-        t[j][i] = [(m, -c) for m, c in nonzero]
-    return scale, t
-
-
-def _ad_rows(t, x):
-    """ad(x) from the table, for x scaled like it: row k holds the k-th
-    coordinates of the brackets [x, e_b]."""
-    n = len(t)
-    columns = [[0] * n for _ in range(n)]
-    for a, xa in enumerate(x):
-        if xa:
-            for column, constants in zip(columns, t[a]):
-                for k, c in constants:
-                    column[k] += xa * c
-    return list(zip(*columns))
-
-
 def _pack(digits, width):
     """sum_m digits[m] 2^(width m) for signed int digits."""
     packed = 0
@@ -168,10 +110,11 @@ def _pack(digits, width):
 def check_jacobi(algebra):
     """All basis triples (i, j, k) violating the Jacobi identity, 1-based.
 
-    Empty list iff the structure constants define a Lie algebra.  Every
-    constant is scaled to a Gaussian integer a + bi (b = 0 over the reals)
-    over the common denominator of all the parts; A and B bound |a| and
-    |b|.  Each bracket [e_l, e_k] is packed into one integer
+    Empty list iff the structure constants define a Lie algebra.  The
+    constants are read as one ScaledMatrix C, row r the coordinates of
+    [e_i, e_j] for the r-th stored pair: Gaussian integers a + bi (b = 0
+    when no constant has an imaginary part) over one denominator; A and B
+    bound |a| and |b|.  Each bracket [e_l, e_k] is packed into one integer
 
         P_lk = sum_m a_lk^m 2^(w m) + sum_m b_lk^m 2^(w (n + m)),
 
@@ -181,27 +124,23 @@ def check_jacobi(algebra):
         J = sum_l c_ij^l P_lk + c_jk^l P_li + c_ki^l P_lj,
 
     with c P = a P + b (i P) for c = a + bi: 3n multiply-adds per triple
-    over the reals, 6n when some constant has an imaginary part.
+    when no constant has an imaginary part, 6n otherwise.
 
     J = 0 exactly when the Jacobiator is.  Its digits d_m (the real and
     imaginary parts of its coordinates) are sums of 3n parts of products
     c c', and |aa' - bb'|, |ab' + ba'| <= A^2 + B^2, so |d_m| < 2^(w-1).
     If some d_m != 0, let M be the largest such m: the lower digits sum to
     at most (2^(w-1) - 1) (2^(w M) - 1) / (2^w - 1) < 2^(w M) <= |d_M 2^(w
-    M)| in absolute value, so J != 0.  The packed table is built per call,
-    like structure_table.
+    M)| in absolute value, so J != 0.  C and the packed table are built
+    per call.
     """
     n = algebra.dim
-    values = [c for coeffs in algebra.brackets.values() for c in coeffs]
-    parts = [values]
-    if any(isinstance(c, GaussianRational) for c in values):
-        pairs = [(c.re, c.im) if isinstance(c, GaussianRational) else (c, 0)
-                 for c in values]
-        parts = [[re for re, _ in pairs], [im for _, im in pairs]]
-    ratios = [[x.as_integer_ratio() for x in part] for part in parts]
-    d = lcm(*{q for part in ratios for _, q in part})
-    parts = [[p * (d // q) for p, q in part] for part in ratios]
-    width = (3 * n * sum(max(map(abs, part), default=0) ** 2
+    constants = ScaledMatrix.of(algebra.brackets.values())
+    parts = [constants.re]
+    if constants.im is not None:
+        parts.append(constants.im)
+    width = (3 * n * sum(max(map(abs, chain.from_iterable(part)),
+                             default=0) ** 2
                          for part in parts)).bit_length() + 1
     shift = width * n
     # columns[k][l] = P_lk and rows[i][j] = the c_ij^l, then, on Gaussian
@@ -209,8 +148,7 @@ def check_jacobi(algebra):
     slots = n * len(parts)
     columns = [[0] * slots for _ in range(n)]
     rows = [[[0] * slots] * n for _ in range(n)]
-    for r, (i, j) in enumerate(algebra.brackets):
-        digits = [part[r * n:(r + 1) * n] for part in parts]
+    for (i, j), *digits in zip(algebra.brackets, *parts):
         packed = [_pack(digits[0], width)]
         if len(parts) == 2:
             p, q = packed[0], _pack(digits[1], width)
@@ -233,19 +171,43 @@ def check_jacobi(algebra):
     return violations
 
 
+def _ad_numerators(pairs, constants, x, n):
+    """The rows of ad(x) for the numerators x of a vector and the
+    numerator rows C_r of the brackets of pairs: for the r-th pair (a, b),
+    column b gains x_a C_r and column a loses x_b C_r.  Pairs that miss
+    the support of x add nothing."""
+    columns = [[0] * n for _ in range(n)]
+    for (a, b), row in zip(pairs, constants):
+        if x[a]:
+            columns[b] = [s + x[a] * c for s, c in zip(columns[b], row)]
+        if x[b]:
+            columns[a] = [s - x[b] * c for s, c in zip(columns[a], row)]
+    return list(zip(*columns))
+
+
+def _over_field(algebra, rows, d):
+    """The rows of integers (Gaussian integers) over the int d as one
+    ScaledMatrix, Gaussian over the complex field."""
+    m = ScaledMatrix.of(rows, d)
+    return ScaledMatrix(m.re, m.im, m.d,
+                        m.gaussian or algebra.field == COMPLEX)
+
+
 def ad(algebra, x):
     """Matrix of ad(x): column j holds the coordinates of [x, e_j],
-    sum_a x_a [e_a, e_j], read off the rows of the structure table for the
-    a with x_a != 0."""
+    sum_a x_a [e_a, e_j], from the rows of C for the stored pairs that
+    meet the support of x only."""
     n = algebra.dim
     if len(x) != n:
         raise InputError("vector length does not match algebra dimension")
-    scale, t = structure_table(
-        algebra, {a for a, xa in enumerate(x) if xa})
-    x_scale, xs = integer_scale(x)
-    flat = unscale([v for row in _ad_rows(t, xs) for v in row],
-                   scale * x_scale, algebra.field)
-    return [flat[k * n:(k + 1) * n] for k in range(n)]
+    support = {a for a, xa in enumerate(x) if xa}
+    pairs = [pair for pair in algebra.brackets
+             if not support.isdisjoint(pair)]
+    constants = ScaledMatrix.of(algebra.brackets[pair] for pair in pairs)
+    xs = ScaledMatrix.of([x])
+    rows = _ad_numerators(pairs, constants.numerators(),
+                          xs.numerators()[0], n)
+    return _over_field(algebra, rows, constants.d * xs.d).rows()
 
 
 def subspace_brackets(algebra, basis, pairs):
@@ -253,21 +215,20 @@ def subspace_brackets(algebra, basis, pairs):
     as the rows of one ScaledMatrix, Gaussian over the complex field.
 
     Entry k is (B C_k B^T)_ij, C_k the matrix of the constants c_ab^k,
-    computed as ad(b_i) b_j: summed in ints over the common denominator
-    of B and the table, which is the denominator of the result.
+    computed as ad(b_i) b_j: summed in integers over the denominators of
+    B and C, with one division.
     """
     n = algebra.dim
     if any(len(row) != n for row in basis):
         raise InputError("vector length does not match algebra dimension")
-    scale, t = structure_table(algebra)
-    b_scale, flat = integer_scale(x for row in basis for x in row)
-    rows = [flat[r * n:(r + 1) * n] for r in range(len(basis))]
-    ads = {i: _ad_rows(t, rows[i]) for i in {i for i, _ in pairs}}
-    brackets = ScaledMatrix.of([[sum(map(mul, row, rows[j]))
-                                 for row in ads[i]] for i, j in pairs],
-                               scale * b_scale * b_scale)
-    return ScaledMatrix(brackets.re, brackets.im, brackets.d,
-                        brackets.gaussian or algebra.field == COMPLEX)
+    constants = ScaledMatrix.of(algebra.brackets.values())
+    b = ScaledMatrix.of(basis)
+    rows, c = b.numerators(), constants.numerators()
+    ads = {i: _ad_numerators(algebra.brackets, c, rows[i], n)
+           for i in {i for i, _ in pairs}}
+    return _over_field(algebra, [[sum(map(mul, row, rows[j]))
+                                  for row in ads[i]] for i, j in pairs],
+                       constants.d * b.d * b.d)
 
 
 def complexify(algebra):

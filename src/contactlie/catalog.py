@@ -120,7 +120,8 @@ def _sl2r_entry():
         metric_diag=[Fraction(1, 2), Fraction(1, 2), Fraction(1)])
 
 
-def _abelian(dim, name=None):
+def abelian(dim, name=None):
+    """Abelian R^dim, handy as a non-contact counterexample."""
     return LieAlgebra(name=name or "abelian%d" % dim, dim=dim, brackets={})
 
 
@@ -196,18 +197,13 @@ def catalog():
         _nilpotent_nondiag5_entry(),
         _symplectic_entry(
             "r2_sympl", "abelian R^2 with omega(f1,f2) = 1",
-            _abelian(2, "r2"), _standard_omega(2)),
+            abelian(2, "r2"), _standard_omega(2)),
         _symplectic_entry(
             "r4_sympl", "abelian R^4 with the standard symplectic form",
-            _abelian(4, "r4"), _standard_omega(4)),
+            abelian(4, "r4"), _standard_omega(4)),
         _symplectic_entry(
             "aff1_aff1_sympl",
             "aff(1)+aff(1) with the standard symplectic form",
             _aff1_aff1(), _standard_omega(4)),
     ]
     return {e.name: e for e in entries}
-
-
-def abelian(dim):
-    """Abelian R^dim, handy as a non-contact counterexample."""
-    return _abelian(dim)

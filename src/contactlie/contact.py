@@ -9,7 +9,7 @@ from .errors import InputError, InternalInvariantError, SingularSystemError
 from .forms import (AlternatingForm, ce_differential, is_contact,
                     one_form_coefficients, two_form_matrix)
 from .linalg import (ScaledMatrix, dot, mat_vec, nullspace, solve_unique,
-                     transpose, vec_is_zero)
+                     transpose)
 from .polynomials import (Polynomial, format_polynomial, is_squarefree,
                           minimal_polynomial)
 
@@ -176,10 +176,3 @@ def decompose(c, x):
     s = dot(c.eta_row, x)
     hx = mat_vec([list(r) for r in c.projector], list(x))
     return s, hx
-
-
-def reeb_bracket_is_horizontal(c):
-    """eta([xi, X]) = 0 for every basis X; follows from the Reeb equations.
-
-    The values eta([xi, e_j]) are the entries of the row eta * ad(xi)."""
-    return vec_is_zero(mat_vec(transpose(c.ad_reeb), c.eta_row))

@@ -29,9 +29,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
-from .algebra import integer_scale, structure_table, unscale
 from .errors import InputError
-from .linalg import det, pfaffian
+from .linalg import ScaledMatrix, det, pfaffian
 from .scalars import to_gaussian
 
 
@@ -214,28 +213,30 @@ def ce_differential(algebra, form):
     Only nonzero structure constants c_ab^m enter; k(e_m, rest) is read
     off the stored coefficient of the sorted tuple with m inserted at
     position pos, with sign (-1)^pos on top of (-1)^(a+b).  The sums run
-    in ints over the structure table and the form's scaled values, with
-    one division per output coefficient.
+    in integers over the rows of C and the form's values as one
+    ScaledMatrix, with one division per output coefficient.
     """
     if form.dim != algebra.dim:
         raise InputError("form does not live on this algebra")
     k = form.degree
-    scale, t = structure_table(algebra)
-    form_scale, scaled = integer_scale(form.coeffs.values())
-    values = dict(zip(form.coeffs, scaled))
-    # the 1/2 of the convention, the table's and the form's scales
-    d = 2 * scale * form_scale
-    totals = {}
+    constants = ScaledMatrix.of(algebra.brackets.values())
+    nonzero = {pair: [(m, c) for m, c in enumerate(row) if c]
+               for pair, row in zip(algebra.brackets,
+                                    constants.numerators())}
+    scaled = ScaledMatrix.of([form.coeffs.values()])
+    values = dict(zip(form.coeffs, scaled.numerators()[0]))
+    # the 1/2 of the convention and the denominators of C and the form
+    d = 2 * constants.d * scaled.d
+    coeffs = {}
     for key in combinations(range(algebra.dim), k + 1):
         total = 0
         for a in range(k + 1):
-            row = t[key[a]]
             for b in range(a + 1, k + 1):
-                constants = row[key[b]]
-                if not constants:
+                row = nonzero.get((key[a], key[b]))
+                if row is None:
                     continue
                 rest = key[:a] + key[a + 1:b] + key[b + 1:]
-                for m, c in constants:
+                for m, c in row:
                     # a repeated m gives a key that is never stored
                     pos = bisect_left(rest, m)
                     value = values.get(rest[:pos] + (m,) + rest[pos:])
@@ -245,9 +246,9 @@ def ce_differential(algebra, form):
                         else:
                             total += c * value
         if total:
-            totals[key] = total
-    return AlternatingForm(algebra.dim, k + 1,
-                           dict(zip(totals, unscale(totals.values(), d))))
+            coeffs[key] = (Fraction(total, d) if isinstance(total, int)
+                           else total / d)
+    return AlternatingForm(algebra.dim, k + 1, coeffs)
 
 
 def is_contact(algebra, eta):

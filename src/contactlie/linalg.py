@@ -112,10 +112,11 @@ class ScaledMatrix:
                    for x in row] for row in rows]
             rows = [[x.re if isinstance(x, GaussianRational) else x
                      for x in row] for row in rows]
-        parts = [rows] if im is None else [rows, im]
-        s = lcm(*{x.denominator for p in parts for row in p for x in row})
-        re, *im = [[[x.numerator * (s // x.denominator) for x in row]
-                    for row in p] for p in parts]
+        parts = [[[x.as_integer_ratio() for x in row] for row in p]
+                 for p in ([rows] if im is None else [rows, im])]
+        s = lcm(*{q for p in parts for row in p for _, q in row})
+        re, *im = [[[x * (s // q) for x, q in row] for row in p]
+                   for p in parts]
         return _reduced(re, im[0] if im else None, s * d, gaussian)
 
     @classmethod
@@ -127,9 +128,18 @@ class ScaledMatrix:
         d = self.d
         if not self.gaussian:
             return [[Fraction(x, d) for x in row] for row in self.re]
-        im = self.im or [[0] * len(row) for row in self.re]
         return [[GaussianRational(Fraction(x, d), Fraction(y, d))
-                 for x, y in zip(r, s)] for r, s in zip(self.re, im)]
+                 for x, y in zip(r, s)]
+                for r, s in zip(self.re, self._imaginary())]
+
+    def numerators(self):
+        """The matrix times d: lists of ints, or of GaussianRationals with
+        integer parts whenever the matrix is Gaussian, also when every
+        imaginary part is 0."""
+        if not self.gaussian:
+            return self.re
+        return [[GaussianRational(x, y) for x, y in zip(r, s)]
+                for r, s in zip(self.re, self._imaginary())]
 
     @property
     def is_zero(self):
@@ -246,10 +256,6 @@ def vec_is_zero(v):
     return all(x == 0 for x in v)
 
 
-def mat_eq(a, b):
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
 # -- elimination ---------------------------------------------------------------
 
 def _gaussian_rows(m):
@@ -269,8 +275,7 @@ def rref(m):
 def _rref_scaled(m):
     ncols = len(m.re[0]) if m.re else 0
     if m.im is not None:
-        rows = [[GaussianRational(x, y) for x, y in zip(r, s)]
-                for r, s in zip(m.re, m.im)]
+        rows = m.numerators()
         pivots, d = _rref_integer(rows, ncols)
         return ScaledMatrix.of([[x / d for x in row] for row in rows]), pivots
     _, rows = _primitive(m.re)
@@ -309,10 +314,6 @@ def _rref_integer(a, ncols):
         prev = piv
         pivots.append(c)
     return pivots, prev
-
-
-def rank(m):
-    return len(rref(m)[1])
 
 
 def solve_unique(a, b):

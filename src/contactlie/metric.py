@@ -14,15 +14,14 @@ tolerances.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 
-from .algebra import REAL, integer_scale
+from .algebra import REAL
 from .errors import InputError, InternalInvariantError
 from .forms import two_form_matrix
-from .linalg import (ScaledMatrix, det, dot, inverse, leading_minors, mat_eq,
-                     mat_mul, mat_vec, transpose)
+from .linalg import (ScaledMatrix, det, dot, inverse, leading_minors, mat_mul,
+                     mat_vec, transpose)
 from .polynomials import format_polynomial
-from .scalars import GaussianRational, scalar_re_im
+from .scalars import scalar_re_im
 
 SKEW_INPUT_TOL = 1e-12
 ORTHOGONAL_TOL = 1e-12
@@ -162,20 +161,18 @@ def _reeb_derivative(c, g):
 
 
 def _covector_brackets(algebra, w):
-    """W[j][k] = w([e_j, e_k]) for the column w, summed over the structure
-    constants scaled to integers and divided once."""
-    (ws,) = w.T.re
-    if w.im is not None:
-        ws = [GaussianRational(x, y) for x, y in zip(ws, w.T.im[0])]
+    """W[j][k] = w([e_j, e_k]) for the column w: the entries of C w, C the
+    structure constants as one ScaledMatrix, scattered into a skew
+    matrix."""
     n = algebra.dim
-    scale, flat = integer_scale(
-        chain.from_iterable(algebra.brackets.values()))
-    rows = [[0] * n for _ in range(n)]
-    for r, (j, k) in enumerate(algebra.brackets):
-        x = sum(ws[m] * c
-                for m, c in enumerate(flat[r * n:(r + 1) * n]) if c)
-        rows[j][k], rows[k][j] = x, -x
-    return ScaledMatrix.of(rows, w.d * scale)
+    cw = ScaledMatrix.of(algebra.brackets.values()) @ w
+    skew = []
+    for part in [cw.re] if cw.im is None else [cw.re, cw.im]:
+        rows = [[0] * n for _ in range(n)]
+        for (j, k), (x,) in zip(algebra.brackets, part):
+            rows[j][k], rows[k][j] = x, -x
+        skew.append(rows)
+    return ScaledMatrix(*skew, d=cw.d, gaussian=cw.gaussian)
 
 
 def compute_h(c, g):
@@ -390,8 +387,5 @@ def symplectic_is_associated(algebra, omega, k):
     w = two_form_matrix(omega)
     if det(w) == 0:
         raise InputError("omega is degenerate")
-    j = mat_mul(k.inverse, w)
-    n = algebra.dim
-    minus_i = [[Fraction(-1) if a == b else Fraction(0) for b in range(n)]
-               for a in range(n)]
-    return mat_eq(mat_mul(j, j), minus_i), j
+    j = k.scaled_inverse @ ScaledMatrix.of(w)
+    return j @ j == -ScaledMatrix.identity(algebra.dim), j.rows()

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .algebra import COMPLEX, bracket
 from .contact import ContactStructure
 from .errors import InputError, InternalInvariantError
-from .linalg import (ScaledMatrix, dot, mat_mul, nullspace, rank, transpose,
+from .linalg import (ScaledMatrix, dot, mat_mul, nullspace, rref, transpose,
                      vec_is_zero)
 from .polynomials import format_polynomial
 from .scalars import (GaussianRational, QuadraticNumber, gaussian_sqrt,
@@ -69,7 +69,7 @@ def root_decomposition(c):
                 not s.im or c.algebra.field == COMPLEX):
             minus, plus = _kernel(a, -s), _kernel(a, s)
         else:
-            minus, plus = _image_spaces(a, s)
+            minus, plus = _image_spaces(c, s)
         spaces = {-s: minus, zero: _kernel(a, 0), s: plus}
     rd = RootDecomposition(contact=c, roots=tuple(spaces), spaces=spaces)
     _validate_decomposition(rd)
@@ -84,16 +84,20 @@ def _kernel(a, r):
                  for v in nullspace(shifted))
 
 
-def _image_spaces(a, s):
+def _image_spaces(c, s):
     """Bases A u_j -+ s u_j of g_{-+s} for s outside the field of A, with
     u_j picked among the columns of A so that the u_j and A u_j form a
-    basis of im A (A^2 = s^2 there, and no u_j is an eigenvector)."""
-    picked, basis = [], []
-    for u in transpose(a):
-        (au,) = _images(a, [u])
-        if rank(basis + [u, au]) == len(basis) + 2:
-            basis += [u, au]
-            picked.append((u, au))
+    basis of im A (A^2 = s^2 there, and no u_j is an eigenvector).
+
+    im A is a vector space over the field with s adjoined, so u_j is
+    independent of the earlier picked pairs exactly when A u_j is: one
+    elimination of the columns u_0, A u_0, u_1, A u_1, ... has its pivots
+    in pairs, and every other pivot picks a u_j."""
+    a = c.scaled_ad_reeb
+    u, au = a.T.rows(), (a @ a).T.rows()
+    _, pivots = rref(ScaledMatrix.of(
+        [v for pair in zip(u, au) for v in pair]).T)
+    picked = [(u[p // 2], au[p // 2]) for p in pivots[0::2]]
     return tuple(tuple(_normalized([x + r * y for x, y in zip(au, u)])
                        for u, au in picked) for r in (-s, s))
 

@@ -1,12 +1,13 @@
 """Structural guards: the load -> extend -> quotient -> analyze path must
 not reach the combinatorial kernels.  `wedge` expands eta ^ (d eta)^n term
 by term, and `bracket` sums Fractions per pair where Jacobi checks and
-central quotients read one integer structure table; both stay public but
-are patched here to raise wherever a contactlie module holds them.  The
-table is built per call, never kept on the algebra.  Derived data of a
-contact structure is computed once: call counts of the expensive steps
-are pinned per call.  Real-valued Gaussian matrices take
-the integer kernels of linalg, without GaussianRational arithmetic."""
+central quotients read the structure constants as one integer matrix;
+both stay public but are patched here to raise wherever a contactlie
+module holds them.  That matrix is built per call, never kept on the
+algebra.  Derived data of a contact structure is computed once: call
+counts of the expensive steps are pinned per call.  Real-valued Gaussian
+matrices take the integer kernels of linalg, without GaussianRational
+arithmetic."""
 
 import random
 import sys
@@ -21,10 +22,12 @@ from contactlie.catalog import catalog
 from contactlie.contact import contact_structure
 from contactlie.extension import (analyze_kcontact, central_extension,
                                   central_quotient)
-from contactlie.forms import basis_dual, ce_differential, is_contact, two_form
+from contactlie.forms import (basis_dual, ce_differential, is_contact,
+                              one_form, two_form)
 from contactlie.linalg import det, mat_mul, mat_vec, rref
 from contactlie.metric import is_kcontact
 from contactlie.scalars import GaussianRational
+from contactlie.spectral import root_decomposition
 
 CAT = catalog()
 
@@ -191,6 +194,20 @@ def test_analyze_kcontact_reads_eta_and_d_eta_off_the_structure(
         analyze_kcontact(c, e.metric)
         assert set(dims) <= {("two_form_matrix", e.algebra.dim - 1)}, (
             name, dims)
+
+
+def test_root_decomposition_picks_image_pairs_in_one_elimination(
+        monkeypatch):
+    """Roots outside the structure's field take one elimination for the
+    kernel of ad(xi) and one for the basis of its image, not one per
+    column of ad(xi)."""
+    c = contact_structure(CAT["su2"].algebra, one_form(3, [1, 2, 0]))
+    assert c.ad_reeb_diagonalizable
+    calls = Counter()
+    count(monkeypatch, calls, contactlie.linalg, "rref")
+    rd = root_decomposition(c)
+    assert calls["rref"] == 2
+    assert rd.multiplicities == {r: 1 for r in rd.roots}
 
 
 def test_is_kcontact_multiplies_only_scaled_matrices(monkeypatch):

@@ -1,6 +1,7 @@
-"""Every import in the package modules and in the tests is used, numpy
-is imported only by the floating routines, and the coefficient row of eta
-and the matrix of d eta are built only by contact_structure.
+"""Every import in the package modules and in the tests is used, every
+public function of the package is used by the package or re-exported,
+numpy is imported only by the floating routines, and the coefficient row
+of eta and the matrix of d eta are built only by contact_structure.
 
 `__init__.py` is exempt from the first check: its imports are the public
 re-exports.  A name counts as used when it is read anywhere in the
@@ -51,6 +52,42 @@ def test_checker_finds_unused_imports():
                          ids=[str(p.relative_to(ROOT)) for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def dead_functions(sources, init_source):
+    """(module, name) of every public module-level function of the
+    modules in sources (name -> source) that no module reads and that
+    init_source does not import, that is, re-export."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [(module, node.name) for node in tree.body
+                    if isinstance(node, ast.FunctionDef)
+                    and not node.name.startswith("_")]
+        used |= {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name)
+                 and isinstance(node.ctx, ast.Load)}
+    used |= {alias.name for node in ast.walk(ast.parse(init_source))
+             if isinstance(node, ast.ImportFrom) for alias in node.names}
+    return sorted(item for item in defined if item[1] not in used)
+
+
+def test_checker_finds_dead_functions():
+    sources = {"a": "def f():\n    return g()\ndef g():\n    pass\n"
+                    "def _h():\n    pass\nclass K:\n    def m(self):\n"
+                    "        pass\n",
+               "b": "from .a import f\ndef p():\n    pass\n"
+                    "def q():\n    return f\ndef r():\n    q = 1\n"}
+    assert dead_functions(sources, "from .b import p\n") == [
+        ("b", "q"), ("b", "r")]
+
+
+def test_no_dead_functions():
+    """A function that only tests call is a test helper, not library."""
+    sources = {p.stem: p.read_text() for p in PACKAGE
+               if p.name != "__init__.py"}
+    init = (ROOT / "src" / "contactlie" / "__init__.py").read_text()
+    assert dead_functions(sources, init) == []
 
 
 def numpy_import_scopes(source):

@@ -6,7 +6,7 @@ import pytest
 
 from contactlie.errors import SingularSystemError
 from contactlie.linalg import (det, inverse, leading_minors, mat_mul,
-                               mat_vec, nullspace, pfaffian, rank, rref,
+                               mat_vec, nullspace, pfaffian, rref,
                                solve_unique, transpose)
 from contactlie.metric import MetricData
 from contactlie.scalars import GaussianRational
@@ -18,8 +18,8 @@ def frac_matrix(rows):
 
 def test_rref_rank():
     m = frac_matrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-    assert rank(m) == 2
     rows, pivots = rref(m)
+    assert len(pivots) == 2
     assert pivots == [0, 1]
     assert rows[0][0] == 1 and rows[1][1] == 1
     assert rows[0][1] == 0 and rows[1][0] == 0
@@ -50,7 +50,7 @@ def test_nullspace():
     for a in ([[GaussianRational(1), 2, 3]], [[GaussianRational(0, 1), 2, 0]],
               [[GaussianRational(0)] * 3]):
         basis = nullspace(a)
-        assert len(basis) == 3 - rank(a)
+        assert len(basis) == 3 - len(rref(a)[1])
         assert all(isinstance(x, GaussianRational) for v in basis for x in v)
         assert all(mat_vec(a, v) == [0] for v in basis)
 

@@ -22,9 +22,8 @@ from math import lcm
 
 import pytest
 
-from contactlie.algebra import (LieAlgebra, _ad_rows, ad, bracket,
-                                check_jacobi, complexify, integer_scale,
-                                structure_table, subspace_brackets, unscale)
+from contactlie.algebra import (LieAlgebra, ad, bracket, check_jacobi,
+                                complexify, subspace_brackets)
 from contactlie.catalog import abelian, catalog
 from contactlie.contact import contact_structure
 from contactlie.errors import InputError, InternalInvariantError
@@ -35,7 +34,8 @@ from contactlie.forms import (AlternatingForm, basis_dual, ce_differential,
                               one_form_coefficients, two_form, wedge)
 from contactlie.linalg import (ScaledMatrix, det, inverse, mat_mul, mat_vec,
                                rref, transpose)
-from contactlie.metric import (MetricData, _reeb_derivative, compute_h,
+from contactlie.metric import (MetricData, _covector_brackets,
+                               _reeb_derivative, compute_h,
                                construct_associated_metric, is_associated,
                                is_kcontact, kcontact_obstruction, levi_civita)
 from contactlie.polynomials import is_squarefree
@@ -370,11 +370,36 @@ def test_sparse_ad_matches_bracket_reference(name, field, data):
     x = [scalar(v) for v in data.draw(
         st.lists(st.integers(-3, 3), min_size=algebra.dim,
                  max_size=algebra.dim))]
-    assert ad(algebra, x) == ad_by_brackets(algebra, x)
+    got = ad(algebra, x)
+    assert got == ad_by_brackets(algebra, x)
+    # == alone does not tell GaussianRational(x) from x
+    expected = GaussianRational if field == "complex" else Fraction
+    assert all(type(v) is expected for row in got for v in row)
 
 
-def table_value(c, scale):
-    return c / scale if isinstance(c, GaussianRational) else Fraction(c, scale)
+class ReadRecorder(dict):
+    """The brackets of an algebra, recording the pairs whose structure
+    constants are read."""
+
+    def __init__(self, brackets):
+        super().__init__(brackets)
+        self.read = set()
+
+    def __getitem__(self, pair):
+        self.read.add(pair)
+        return super().__getitem__(pair)
+
+    def get(self, pair, default=None):
+        self.read.add(pair)
+        return super().get(pair, default)
+
+    def values(self):
+        self.read.update(self)
+        return super().values()
+
+    def items(self):
+        self.read.update(self)
+        return super().items()
 
 
 @pytest.mark.parametrize("field", ["real", "complex", "int"])
@@ -382,29 +407,52 @@ def table_value(c, scale):
 @settings(max_examples=5, deadline=None, database=None)
 @given(data=st.data())
 def test_ad_reads_only_the_table_rows_of_its_support(name, field, data):
-    """ad(x) reads the rows a of the structure table with x_a != 0 only
-    (one row for xi = e_last of a central extension) and gives what the
-    whole table gives, with the same entry types."""
+    """ad(x) reads the rows of C, the brackets of the stored pairs, that
+    meet the support of x only (those of the last index for xi = e_last
+    of a central extension), and gives what one bracket per basis vector
+    gives, with the same entry types."""
     algebra, _ = conjugated_input(data, name, field)
     n = algebra.dim
     support = data.draw(st.sets(st.integers(0, n - 1)))
     x = [FIELD_SCALARS[field](data.draw(st.integers(1, 3)) if a in support
                               else 0) for a in range(n)]
-    scale, full = structure_table(algebra)
-    x_scale, xs = integer_scale(x)
-    flat = unscale([v for row in _ad_rows(full, xs) for v in row],
-                   scale * x_scale, algebra.field)
-    want = [flat[k * n:(k + 1) * n] for k in range(n)]
+    want = ad_by_brackets(algebra, x)
+    recorder = ReadRecorder(algebra.brackets)
+    object.__setattr__(algebra, "brackets", recorder)
     got = ad(algebra, x)
     assert got == want
     assert [type(v) for row in got for v in row] == \
         [type(v) for row in want for v in row]
-    part_scale, part = structure_table(algebra, support)
-    for a in support:
-        assert [[(m, table_value(c, part_scale)) for m, c in entry]
-                for entry in part[a]] == \
-            [[(m, table_value(c, scale)) for m, c in entry]
-             for entry in full[a]]
+    assert recorder.read == {pair for pair in recorder
+                             if not support.isdisjoint(pair)}
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_kernels_on_algebras_without_brackets(n, complex_field):
+    """With no stored pair C has no rows and so no column count; every
+    kernel still gives zeros of the algebra's shape and field."""
+    algebra = abelian(n)
+    if complex_field:
+        algebra = complexify(algebra)
+    expected = GaussianRational if complex_field else Fraction
+    one = algebra.one_scalar()
+
+    def assert_zeros(rows, count):
+        assert rows == [[0] * n] * count
+        assert all(type(v) is expected for row in rows for v in row)
+
+    assert check_jacobi(algebra) == []
+    assert_zeros(ad(algebra, [one] * n), n)
+    basis = [[one] * n, algebra.basis_vector(n - 1)]
+    assert_zeros(subspace_brackets(algebra, basis, [(0, 1), (1, 0), (1, 1)])
+                 .rows(), 3)
+    for k in range(n):
+        d = ce_differential(algebra, AlternatingForm(n, k, {
+            tuple(range(k)): one}))
+        assert d.is_zero and (d.dim, d.degree) == (n, k + 1)
+    assert_zeros(_covector_brackets(algebra,
+                                    ScaledMatrix.of([[one] * n]).T).rows(), n)
 
 
 SUBSPACE_ENTRIES = {
