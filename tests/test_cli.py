@@ -300,3 +300,19 @@ def test_import_leaves_scipy_unloaded(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip().splitlines()[-1] == "False False"
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "cli_golden.json")
+
+
+def test_cli_documents_match_golden_certificates(capsys):
+    """validate, reeb, contact-check, roots, analyze, analyze --auto-metric
+    and catalog show on every catalog entry give the recorded exit code
+    and JSON document."""
+    with open(GOLDEN, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    assert len(golden) == 7 * len(catalog())
+    for case in golden:
+        code, doc = run_json(capsys, *case["argv"])
+        assert code == case["document"]["exit_code"], case["argv"]
+        assert doc == case["document"], case["argv"]
