@@ -219,10 +219,10 @@ def subspace_brackets(algebra, basis, pairs):
     B and C, with one division.
     """
     n = algebra.dim
-    if any(len(row) != n for row in basis):
+    b = ScaledMatrix.of(basis)
+    if any(len(row) != n for row in b.re):
         raise InputError("vector length does not match algebra dimension")
     constants = ScaledMatrix.of(algebra.brackets.values())
-    b = ScaledMatrix.of(basis)
     rows, c = b.numerators(), constants.numerators()
     ads = {i: _ad_numerators(algebra.brackets, c, rows[i], n)
            for i in {i for i, _ in pairs}}

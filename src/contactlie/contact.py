@@ -1,15 +1,19 @@
 """Validated contact structures: Reeb field, horizontal distribution and
-the splitting X = eta(X) xi + HX."""
+the splitting X = eta(X) xi + HX.
+
+Each matrix of a structure (d eta, the horizontal basis, the projector
+and ad(xi)) is held once, as a ScaledMatrix, which the checks here and in
+metric, spectral and extension multiply and which reads as rows of
+scalars wherever a caller iterates or indexes it."""
 
 from dataclasses import dataclass
 from functools import cached_property
 
-from .algebra import LieAlgebra, ad
-from .errors import InputError, InternalInvariantError, SingularSystemError
+from .algebra import COMPLEX, LieAlgebra, ad
+from .errors import InputError, InternalInvariantError
 from .forms import (AlternatingForm, ce_differential, is_contact,
                     one_form_coefficients, two_form_matrix)
-from .linalg import (ScaledMatrix, dot, mat_vec, nullspace, solve_unique,
-                     transpose)
+from .linalg import ScaledMatrix, dot, mat_vec, nullspace, rref
 from .polynomials import (Polynomial, format_polynomial, is_squarefree,
                           minimal_polynomial)
 
@@ -18,24 +22,23 @@ from .polynomials import (Polynomial, format_polynomial, is_squarefree,
 class ContactStructure:
     """A contact Lie algebra together with its derived data.
 
-    horizontal_basis spans ker(eta); projector is P = I - xi (x) eta, the
-    projection onto the horizontal space along the Reeb line.  deta, its
-    matrix D[i][j] = d eta(e_i, e_j) and eta_row are kept from the Reeb
-    solve; ad(xi), whether it is zero, its minimal polynomial and whether
-    that polynomial is squarefree (ad_reeb_diagonalizable) are computed at
-    most once per structure, on first use.  So are the ScaledMatrix forms
-    of ad(xi), D, the projector, the horizontal basis (one row per
-    vector), xi (a column) and eta (a row), which the checks of this
-    module, metric, spectral and extension multiply.
+    reeb (xi) and eta_row are tuples of scalars; horizontal_basis (one
+    row per vector of ker eta), projector (P = I - xi (x) eta, the
+    projection onto the horizontal space along the Reeb line) and
+    deta_matrix (D[i][j] = d eta(e_i, e_j)) are ScaledMatrices kept from
+    the Reeb solve.  ad(xi) as a ScaledMatrix, whether it is zero, its
+    minimal polynomial, whether that polynomial is squarefree
+    (ad_reeb_diagonalizable) and xi and eta as a column and a row
+    ScaledMatrix are computed at most once per structure, on first use.
     """
 
     algebra: LieAlgebra
     eta: AlternatingForm
     reeb: tuple
-    horizontal_basis: tuple
-    projector: tuple  # rows
+    horizontal_basis: ScaledMatrix
+    projector: ScaledMatrix
     deta: AlternatingForm
-    deta_matrix: tuple  # rows
+    deta_matrix: ScaledMatrix
     eta_row: tuple
 
     @property
@@ -44,24 +47,7 @@ class ContactStructure:
 
     @cached_property
     def ad_reeb(self):
-        """ad(xi) as a tuple of rows."""
-        return _rows(ad(self.algebra, list(self.reeb)))
-
-    @cached_property
-    def scaled_ad_reeb(self):
-        return ScaledMatrix.of(self.ad_reeb)
-
-    @cached_property
-    def scaled_deta(self):
-        return ScaledMatrix.of(self.deta_matrix)
-
-    @cached_property
-    def scaled_projector(self):
-        return ScaledMatrix.of(self.projector)
-
-    @cached_property
-    def scaled_horizontal(self):
-        return ScaledMatrix.of(self.horizontal_basis)
+        return ScaledMatrix.of(ad(self.algebra, list(self.reeb)))
 
     @cached_property
     def scaled_reeb(self):
@@ -74,7 +60,7 @@ class ContactStructure:
     @cached_property
     def ad_reeb_is_zero(self):
         """ad(xi) = 0: the Reeb field is central."""
-        return all(x == 0 for row in self.ad_reeb for x in row)
+        return self.ad_reeb.is_zero
 
     @cached_property
     def ad_reeb_minpoly(self):
@@ -100,10 +86,6 @@ class ContactStructure:
         return Polynomial(m.coeffs[1::2])
 
 
-def _rows(m):
-    return tuple(tuple(r) for r in m)
-
-
 def reeb(algebra, eta):
     """The unique xi with eta(xi) = 1 and d(eta)(xi, e_j) = 0 for all j;
     InputError when eta is not contact (see contact_structure)."""
@@ -121,31 +103,32 @@ def contact_structure(algebra, eta):
         raise InputError("contact requires odd dimension, got %d" % algebra.dim)
     if eta.degree != 1 or eta.dim != algebra.dim:
         raise InputError("eta must be a 1-form on the algebra")
+    dim = algebra.dim
     deta = ce_differential(algebra, eta)
-    d = _rows(two_form_matrix(deta))
+    d = ScaledMatrix.of(two_form_matrix(deta))
     eta_row = tuple(one_form_coefficients(eta))
-    # equation j:  sum_i xi_i * deta(e_i, e_j) = 0, a row of D^T
-    rhs = [algebra.one_scalar()] + [algebra.zero_scalar()] * algebra.dim
-    try:
-        xi = solve_unique([eta_row] + transpose(d), rhs)
-    except SingularSystemError as exc:
+    scaled_eta = ScaledMatrix.of([eta_row])
+    # [eta; D^T | e_0]: eta(xi) = 1 and, for each j, the row j of D^T,
+    # sum_i xi_i d eta(e_i, e_j) = 0
+    e0 = ScaledMatrix([[1]] + [[0]] * dim, gaussian=algebra.field == COMPLEX)
+    reduced, pivots = rref(scaled_eta.T.beside(d).T.beside(e0))
+    if pivots != list(range(dim)):
         if is_contact(algebra, eta)[0]:
             raise InternalInvariantError(
-                "Reeb system is singular for a contact form") from exc
+                "Reeb system is singular for a contact form")
         raise InputError(
             "eta is not a contact form on %r (eta ^ d eta^n = 0)"
-            % algebra.name) from exc
+            % algebra.name)
+    xi = reduced[:dim, dim:]
     kernel = nullspace([eta_row])
-    if len(kernel) != algebra.dim - 1:
+    if len(kernel) != dim - 1:
         raise InternalInvariantError("ker(eta) has unexpected dimension")
-    proj = [[(1 if i == j else 0) - xi[i] * eta_row[j]
-             for j in range(algebra.dim)] for i in range(algebra.dim)]
     structure = ContactStructure(
         algebra=algebra,
         eta=eta,
-        reeb=tuple(xi),
-        horizontal_basis=_rows(kernel),
-        projector=_rows(proj),
+        reeb=tuple(x for (x,) in xi),
+        horizontal_basis=ScaledMatrix.of(kernel),
+        projector=ScaledMatrix.identity(dim) - xi @ scaled_eta,
         deta=deta,
         deta_matrix=d,
         eta_row=eta_row,
@@ -155,17 +138,17 @@ def contact_structure(algebra, eta):
 
 
 def _validate(c):
-    eta, xi, p = c.scaled_eta, c.scaled_reeb, c.scaled_projector
+    eta, xi, p = c.scaled_eta, c.scaled_reeb, c.projector
     if eta @ xi != ScaledMatrix.identity(1):
         raise InternalInvariantError("eta(xi) != 1 after solve")
     # d eta(xi, e_j) is the j-th entry of xi^T D
-    if not (xi.T @ c.scaled_deta).is_zero:
+    if not (xi.T @ c.deta_matrix).is_zero:
         raise InternalInvariantError("d eta(xi, e_j) != 0 after solve")
     if p @ p != p:
         raise InternalInvariantError("projector is not idempotent")
     if not (p @ xi).is_zero:
         raise InternalInvariantError("projector does not kill the Reeb field")
-    if not (c.scaled_horizontal @ eta.T).is_zero:
+    if not (c.horizontal_basis @ eta.T).is_zero:
         raise InternalInvariantError("horizontal basis vector not in ker eta")
 
 
@@ -174,5 +157,5 @@ def decompose(c, x):
     if len(x) != c.algebra.dim:
         raise InputError("vector length does not match algebra dimension")
     s = dot(c.eta_row, x)
-    hx = mat_vec([list(r) for r in c.projector], list(x))
+    hx = mat_vec(c.projector, list(x))
     return s, hx

@@ -13,6 +13,7 @@ from .forms import (AlternatingForm, ce_differential, is_contact, one_form,
                     two_form_matrix)
 from .linalg import det, rref
 from .metric import is_kcontact, kcontact_obstruction
+from .polynomials import format_polynomial
 from .spectral import verify_reeb_theorem
 
 
@@ -40,15 +41,13 @@ def central_quotient(c):
     if not c.ad_reeb_is_zero:
         raise InputError(
             "Reeb field is not central (ad(xi) != 0); quotient undefined")
-    basis = [list(v) for v in c.horizontal_basis]
-    m = len(basis)
+    hb = c.horizontal_basis
+    m = len(hb)
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
     # one product projects every bracket [b_i, b_j] (its columns), and
     # one elimination of [B^T | projected brackets] gives their
     # coordinates in the horizontal basis
-    projected = c.scaled_projector @ subspace_brackets(c.algebra, basis,
-                                                       pairs).T
-    hb = c.scaled_horizontal
+    projected = c.projector @ subspace_brackets(c.algebra, hb, pairs).T
     reduced, pivots = rref(hb.T.beside(projected))
     if pivots != list(range(m)):
         raise InternalInvariantError(
@@ -66,7 +65,7 @@ def central_quotient(c):
         raise InternalInvariantError(
             "central quotient violates the Jacobi identity")
     # omega(b_i, b_j) = d eta(b_i, b_j) = b_i^T D b_j, the entries of B D B^T
-    w = (hb @ c.scaled_deta @ hb.T).rows()
+    w = (hb @ c.deta_matrix @ hb.T).rows()
     omega = AlternatingForm(m, 2, {(i, j): w[i][j] for i, j in pairs})
     return SymplecticAlgebra(quotient, omega)  # validates closed + nondeg
 
@@ -152,7 +151,11 @@ def analyze_kcontact(c, g):
     """Run the full main-theorem pipeline on (contact structure, metric);
     the quotient is emitted iff K-contact, dim >= 5 and ad(xi) = 0.
 
-    An unassociated metric raises InputError (from the K-contact test)."""
+    The roots of xi are reported when root_decomposition writes them
+    exactly, that is when the minimal polynomial of ad(xi) is t or
+    t^3 - d t; otherwise the report has no roots and a note naming the
+    polynomial.  An unassociated metric raises InputError (from the
+    K-contact test)."""
     dim = c.algebra.dim
     if not is_kcontact(c, g):
         return MainTheoremReport(
@@ -165,7 +168,14 @@ def analyze_kcontact(c, g):
     if obstruction.obstructed:
         raise InternalInvariantError(
             "K-contact structure with spectral obstruction %s" % obstruction)
-    report = verify_reeb_theorem(c)
+    notes = []
+    if c.ad_reeb_root_squares.degree > 1:
+        roots = ()
+        notes.append("roots of xi not computed: exact roots need the "
+                     "minimal polynomial t or t^3 - d*t of ad(xi), not %s"
+                     % format_polynomial(c.ad_reeb_minpoly))
+    else:
+        roots = verify_reeb_theorem(c).roots
     ad_zero = c.ad_reeb_is_zero
     quotient = None
     if dim < 5:
@@ -180,4 +190,4 @@ def analyze_kcontact(c, g):
                 "quotient")
     return MainTheoremReport(
         is_kcontact=True, dim=dim, ad_xi_zero=ad_zero, quotient=quotient,
-        complexification_roots=report.roots, notes=(note,))
+        complexification_roots=roots, notes=(note, *notes))

@@ -31,7 +31,7 @@ from math import factorial
 
 from .errors import InputError
 from .linalg import ScaledMatrix, det, pfaffian
-from .scalars import to_gaussian
+from .scalars import GaussianRational, to_gaussian
 
 
 def _sort_index_tuple(indices):
@@ -214,7 +214,9 @@ def ce_differential(algebra, form):
     off the stored coefficient of the sorted tuple with m inserted at
     position pos, with sign (-1)^pos on top of (-1)^(a+b).  The sums run
     in integers over the rows of C and the form's values as one
-    ScaledMatrix, with one division per output coefficient.
+    ScaledMatrix, with one division per output coefficient; in Gaussian
+    integers only when a constant or value has a nonzero imaginary part.
+    The coefficients are GaussianRationals when C or the form holds any.
     """
     if form.dim != algebra.dim:
         raise InputError("form does not live on this algebra")
@@ -227,6 +229,7 @@ def ce_differential(algebra, form):
     values = dict(zip(form.coeffs, scaled.numerators()[0]))
     # the 1/2 of the convention and the denominators of C and the form
     d = 2 * constants.d * scaled.d
+    gaussian = constants.gaussian or scaled.gaussian
     coeffs = {}
     for key in combinations(range(algebra.dim), k + 1):
         total = 0
@@ -246,8 +249,9 @@ def ce_differential(algebra, form):
                         else:
                             total += c * value
         if total:
-            coeffs[key] = (Fraction(total, d) if isinstance(total, int)
-                           else total / d)
+            entry = (total / d if isinstance(total, GaussianRational)
+                     else Fraction(total, d))
+            coeffs[key] = to_gaussian(entry) if gaussian else entry
     return AlternatingForm(algebra.dim, k + 1, coeffs)
 
 

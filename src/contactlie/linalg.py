@@ -13,7 +13,10 @@ its matrices in this form from one operation to the next and builds
 Fractions only for the values it returns; mat_mul and mat_vec are one
 product of this type with one conversion in and one out.  Every result
 is divided by the gcd of its denominator and its entries, so the
-integers stay as small as the values allow.
+integers stay as small as the values allow.  A ScaledMatrix also reads
+as rows (len, iteration and m[i], each row a tuple of scalars), so one
+object serves a matrix that is both multiplied and read, and every
+function here takes it where it takes rows.
 
 rref is a fraction-free Gauss-Jordan elimination and det a Bareiss
 elimination (Bareiss 1968, "Sylvester's identity and multistep
@@ -30,7 +33,7 @@ from itertools import chain
 from math import gcd, lcm, prod
 from operator import add, mul, neg, sub
 
-from .errors import SingularSystemError
+from .errors import InputError, SingularSystemError
 from .scalars import GaussianRational, to_gaussian
 
 
@@ -88,7 +91,9 @@ class ScaledMatrix:
     Supports @, +, -, negation, rational multiples k * m, the transpose
     T, == (exact, by cross-multiplication), is_zero, blocks m[rows, cols],
     beside (the columns of two matrices side by side) and inverse; rref
-    takes it too.  of() and rows() convert from and to lists of scalars.
+    takes it too.  of() and rows() convert from and to lists of scalars,
+    and len(m), iteration and m[i] read it as a sequence of rows, each a
+    tuple of scalars converted when it is read.
     """
 
     __slots__ = ("re", "im", "d", "gaussian")
@@ -102,7 +107,10 @@ class ScaledMatrix:
     @classmethod
     def of(cls, rows, d=1):
         """The matrix of rows (ints, Fractions, GaussianRationals) divided
-        by the positive int d."""
+        by the positive int d; a ScaledMatrix over d = 1 comes back as it
+        is."""
+        if isinstance(rows, ScaledMatrix) and d == 1:
+            return rows
         rows = [list(row) for row in rows]
         gaussian = any(isinstance(x, GaussianRational)
                        for row in rows for x in row)
@@ -123,23 +131,33 @@ class ScaledMatrix:
     def identity(cls, n):
         return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
-    def rows(self):
-        """The entries as lists of Fractions, or of GaussianRationals."""
+    def _row(self, i):
+        """Row i as a list of Fractions, or of GaussianRationals."""
         d = self.d
         if not self.gaussian:
-            return [[Fraction(x, d) for x in row] for row in self.re]
-        return [[GaussianRational(Fraction(x, d), Fraction(y, d))
-                 for x, y in zip(r, s)]
-                for r, s in zip(self.re, self._imaginary())]
+            return [Fraction(x, d) for x in self.re[i]]
+        im = self.im[i] if self.im is not None else [0] * len(self.re[i])
+        return [GaussianRational(Fraction(x, d), Fraction(y, d))
+                for x, y in zip(self.re[i], im)]
+
+    def rows(self):
+        """The entries as lists of Fractions, or of GaussianRationals."""
+        return [self._row(i) for i in range(len(self.re))]
+
+    def __len__(self):
+        return len(self.re)
+
+    def __iter__(self):
+        """Each row as a tuple of the scalars rows() gives."""
+        return (tuple(self._row(i)) for i in range(len(self.re)))
 
     def numerators(self):
         """The matrix times d: lists of ints, or of GaussianRationals with
-        integer parts whenever the matrix is Gaussian, also when every
-        imaginary part is 0."""
-        if not self.gaussian:
+        integer parts when an entry has a nonzero imaginary part."""
+        if self.im is None:
             return self.re
         return [[GaussianRational(x, y) for x, y in zip(r, s)]
-                for r, s in zip(self.re, self._imaginary())]
+                for r, s in zip(self.re, self.im)]
 
     @property
     def is_zero(self):
@@ -152,7 +170,10 @@ class ScaledMatrix:
                             self.gaussian)
 
     def __getitem__(self, key):
-        """The block m[rows, cols] for a pair of slices."""
+        """Row m[i] as a tuple of scalars, or the block m[rows, cols] for a
+        pair of slices."""
+        if not isinstance(key, tuple):
+            return tuple(self._row(key))
         r, c = key
         im = None if self.im is None else [row[c] for row in self.im[r]]
         return _reduced([row[c] for row in self.re[r]], im, self.d,
@@ -316,25 +337,6 @@ def _rref_integer(a, ncols):
     return pivots, prev
 
 
-def solve_unique(a, b):
-    """Solve a x = b where a may be rectangular; the solution must be unique.
-
-    Raises SingularSystemError when the system is inconsistent or
-    underdetermined.
-    """
-    ncols = len(a[0])
-    aug = [list(row) + [rhs] for row, rhs in zip(a, b)]
-    rows, pivots = rref(aug)
-    if ncols in pivots:
-        raise SingularSystemError("inconsistent linear system")
-    if len(pivots) < ncols:
-        raise SingularSystemError("underdetermined linear system")
-    x = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = rows[r][ncols]
-    return x
-
-
 def nullspace(m):
     """Deterministic kernel basis: free variables in ascending column order,
     each set to the field's 1 in turn with pivot variables back-solved."""
@@ -398,11 +400,14 @@ def det(m):
 
 
 def leading_minors(m):
-    """The leading principal minors of the square matrix m (ints and
-    Fractions), of size 1 upward, as the pivots of one unpivoted Bareiss
-    elimination; stops after the first zero one.  All are positive
-    exactly when the symmetric m is positive-definite (Sylvester)."""
+    """The leading principal minors of the square real matrix m, of size
+    1 upward, as the pivots of one unpivoted Bareiss elimination; stops
+    after the first zero one.  All are positive exactly when the
+    symmetric m is positive-definite (Sylvester).  InputError when an
+    entry has a nonzero imaginary part."""
     s = ScaledMatrix.of(m)
+    if s.im is not None:
+        raise InputError("leading minors need a real matrix")
     contents, rows = _primitive(s.re)
     numerator, denominator = 1, 1
     for g, pivot in zip(contents, _bareiss(rows, pivoting=False)):

@@ -3,12 +3,12 @@ K-contact criteria, the skew normal form and the K-contact obstruction.
 
 One arithmetic model: metrics have exact rational entries, and every
 identity (associated-metric criteria, Prop. 1, both K-contact criteria)
-is checked with zero tolerance, multiplying and comparing ScaledMatrix
-forms of G, G^-1 and the contact data.  Associated metrics are constructed
-exactly too (Blair, Riemannian Geometry of Contact and Symplectic
-Manifolds, ch. 4).  The one binary64 routine is skew_normal_form, the
-orthogonal normal form of a real skew matrix, with the stated
-tolerances.
+is checked with zero tolerance, multiplying and comparing G, G^-1 and the
+contact data as they are held, each once, as a ScaledMatrix.  Associated
+metrics are constructed exactly too (Blair, Riemannian Geometry of
+Contact and Symplectic Manifolds, ch. 4).  The one binary64 routine is
+skew_normal_form, the orthogonal normal form of a real skew matrix, with
+the stated tolerances.
 """
 
 from dataclasses import dataclass
@@ -30,16 +30,15 @@ BLOCK_TOL = 1e-10
 
 @dataclass(frozen=True)
 class MetricData:
-    """Symmetric metric matrix with exact (Fraction) rows; G and G^-1 as
-    ScaledMatrices are computed once, on first use."""
+    """Symmetric metric matrix G with exact rational entries, held as one
+    ScaledMatrix; G^-1 is computed once, on first use."""
 
-    matrix: tuple
+    matrix: ScaledMatrix
     exact = True  # every metric is exact; kept for callers that ask
 
     @classmethod
     def from_rows(cls, rows):
-        rows = tuple(tuple(Fraction(x) for x in r) for r in rows)
-        m = cls(rows)
+        m = cls(ScaledMatrix.of([[Fraction(x) for x in r] for r in rows]))
         m._require_symmetric()
         return m
 
@@ -55,24 +54,12 @@ class MetricData:
         return len(self.matrix)
 
     @cached_property
-    def scaled(self):
-        return ScaledMatrix.of(self.matrix)
-
-    @cached_property
-    def scaled_inverse(self):
-        return self.scaled.inverse()
-
-    @cached_property
     def inverse(self):
-        """G^-1 as a tuple of rows."""
-        return tuple(tuple(r) for r in self.scaled_inverse.rows())
+        return self.matrix.inverse()
 
     def _require_symmetric(self):
-        n = self.dim
-        for i in range(n):
-            for j in range(i):
-                if self.matrix[i][j] != self.matrix[j][i]:
-                    raise InputError("metric matrix is not symmetric")
+        if self.matrix != self.matrix.T:
+            raise InputError("metric matrix is not symmetric")
 
     def is_positive_definite(self):
         return self._positive_definite
@@ -102,9 +89,8 @@ def levi_civita(algebra, g):
     if not g.is_positive_definite():
         raise InputError("metric is not positive-definite")
     n = algebra.dim
-    grows = [list(r) for r in g.matrix]
     ginv = g.inverse
-    s = [[mat_vec(grows, algebra.structure_vector(a, b))
+    s = [[mat_vec(g.matrix, algebra.structure_vector(a, b))
           for b in range(n)] for a in range(n)]
     half = Fraction(1, 2)
     gamma = []
@@ -120,7 +106,7 @@ def levi_civita(algebra, g):
 
 def compute_phi(c, g):
     """The unique phi with g(X, phi Y) = d eta(X, Y); phi = G^-1 D."""
-    return (g.scaled_inverse @ c.scaled_deta).rows()
+    return (g.inverse @ c.deta_matrix).rows()
 
 
 def _associated_phi(c, g):
@@ -129,9 +115,9 @@ def _associated_phi(c, g):
     if not g.is_positive_definite():
         raise InputError("metric is not positive-definite")
     xi, eta = c.scaled_reeb, c.scaled_eta
-    if g.scaled @ xi != eta.T:
+    if g.matrix @ xi != eta.T:
         return None
-    phi = g.scaled_inverse @ c.scaled_deta
+    phi = g.inverse @ c.deta_matrix
     if phi @ phi != xi @ eta - ScaledMatrix.identity(c.algebra.dim):
         return None
     return phi
@@ -155,9 +141,9 @@ def _reeb_derivative(c, g):
     N = G^-1 K^T, and K^T = -1/2 (G A + (G A)^T - W) as W is skew.
     O(n^3), without the n^2 Christoffel vectors.
     """
-    ga = g.scaled @ c.scaled_ad_reeb
-    w = _covector_brackets(c.algebra, g.scaled @ c.scaled_reeb)
-    return g.scaled_inverse @ (Fraction(-1, 2) * (ga + ga.T - w))
+    ga = g.matrix @ c.ad_reeb
+    w = _covector_brackets(c.algebra, g.matrix @ c.scaled_reeb)
+    return g.inverse @ (Fraction(-1, 2) * (ga + ga.T - w))
 
 
 def _covector_brackets(algebra, w):
@@ -182,13 +168,12 @@ def compute_h(c, g):
     if phi is None:
         raise InputError("metric is not associated to the contact structure")
     nmat = _reeb_derivative(c, g)
-    hm = (phi @ nmat - ScaledMatrix.identity(c.algebra.dim)) \
-        @ c.scaled_projector
+    hm = (phi @ nmat - ScaledMatrix.identity(c.algebra.dim)) @ c.projector
     if nmat != -phi - phi @ hm:
         raise InternalInvariantError(
             "nabla_X xi = -phi X - phi h X failed on an exact "
             "associated metric")
-    if g.scaled @ hm != hm.T @ g.scaled:
+    if g.matrix @ hm != hm.T @ g.matrix:
         raise InternalInvariantError("h is not g-symmetric")
     if not (hm @ c.scaled_reeb).is_zero:
         raise InternalInvariantError("h xi != 0")
@@ -202,8 +187,8 @@ def is_kcontact(c, g):
     crit_h = all(x == 0 for row in hm for x in row)
     # A^T G + G A = (G A)^T + G A, G being symmetric; y_i^T S y_j for all
     # horizontal basis vectors are the entries of Y S Y^T
-    ga = g.scaled @ c.scaled_ad_reeb
-    hb = c.scaled_horizontal
+    ga = g.matrix @ c.ad_reeb
+    hb = c.horizontal_basis
     crit_skew = (hb @ (ga.T + ga) @ hb.T).is_zero
     if crit_h != crit_skew:
         raise InternalInvariantError(
@@ -387,5 +372,5 @@ def symplectic_is_associated(algebra, omega, k):
     w = two_form_matrix(omega)
     if det(w) == 0:
         raise InputError("omega is degenerate")
-    j = k.scaled_inverse @ ScaledMatrix.of(w)
+    j = k.inverse @ ScaledMatrix.of(w)
     return j @ j == -ScaledMatrix.identity(algebra.dim), j.rows()

@@ -93,7 +93,7 @@ def _image_spaces(c, s):
     independent of the earlier picked pairs exactly when A u_j is: one
     elimination of the columns u_0, A u_0, u_1, A u_1, ... has its pivots
     in pairs, and every other pivot picks a u_j."""
-    a = c.scaled_ad_reeb
+    a = c.ad_reeb
     u, au = a.T.rows(), (a @ a).T.rows()
     _, pivots = rref(ScaledMatrix.of(
         [v for pair in zip(u, au) for v in pair]).T)
@@ -163,7 +163,7 @@ def _validate_decomposition(rd):
             return [x[0] @ r[0]]
         return [x[0] @ r[0] + x[1] @ dr, x[0] @ r[1] + x[1] @ r[0]]
 
-    if [c.scaled_ad_reeb @ p for p in v] != times_roots(v):
+    if [c.ad_reeb @ p for p in v] != times_roots(v):
         raise InternalInvariantError("eigenvector equation failed")
     if not all(p.is_zero for p in
                times_roots([c.scaled_eta @ p for p in v])):

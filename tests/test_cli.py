@@ -316,3 +316,18 @@ def test_cli_documents_match_golden_certificates(capsys):
         code, doc = run_json(capsys, *case["argv"])
         assert code == case["document"]["exit_code"], case["argv"]
         assert doc == case["document"], case["argv"]
+
+
+def test_analyze_kcontact_without_exact_roots(capsys):
+    """R^2 x h_5 (tests/data/r2_h5.json) is K-contact for its metric g,
+    with a minimal polynomial of ad(xi) of degree 5: analyze gives the
+    verdict with no roots, while roots still exits 2."""
+    path = os.path.join(os.path.dirname(__file__), "data", "r2_h5.json")
+    code, doc = run_json(capsys, "analyze", path)
+    assert code == 0 and doc["kcontact"] is True and doc["roots"] == []
+    assert doc["ad_xi_zero"] is False and doc["quotient_dim"] is None
+    assert any("roots of xi not computed" in note
+               and "4/2401*t + 5/49*t^3 + t^5" in note
+               for note in doc["notes"]), doc["notes"]
+    code, doc = run_json(capsys, "roots", path)
+    assert code == 2

@@ -129,7 +129,7 @@ def test_reeb_bracket_horizontal():
     it follows from the Reeb equations."""
     for name in CONTACT_NAMES:
         c = CAT[name].contact()
-        assert (c.scaled_eta @ c.scaled_ad_reeb).is_zero, name
+        assert (c.scaled_eta @ c.ad_reeb).is_zero, name
 
 
 def test_n_property():

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import random
 from fractions import Fraction
 
@@ -12,10 +13,13 @@ from contactlie.errors import InputError, InternalInvariantError
 from contactlie.extension import (MainTheoremReport, SymplecticAlgebra,
                                   analyze_kcontact, central_extension,
                                   central_quotient, round_trip)
+from contactlie.fileformat import load
 from contactlie.forms import (AlternatingForm, ce_differential, is_contact,
                               two_form)
 from contactlie.linalg import ScaledMatrix, mat_vec
 from contactlie.metric import construct_associated_metric
+from contactlie.polynomials import format_polynomial
+from contactlie.spectral import root_decomposition
 
 CAT = catalog()
 
@@ -103,8 +107,7 @@ def test_central_quotient_rejects_bracket_outside_span():
     """A projector that leaves brackets outside ker eta trips the span
     check of the elimination."""
     c = CAT["heisenberg5"].contact()
-    broken = dataclasses.replace(
-        c, projector=tuple(map(tuple, ScaledMatrix.identity(5).rows())))
+    broken = dataclasses.replace(c, projector=ScaledMatrix.identity(5))
     with pytest.raises(InternalInvariantError, match="span"):
         central_quotient(broken)
 
@@ -218,3 +221,22 @@ def test_analyze_rejects_non_associated():
     c = CAT["heisenberg3"].contact()
     with pytest.raises(InputError):
         analyze_kcontact(c, MetricData.from_diag([1, 1, 1]))
+
+
+R2_H5 = os.path.join(os.path.dirname(__file__), "data", "r2_h5.json")
+
+
+def test_analyze_reports_kcontact_verdict_without_exact_roots():
+    """R^2 x h_5 with eta = -t* + s* - 2x1* - 2y1* + 2x2* + z* is K-contact
+    for its exact metric g, but the minimal polynomial of ad(xi) has
+    degree 5: the verdict stands, with no roots and a note naming m."""
+    af = load(R2_H5)
+    c = contact_structure(af.algebra, af.forms["eta"])
+    m = "4/2401*t + 5/49*t^3 + t^5"
+    assert format_polynomial(c.ad_reeb_minpoly) == m
+    with pytest.raises(InputError, match="t\\^3 - d\\*t"):
+        root_decomposition(c)
+    rep = analyze_kcontact(c, af.metrics["g"])
+    assert rep.is_kcontact and not rep.ad_xi_zero and rep.quotient is None
+    assert rep.complexification_roots == ()
+    assert any(m in note for note in rep.notes), rep.notes

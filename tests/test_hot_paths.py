@@ -17,16 +17,17 @@ from fractions import Fraction
 import pytest
 
 import contactlie
-from contactlie.algebra import ad, check_jacobi
+from contactlie.algebra import (ad, check_jacobi, complexify,
+                                subspace_brackets)
 from contactlie.catalog import catalog
 from contactlie.contact import contact_structure
 from contactlie.extension import (analyze_kcontact, central_extension,
                                   central_quotient)
-from contactlie.forms import (basis_dual, ce_differential, is_contact,
-                              one_form, two_form)
+from contactlie.forms import (basis_dual, ce_differential, complexify_form,
+                              is_contact, one_form, two_form)
 from contactlie.linalg import det, mat_mul, mat_vec, rref
 from contactlie.metric import is_kcontact
-from contactlie.scalars import GaussianRational
+from contactlie.scalars import GaussianRational, to_gaussian
 from contactlie.spectral import root_decomposition
 
 CAT = catalog()
@@ -252,3 +253,44 @@ def test_real_valued_gaussian_linalg_runs_no_gaussian_arithmetic(
     square[0][0] = GaussianRational(1, 1)
     rref(square)
     assert calls["__mul__"] > 0
+
+
+def count_gaussian_ops(monkeypatch):
+    """A Counter of the GaussianRational arithmetic run from now on."""
+    calls = Counter()
+    for name in GAUSS_OPS:
+        def make(original, name=name):
+            def counted(*args):
+                calls[name] += 1
+                return original(*args)
+            return counted
+        monkeypatch.setattr(GaussianRational, name,
+                            make(getattr(GaussianRational, name)))
+    return calls
+
+
+def test_real_valued_complexified_kernels_run_no_gaussian_arithmetic(
+        monkeypatch):
+    """On a complexified algebra whose constants are all real, ad,
+    subspace_brackets and ce_differential sum in integers and the
+    algebra's field types their results: the values of the real algebra,
+    as GaussianRationals."""
+    e = CAT["heisenberg7"]
+    real, n = e.algebra, e.algebra.dim
+    x = [Fraction(k + 1, 2) for k in range(n)]
+    basis = [x, real.basis_vector(0), real.basis_vector(1)]
+    pairs = [(0, 1), (1, 2), (0, 2)]
+    want = (ad(real, x), subspace_brackets(real, basis, pairs).rows(),
+            ce_differential(real, e.eta))
+    algebra = complexify(real)
+    eta = complexify_form(e.eta)
+    gaussian_basis = [[to_gaussian(v) for v in row] for row in basis]
+    calls = count_gaussian_ops(monkeypatch)
+    got = (ad(algebra, gaussian_basis[0]),
+           subspace_brackets(algebra, gaussian_basis, pairs).rows(),
+           ce_differential(algebra, eta))
+    assert calls == {}
+    assert got == want
+    values = [v for rows in got[:2] for row in rows for v in row]
+    assert all(type(v) is GaussianRational
+               for v in values + list(got[2].coeffs.values()))

@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from contactlie.errors import SingularSystemError
-from contactlie.linalg import (det, inverse, leading_minors, mat_mul,
-                               mat_vec, nullspace, pfaffian, rref,
-                               solve_unique, transpose)
+from contactlie.errors import InputError, SingularSystemError
+from contactlie.linalg import (ScaledMatrix, det, inverse, leading_minors,
+                               mat_mul, mat_vec, nullspace, pfaffian, rref,
+                               transpose)
 from contactlie.metric import MetricData
 from contactlie.scalars import GaussianRational
 
@@ -25,19 +25,9 @@ def test_rref_rank():
     assert rows[0][1] == 0 and rows[1][0] == 0
 
 
-def test_solve_unique_exact():
-    a = frac_matrix([[2, 1], [1, 3]])
-    x = solve_unique(a, [Fraction(5), Fraction(10)])
-    assert mat_vec(a, x) == [5, 10]
-    assert x == [Fraction(1), Fraction(3)]
-
-
-def test_solve_singular_raises():
-    a = frac_matrix([[1, 1], [2, 2]])
+def test_inverse_singular_raises():
     with pytest.raises(SingularSystemError):
-        solve_unique(a, [Fraction(1), Fraction(3)])  # inconsistent
-    with pytest.raises(SingularSystemError):
-        solve_unique(a, [Fraction(1), Fraction(2)])  # underdetermined
+        inverse(frac_matrix([[1, 1], [2, 2]]))
 
 
 def test_nullspace():
@@ -195,3 +185,28 @@ def test_leading_minors_match_minor_by_minor_determinants():
         seen[shape, definite] += 1
     assert seen["definite", True] and seen["semidefinite", False]
     assert seen["indefinite", False]
+
+
+def test_leading_minors_reject_imaginary_parts():
+    i = GaussianRational(0, 1)
+    for m in ([[GaussianRational(1, 1)]], [[i, 0], [0, 1]]):
+        with pytest.raises(InputError, match="real"):
+            list(leading_minors(m))
+    real = [[GaussianRational(2), 1], [1, GaussianRational(1)]]
+    assert list(leading_minors(real)) == [2, 1]
+
+
+def test_scaled_matrix_reads_as_rows():
+    """len, iteration and m[i] give the rows as tuples of the scalars
+    rows() gives, and of() hands a ScaledMatrix back as it is."""
+    for rows in ([[Fraction(1, 2), 3], [0, -1]],
+                 [[Fraction(1, 2), 3], [GaussianRational(0, 1), -1]],
+                 [[GaussianRational(2), 0]]):
+        m = ScaledMatrix.of(rows)
+        assert ScaledMatrix.of(m) is m
+        assert len(m) == len(rows)
+        assert list(m) == [tuple(r) for r in m.rows()] == \
+            [m[i] for i in range(len(rows))]
+        assert list(m) == [tuple(r) for r in rows]
+        assert [type(x) for row in m for x in row] == \
+            [type(x) for row in m.rows() for x in row]
