@@ -228,7 +228,11 @@ def _cmd_normal_form(args):
             doc = json.load(fh)
     except OSError as exc:
         raise InputError("cannot read %s: %s" % (args.skew_matrix, exc))
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise InputError("%s: not UTF-8 text: %s" % (args.skew_matrix, exc))
+    except (ValueError, RecursionError) as exc:
+        # ValueError also on an integer literal beyond int's digit limit,
+        # RecursionError on nesting deeper than the recursion limit
         raise InputError("%s: not valid JSON: %s" % (args.skew_matrix, exc))
     if (not isinstance(doc, list)
             or any(not isinstance(row, list) for row in doc)):

@@ -21,11 +21,19 @@ Layout:
 [i, j, coefficient] with i < j.  Metrics are either {"diag": [...]} or
 {"matrix": [[...]]}.  Coefficients are rational text "p/q", or "p/q,r/s"
 on complex algebras; no floating input is accepted.
+
+serialize_algebra_file writes json.dumps(doc, indent=2) of this layout,
+byte for byte, from string templates; values of any size are written in
+full.  Non-UTF-8 files, JSON integer literals beyond the interpreter's
+int digit limit and coefficients over the budgets below are input
+errors.
 """
 
 import json
+import re
 from dataclasses import dataclass, field
-from math import lcm
+from fractions import Fraction
+from math import lcm, log10
 
 from .algebra import COMPLEX, REAL, LieAlgebra, check_jacobi
 from .errors import InputError
@@ -68,8 +76,30 @@ def _require(doc, key, kind, where):
     return value
 
 
+# a run of digits, underscores between them included, as Fraction reads it
+_DIGIT_RUN = re.compile(r"[\d_]+")
+
+
+def _require_digit_count(text):
+    """A part with more digits, leading zeros aside, than 2^MAX_COEFF_BITS
+    has is above the budget; decided before any int() of it, which would
+    refuse more digits than the interpreter's limit (4300 by default)."""
+    most = int(MAX_COEFF_BITS * log10(2)) + 1
+    for run in _DIGIT_RUN.findall(text):
+        digits = len(run.replace("_", "").lstrip("0"))
+        if digits > most:
+            raise InputError(
+                "coefficient with a %d-digit part, above the limit "
+                "MAX_COEFF_BITS = %d" % (digits, MAX_COEFF_BITS))
+
+
 def _coefficient(text, allow_complex=False):
     """parse_scalar within the MAX_COEFF_BITS budget."""
+    # a part of d digits is below 10^d < 2^(4 d): a text of at most
+    # MAX_COEFF_BITS / 4 characters is within the budget
+    if not isinstance(text, str) or len(text) <= MAX_COEFF_BITS >> 2:
+        return parse_scalar(text, allow_complex)
+    _require_digit_count(text)
     value = parse_scalar(text, allow_complex)
     parts = ((value.re, value.im) if isinstance(value, GaussianRational)
              else (value,))
@@ -88,11 +118,14 @@ def _is_index(x):
 
 
 def _parse_brackets(doc, dim, allow_complex):
+    """(brackets, number of nonzero structure constants)."""
     entries = doc.get("brackets", [])
     if not isinstance(entries, list):
         raise InputError("'brackets' must be a list")
     brackets = {}
+    constants = 0
     common = 1
+    zero = GaussianRational(0) if allow_complex else Fraction(0)
     for pos, entry in enumerate(entries):
         where = "brackets[%d]" % pos
         if not isinstance(entry, dict):
@@ -105,8 +138,9 @@ def _parse_brackets(doc, dim, allow_complex):
         if (i, j) in brackets:
             raise InputError("%s: duplicate pair (%d, %d)" % (where, i, j))
         terms = _require(entry, "terms", list, where)
-        coeffs = [parse_scalar("0", allow_complex)] * dim
+        coeffs = [zero] * dim
         seen = set()
+        denominators = []
         for term in terms:
             if (not isinstance(term, list) or len(term) != 2
                     or not _is_index(term[0])):
@@ -121,21 +155,26 @@ def _parse_brackets(doc, dim, allow_complex):
                 raise InputError("%s: duplicate term index %d" % (where, k))
             seen.add(k)
             try:
-                coeffs[k] = _coefficient(text, allow_complex)
+                c = _coefficient(text, allow_complex)
             except InputError as exc:
                 raise InputError("%s, term e%d: %s" % (where, k + 1, exc))
+            coeffs[k] = c
+            if c:
+                constants += 1
+            if allow_complex:
+                denominators += (c.re.denominator, c.im.denominator)
+            else:
+                denominators.append(c.denominator)
         # the Jacobi check scales every constant by the lcm of all the
         # denominators, so it shares their budget; checked entry by entry
-        parts = ([x for c in coeffs for x in (c.re, c.im)] if allow_complex
-                 else coeffs)
-        common = lcm(common, *(x.denominator for x in parts))
+        common = lcm(common, *denominators)
         if common.bit_length() > MAX_COEFF_BITS:
             raise InputError(
                 "%s: the bracket denominators have an lcm of %d bits, above "
                 "the limit MAX_COEFF_BITS = %d"
                 % (where, common.bit_length(), MAX_COEFF_BITS))
         brackets[(i, j)] = tuple(coeffs)
-    return brackets
+    return brackets, constants
 
 
 def _parse_form(name, spec, dim, allow_complex):
@@ -208,7 +247,9 @@ def parse_algebra_file(text):
     """Parse and fully validate an algebra file, Jacobi included."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError also on an integer literal beyond int's digit limit,
+        # RecursionError on nesting deeper than the recursion limit
         raise InputError("not valid JSON: %s" % exc)
     if not isinstance(doc, dict):
         raise InputError("top level must be a JSON object")
@@ -225,8 +266,7 @@ def parse_algebra_file(text):
     if labels and (not isinstance(labels, list)
                    or any(not isinstance(x, str) for x in labels)):
         raise InputError("'basis' must be a list of strings")
-    brackets = _parse_brackets(doc, dim, allow_complex)
-    constants = sum(1 for coeffs in brackets.values() for c in coeffs if c)
+    brackets, constants = _parse_brackets(doc, dim, allow_complex)
     if constants > MAX_CONSTANTS:
         raise InputError(
             "%d nonzero structure constants, above the limit "
@@ -259,54 +299,93 @@ def load(path):
             text = fh.read()
     except OSError as exc:
         raise InputError("cannot read %s: %s" % (path, exc))
+    except UnicodeDecodeError as exc:
+        raise InputError("%s: not UTF-8 text: %s" % (path, exc))
     try:
         return parse_algebra_file(text)
     except InputError as exc:
         raise InputError("%s: %s" % (path, exc))
 
 
-def _form_to_json(form):
+# serialize_algebra_file writes the text of json.dumps(doc, indent=2)
+# itself: with an indent, json encodes in pure Python.  The bulk of a
+# file, bracket terms and 2-form entries, is written from templates at
+# their fixed depth; format_scalar text needs no JSON escaping, and names
+# and labels go through json.dumps one string at a time.
+_TERM = '[\n          %d,\n          "%s"\n        ]'
+_BRACKET = '{\n      "i": %d,\n      "j": %d,\n      "terms": %s\n    }'
+_TWO_FORM_ENTRY = '[\n        %d,\n        %d,\n        "%s"\n      ]'
+
+
+def _block(items, depth, brackets="[]"):
+    """A JSON array (or, with brackets "{}", object) of encoded items, as
+    indent=2 writes it at nesting depth."""
+    if not items:
+        return brackets
+    pad = "\n" + "  " * depth
+    return "%s%s  %s%s%s" % (brackets[0], pad, (",%s  " % pad).join(items),
+                             pad, brackets[1])
+
+
+def _members(pairs, depth):
+    """A JSON object of (name, encoded value) pairs at nesting depth."""
+    return _block(["%s: %s" % (json.dumps(name), value)
+                   for name, value in pairs], depth, "{}")
+
+
+def _quoted(values, depth):
+    """A JSON array of the format_scalar texts of values."""
+    return _block(['"%s"' % format_scalar(x) for x in values], depth)
+
+
+def _form_text(form):
     if form.degree == 1:
-        return [format_scalar(form.coefficient((i,)))
-                for i in range(form.dim)]
+        return _quoted([form.coeffs.get((i,), 0) for i in range(form.dim)],
+                       2)
     if form.degree == 2:
-        return [[i, j, format_scalar(v)]
-                for (i, j), v in sorted(form.coeffs.items())]
+        return _block([_TWO_FORM_ENTRY % (i, j, format_scalar(v))
+                       for (i, j), v in sorted(form.coeffs.items())], 2)
     raise InputError(
         "only 1-forms and 2-forms are serializable, got degree %d"
         % form.degree)
 
 
-def _metric_to_json(metric):
+def _metric_text(metric):
     rows = [list(r) for r in metric.matrix]
     n = len(rows)
     if all(rows[i][j] == 0 for i in range(n) for j in range(n) if i != j):
-        return {"diag": [format_scalar(rows[i][i]) for i in range(n)]}
-    return {"matrix": [[format_scalar(x) for x in row] for row in rows]}
+        return _members([("diag", _quoted([rows[i][i] for i in range(n)],
+                                          3))], 2)
+    return _members([("matrix", _block([_quoted(row, 4) for row in rows],
+                                       3))], 2)
 
 
 def serialize_algebra_file(af):
-    """Canonical text form; parse(serialize(x)) is semantically identical."""
+    """Canonical text form: json.dumps(doc, indent=2) and a newline, for
+    the doc that parse_algebra_file reads; parse(serialize(x)) is
+    semantically identical."""
     algebra = af.algebra
-    doc = {
-        "name": algebra.name,
-        "field": algebra.field,
-        "dim": algebra.dim,
-        "basis": list(algebra.basis_labels),
-        "brackets": [
-            {"i": i, "j": j,
-             "terms": [[k, format_scalar(c)]
-                       for k, c in enumerate(coeffs) if c != 0]}
-            for (i, j), coeffs in sorted(algebra.brackets.items())
-        ],
-    }
+    brackets = [
+        _BRACKET % (i, j, _block([_TERM % (k, format_scalar(c))
+                                  for k, c in enumerate(coeffs) if c], 3))
+        for (i, j), coeffs in sorted(algebra.brackets.items())
+    ]
+    pairs = [
+        ("name", json.dumps(algebra.name)),
+        ("field", json.dumps(algebra.field)),
+        ("dim", "%d" % algebra.dim),
+        ("basis", _block([json.dumps(x) for x in algebra.basis_labels], 1)),
+        ("brackets", _block(brackets, 1)),
+    ]
     if af.forms:
-        doc["forms"] = {name: _form_to_json(f)
-                        for name, f in sorted(af.forms.items())}
+        pairs.append(("forms", _members(
+            [(name, _form_text(f)) for name, f in sorted(af.forms.items())],
+            1)))
     if af.metrics:
-        doc["metrics"] = {name: _metric_to_json(m)
-                          for name, m in sorted(af.metrics.items())}
-    return json.dumps(doc, indent=2) + "\n"
+        pairs.append(("metrics", _members(
+            [(name, _metric_text(m))
+             for name, m in sorted(af.metrics.items())], 1)))
+    return _members(pairs, 0) + "\n"
 
 
 def save(path, af):

@@ -230,34 +230,116 @@ def gaussian_sqrt(x):
     return root if root * root == x else None
 
 
+# error messages quote at most this many characters of an input text
+QUOTE_CHARS = 100
+
+
+def _clip(text, size=QUOTE_CHARS):
+    """text, or its first size characters and its length."""
+    if len(text) <= size:
+        return text
+    return "%s... (%d characters)" % (text[:size], len(text))
+
+
+def _ascii_rational(text):
+    """Fraction of ASCII text "-?digits(/digits)?", else None; also None
+    on a zero denominator, where Fraction raises."""
+    num, slash, den = text.partition("/")
+    if not (num[1:] if num[:1] == "-" else num).isdigit():
+        return None
+    if not slash:
+        return Fraction(int(num))
+    if not den.isdigit():
+        return None
+    den = int(den)
+    return Fraction(int(num), den) if den else None
+
+
+def _ascii_scalar(text, allow_complex):
+    """The scalar of ASCII text "-?digits(/digits)?" or, when allowed, of
+    two such parts joined by a comma; None for any other text."""
+    if not allow_complex:
+        return _ascii_rational(text)
+    re_s, comma, im_s = text.partition(",")
+    re = _ascii_rational(re_s)
+    im = _ascii_rational(im_s) if comma else 0
+    if re is None or im is None:
+        return None
+    return GaussianRational(re, im)
+
+
 def parse_scalar(text, allow_complex=False):
-    """Parse "p/q" or, when allowed, "p/q,r/s" into an exact scalar."""
+    """Parse "p/q" or, when allowed, "p/q,r/s" into an exact scalar.
+
+    Plain ASCII digits are read with int; every other text is read by
+    Fraction, so the accepted texts are those of the running interpreter's
+    Fraction, less floating-point text."""
     if not isinstance(text, str):
-        raise InputError("coefficient must be a string, got %r" % (text,))
+        raise InputError("coefficient must be a string, got %s"
+                         % _clip(repr(text)))
+    if text.isascii():
+        try:
+            value = _ascii_scalar(text, allow_complex)
+        except ValueError:  # beyond int's digit limit: Fraction raises too
+            value = None
+        if value is not None:
+            return value
     text = text.strip()
+    quoted = _clip(repr(text))
     if any(ch in text for ch in ".eE"):
         raise InputError(
-            "malformed coefficient %r: only exact rationals 'p/q' are "
-            "accepted, not floating-point text" % text)
+            "malformed coefficient %s: only exact rationals 'p/q' are "
+            "accepted, not floating-point text" % quoted)
     try:
         if "," in text:
             if not allow_complex:
                 raise InputError(
-                    "complex coefficient %r in a real algebra" % text
+                    "complex coefficient %s in a real algebra" % quoted
                 )
             re_s, im_s = text.split(",")
             return GaussianRational(Fraction(re_s), Fraction(im_s))
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError("malformed coefficient %r: %s" % (text, exc)) from exc
+        # Fraction's message quotes the text once more
+        raise InputError("malformed coefficient %s: %s"
+                         % (quoted, _clip(str(exc), 2 * QUOTE_CHARS))) from exc
     if allow_complex:
         return GaussianRational(value)
     return value
 
 
+def _decimal(n):
+    """str(n) for an int of any size.  str() refuses more digits than the
+    interpreter's limit (4300 by default, sys.get_int_max_str_digits),
+    which stays untouched: longer values are written in two halves."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    half = n.bit_length() * 3 // 20  # about half the digits: log10(2) / 2
+    high, low = divmod(abs(n), 10 ** half)
+    return "-" * (n < 0) + _decimal(high) + _decimal(low).zfill(half)
+
+
+def _rational_text(x):
+    """str(x) of a Fraction of any size."""
+    try:
+        return str(x)
+    except ValueError:
+        text = _decimal(x.numerator)
+        if x.denominator == 1:
+            return text
+        return "%s/%s" % (text, _decimal(x.denominator))
+
+
 def format_scalar(x):
     """Canonical text form: "p/q" for rationals, "p/q,r/s" for complex,
-    "a + b*sqrt(d)" without zero terms and unit factors, e.g. "-sqrt(1/2)"."""
+    "a + b*sqrt(d)" without zero terms and unit factors, e.g. "-sqrt(1/2)".
+    The text has no characters that JSON escapes."""
+    if isinstance(x, Fraction):
+        return _rational_text(x)
+    if isinstance(x, GaussianRational):
+        return "%s,%s" % (_rational_text(x.re), _rational_text(x.im))
     if isinstance(x, QuadraticNumber):
         if not x.b:
             return format_scalar(x.a)
@@ -269,6 +351,4 @@ def format_scalar(x):
         else:
             term = "%s*%s" % (format_scalar(x.b), root)
         return "%s + %s" % (format_scalar(x.a), term) if x.a else term
-    if isinstance(x, GaussianRational):
-        return "%s,%s" % (x.re, x.im)
-    return str(Fraction(x))
+    return _rational_text(Fraction(x))

@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 
 import contactlie
 from contactlie.algebra import complexify
 from contactlie.catalog import catalog
 from contactlie.cli import main
 from contactlie.fileformat import AlgebraFile, save
-from contactlie.forms import complexify_form, one_form
+from contactlie.forms import complexify_form, is_contact, one_form
 
 
 def run(capsys, *argv):
@@ -78,6 +79,44 @@ def test_contact_check_false(capsys, tmp_path):
     code, doc = run_json(capsys, "contact-check", str(p))
     assert code == 1 and doc["contact"] is False
     assert doc["top_coefficient"] == "0"
+
+
+def test_contact_check_writes_top_coefficient_of_any_size(capsys, tmp_path):
+    """heisenberg7 with eta entries near 2^4000, within MAX_COEFF_BITS:
+    the top coefficient has more digits than int's str() takes by default
+    (4300), and is written in full."""
+    e = catalog()["heisenberg7"]
+    eta = one_form(7, [2 ** 4000 + k for k in range(7)])
+    p = str(tmp_path / "h7big.json")
+    save(p, AlgebraFile(algebra=e.algebra, forms={"eta": eta}))
+    ok, coeff = is_contact(e.algebra, eta)
+    assert ok and coeff.denominator == 1
+    code, doc = run_json(capsys, "contact-check", p)
+    assert code == 0 and doc["contact"] is True
+    assert len(doc["top_coefficient"]) > 4300
+    assert doc["top_coefficient"] == str(Decimal(coeff.numerator))
+
+
+def test_hostile_files_exit_2(capsys, tmp_path):
+    """Non-UTF-8 text, JSON integer literals beyond int's digit limit and
+    nesting beyond the recursion limit are input errors, for algebra files
+    and skew matrices."""
+    p = tmp_path / "hostile.json"
+    p.write_bytes('{"name": "caf\xe9", "dim": 1}'.encode("latin-1"))
+    code, doc = run_json(capsys, "validate", str(p))
+    assert code == 2 and "not UTF-8 text" in doc["error"]
+    p.write_bytes("[[0, 1], [-1, 0]] \xa0".encode("latin-1"))
+    code, doc = run_json(capsys, "normal-form", "--skew-matrix", str(p))
+    assert code == 2 and "not UTF-8 text" in doc["error"]
+    p.write_text('{"name": "x", "dim": %s}' % ("1" * 5000))
+    code, doc = run_json(capsys, "validate", str(p))
+    assert code == 2 and "not valid JSON" in doc["error"]
+    for text in ("[[0, %s], [-1, 0]]" % ("1" * 5000), "[" * 10 ** 5):
+        p.write_text(text)
+        for argv in (["validate", str(p)], ["normal-form", "--skew-matrix",
+                                            str(p)]):
+            code, doc = run_json(capsys, *argv)
+            assert code == 2 and "not valid JSON" in doc["error"], argv
 
 
 def test_reeb(capsys):

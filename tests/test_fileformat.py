@@ -1,17 +1,34 @@
 import json
+import os
 from fractions import Fraction
 
 import pytest
 
 from contactlie import fileformat
+from contactlie.algebra import COMPLEX, REAL, LieAlgebra, complexify
 from contactlie.catalog import catalog
 from contactlie.cli import main
 from contactlie.errors import InputError
 from contactlie.fileformat import (AlgebraFile, load, parse_algebra_file,
                                    save, serialize_algebra_file)
-from contactlie.forms import is_contact
+from contactlie.forms import complexify_form, is_contact, one_form, two_form
+from contactlie.metric import MetricData
+from contactlie.scalars import GaussianRational
 
 CAT = catalog()
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+def catalog_file(name):
+    """The catalog entry as an AlgebraFile, with its forms and metric."""
+    e = CAT[name]
+    forms = {}
+    if e.eta is not None:
+        forms["eta"] = e.eta
+    if e.omega is not None:
+        forms["omega"] = e.omega
+    metrics = {"g": e.metric} if e.metric is not None else {}
+    return AlgebraFile(algebra=e.algebra, forms=forms, metrics=metrics)
 
 H3_TEXT = """{
   "name": "heisenberg3",
@@ -44,17 +61,11 @@ def test_round_trip_semantic_identity():
 
 def test_round_trip_all_catalog_entries():
     for name, e in CAT.items():
-        forms = {}
-        if e.eta is not None:
-            forms["eta"] = e.eta
-        if e.omega is not None:
-            forms["omega"] = e.omega
-        metrics = {"g": e.metric} if e.metric is not None else {}
-        af = AlgebraFile(algebra=e.algebra, forms=forms, metrics=metrics)
+        af = catalog_file(name)
         text = serialize_algebra_file(af)
         af2 = parse_algebra_file(text)
         assert af2.algebra.brackets == e.algebra.brackets, name
-        assert af2.forms == forms, name
+        assert af2.forms == af.forms, name
         # serialization is deterministic
         assert serialize_algebra_file(af2) == text, name
 
@@ -282,3 +293,139 @@ def test_load_and_save(tmp_path):
     assert load(str(out)).algebra.brackets == af.algebra.brackets
     with pytest.raises(InputError, match="cannot read"):
         load(str(tmp_path / "missing.json"))
+
+
+def test_serialize_matches_golden_files():
+    """tests/data/file_golden.json holds the text of every catalog entry,
+    of tests/data/r2_h5.json and of complexified heisenberg5 as
+    json.dumps(doc, indent=2) writes it; serialize_algebra_file writes the
+    same bytes."""
+    with open(os.path.join(DATA, "file_golden.json"), encoding="utf-8") as fh:
+        golden = json.load(fh)
+    files = {name: catalog_file(name) for name in CAT}
+    files["r2_h5"] = load(os.path.join(DATA, "r2_h5.json"))
+    h5 = catalog_file("heisenberg5")
+    files["heisenberg5^C"] = AlgebraFile(
+        algebra=complexify(h5.algebra),
+        forms={"eta": complexify_form(h5.forms["eta"])},
+        metrics=h5.metrics)
+    assert sorted(files) == sorted(golden)
+    for name, af in files.items():
+        assert serialize_algebra_file(af) == golden[name], name
+
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+# names and labels that need JSON escaping: quotes, backslashes, control
+# characters and non-ASCII, BMP and astral
+texts = st.text(st.sampled_from('ab"\\/\n\t\x00\x1f\x7f\xe9€\U0001f600')
+                | st.characters(), max_size=6)
+rationals = st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30),
+                      st.integers(1, 10 ** 6))
+
+
+@st.composite
+def algebra_files(draw):
+    dim = draw(st.integers(1, 4))
+    field = draw(st.sampled_from([REAL, COMPLEX]))
+    if field == COMPLEX:
+        scalars = st.builds(GaussianRational, rationals, rationals)
+    else:
+        scalars = rationals
+    scalars = st.just(Fraction(0)) | scalars
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    brackets = {p: tuple(draw(st.lists(scalars, min_size=dim,
+                                       max_size=dim)))
+                for p in draw(st.lists(st.sampled_from(pairs), unique=True))
+                } if pairs else {}
+    labels = tuple(draw(st.lists(texts, min_size=dim, max_size=dim)))
+    forms = {}
+    for name in draw(st.lists(texts, max_size=3, unique=True)):
+        if draw(st.booleans()):
+            forms[name] = one_form(dim, draw(st.lists(
+                scalars, min_size=dim, max_size=dim)))
+        else:
+            forms[name] = two_form(dim, [(i, j, draw(scalars)) for i, j in
+                                         draw(st.lists(st.sampled_from(pairs),
+                                                       unique=True))]
+                                   if pairs else [])
+    metrics = {}
+    for name in draw(st.lists(texts, max_size=2, unique=True)):
+        if draw(st.booleans()):
+            metrics[name] = MetricData.from_diag(
+                draw(st.lists(rationals, min_size=dim, max_size=dim)))
+        else:
+            rows = [[Fraction(0)] * dim for _ in range(dim)]
+            for i in range(dim):
+                for j in range(i + 1):
+                    rows[i][j] = rows[j][i] = draw(rationals)
+            metrics[name] = MetricData.from_rows(rows)
+    algebra = LieAlgebra(name=draw(texts), dim=dim, field=field,
+                         brackets=brackets, basis_labels=labels)
+    return AlgebraFile(algebra=algebra, forms=forms, metrics=metrics)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(af=algebra_files())
+def test_serialize_is_indented_json(af):
+    """The written text is json.dumps of its own document with indent=2:
+    real and complex algebras, escaped labels and names, empty bracket
+    tables, 1-forms and 2-forms, diag and matrix metrics."""
+    text = serialize_algebra_file(af)
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def test_hostile_text_is_an_input_error(tmp_path):
+    """JSON integer literals beyond int's digit limit, nesting beyond the
+    recursion limit and non-UTF-8 files are input errors."""
+    for text in ('{"name": "x", "dim": %s}' % ("1" * 5000), "[" * 10 ** 5):
+        with pytest.raises(InputError, match="not valid JSON"):
+            parse_algebra_file(text)
+    p = tmp_path / "latin1.json"
+    p.write_bytes(H3_TEXT.replace("heisenberg3", "h\xe9").encode("latin-1"))
+    with pytest.raises(InputError, match="latin1.json: not UTF-8 text"):
+        load(str(p))
+
+
+def test_oversize_coefficient_reported_by_digit_count(monkeypatch):
+    """A coefficient part of more digits than 2^MAX_COEFF_BITS has is over
+    the budget, decided before it is converted; the message is short,
+    also for a megabyte of digits."""
+    def no_int_text(*args, **kwargs):
+        raise AssertionError("a digit string was converted")
+
+    doc = json.loads(H3_TEXT)
+    for text in ("1" + "0" * 1234, "1" + "0" * 5000, "1/" + "3" * 5000,
+                 "9" * 10 ** 6, "1_0" * 3000):
+        doc["brackets"][0]["terms"] = [[2, text]]
+        with pytest.raises(InputError) as exc:
+            parse_algebra_file(json.dumps(doc))
+        message = str(exc.value)
+        assert message.startswith("brackets[0], term e3: coefficient with a "
+                                  "%d-digit part, above the limit "
+                                  "MAX_COEFF_BITS = 4096"
+                                  % len(text.replace("_", "").split("/")[-1])
+                                  ), message[:200]
+        assert len(message) < 200
+    # the longest digit count of 4096-bit numbers, 1234, is decided by bits
+    doc["brackets"][0]["terms"] = [[2, str(2 ** 4096)]]
+    with pytest.raises(InputError, match="coefficient of 4097 bits"):
+        parse_algebra_file(json.dumps(doc))
+    doc["brackets"][0]["terms"] = [[2, "-%d/3" % (2 ** 4096 - 1)]]
+    assert parse_algebra_file(json.dumps(doc)).algebra.dim == 3
+    doc = {"name": "c", "field": "complex", "dim": 3, "brackets": [
+        {"i": 0, "j": 1, "terms": [[2, "1,%s" % ("7" * 5000)]]}]}
+    with pytest.raises(InputError, match="5000-digit part"):
+        parse_algebra_file(json.dumps(doc))
+
+
+def test_coefficient_errors_quote_a_short_prefix():
+    doc = json.loads(H3_TEXT)
+    for text in ("x" * 10 ** 6, "1.5" + "x" * 10 ** 6, "1," * 10 ** 5):
+        doc["brackets"][0]["terms"] = [[2, text]]
+        with pytest.raises(InputError) as exc:
+            parse_algebra_file(json.dumps(doc))
+        message = str(exc.value)
+        assert len(message) < 400 and "characters" in message, message

@@ -7,8 +7,10 @@ module holds them.  That matrix is built per call, never kept on the
 algebra.  Derived data of a contact structure is computed once: call
 counts of the expensive steps are pinned per call.  Real-valued Gaussian
 matrices take the integer kernels of linalg, without GaussianRational
-arithmetic."""
+arithmetic.  serialize_algebra_file never runs json's pure-Python
+encoder."""
 
+import json
 import random
 import sys
 from collections import Counter
@@ -23,6 +25,7 @@ from contactlie.catalog import catalog
 from contactlie.contact import contact_structure
 from contactlie.extension import (analyze_kcontact, central_extension,
                                   central_quotient)
+from contactlie.fileformat import AlgebraFile, serialize_algebra_file
 from contactlie.forms import (basis_dual, ce_differential, complexify_form,
                               is_contact, one_form, two_form)
 from contactlie.linalg import det, mat_mul, mat_vec, rref
@@ -294,3 +297,21 @@ def test_real_valued_complexified_kernels_run_no_gaussian_arithmetic(
     values = [v for rows in got[:2] for row in rows for v in row]
     assert all(type(v) is GaussianRational
                for v in values + list(got[2].coeffs.values()))
+
+
+def test_serialize_never_reaches_the_python_json_encoder(monkeypatch):
+    """json.dumps with indent runs the pure-Python encoder; the file text
+    is written from templates, with json.dumps only on single strings."""
+    def raiser(*args, **kwargs):
+        raise AssertionError("json.encoder._make_iterencode reached")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", raiser)
+    with pytest.raises(AssertionError):
+        json.dumps([1], indent=2)
+    for e in CAT.values():
+        forms = {"eta": e.eta} if e.eta is not None else {"omega": e.omega}
+        metrics = {"g": e.metric} if e.metric is not None else {}
+        for algebra in (e.algebra, complexify(e.algebra)):
+            text = serialize_algebra_file(AlgebraFile(
+                algebra=algebra, forms=forms, metrics=metrics))
+            assert text.startswith('{\n  "name": ')

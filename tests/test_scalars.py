@@ -1,6 +1,9 @@
 import copy
 import pickle
+import sys
+from decimal import Decimal
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -71,6 +74,98 @@ def test_format_round_trip():
         assert format_scalar(parse_scalar(text)) == text
     z = GaussianRational(Fraction(1, 2), Fraction(-3, 4))
     assert parse_scalar(format_scalar(z), allow_complex=True) == z
+
+
+# texts that parse_scalar must read as the running interpreter's Fraction
+# reads them: signs, underscores, spaces, zero denominators, empty parts,
+# non-ASCII digits (Fraction takes Arabic-Indic, not superscript digits),
+# floating text and too many commas
+SCALAR_TEXTS = ["+3", "1_000", " 3/4 ", "3 /4", "-0", "0/5", "1/0", "--1",
+                "", "/", "3/", "\u0663", "\u00b2", "1.5", "1e3", "1,2,3",
+                "-1/0", "0/0", "007/010", "-12/-4", "1/+2", "-", "3/4/5",
+                "1__0", "\u0661/\u0662", "  -5  ", "1,", ",1", "1,2",
+                " 1/2 , -3 ", "\t7\n", "12345678901234567890/3"]
+
+
+def reference_parse_scalar(text, allow_complex=False):
+    """parse_scalar as it read text with Fraction alone."""
+    if not isinstance(text, str):
+        raise InputError("coefficient must be a string, got %r" % (text,))
+    text = text.strip()
+    if any(ch in text for ch in ".eE"):
+        raise InputError(
+            "malformed coefficient %r: only exact rationals 'p/q' are "
+            "accepted, not floating-point text" % text)
+    try:
+        if "," in text:
+            if not allow_complex:
+                raise InputError(
+                    "complex coefficient %r in a real algebra" % text
+                )
+            re_s, im_s = text.split(",")
+            return GaussianRational(Fraction(re_s), Fraction(im_s))
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError("malformed coefficient %r: %s" % (text, exc)) from exc
+    if allow_complex:
+        return GaussianRational(value)
+    return value
+
+
+def outcome(parse, text, allow_complex):
+    try:
+        value = parse(text, allow_complex)
+    except InputError as exc:
+        return "InputError", str(exc)
+    return type(value), value
+
+
+def test_parse_scalar_agrees_with_fraction():
+    """The same value and type, or an InputError with the same message,
+    as reading the text with Fraction; complex text pairs every entry."""
+    texts = SCALAR_TEXTS + ["%s,%s" % pair
+                            for pair in product(SCALAR_TEXTS[:12], repeat=2)]
+    for text, allow_complex in product(texts, (False, True)):
+        assert outcome(parse_scalar, text, allow_complex) == \
+            outcome(reference_parse_scalar, text, allow_complex), text
+    for text in SCALAR_TEXTS:
+        try:
+            expected = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            expected = None
+        if "," in text or any(ch in text for ch in ".eE"):
+            expected = None
+        try:
+            assert parse_scalar(text) == expected is not None, text
+        except InputError:
+            assert expected is None, text
+
+
+def test_format_scalar_writes_values_of_any_size():
+    """Integers beyond int's str() digit limit are written in full, the
+    limit itself untouched."""
+    limit = sys.get_int_max_str_digits()
+    for n in (10 ** 5000, -(7 ** 9000) - 1, 2 ** 30000 + 12345):
+        assert format_scalar(n) == str(Decimal(n))
+        x = Fraction(n, 3 ** 9001)
+        assert format_scalar(x) == "%s/%s" % (Decimal(x.numerator),
+                                              Decimal(x.denominator))
+        z = GaussianRational(Fraction(1, 2), n)
+        assert format_scalar(z) == "1/2,%s" % Decimal(n)
+    assert format_scalar(Fraction(-10 ** 4299 * 7, 3)) == \
+        "-7%s/3" % ("0" * 4299)
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_scalar_errors_quote_a_short_prefix():
+    for text in ("x" * 10 ** 5, "1." + "0" * 10 ** 5, "1," * 10 ** 4,
+                 "\u0661" * 5000):
+        for allow_complex in (False, True):
+            with pytest.raises(InputError) as exc:
+                parse_scalar(text, allow_complex)
+            message = str(exc.value)
+            assert len(message) < 400 and "characters)" in message, \
+                message[:400]
 
 
 def test_to_gaussian():
