@@ -31,9 +31,10 @@ errors.
 
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm, log10
+from math import lcm
 
 from .algebra import COMPLEX, REAL, LieAlgebra, check_jacobi
 from .errors import InputError
@@ -78,15 +79,23 @@ def _require(doc, key, kind, where):
 
 # a run of digits, underscores between them included, as Fraction reads it
 _DIGIT_RUN = re.compile(r"[\d_]+")
+# digits of 2^MAX_COEFF_BITS, the most a part within the budget can have
+_BUDGET_DIGITS = len(str(1 << MAX_COEFF_BITS))
 
 
 def _require_digit_count(text):
-    """A part with more digits, leading zeros aside, than 2^MAX_COEFF_BITS
-    has is above the budget; decided before any int() of it, which would
-    refuse more digits than the interpreter's limit (4300 by default)."""
-    most = int(MAX_COEFF_BITS * log10(2)) + 1
+    """A part with more digits than int() reads (counted as int counts
+    them: leading zeros in, underscores out) fails with or without this
+    check; it is reported as over the budget from its digit count, before
+    any int() of it.  Other parts are left to the bit check on the
+    reduced value."""
+    # sys.get_int_max_str_digits is missing before 3.10.7; 0 is no limit
+    most = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not most:
+        return
+    most = max(most, _BUDGET_DIGITS)
     for run in _DIGIT_RUN.findall(text):
-        digits = len(run.replace("_", "").lstrip("0"))
+        digits = len(run) - run.count("_")
         if digits > most:
             raise InputError(
                 "coefficient with a %d-digit part, above the limit "

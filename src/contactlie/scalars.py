@@ -9,6 +9,7 @@ outside Q(i) and their eigenvectors; linalg does not take it.
 """
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import isqrt
 
@@ -308,28 +309,17 @@ def parse_scalar(text, allow_complex=False):
     return value
 
 
-def _decimal(n):
-    """str(n) for an int of any size.  str() refuses more digits than the
-    interpreter's limit (4300 by default, sys.get_int_max_str_digits),
-    which stays untouched: longer values are written in two halves."""
-    try:
-        return str(n)
-    except ValueError:
-        pass
-    half = n.bit_length() * 3 // 20  # about half the digits: log10(2) / 2
-    high, low = divmod(abs(n), 10 ** half)
-    return "-" * (n < 0) + _decimal(high) + _decimal(low).zfill(half)
-
-
 def _rational_text(x):
-    """str(x) of a Fraction of any size."""
+    """str(x) of a Fraction of any size.  str() refuses more digits than
+    the interpreter's limit (4300 by default, sys.get_int_max_str_digits),
+    which stays untouched; Decimal writes an int exactly and has no limit."""
     try:
         return str(x)
     except ValueError:
-        text = _decimal(x.numerator)
+        text = str(Decimal(x.numerator))
         if x.denominator == 1:
             return text
-        return "%s/%s" % (text, _decimal(x.denominator))
+        return "%s/%s" % (text, str(Decimal(x.denominator)))
 
 
 def format_scalar(x):

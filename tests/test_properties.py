@@ -13,22 +13,26 @@ must agree exactly with the direct definitions they replaced.  The
 K-contact obstruction must agree with sympy's spectrum of ad(xi), and with
 the signs a_j b_j of a seeded block matrix 0 + sum_j [[0, a_j], [-b_j, 0]].
 Contact + Frobenius algebras su(2) or sl(2,R) + aff(1)^k, whose Reeb field
-is not central for n > 1, run through the whole pipeline.
+is not central for n > 1, run through the whole pipeline.  The written
+algebra file is json.dumps(doc, indent=2) of its own document, for random
+real and complex algebras with labels and names that need escaping.
 """
 
+import json
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
 import pytest
 
-from contactlie.algebra import (LieAlgebra, ad, bracket, check_jacobi,
-                                complexify, subspace_brackets)
+from contactlie.algebra import (COMPLEX, REAL, LieAlgebra, ad, bracket,
+                                check_jacobi, complexify, subspace_brackets)
 from contactlie.catalog import abelian, catalog
 from contactlie.contact import contact_structure
 from contactlie.errors import InputError, InternalInvariantError
 from contactlie.extension import (SymplecticAlgebra, analyze_kcontact,
                                   central_extension)
+from contactlie.fileformat import AlgebraFile, serialize_algebra_file
 from contactlie.forms import (AlternatingForm, basis_dual, ce_differential,
                               complexify_form, is_contact, one_form,
                               one_form_coefficients, two_form, wedge)
@@ -1141,3 +1145,62 @@ def test_metric_chain_matches_fractions_on_constructed_metrics(name, field,
         assert not verdict
     for bad in perturbed_metrics(c, g):
         assert assert_metric_chain_matches_fractions(c, bad) is InputError
+
+
+# names and labels that need JSON escaping: quotes, backslashes, control
+# characters and non-ASCII, BMP and astral
+texts = st.text(st.sampled_from('ab"\\/\n\t\x00\x1f\x7f\xe9€\U0001f600')
+                | st.characters(), max_size=6)
+rationals = st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30),
+                      st.integers(1, 10 ** 6))
+
+
+@st.composite
+def algebra_files(draw):
+    dim = draw(st.integers(1, 4))
+    field = draw(st.sampled_from([REAL, COMPLEX]))
+    if field == COMPLEX:
+        scalars = st.builds(GaussianRational, rationals, rationals)
+    else:
+        scalars = rationals
+    scalars = st.just(Fraction(0)) | scalars
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    brackets = {p: tuple(draw(st.lists(scalars, min_size=dim,
+                                       max_size=dim)))
+                for p in draw(st.lists(st.sampled_from(pairs), unique=True))
+                } if pairs else {}
+    labels = tuple(draw(st.lists(texts, min_size=dim, max_size=dim)))
+    forms = {}
+    for name in draw(st.lists(texts, max_size=3, unique=True)):
+        if draw(st.booleans()):
+            forms[name] = one_form(dim, draw(st.lists(
+                scalars, min_size=dim, max_size=dim)))
+        else:
+            forms[name] = two_form(dim, [(i, j, draw(scalars)) for i, j in
+                                         draw(st.lists(st.sampled_from(pairs),
+                                                       unique=True))]
+                                   if pairs else [])
+    metrics = {}
+    for name in draw(st.lists(texts, max_size=2, unique=True)):
+        if draw(st.booleans()):
+            metrics[name] = MetricData.from_diag(
+                draw(st.lists(rationals, min_size=dim, max_size=dim)))
+        else:
+            rows = [[Fraction(0)] * dim for _ in range(dim)]
+            for i in range(dim):
+                for j in range(i + 1):
+                    rows[i][j] = rows[j][i] = draw(rationals)
+            metrics[name] = MetricData.from_rows(rows)
+    algebra = LieAlgebra(name=draw(texts), dim=dim, field=field,
+                         brackets=brackets, basis_labels=labels)
+    return AlgebraFile(algebra=algebra, forms=forms, metrics=metrics)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(af=algebra_files())
+def test_serialize_is_indented_json(af):
+    """The written text is json.dumps of its own document with indent=2:
+    real and complex algebras, escaped labels and names, empty bracket
+    tables, 1-forms and 2-forms, diag and matrix metrics."""
+    text = serialize_algebra_file(af)
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
