@@ -17,7 +17,7 @@ from operator import mul
 
 from .errors import InputError
 from .linalg import ScaledMatrix, vec_is_zero
-from .scalars import GaussianRational, to_gaussian
+from .scalars import GaussianRational, quote_int, to_gaussian
 
 REAL = "real"
 COMPLEX = "complex"
@@ -39,7 +39,8 @@ class LieAlgebra:
 
     def __post_init__(self):
         if self.dim < 1:
-            raise InputError("dimension must be >= 1, got %d" % self.dim)
+            raise InputError("dimension must be >= 1, got %s"
+                             % quote_int(self.dim))
         if self.field not in (REAL, COMPLEX):
             raise InputError("field must be 'real' or 'complex'")
         clean = {}

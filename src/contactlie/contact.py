@@ -13,7 +13,7 @@ from .algebra import COMPLEX, LieAlgebra, ad
 from .errors import InputError, InternalInvariantError
 from .forms import (AlternatingForm, ce_differential, is_contact,
                     one_form_coefficients, two_form_matrix)
-from .linalg import ScaledMatrix, dot, mat_vec, nullspace, rref
+from .linalg import ScaledMatrix, dot, nullspace, rref
 from .polynomials import (Polynomial, format_polynomial, is_squarefree,
                           minimal_polynomial)
 
@@ -120,14 +120,14 @@ def contact_structure(algebra, eta):
             "eta is not a contact form on %r (eta ^ d eta^n = 0)"
             % algebra.name)
     xi = reduced[:dim, dim:]
-    kernel = nullspace([eta_row])
+    kernel = nullspace(scaled_eta)
     if len(kernel) != dim - 1:
         raise InternalInvariantError("ker(eta) has unexpected dimension")
     structure = ContactStructure(
         algebra=algebra,
         eta=eta,
         reeb=tuple(x for (x,) in xi),
-        horizontal_basis=ScaledMatrix.of(kernel),
+        horizontal_basis=kernel,
         projector=ScaledMatrix.identity(dim) - xi @ scaled_eta,
         deta=deta,
         deta_matrix=d,
@@ -157,5 +157,5 @@ def decompose(c, x):
     if len(x) != c.algebra.dim:
         raise InputError("vector length does not match algebra dimension")
     s = dot(c.eta_row, x)
-    hx = mat_vec(c.projector, list(x))
+    hx = [y for (y,) in c.projector @ ScaledMatrix.of([x]).T]
     return s, hx

@@ -40,7 +40,8 @@ from .algebra import COMPLEX, REAL, LieAlgebra, check_jacobi
 from .errors import InputError
 from .forms import one_form, two_form
 from .metric import MetricData
-from .scalars import GaussianRational, format_scalar, parse_scalar
+from .scalars import (GaussianRational, format_scalar, parse_scalar,
+                      quote_int)
 
 # largest accepted dim: the Jacobi check makes 3 dim multiply-adds (6 dim
 # on complex constants) for every basis triple, so its cost grows as dim^4
@@ -142,8 +143,8 @@ def _parse_brackets(doc, dim, allow_complex):
         i = _require(entry, "i", int, where)
         j = _require(entry, "j", int, where)
         if not 0 <= i < j < dim:
-            raise InputError(
-                "%s: need 0 <= i < j < dim, got i=%d, j=%d" % (where, i, j))
+            raise InputError("%s: need 0 <= i < j < dim, got i=%s, j=%s"
+                             % (where, quote_int(i), quote_int(j)))
         if (i, j) in brackets:
             raise InputError("%s: duplicate pair (%d, %d)" % (where, i, j))
         terms = _require(entry, "terms", list, where)
@@ -158,8 +159,8 @@ def _parse_brackets(doc, dim, allow_complex):
             k, text = term
             if not 0 <= k < dim:
                 raise InputError(
-                    "%s: term index %d out of range for dim %d"
-                    % (where, k, dim))
+                    "%s: term index %s out of range for dim %d"
+                    % (where, quote_int(k), dim))
             if k in seen:
                 raise InputError("%s: duplicate term index %d" % (where, k))
             seen.add(k)
@@ -211,8 +212,8 @@ def _parse_form(name, spec, dim, allow_complex):
             i, j, text = item
             if not 0 <= i < j < dim:
                 raise InputError(
-                    "%s[%d]: need 0 <= i < j < dim, got i=%d, j=%d"
-                    % (where, pos, i, j))
+                    "%s[%d]: need 0 <= i < j < dim, got i=%s, j=%s"
+                    % (where, pos, quote_int(i), quote_int(j)))
             try:
                 entries.append((i, j, _coefficient(text, allow_complex)))
             except InputError as exc:
@@ -265,8 +266,8 @@ def parse_algebra_file(text):
     name = _require(doc, "name", str, "the file")
     dim = _require(doc, "dim", int, "the file")
     if dim > MAX_DIM:
-        raise InputError("'dim' is %d, above the limit MAX_DIM = %d"
-                         % (dim, MAX_DIM))
+        raise InputError("'dim' is %s, above the limit MAX_DIM = %d"
+                         % (quote_int(dim), MAX_DIM))
     field_name = doc.get("field", REAL)
     if field_name not in (REAL, COMPLEX):
         raise InputError("'field' must be 'real' or 'complex'")

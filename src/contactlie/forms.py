@@ -135,7 +135,8 @@ def two_form(dim, entries):
     for i, j, value in entries:
         if not 0 <= i < j < dim:
             raise InputError("2-form entry (%d, %d) must satisfy i < j" % (i, j))
-        coeffs[(i, j)] = coeffs.get((i, j), Fraction(0)) + value
+        key = (i, j)
+        coeffs[key] = coeffs[key] + value if key in coeffs else value
     return AlternatingForm(dim, 2, coeffs)
 
 

@@ -1,31 +1,29 @@
 """Exact dense linear algebra over the rationals and Gaussian rationals.
 
-Matrices are lists of row lists, vectors are sequences; entries are
-int, Fraction or GaussianRational.  rref, det, mat_mul and mat_vec give
-Fractions for real input and GaussianRationals as soon as one entry is a
-GaussianRational.  rref also takes a ScaledMatrix and gives one back.
-
-ScaledMatrix is the one exact matrix type the kernels compute in: integer
-rows, and integer imaginary rows when an entry has a nonzero imaginary
-part, over one positive int denominator.  Code that chains products (the
-metric identities, the root-space checks, the minimal polynomial) keeps
-its matrices in this form from one operation to the next and builds
-Fractions only for the values it returns; mat_mul and mat_vec are one
-product of this type with one conversion in and one out.  Every result
-is divided by the gcd of its denominator and its entries, so the
-integers stay as small as the values allow.  A ScaledMatrix also reads
-as rows (len, iteration and m[i], each row a tuple of scalars), so one
-object serves a matrix that is both multiplied and read, and every
-function here takes it where it takes rows.
+ScaledMatrix is the one exact matrix type: integer rows, and integer
+imaginary rows when an entry has a nonzero imaginary part, over one
+positive int denominator.  Every product, transpose and inverse here is
+one of this type, and the matrices that rref and nullspace return are
+too; code that chains products (the metric identities, the root-space
+checks, the minimal polynomial) keeps its matrices in this form from one
+operation to the next and builds Fractions only for the values it
+returns.  Every result is divided by the gcd of its denominator and its
+entries, so the integers stay as small as the values allow.  A
+ScaledMatrix also reads as rows (len, iteration and m[i], each row a
+tuple of scalars), so one object serves a matrix that is both multiplied
+and read.  rref, nullspace, det and leading_minors also take lists of
+rows, of int, Fraction or GaussianRational entries; real input gives
+Fractions and input with a GaussianRational entry GaussianRationals.
 
 rref is a fraction-free Gauss-Jordan elimination and det a Bareiss
 elimination (Bareiss 1968, "Sylvester's identity and multistep
 integer-preserving Gaussian elimination") of the integer rows, each
 divided by the gcd of its entries first; every division in them is exact.
 The rows rref ends with are the last pivot times the RREF, which is a
-ScaledMatrix over that pivot as it stands, and inverse reads G^-1 off
-it.  Input with a nonzero imaginary part runs the same two eliminations
-in GaussianRational arithmetic, where the exact division is the field's.
+ScaledMatrix over that pivot as it stands; inverse and nullspace read
+their results off it.  Input with a nonzero imaginary part runs the same
+two eliminations on the numerators in GaussianRational arithmetic, where
+the exact division is the field's.
 """
 
 from fractions import Fraction
@@ -37,19 +35,8 @@ from .errors import InputError, SingularSystemError
 from .scalars import GaussianRational, to_gaussian
 
 
-def transpose(m):
-    return [list(col) for col in zip(*m)]
-
-
 def dot(u, v):
     return sum(x * y for x, y in zip(u, v))
-
-
-def field_one(m):
-    """GaussianRational(1) if an entry of m is Gaussian, else Fraction(1)."""
-    if any(isinstance(x, GaussianRational) for row in m for x in row):
-        return GaussianRational(1)
-    return Fraction(1)
 
 
 # -- the scaled matrix type ----------------------------------------------------
@@ -264,36 +251,16 @@ def _primitive(rows):
                       for g, row in zip(contents, rows)]
 
 
-def mat_mul(a, b):
-    return (ScaledMatrix.of(a) @ ScaledMatrix.of(b)).rows()
-
-
-def mat_vec(a, v):
-    column = ScaledMatrix.of(a) @ ScaledMatrix.of([v]).T
-    return [x for (x,) in column.rows()]
-
-
 def vec_is_zero(v):
     return all(x == 0 for x in v)
 
 
 # -- elimination ---------------------------------------------------------------
 
-def _gaussian_rows(m):
-    """m with every entry a GaussianRational, for the kernels below."""
-    return [[to_gaussian(x) for x in row] for row in m]
-
-
 def rref(m):
-    """Reduced row echelon form: (the RREF, pivot columns).  m is a list
-    of rows or a ScaledMatrix, and the RREF comes back in the same form."""
-    if isinstance(m, ScaledMatrix):
-        return _rref_scaled(m)
-    reduced, pivots = _rref_scaled(ScaledMatrix.of(m))
-    return reduced.rows(), pivots
-
-
-def _rref_scaled(m):
+    """Reduced row echelon form of a ScaledMatrix or a list of rows: (the
+    RREF as a ScaledMatrix, pivot columns)."""
+    m = ScaledMatrix.of(m)
     ncols = len(m.re[0]) if m.re else 0
     if m.im is not None:
         rows = m.numerators()
@@ -338,24 +305,27 @@ def _rref_integer(a, ncols):
 
 
 def nullspace(m):
-    """Deterministic kernel basis: free variables in ascending column order,
-    each set to the field's 1 in turn with pivot variables back-solved."""
-    rows, pivots = rref(m)
-    ncols = len(m[0])
+    """Deterministic kernel basis, one ScaledMatrix row per vector: free
+    variables in ascending column order, each set to 1 in turn with the
+    pivot variables back-solved.  With the RREF held as R / d, the row of
+    the free column f is d e_f - R[:, f] over d, imaginary rows alike."""
+    reduced, pivots = rref(m)
+    ncols = len(reduced.re[0]) if reduced.re else 0
     free = [c for c in range(ncols) if c not in pivots]
-    one = field_one(m)
-    basis = []
-    for f in free:
-        v = [0 * one] * ncols
-        v[f] = one
-        for r, c in enumerate(pivots):
-            v[c] = -rows[r][f]
-        basis.append(v)
-    return basis
 
+    def kernel_rows(part, one):
+        rows = []
+        for f in free:
+            v = [0] * ncols
+            v[f] = one
+            for r, c in enumerate(pivots):
+                v[c] = -part[r][f]
+            rows.append(v)
+        return rows
 
-def inverse(m):
-    return ScaledMatrix.of(m).inverse().rows()
+    im = None if reduced.im is None else kernel_rows(reduced.im, 0)
+    return _reduced(kernel_rows(reduced.re, reduced.d), im, reduced.d,
+                    reduced.gaussian)
 
 
 def _bareiss(a, pivoting=True):
@@ -388,15 +358,14 @@ def det(m):
     """Determinant; the zero of the field for a singular matrix."""
     s = ScaledMatrix.of(m)
     if s.im is not None:
-        for d in _bareiss(_gaussian_rows(m)):
-            pass
-        return to_gaussian(d)
-    contents, rows = _primitive(s.re)
+        contents, rows = [], s.numerators()
+    else:
+        contents, rows = _primitive(s.re)
     d = 1
     for d in _bareiss(rows):
         pass
-    value = Fraction(d * prod(contents), s.d ** len(rows))
-    return GaussianRational(value) if s.gaussian else value
+    value = d * Fraction(prod(contents), s.d ** len(rows))
+    return to_gaussian(value) if s.gaussian else value
 
 
 def leading_minors(m):

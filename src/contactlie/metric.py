@@ -18,8 +18,7 @@ from functools import cached_property
 from .algebra import REAL
 from .errors import InputError, InternalInvariantError
 from .forms import two_form_matrix
-from .linalg import (ScaledMatrix, det, dot, inverse, leading_minors, mat_mul,
-                     mat_vec, transpose)
+from .linalg import ScaledMatrix, det, dot, leading_minors
 from .polynomials import format_polynomial
 from .scalars import scalar_re_im
 
@@ -89,19 +88,18 @@ def levi_civita(algebra, g):
     if not g.is_positive_definite():
         raise InputError("metric is not positive-definite")
     n = algebra.dim
-    ginv = g.inverse
-    s = [[mat_vec(g.matrix, algebra.structure_vector(a, b))
-          for b in range(n)] for a in range(n)]
-    half = Fraction(1, 2)
-    gamma = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            k_vec = [-half * (s[j][k][i] + s[i][k][j] + s[j][i][k])
-                     for k in range(n)]
-            row.append(tuple(mat_vec(ginv, k_vec)))
-        gamma.append(tuple(row))
-    return Connection(tuple(gamma))
+    # row a n + b of s is g([e_a, e_b], .), and row i n + j of koszul is
+    # g(nabla_{e_i} e_j, .); G and G^-1 are symmetric
+    s = ScaledMatrix.of([algebra.structure_vector(a, b)
+                         for a in range(n) for b in range(n)]) @ g.matrix
+    parts = [[[p[j * n + k][i] + p[i * n + k][j] + p[j * n + i][k]
+               for k in range(n)] for i in range(n) for j in range(n)]
+             for p in ([s.re] if s.im is None else [s.re, s.im])]
+    koszul = Fraction(-1, 2) * ScaledMatrix(*parts, d=s.d,
+                                            gaussian=s.gaussian)
+    gamma = (koszul @ g.inverse).rows()
+    return Connection(tuple(tuple(tuple(gamma[i * n + j]) for j in range(n))
+                            for i in range(n)))
 
 
 def compute_phi(c, g):
@@ -325,7 +323,7 @@ def construct_associated_metric(c, horizontal_frame=None):
         horizontal_frame = c.horizontal_basis
     if len(horizontal_frame) != n - 1:
         raise InputError("horizontal frame must have %d vectors" % (n - 1))
-    rest = []
+    vectors = []
     for i, v in enumerate(horizontal_frame):
         if len(v) != n:
             raise InputError("frame vector %d has %d entries, expected %d"
@@ -333,31 +331,32 @@ def construct_associated_metric(c, horizontal_frame=None):
         v = [Fraction(x) for x in v]
         if dot(c.eta_row, v) != 0:
             raise InputError("frame vector %d is not in ker eta" % i)
-        rest.append(v)
-
-    def deta(u, v):
-        return sum(x * y for x, y in zip(u, mat_vec(c.deta_matrix, v)))
-
+        vectors.append(v)
+    rest = list(range(n - 1))
     columns, scale = [], []
     while rest:
+        frame = ScaledMatrix.of(vectors)
+        w = (frame @ c.deta_matrix @ frame.T).rows()  # w[u][v] = d eta(u, v)
         e = rest.pop(0)
-        k = next((k for k, v in enumerate(rest) if deta(e, v) != 0), None)
+        k = next((k for k, v in enumerate(rest) if w[e][v] != 0), None)
         if k is None:
             raise InputError(
                 "horizontal frame is degenerate: Gram-Schmidt finds no "
                 "d eta partner for a frame vector")
         f = rest.pop(k)
-        s = deta(e, f)
-        rest = [[x - deta(v, f) / s * a + deta(v, e) / s * b
-                 for x, a, b in zip(v, e, f)] for v in rest]
-        columns += [e, f]
+        s = w[e][f]
+        for v in rest:
+            a, b = w[v][f] / s, w[v][e] / s
+            vectors[v] = [x - a * y + b * z
+                          for x, y, z in zip(vectors[v], vectors[e],
+                                             vectors[f])]
+        columns += [vectors[e], vectors[f]]
         scale += [abs(s), abs(s)]
-    columns.append(list(c.reeb))
-    scale.append(Fraction(1))
+    columns.append(c.reeb)
+    scale.append(1)
     # g = E^-T diag(scale) E^-1 for the matrix E with these columns
-    einv = inverse(transpose(columns))
-    scaled = [[s * x for x in row] for s, row in zip(scale, einv)]
-    metric = MetricData.from_rows(mat_mul(transpose(einv), scaled))
+    einv = ScaledMatrix.of(columns).T.inverse()
+    metric = MetricData(einv.T @ MetricData.from_diag(scale).matrix @ einv)
     if not is_associated(c, metric):
         raise InternalInvariantError(
             "Gram-Schmidt construction produced a non-associated metric")

@@ -242,6 +242,12 @@ def _clip(text, size=QUOTE_CHARS):
     return "%s... (%d characters)" % (text[:size], len(text))
 
 
+def quote_int(n):
+    """The int n in decimal for an error message, clipped as quoted texts
+    are: a JSON integer may have thousands of digits."""
+    return _clip(_rational_text(n))
+
+
 def _ascii_rational(text):
     """Fraction of ASCII text "-?digits(/digits)?", else None; also None
     on a zero denominator, where Fraction raises."""

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from .algebra import COMPLEX, bracket
 from .contact import ContactStructure
 from .errors import InputError, InternalInvariantError
-from .linalg import (ScaledMatrix, dot, mat_mul, nullspace, rref, transpose,
-                     vec_is_zero)
+from .linalg import ScaledMatrix, dot, nullspace, rref, vec_is_zero
 from .polynomials import format_polynomial
 from .scalars import (GaussianRational, QuadraticNumber, gaussian_sqrt,
                       to_gaussian)
@@ -78,8 +77,7 @@ def root_decomposition(c):
 
 def _kernel(a, r):
     """A basis of ker(A - r), with Gaussian rational entries."""
-    shifted = [[x - r if i == j else x for j, x in enumerate(row)]
-               for i, row in enumerate(a)]
+    shifted = a - ScaledMatrix.of(_diagonal([r] * len(a)))
     return tuple(tuple(map(to_gaussian, _normalized(v)))
                  for v in nullspace(shifted))
 
@@ -108,18 +106,15 @@ def _normalized(v):
     return tuple(x / last for x in v)
 
 
-def _images(m, vectors):
-    """[m v for v in vectors]: one integer product of linalg, or plain
-    products for QuadraticNumbers, which linalg does not take."""
-    if any(isinstance(x, QuadraticNumber) for v in vectors for x in v):
-        return [[dot(row, v) for row in m] for v in vectors]
-    return transpose(mat_mul(m, transpose(vectors)))
+def _image(rows, v):
+    """m v for the rows of m, one dot product per row: the entries of v
+    may be QuadraticNumbers, which ScaledMatrix does not hold."""
+    return [dot(row, v) for row in rows]
 
 
 def _pair(d, x, y):
-    """d eta(x, y) = x^T D y, D the matrix of d eta."""
-    (dy,) = _images(d, [y])
-    return dot(x, dy)
+    """d eta(x, y) = x^T D y for the rows D of the matrix of d eta."""
+    return dot(x, _image(d, y))
 
 
 def _diagonal(values):
@@ -181,7 +176,7 @@ def verify_graded_bracket(rd):
     """Check, exactly, that ad(xi)[X, Y] = (alpha+beta)[X, Y] on root-space
     basis pairs and that d eta(X, Y) = 0 whenever alpha + beta != 0."""
     c = rd.contact
-    a = c.ad_reeb
+    a, d = c.ad_reeb.rows(), c.deta_matrix.rows()
     pairs = 0
     for alpha in rd.roots:
         for beta in rd.roots:
@@ -189,13 +184,13 @@ def verify_graded_bracket(rd):
             for x in rd.spaces[alpha]:
                 for y in rd.spaces[beta]:
                     xy = bracket(c.algebra, list(x), list(y))
-                    (lhs,) = _images(a, [xy])
+                    lhs = _image(a, xy)
                     rhs = [target * t for t in xy]
                     if any(p != q for p, q in zip(lhs, rhs)):
                         raise InternalInvariantError(
                             "graded bracket relation ad(xi)[X,Y] = "
                             "(a+b)[X,Y] failed")
-                    if target != 0 and _pair(c.deta_matrix, x, y) != 0:
+                    if target != 0 and _pair(d, x, y) != 0:
                         raise InternalInvariantError(
                             "d eta(X, Y) != 0 although alpha + beta != 0")
                     pairs += 1
@@ -209,7 +204,7 @@ def find_dual_partner(rd, x, alpha):
     if vec_is_zero(list(x)):
         raise InputError("X must be nonzero")
     c = rd.contact
-    if alpha == 0 and vec_is_zero(_images(c.projector, [x])[0]):
+    if alpha == 0 and vec_is_zero(_image(c.projector, x)):
         raise InputError(
             "X is a multiple of xi, which brackets g_0 to zero; the "
             "dual-pairing statement needs a horizontal part")
@@ -228,7 +223,7 @@ def find_dual_partner(rd, x, alpha):
     coeff = 1 / weights[pick]
     y = [coeff * t for t in basis[pick]]
     z = [p - q for p, q in zip(bracket(c.algebra, list(x), y), c.reeb)]
-    if not vec_is_zero(_images(c.ad_reeb, [z])[0]):
+    if not vec_is_zero(_image(c.ad_reeb, z)):
         raise InternalInvariantError("Z is not in g_0")
     if dot(c.eta_row, z) != 0:
         raise InternalInvariantError("Z is not horizontal")
@@ -242,7 +237,8 @@ def pairing_matrix(rd, alpha):
     minus = -alpha
     if minus not in rd.spaces:
         return []
-    return [[_pair(c.deta_matrix, x, y) for y in rd.spaces[minus]]
+    d = c.deta_matrix.rows()
+    return [[_pair(d, x, y) for y in rd.spaces[minus]]
             for x in rd.spaces[alpha]]
 
 

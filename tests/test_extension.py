@@ -16,10 +16,11 @@ from contactlie.extension import (MainTheoremReport, SymplecticAlgebra,
 from contactlie.fileformat import load
 from contactlie.forms import (AlternatingForm, ce_differential, is_contact,
                               two_form)
-from contactlie.linalg import ScaledMatrix, mat_vec
+from contactlie.linalg import ScaledMatrix
 from contactlie.metric import construct_associated_metric
 from contactlie.polynomials import format_polynomial
 from contactlie.spectral import root_decomposition
+from plain_linalg import mat_vec
 
 CAT = catalog()
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from fractions import Fraction
 
 import pytest
@@ -257,6 +258,30 @@ def test_bool_is_no_integer():
     doc = {"name": "r2", "dim": 2, "forms": {"omega": [[False, 1, "1"]]}}
     with pytest.raises(InputError, match="i, j, coefficient"):
         parse_algebra_file(json.dumps(doc))
+
+
+def test_index_errors_quote_a_short_prefix():
+    """A JSON integer of thousands of digits in an index or the dimension
+    is quoted by its first digits and its length, next to the entry."""
+    huge = 10 ** 3999
+    h3 = json.loads(H3_TEXT)
+    cases = [({**h3, "dim": huge}, "'dim'"),
+             ({**h3, "dim": -huge, "brackets": []}, "dimension")]
+    for key in ("i", "j"):
+        doc = json.loads(H3_TEXT)
+        doc["brackets"][0][key] = huge
+        cases.append((doc, "brackets[0]: need 0 <= i < j < dim"))
+    doc = json.loads(H3_TEXT)
+    doc["brackets"][0]["terms"] = [[huge, "1"]]
+    cases.append((doc, "brackets[0]: term index"))
+    doc = {"name": "r2", "dim": 2, "forms": {"omega": [[huge, 1, "1"]]}}
+    cases.append((doc, "forms['omega'][0]: need 0 <= i < j < dim"))
+    for doc, entry in cases:
+        with pytest.raises(InputError) as exc:
+            parse_algebra_file(json.dumps(doc))
+        message = str(exc.value)
+        assert len(message) < 300 and entry in message, message
+        assert re.search(r"\(400[01] characters\)", message), message
 
 
 def test_two_form_entries():

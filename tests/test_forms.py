@@ -197,6 +197,19 @@ def test_is_contact_even_dim_rejected():
         is_contact(a4, one_form(4, [Fraction(1)] * 4))
 
 
+def test_two_form_sums_repeated_entries_and_keeps_types():
+    g = GaussianRational
+    f = two_form(3, [(0, 1, Fraction(1, 2)), (1, 2, Fraction(3)),
+                     (0, 1, Fraction(1, 3))])
+    assert f.coeffs == {(0, 1): Fraction(5, 6), (1, 2): 3}
+    assert all(type(x) is Fraction for x in f.coeffs.values())
+    f = two_form(3, [(0, 2, g(1, 2)), (0, 2, g(0, -2)), (1, 2, g(-1, 1))])
+    assert f.coeffs == {(0, 2): g(1), (1, 2): g(-1, 1)}
+    assert all(type(x) is GaussianRational for x in f.coeffs.values())
+    # entries that cancel leave no coefficient
+    assert two_form(2, [(0, 1, Fraction(1)), (0, 1, Fraction(-1))]).is_zero
+
+
 def test_two_form_matrix():
     """Every entry equals form.coefficient((i, j)), and every entry, the
     diagonal and the unstored ones included, is in the coefficients'

@@ -28,7 +28,7 @@ from contactlie.extension import (analyze_kcontact, central_extension,
 from contactlie.fileformat import AlgebraFile, serialize_algebra_file
 from contactlie.forms import (basis_dual, ce_differential, complexify_form,
                               is_contact, one_form, two_form)
-from contactlie.linalg import det, mat_mul, mat_vec, rref
+from contactlie.linalg import ScaledMatrix, det, rref
 from contactlie.metric import is_kcontact
 from contactlie.scalars import GaussianRational, to_gaussian
 from contactlie.spectral import root_decomposition
@@ -216,13 +216,26 @@ def test_root_decomposition_picks_image_pairs_in_one_elimination(
 
 def test_is_kcontact_multiplies_only_scaled_matrices(monkeypatch):
     """The metric chain keeps G, G^-1 and the contact data as ScaledMatrix
-    from one product to the next: no mat_mul or mat_vec, which convert
-    their operands in and their result out."""
+    from one product to the next: the one matrix it converts to rows of
+    scalars is the h that compute_h returns.  ad(xi), which ad gives as
+    rows, is computed first, as it is once per structure."""
     pairs = [(CAT[name].contact(), CAT[name].metric)
              for name in METRIC_ENTRIES]
-    forbid(monkeypatch, contactlie.linalg, "mat_mul")
-    forbid(monkeypatch, contactlie.linalg, "mat_vec")
-    verdicts = {c.algebra.name: is_kcontact(c, g) for c, g in pairs}
+    for c, _ in pairs:
+        assert c.ad_reeb is not None
+    calls = Counter()
+    rows = ScaledMatrix.rows
+
+    def counted(self):
+        calls["rows"] += 1
+        return rows(self)
+
+    monkeypatch.setattr(ScaledMatrix, "rows", counted)
+    verdicts = {}
+    for c, g in pairs:
+        calls.clear()
+        verdicts[c.algebra.name] = is_kcontact(c, g)
+        assert calls["rows"] == 1, c.algebra.name
     assert verdicts["sl2r"] is False and verdicts["su2_aff1"] is True
 
 
@@ -249,8 +262,8 @@ def test_real_valued_gaussian_linalg_runs_no_gaussian_arithmetic(
     square = [row[:5] for row in m]
     rows, _ = rref(m)
     assert det(square) == det([[x.re for x in row] for row in square])
-    mat_mul(square, m)
-    mat_vec(m, m[0])
+    (ScaledMatrix.of(square) @ ScaledMatrix.of(m)).rows()
+    (ScaledMatrix.of(m) @ ScaledMatrix.of([m[0]]).T).rows()
     assert calls == {}
     assert all(isinstance(x, GaussianRational) for row in rows for x in row)
     square[0][0] = GaussianRational(1, 1)

@@ -1,5 +1,6 @@
 """Every import in the package modules and in the tests is used, every
 public function of the package is used by the package or re-exported,
+every private module-level function is used by the package,
 numpy is imported only by the floating routines, and the coefficient row
 of eta and the matrix of d eta are built only by contact_structure.
 
@@ -55,15 +56,14 @@ def test_no_unused_imports(path):
 
 
 def dead_functions(sources, init_source):
-    """(module, name) of every public module-level function of the
-    modules in sources (name -> source) that no module reads and that
-    init_source does not import, that is, re-export."""
+    """(module, name) of every module-level function of the modules in
+    sources (name -> source), public or private, that no module reads and
+    that init_source does not import, that is, re-export."""
     defined, used = [], set()
     for module, source in sources.items():
         tree = ast.parse(source)
         defined += [(module, node.name) for node in tree.body
-                    if isinstance(node, ast.FunctionDef)
-                    and not node.name.startswith("_")]
+                    if isinstance(node, ast.FunctionDef)]
         used |= {node.id for node in ast.walk(tree)
                  if isinstance(node, ast.Name)
                  and isinstance(node.ctx, ast.Load)}
@@ -76,10 +76,11 @@ def test_checker_finds_dead_functions():
     sources = {"a": "def f():\n    return g()\ndef g():\n    pass\n"
                     "def _h():\n    pass\nclass K:\n    def m(self):\n"
                     "        pass\n",
-               "b": "from .a import f\ndef p():\n    pass\n"
-                    "def q():\n    return f\ndef r():\n    q = 1\n"}
+               "b": "from .a import f\ndef p():\n    return _s\n"
+                    "def q():\n    return f\ndef r():\n    q = 1\n"
+                    "def _s():\n    pass\n"}
     assert dead_functions(sources, "from .b import p\n") == [
-        ("b", "q"), ("b", "r")]
+        ("a", "_h"), ("b", "q"), ("b", "r")]
 
 
 def test_no_dead_functions():

@@ -9,12 +9,14 @@ from contactlie.catalog import catalog
 from contactlie.contact import contact_structure
 from contactlie.errors import InputError
 from contactlie.forms import complexify_form
-from contactlie.linalg import det, mat_mul, mat_vec, transpose
+from contactlie.linalg import det
 from contactlie.metric import (MetricData, compute_h, compute_phi,
                                construct_associated_metric, is_associated,
                                is_kcontact, kcontact_obstruction,
                                levi_civita, skew_normal_form,
                                symplectic_is_associated)
+from plain_linalg import (inverse_by_fractions, mat_mul_by_dot, mat_vec,
+                          transpose)
 
 CAT = catalog()
 
@@ -42,7 +44,7 @@ def test_phi_square_identity_h3():
     phi = compute_phi(c, e.metric)
     # phi = G^-1 D with G = diag(1/2,1/2,1), D12 = -1/2
     assert phi[0][1] == -1 and phi[1][0] == 1
-    sq = mat_mul(phi, phi)
+    sq = mat_mul_by_dot(phi, phi)
     assert sq[0][0] == -1 and sq[1][1] == -1 and sq[2][2] == 0
 
 
@@ -121,7 +123,7 @@ def check_prop1(c, g):
     hm = compute_h(c, g)
     grows = [list(r) for r in g.matrix]
     # phi is g-skew: G phi = -(G phi)^T
-    gphi = mat_mul(grows, phi)
+    gphi = mat_mul_by_dot(grows, phi)
     assert gphi == [[-x for x in row] for row in transpose(gphi)]
     # nabla_{e_j} xi = -phi e_j - phi h e_j
     for j in range(n):
@@ -132,7 +134,7 @@ def check_prop1(c, g):
         phihj = mat_vec(phi, hj)
         assert nxj == [-a - b for a, b in zip(phij, phihj)]
     # h is g-symmetric and kills xi
-    assert mat_mul(grows, hm) == mat_mul(transpose(hm), grows)
+    assert mat_mul_by_dot(grows, hm) == mat_mul_by_dot(transpose(hm), grows)
     assert all(x == 0 for x in mat_vec(hm, list(c.reeb)))
     return hm
 
@@ -147,7 +149,7 @@ def integer_frames(c, rng, count):
         mix = [[Fraction(rng.randint(-2, 2)) for _ in range(m)]
                for _ in range(m)]
         if det(mix) != 0:
-            frames.append(mat_mul(mix, base))
+            frames.append(mat_mul_by_dot(mix, base))
     return frames
 
 
@@ -174,6 +176,49 @@ def test_auto_metric_is_associated_on_every_contact_entry():
             c = e.contact()
             g = construct_associated_metric(c)
             assert g.exact and is_associated(c, g), name
+
+
+def metric_by_gram_schmidt(c, frame):
+    """G = E^-T diag(scale) E^-1 of the symplectic Gram-Schmidt that
+    construct_associated_metric documents, over lists of Fractions: one
+    dot product per d eta pairing, d eta read off its stored
+    coefficients."""
+    n = c.algebra.dim
+    d = [[c.deta.coefficient((i, j)) for j in range(n)] for i in range(n)]
+
+    def pair(u, v):
+        return sum(x * y for x, y in zip(u, mat_vec(d, v)))
+
+    rest = [[Fraction(x) for x in v] for v in frame]
+    columns, scale = [], []
+    while rest:
+        e = rest.pop(0)
+        f = rest.pop(next(k for k, v in enumerate(rest) if pair(e, v)))
+        s = pair(e, f)
+        rest = [[x - pair(v, f) / s * a + pair(v, e) / s * b
+                 for x, a, b in zip(v, e, f)] for v in rest]
+        columns += [e, f]
+        scale += [abs(s), abs(s)]
+    columns.append(list(c.reeb))
+    scale.append(Fraction(1))
+    einv = inverse_by_fractions(transpose(columns))
+    return mat_mul_by_dot(transpose(einv),
+                          [[s * x for x in row] for s, row in zip(scale, einv)])
+
+
+def test_auto_metric_matches_plain_gram_schmidt():
+    """The constructed G, exactly, on every catalog contact entry with its
+    horizontal basis and with 5 seeded random integer frames."""
+    rng = random.Random(29)
+    for name, e in CAT.items():
+        if e.kind != "contact":
+            continue
+        c = e.contact()
+        default = [list(v) for v in c.horizontal_basis]
+        for frame in [default] + integer_frames(c, rng, 5):
+            g = construct_associated_metric(c, horizontal_frame=frame)
+            assert [list(r) for r in g.matrix] == \
+                metric_by_gram_schmidt(c, frame), name
 
 
 def test_auto_metric_rejects_frame_of_wrong_shape():

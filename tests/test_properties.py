@@ -8,7 +8,8 @@ structure-constant kernels (check_jacobi, the Pfaffian contact test, the
 sparse differential, ad, the brackets of a subspace), the derived data of
 a contact structure (nabla xi from the contracted Koszul formula), the
 spectral layer on a real structure (which complexifies through its
-scalars) and the integer kernels of linalg (rref, det, mat_mul, mat_vec)
+scalars) and the integer kernels of linalg (rref, det, the ScaledMatrix
+arithmetic)
 must agree exactly with the direct definitions they replaced.  The
 K-contact obstruction must agree with sympy's spectrum of ad(xi), and with
 the signs a_j b_j of a seeded block matrix 0 + sum_j [[0, a_j], [-b_j, 0]].
@@ -36,8 +37,7 @@ from contactlie.fileformat import AlgebraFile, serialize_algebra_file
 from contactlie.forms import (AlternatingForm, basis_dual, ce_differential,
                               complexify_form, is_contact, one_form,
                               one_form_coefficients, two_form, wedge)
-from contactlie.linalg import (ScaledMatrix, det, inverse, mat_mul, mat_vec,
-                               rref, transpose)
+from contactlie.linalg import ScaledMatrix, det, rref
 from contactlie.metric import (MetricData, _covector_brackets,
                                _reeb_derivative, compute_h,
                                construct_associated_metric, is_associated,
@@ -48,6 +48,9 @@ from contactlie.scalars import (GaussianRational, QuadraticNumber,
 from contactlie.spectral import (find_dual_partner, pairing_matrix,
                                  root_decomposition, verify_graded_bracket,
                                  verify_reeb_theorem)
+from plain_linalg import (det_by_fractions, inverse_by_fractions,
+                          mat_mul_by_dot, mat_vec, rref_by_fractions,
+                          transpose)
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
@@ -73,7 +76,7 @@ def conjugate_algebra(algebra, p):
     """The algebra in the basis e'_a = sum_i P[i][a] e_i."""
     n = algebra.dim
     cols = _columns(p)
-    pinv = inverse([[Fraction(x) for x in row] for row in p])
+    pinv = inverse_by_fractions([[Fraction(x) for x in row] for row in p])
     brackets = {(a, b): tuple(mat_vec(pinv, bracket(algebra, cols[a],
                                                     cols[b])))
                 for a in range(n) for b in range(a + 1, n)}
@@ -500,7 +503,7 @@ def random_metric(data, n):
     to anything in particular."""
     m = [data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
          for _ in range(n)]
-    mtm = mat_mul(transpose(m), m)
+    mtm = mat_mul_by_dot(transpose(m), m)
     return MetricData.from_rows(
         [[x + (i == j) for j, x in enumerate(row)]
          for i, row in enumerate(mtm)])
@@ -583,7 +586,8 @@ def congruent_metric(g, p):
     """P^T g P: the metric in the basis e'_a = sum_i P[i][a] e_i."""
     m = [[Fraction(x) for x in row] for row in p]
     return MetricData.from_rows(
-        mat_mul(transpose(m), mat_mul([list(r) for r in g.matrix], m)))
+        mat_mul_by_dot(transpose(m),
+                       mat_mul_by_dot([list(r) for r in g.matrix], m)))
 
 
 def kcontact_verdict(algebra, eta, g):
@@ -736,7 +740,8 @@ def test_obstruction_matches_block_spectrum(pairs, data):
         blocks[2 * j + 1][2 * j + 2], blocks[2 * j + 2][2 * j + 1] = x, -y
     p = [[Fraction(x) for x in row] for row in data.draw(change_of_basis(n))]
     c = CAT["heisenberg%d" % n].contact()
-    vars(c)["ad_reeb"] = mat_mul(inverse(p), mat_mul(blocks, p))
+    vars(c)["ad_reeb"] = ScaledMatrix.of(mat_mul_by_dot(
+        inverse_by_fractions(p), mat_mul_by_dot(blocks, p)))
     assert c.ad_reeb_root_squares.degree == pairs
     assert kcontact_obstruction(c).obstructed == \
         any(x * y < 0 for x, y in zip(a, b))
@@ -843,67 +848,10 @@ def test_quadratic_arithmetic_matches_sympy(d, parts):
 # -- exact linear algebra against the Fraction-arithmetic references ---------
 #
 # linalg eliminates fraction-free only, over ints for real input and in
-# GaussianRational arithmetic otherwise.  The pivoted eliminations below
-# are the only ones left, its independent oracle for both; they and the
-# dot-product matrix product are exact over any field, and RREF and det
-# do not depend on the pivot order.
-
-def _pivot_size(x):
-    return x.norm() if isinstance(x, GaussianRational) else abs(x)
-
-
-def rref_by_fractions(m):
-    """Reference RREF: Gauss-Jordan over the field, largest pivot first."""
-    rows = [list(r) for r in m]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        pivot = max(range(r, nrows), key=lambda i: _pivot_size(rows[i][c]))
-        if rows[pivot][c] == 0:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [inv * x for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows, pivots
-
-
-def det_by_fractions(m):
-    """Reference det: Gaussian elimination over the field."""
-    n = len(m)
-    rows = [list(r) for r in m]
-    sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        pivot = max(range(c, n), key=lambda i: _pivot_size(rows[i][c]))
-        if rows[pivot][c] == 0:
-            return Fraction(0) * rows[pivot][c]  # the field's zero
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            sign = -sign
-        result = result * rows[c][c]
-        inv = Fraction(1) / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return sign * result
-
-
-def mat_mul_by_dot(a, b):
-    """Reference product: one Fraction dot product per entry."""
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
-            for row in a]
-
+# GaussianRational arithmetic otherwise.  The pivoted eliminations of
+# plain_linalg are the only ones left, its independent oracle for both;
+# they and the dot-product matrix product are exact over any field, and
+# RREF and det do not depend on the pivot order.
 
 def assert_same_entries(got, want):
     """Equal values and entry types, except that the reference's Python
@@ -952,7 +900,7 @@ def test_rref_and_det_match_fraction_reference(kind, data):
     got, pivots = rref(m)
     want, want_pivots = rref_by_fractions(m)
     assert pivots == want_pivots
-    assert_same_entries(got, want)
+    assert_same_entries(got.rows(), want)
     n = data.draw(st.integers(0, 5))
     square = data.draw(matrices(kind, n, n)) if n else []
     d = det(square)
@@ -964,13 +912,19 @@ def test_rref_and_det_match_fraction_reference(kind, data):
 @settings(max_examples=10, deadline=None, database=None)
 @given(data=st.data())
 def test_mat_mul_matches_dot_reference(left, right, data):
+    """The product @ of ScaledMatrix, on shapes up to 5 x 5, on an n x 1
+    column and on a zero left factor, against one dot product per entry."""
     p, q, r = (data.draw(st.integers(1, 5)) for _ in range(3))
     a = data.draw(matrices(left, p, q))
+    if data.draw(st.booleans()):
+        a = [[0 * x for x in row] for row in a]
     b = data.draw(matrices(right, q, r))
-    assert_same_entries(mat_mul(a, b), mat_mul_by_dot(a, b))
+    sa = ScaledMatrix.of(a)
+    assert_same_entries((sa @ ScaledMatrix.of(b)).rows(),
+                        mat_mul_by_dot(a, b))
     column = [row[0] for row in b]
-    assert_same_entries([mat_vec(a, column)],
-                        [[row[0] for row in mat_mul_by_dot(a, b)]])
+    assert_same_entries((sa @ ScaledMatrix.of([column]).T).rows(),
+                        [[x] for x in mat_vec(a, column)])
 
 
 @pytest.mark.parametrize("left", sorted(ENTRIES))
@@ -978,18 +932,17 @@ def test_mat_mul_matches_dot_reference(left, right, data):
 @settings(max_examples=10, deadline=None, database=None)
 @given(data=st.data())
 def test_scaled_matrix_matches_fraction_arithmetic(left, right, data):
-    """@, +, -, negation, rational multiples, the transpose and == of
+    """+, -, negation, rational multiples, the transpose and == of
     ScaledMatrix against plain Fraction and GaussianRational arithmetic,
-    on shapes 1 x n and n x 1 among others and on zero matrices."""
-    p, q, r = (data.draw(st.integers(1, 4)) for _ in range(3))
+    on shapes 1 x n and n x 1 among others and on zero matrices; @ is
+    test_mat_mul_matches_dot_reference."""
+    p, q = (data.draw(st.integers(1, 4)) for _ in range(2))
     a = data.draw(matrices(left, p, q))
     if data.draw(st.booleans()):
         a = [[0 * x for x in row] for row in a]
-    b = data.draw(matrices(right, q, r))
     c = data.draw(matrices(right, p, q))
-    sa, sb, sc = (ScaledMatrix.of(m) for m in (a, b, c))
+    sa, sc = ScaledMatrix.of(a), ScaledMatrix.of(c)
     assert_same_entries(sa.rows(), a)
-    assert_same_entries((sa @ sb).rows(), mat_mul_by_dot(a, b))
     assert_same_entries((sa + sc).rows(), [[x + y for x, y in zip(u, v)]
                                            for u, v in zip(a, c)])
     assert_same_entries((sa - sc).rows(), [[x - y for x, y in zip(u, v)]
@@ -1019,16 +972,7 @@ def test_scaled_matrix_matches_fraction_arithmetic(left, right, data):
 # The associated-metric criteria, nabla xi from the contracted Koszul
 # formula, h with its three checks and both K-contact criteria, as
 # metric.py computed them over lists of Fractions before it moved to
-# ScaledMatrix; products and the inverse here are the reference ones.
-
-def inverse_by_fractions(m):
-    n = len(m)
-    rows, pivots = rref_by_fractions(
-        [list(row) + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)])
-    assert pivots == list(range(n))
-    return [row[n:] for row in rows]
-
+# ScaledMatrix; products and the inverse here are those of plain_linalg.
 
 def compute_h_by_fractions(c, g):
     if not g.is_positive_definite():
