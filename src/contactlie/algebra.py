@@ -4,7 +4,8 @@ Structure constants are stored densely for i < j only; the antisymmetric
 completion is synthesized on access.  The kernels (check_jacobi, ad,
 subspace_brackets, forms.ce_differential, the brackets of a covector in
 metric) read them as one matrix C = ScaledMatrix.of(brackets.values()),
-row r the bracket of the r-th stored pair, built per call.  All values
+row r the bracket of the r-th stored pair, built per call; ad scales only
+the rows and forms.ce_differential only the columns it reads.  All values
 are immutable and every operation is a pure function, so everything here
 is safe to share across threads.
 """
@@ -47,8 +48,8 @@ class LieAlgebra:
         for (i, j), coeffs in self.brackets.items():
             if not (0 <= i < j < self.dim):
                 raise InputError(
-                    "bracket pair (%d, %d) out of range for dim %d"
-                    % (i, j, self.dim))
+                    "bracket pair (%s, %s) out of range for dim %d"
+                    % (quote_int(i), quote_int(j), self.dim))
             coeffs = tuple(coeffs)
             if len(coeffs) != self.dim:
                 raise InputError(
@@ -194,10 +195,10 @@ def _over_field(algebra, rows, d):
                         m.gaussian or algebra.field == COMPLEX)
 
 
-def ad(algebra, x):
-    """Matrix of ad(x): column j holds the coordinates of [x, e_j],
-    sum_a x_a [e_a, e_j], from the rows of C for the stored pairs that
-    meet the support of x only."""
+def _ad_matrix(algebra, x):
+    """ad(x) as a ScaledMatrix: column j holds the coordinates of
+    [x, e_j], sum_a x_a [e_a, e_j], from the rows of C for the stored
+    pairs that meet the support of x only."""
     n = algebra.dim
     if len(x) != n:
         raise InputError("vector length does not match algebra dimension")
@@ -208,7 +209,13 @@ def ad(algebra, x):
     xs = ScaledMatrix.of([x])
     rows = _ad_numerators(pairs, constants.numerators(),
                           xs.numerators()[0], n)
-    return _over_field(algebra, rows, constants.d * xs.d).rows()
+    return _over_field(algebra, rows, constants.d * xs.d)
+
+
+def ad(algebra, x):
+    """Matrix of ad(x), as rows of scalars: column j holds the
+    coordinates of [x, e_j]."""
+    return _ad_matrix(algebra, x).rows()
 
 
 def subspace_brackets(algebra, basis, pairs):

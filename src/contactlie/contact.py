@@ -9,7 +9,7 @@ scalars wherever a caller iterates or indexes it."""
 from dataclasses import dataclass
 from functools import cached_property
 
-from .algebra import COMPLEX, LieAlgebra, ad
+from .algebra import COMPLEX, LieAlgebra, _ad_matrix
 from .errors import InputError, InternalInvariantError
 from .forms import (AlternatingForm, ce_differential, is_contact,
                     one_form_coefficients, two_form_matrix)
@@ -47,7 +47,7 @@ class ContactStructure:
 
     @cached_property
     def ad_reeb(self):
-        return ScaledMatrix.of(ad(self.algebra, list(self.reeb)))
+        return _ad_matrix(self.algebra, self.reeb)
 
     @cached_property
     def scaled_reeb(self):

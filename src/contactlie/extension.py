@@ -11,7 +11,7 @@ from .contact import contact_structure
 from .errors import InputError, InternalInvariantError
 from .forms import (AlternatingForm, ce_differential, is_contact, one_form,
                     two_form_matrix)
-from .linalg import det, rref
+from .linalg import ScaledMatrix, det
 from .metric import is_kcontact, kcontact_obstruction
 from .polynomials import format_polynomial
 from .spectral import verify_reeb_theorem
@@ -44,16 +44,24 @@ def central_quotient(c):
     hb = c.horizontal_basis
     m = len(hb)
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    # one product projects every bracket [b_i, b_j] (its columns), and
-    # one elimination of [B^T | projected brackets] gives their
-    # coordinates in the horizontal basis
-    projected = c.projector @ subspace_brackets(c.algebra, hb, pairs).T
-    reduced, pivots = rref(hb.T.beside(projected))
-    if pivots != list(range(m)):
+    # one product projects every bracket [b_i, b_j] (its rows).  B comes
+    # from nullspace(eta): the identity at every column but eta's first
+    # nonzero one, f, so the coordinates of a projected bracket in the
+    # horizontal basis are its entries at the other columns, and one
+    # product checks that they give the bracket back
+    projected = subspace_brackets(c.algebra, hb, pairs) @ c.projector.T
+    f = next(i for i, x in enumerate(c.eta_row) if x)
+
+    def drop_f(part):
+        if part is not None:
+            return [row[:f] + row[f + 1:] for row in part]
+
+    coordinates = ScaledMatrix(drop_f(projected.re), drop_f(projected.im),
+                               projected.d, projected.gaussian)
+    if coordinates @ hb != projected:
         raise InternalInvariantError(
             "a projected bracket is not in the span of the horizontal basis")
-    coordinates = reduced[:m, m:].T.rows()
-    brackets = {pair: tuple(coordinates[t]) for t, pair in enumerate(pairs)}
+    brackets = {pair: coordinates[t] for t, pair in enumerate(pairs)}
     quotient = LieAlgebra(
         name=c.algebra.name + "/center",
         dim=m,

@@ -12,6 +12,11 @@ Conventions (pinned once, used everywhere):
   rule hold together with the shuffle wedge; on 1-forms, the only degree
   with a pinned numeric identity, the two scalings agree.
 
+The differential of a k-form is one integer product C A of the structure
+constants C (one row per stored bracket) and the matrix A of the form's
+values k(e_m, rest), one column per increasing (k-1)-tuple rest; each
+coefficient of d k is a signed sum of entries of C A.
+
 The contact test never expands eta ^ (d eta)^n.  On a (2n+1)-dimensional
 algebra its coefficient on e1* ^ ... ^ e_{2n+1}* is
 
@@ -20,18 +25,19 @@ algebra its coefficient on e1* ^ ... ^ e_{2n+1}* is
 with the Pfaffian normalised by Pf([[0, a], [-a, 0]]) = a and the border
 taken first: same sign and value as the shuffle wedge above.  The n!
 counts the orderings of the n equal factors d eta, which the Pfaffian's
-sum over perfect matchings takes once.
+sum over perfect matchings takes once.  linalg.pfaffian computes it by a
+fraction-free elimination of the integer numerators.
 """
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import factorial
 
+from .algebra import COMPLEX
 from .errors import InputError
 from .linalg import ScaledMatrix, det, pfaffian
-from .scalars import GaussianRational, to_gaussian
+from .scalars import GaussianRational, quote_int, to_gaussian
 
 
 def _sort_index_tuple(indices):
@@ -48,6 +54,13 @@ def _sort_index_tuple(indices):
             sign = -sign
             j -= 1
     return tuple(indices), sign
+
+
+def _quote_key(key):
+    """The index tuple as repr writes it, each index clipped by
+    quote_int: an index may have thousands of digits."""
+    inner = ", ".join(map(quote_int, key))
+    return "(%s,)" % inner if len(key) == 1 else "(%s)" % inner
 
 
 @dataclass(frozen=True)
@@ -67,12 +80,13 @@ class AlternatingForm:
         for key, value in self.coeffs.items():
             key = tuple(key)
             if len(key) != self.degree:
-                raise InputError("index tuple %r has wrong length" % (key,))
-            if list(key) != sorted(set(key)):
                 raise InputError(
-                    "index tuple %r is not strictly increasing" % (key,))
+                    "index tuple %s has wrong length" % _quote_key(key))
+            if list(key) != sorted(set(key)):
+                raise InputError("index tuple %s is not strictly increasing"
+                                 % _quote_key(key))
             if any(not 0 <= i < self.dim for i in key):
-                raise InputError("index out of range in %r" % (key,))
+                raise InputError("index out of range in %s" % _quote_key(key))
             if isinstance(value, int):
                 value = Fraction(value)
             if value != 0:
@@ -134,7 +148,8 @@ def two_form(dim, entries):
     coeffs = {}
     for i, j, value in entries:
         if not 0 <= i < j < dim:
-            raise InputError("2-form entry (%d, %d) must satisfy i < j" % (i, j))
+            raise InputError("2-form entry (%s, %s) must satisfy i < j"
+                             % (quote_int(i), quote_int(j)))
         key = (i, j)
         coeffs[key] = coeffs[key] + value if key in coeffs else value
     return AlternatingForm(dim, 2, coeffs)
@@ -211,49 +226,60 @@ def ce_differential(algebra, form):
     """Exterior differential of an invariant form, defined through the
     Lie bracket alone; on 1-forms d(k)(X, Y) = -1/2 k([X, Y]).
 
-    Only nonzero structure constants c_ab^m enter; k(e_m, rest) is read
-    off the stored coefficient of the sorted tuple with m inserted at
-    position pos, with sign (-1)^pos on top of (-1)^(a+b).  The sums run
-    in integers over the rows of C and the form's values as one
-    ScaledMatrix, with one division per output coefficient; in Gaussian
-    integers only when a constant or value has a nonzero imaginary part.
-    The coefficients are GaussianRationals when C or the form holds any.
+    A is the integer matrix of the form's numerators with
+    A[m][rest] = k(e_m, rest) for every increasing (k-1)-tuple rest: the
+    stored coefficient of the sorted tuple with m inserted at position
+    pos, times (-1)^pos.  Only the indices m of stored coefficients give
+    rows of A, and C is read at those columns only.  Row (a, b) of the
+    one product C A holds k([e_a, e_b], rest) for every rest, so each
+    coefficient of d k is a signed sum of k(k+1)/2 entries of C A with
+    one division, in Gaussian integers only when a constant or value read
+    has a nonzero imaginary part.  The coefficients are GaussianRationals
+    over the complex field and when those constants or the form hold any.
     """
     if form.dim != algebra.dim:
         raise InputError("form does not live on this algebra")
-    k = form.degree
-    constants = ScaledMatrix.of(algebra.brackets.values())
-    nonzero = {pair: [(m, c) for m, c in enumerate(row) if c]
-               for pair, row in zip(algebra.brackets,
-                                    constants.numerators())}
+    n, k = algebra.dim, form.degree
+    if not 0 < k < n or form.is_zero:
+        return AlternatingForm(n, k + 1, {})
+    support = sorted(set(chain.from_iterable(form.coeffs)))
+    row_of = {m: t for t, m in enumerate(support)}
+    rests = {rest: r for r, rest in
+             enumerate(combinations(range(n), k - 1))}
+
+    def spread(values):
+        a = [[0] * len(rests) for _ in support]
+        for key, value in zip(form.coeffs, values):
+            for pos, m in enumerate(key):
+                rest = rests[key[:pos] + key[pos + 1:]]
+                a[row_of[m]][rest] = -value if pos % 2 else value
+        return a
+
     scaled = ScaledMatrix.of([form.coeffs.values()])
-    values = dict(zip(form.coeffs, scaled.numerators()[0]))
-    # the 1/2 of the convention and the denominators of C and the form
-    d = 2 * constants.d * scaled.d
-    gaussian = constants.gaussian or scaled.gaussian
+    values = ScaledMatrix(spread(scaled.re[0]),
+                          None if scaled.im is None else spread(scaled.im[0]),
+                          scaled.d, scaled.gaussian)
+    constants = ScaledMatrix.of([row[m] for m in support]
+                                for row in algebra.brackets.values())
+    product = constants @ values
+    gaussian = product.gaussian or algebra.field == COMPLEX
+    rows = dict(zip(algebra.brackets, product.numerators()))
+    # the 1/2 of the convention and the denominator of C A
+    d = 2 * product.d
     coeffs = {}
-    for key in combinations(range(algebra.dim), k + 1):
+    for key in combinations(range(n), k + 1):
         total = 0
         for a in range(k + 1):
             for b in range(a + 1, k + 1):
-                row = nonzero.get((key[a], key[b]))
-                if row is None:
-                    continue
-                rest = key[:a] + key[a + 1:b] + key[b + 1:]
-                for m, c in row:
-                    # a repeated m gives a key that is never stored
-                    pos = bisect_left(rest, m)
-                    value = values.get(rest[:pos] + (m,) + rest[pos:])
-                    if value is not None:
-                        if (a + b + pos) % 2:
-                            total -= c * value
-                        else:
-                            total += c * value
+                row = rows.get((key[a], key[b]))
+                if row is not None:
+                    value = row[rests[key[:a] + key[a + 1:b] + key[b + 1:]]]
+                    total = total - value if (a + b) % 2 else total + value
         if total:
             entry = (total / d if isinstance(total, GaussianRational)
                      else Fraction(total, d))
             coeffs[key] = to_gaussian(entry) if gaussian else entry
-    return AlternatingForm(algebra.dim, k + 1, coeffs)
+    return AlternatingForm(n, k + 1, coeffs)
 
 
 def is_contact(algebra, eta):

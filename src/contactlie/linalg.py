@@ -21,9 +21,12 @@ integer-preserving Gaussian elimination") of the integer rows, each
 divided by the gcd of its entries first; every division in them is exact.
 The rows rref ends with are the last pivot times the RREF, which is a
 ScaledMatrix over that pivot as it stands; inverse and nullspace read
-their results off it.  Input with a nonzero imaginary part runs the same
-two eliminations on the numerators in GaussianRational arithmetic, where
-the exact division is the field's.
+their results off it.  pfaffian carries the same elimination over to
+skew matrices: each step pairs two rows and columns at once, and its exact
+division is the Pfaffian form of Sylvester's identity (Knuth 1996,
+"Overlapping Pfaffians").  Input with a nonzero imaginary part runs the
+same three eliminations on the numerators in GaussianRational
+arithmetic, where the exact division is the field's.
 """
 
 from fractions import Fraction
@@ -386,37 +389,44 @@ def leading_minors(m):
 
 
 def pfaffian(m):
-    """Pfaffian of a skew-symmetric matrix by exact skew elimination.
+    """Pfaffian of a skew-symmetric matrix by fraction-free skew
+    elimination of its numerators M = d m.
 
     Step k pairs row 2k with the first row holding a nonzero entry in
-    column 2k, then clears the rest of row and column 2k by congruences
-    with row and column 2k + 1; the pivot A[2k][2k+1] is a factor of the
-    Pfaffian (Wimmer, arXiv:1102.3440, run over exact scalars).  An odd
-    size runs out of partners at its last row and gives 0.
+    column 2k, by the same transposition of rows and columns, which
+    negates Pf; then every entry of the rows and columns past 2k + 1
+    becomes
+
+        a'_ij = (p a_ij - a_2k,i a_2k+1,j + a_2k,j a_2k+1,i) // p_prev,
+
+    p = a_2k,2k+1 the pivot and p_prev the one before (1 at first).  Each
+    entry is then the Pfaffian of the rows and columns 0..2k+1, i, j of
+    M, and the division is exact by the overlapping-Pfaffian identity
+    (Knuth 1996), the Pfaffian form of Sylvester's identity behind
+    Bareiss's det.  The last pivot is Pf M = d^(n/2) Pf m.  An odd size
+    runs out of partners at its last row and gives 0.  Input with a
+    nonzero imaginary part runs the same steps in GaussianRational
+    arithmetic, where the division is the field's.
     """
-    n = len(m)
-    a = [list(r) for r in m]
-    result = Fraction(1)
-    for k in range(0, n, 2):
-        p = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
+    s = ScaledMatrix.of(m)
+    a = [list(row) for row in s.numerators()]
+    sign, prev = 1, 1
+    while a:
+        p = next((j for j in range(1, len(a)) if a[0][j]), None)
         if p is None:
             return Fraction(0)
-        if p != k + 1:
-            # the same transposition of rows and columns negates Pf
-            a[k + 1], a[p] = a[p], a[k + 1]
+        if p != 1:
+            a[1], a[p] = a[p], a[1]
             for row in a:
-                row[k + 1], row[p] = row[p], row[k + 1]
-            result = -result
-        pivot = a[k][k + 1]
-        result = result * pivot
-        inv = Fraction(1) / pivot
-        u = a[k + 1]
-        tau = [x * inv for x in a[k]]
-        # A'[i][j] = A[i][j] - tau_i A[k+1][j] + tau_j A[k+1][i], i, j > k+1
-        for i in range(k + 2, n):
-            ti, ui, row = tau[i], u[i], a[i]
-            if ti == 0 and ui == 0:
-                continue
-            for j in range(k + 2, n):
-                row[j] = row[j] - ti * u[j] + tau[j] * ui
-    return result
+                row[1], row[p] = row[p], row[1]
+            sign = -sign
+        piv = a[0][1]
+        top, u = a[0][2:], a[1][2:]
+        a = [[(piv * x - ti * y + z * ui) // prev
+              for x, y, z in zip(row[2:], u, top)]
+             for row, ti, ui in zip(a[2:], top, u)]
+        prev = piv
+    half = s.d ** (len(s) // 2)
+    value = (Fraction(sign * prev, half) if s.im is None
+             else sign * prev / half)
+    return to_gaussian(value) if s.gaussian else value

@@ -106,7 +106,8 @@ def test_central_quotient_coordinates_in_horizontal_basis():
 
 def test_central_quotient_rejects_bracket_outside_span():
     """A projector that leaves brackets outside ker eta trips the span
-    check of the elimination."""
+    check: the coordinates read off the brackets, times the horizontal
+    basis, do not give the brackets back."""
     c = CAT["heisenberg5"].contact()
     broken = dataclasses.replace(c, projector=ScaledMatrix.identity(5))
     with pytest.raises(InternalInvariantError, match="span"):

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from contactlie.algebra import LieAlgebra
 from contactlie.catalog import abelian, catalog
 from contactlie.errors import InputError
 from contactlie.forms import (AlternatingForm, basis_dual, ce_differential,
@@ -195,6 +196,23 @@ def test_is_contact_even_dim_rejected():
     a4 = abelian(4)
     with pytest.raises(InputError):
         is_contact(a4, one_form(4, [Fraction(1)] * 4))
+
+
+def test_index_errors_quote_a_short_prefix():
+    """An index of thousands of digits, given to the constructors
+    directly, is an InputError that quotes its first digits and its
+    length, not a ValueError from writing the whole int."""
+    huge = 10 ** 5000
+    for make in (lambda: LieAlgebra("x", 3, brackets={(0, huge): (1, 0, 0)}),
+                 lambda: two_form(3, [(0, huge, 1)]),
+                 lambda: AlternatingForm(3, 1, {(huge,): 1}),
+                 lambda: AlternatingForm(3, 2, {(huge, 1): 1})):
+        with pytest.raises(InputError) as exc:
+            make()
+        message = str(exc.value)
+        assert len(message) < 200 and "(5001 characters)" in message, message
+    with pytest.raises(InputError, match=r"index out of range in \(5,\)"):
+        AlternatingForm(3, 1, {(5,): 1})
 
 
 def test_two_form_sums_repeated_entries_and_keeps_types():

@@ -7,8 +7,8 @@ module holds them.  That matrix is built per call, never kept on the
 algebra.  Derived data of a contact structure is computed once: call
 counts of the expensive steps are pinned per call.  Real-valued Gaussian
 matrices take the integer kernels of linalg, without GaussianRational
-arithmetic.  serialize_algebra_file never runs json's pure-Python
-encoder."""
+arithmetic, and the Pfaffian of real input runs no Fraction arithmetic.
+serialize_algebra_file never runs json's pure-Python encoder."""
 
 import json
 import random
@@ -28,7 +28,7 @@ from contactlie.extension import (analyze_kcontact, central_extension,
 from contactlie.fileformat import AlgebraFile, serialize_algebra_file
 from contactlie.forms import (basis_dual, ce_differential, complexify_form,
                               is_contact, one_form, two_form)
-from contactlie.linalg import ScaledMatrix, det, rref
+from contactlie.linalg import ScaledMatrix, det, pfaffian, rref
 from contactlie.metric import is_kcontact
 from contactlie.scalars import GaussianRational, to_gaussian
 from contactlie.spectral import root_decomposition
@@ -133,7 +133,7 @@ def test_analyze_kcontact_computes_derived_data_once(monkeypatch):
                          (contactlie.contact, "_validate"),
                          (contactlie.forms, "ce_differential"),
                          (contactlie.forms, "complexify_form"),
-                         (contactlie.algebra, "ad"),
+                         (contactlie.algebra, "_ad_matrix"),
                          (contactlie.algebra, "complexify")):
         count(monkeypatch, calls, module, name)
     for name in METRIC_ENTRIES:
@@ -147,7 +147,8 @@ def test_analyze_kcontact_computes_derived_data_once(monkeypatch):
         rep = analyze_kcontact(c, e.metric)
         assert rep.dim == e.algebra.dim
         for counted in ("root_decomposition", "minimal_polynomial",
-                        "is_squarefree", "contact_structure", "ad"):
+                        "is_squarefree", "contact_structure",
+                        "_ad_matrix"):
             assert calls[counted] <= 1, (name, counted, calls)
         # the spectral checks run on c itself: no complex copy is built
         for counted in ("_validate", "complexify", "complexify_form"):
@@ -156,7 +157,7 @@ def test_analyze_kcontact_computes_derived_data_once(monkeypatch):
         assert c.ad_reeb_minpoly is c.ad_reeb_minpoly
         calls.clear()
         analyze_kcontact(c, e.metric)
-        assert calls["ad"] == calls["minimal_polynomial"] == 0, name
+        assert calls["_ad_matrix"] == calls["minimal_polynomial"] == 0, name
         assert calls["is_squarefree"] == 0, name
 
 
@@ -217,12 +218,10 @@ def test_root_decomposition_picks_image_pairs_in_one_elimination(
 def test_is_kcontact_multiplies_only_scaled_matrices(monkeypatch):
     """The metric chain keeps G, G^-1 and the contact data as ScaledMatrix
     from one product to the next: the one matrix it converts to rows of
-    scalars is the h that compute_h returns.  ad(xi), which ad gives as
-    rows, is computed first, as it is once per structure."""
+    scalars is the h that compute_h returns.  ad(xi) is computed on the
+    way, as a ScaledMatrix too."""
     pairs = [(CAT[name].contact(), CAT[name].metric)
              for name in METRIC_ENTRIES]
-    for c, _ in pairs:
-        assert c.ad_reeb is not None
     calls = Counter()
     rows = ScaledMatrix.rows
 
@@ -237,6 +236,53 @@ def test_is_kcontact_multiplies_only_scaled_matrices(monkeypatch):
         verdicts[c.algebra.name] = is_kcontact(c, g)
         assert calls["rows"] == 1, c.algebra.name
     assert verdicts["sl2r"] is False and verdicts["su2_aff1"] is True
+
+
+def test_ad_reeb_is_built_without_rows(monkeypatch):
+    """ContactStructure.ad_reeb takes the ScaledMatrix of ad(xi) as the
+    kernel builds it, without a round trip through rows of scalars."""
+    def raiser(self):
+        raise AssertionError("ScaledMatrix.rows reached from ad_reeb")
+
+    structures = [contact_structure(e.algebra, e.eta)
+                  for e in CAT.values() if e.kind == "contact"]
+    monkeypatch.setattr(ScaledMatrix, "rows", raiser)
+    matrices = [c.ad_reeb for c in structures]
+    monkeypatch.undo()
+    for c, m in zip(structures, matrices):
+        assert m.rows() == ad(c.algebra, list(c.reeb)), c.algebra.name
+
+
+FRACTION_OPS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                "__rmul__")
+
+
+def test_pfaffian_of_real_input_runs_no_fraction_arithmetic(monkeypatch):
+    """The Pfaffian eliminates integer numerators: on real input, dense
+    skew matrices of sizes 1 to 10 here, no Fraction is added,
+    subtracted or multiplied."""
+    rng = random.Random(23)
+    matrices = []
+    for n in range(1, 11):
+        a = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                a[i][j] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                a[j][i] = -a[i][j]
+        matrices.append(a)
+    calls = Counter()
+    for name in FRACTION_OPS:
+        def make(original, name=name):
+            def counted(*args):
+                calls[name] += 1
+                return original(*args)
+            return counted
+        monkeypatch.setattr(Fraction, name, make(getattr(Fraction, name)))
+    assert Fraction(1, 2) + 1 == Fraction(3, 2) and calls["__add__"] == 1
+    calls.clear()
+    for a in matrices:
+        pfaffian(a)
+    assert calls == {}
 
 
 GAUSS_OPS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",

@@ -132,6 +132,14 @@ def test_pfaffian_against_expansion_and_det():
             pf = pfaffian(a)
             assert pf == pfaffian_by_expansion(a)
             assert pf * pf == det(a)
+    # entries over one denominator near 2^512 make numerators of 512 bits
+    # and more, whose exact divisions must still hold
+    for n in range(7):
+        for _ in range(6):
+            q = 2 ** 512 + rng.randrange(2 ** 64)
+            a = random_skew(rng, n, lambda r: Fraction(
+                r.choice([0, 1, -1]) * r.randrange(2 ** 520), q))
+            assert pfaffian(a) == pfaffian_by_expansion(a)
 
 
 def test_pfaffian_gaussian_rational():

@@ -5,12 +5,13 @@ matrix P; the auto-constructed metric must stay associated with zero
 tolerance and the pipeline must keep its verdicts.  Every catalog contact
 entry keeps its K-contact verdict, roots and quotient dimension.  The
 structure-constant kernels (check_jacobi, the Pfaffian contact test, the
-sparse differential, ad, the brackets of a subspace), the derived data of
-a contact structure (nabla xi from the contracted Koszul formula), the
-spectral layer on a real structure (which complexifies through its
-scalars) and the integer kernels of linalg (rref, det, the ScaledMatrix
-arithmetic)
-must agree exactly with the direct definitions they replaced.  The
+differential on sparse and dense forms, ad, the brackets of a subspace,
+the central quotient's coordinates), the derived data of a contact
+structure (nabla xi from the contracted Koszul formula), the spectral
+layer on a real structure (which complexifies through its scalars) and
+the integer kernels of linalg (rref, det, the Pfaffian, the ScaledMatrix
+arithmetic) must agree exactly with the direct definitions they
+replaced or with the identities they satisfy.  The
 K-contact obstruction must agree with sympy's spectrum of ad(xi), and with
 the signs a_j b_j of a seeded block matrix 0 + sum_j [[0, a_j], [-b_j, 0]].
 Contact + Frobenius algebras su(2) or sl(2,R) + aff(1)^k, whose Reeb field
@@ -32,12 +33,12 @@ from contactlie.catalog import abelian, catalog
 from contactlie.contact import contact_structure
 from contactlie.errors import InputError, InternalInvariantError
 from contactlie.extension import (SymplecticAlgebra, analyze_kcontact,
-                                  central_extension)
+                                  central_extension, central_quotient)
 from contactlie.fileformat import AlgebraFile, serialize_algebra_file
 from contactlie.forms import (AlternatingForm, basis_dual, ce_differential,
                               complexify_form, is_contact, one_form,
                               one_form_coefficients, two_form, wedge)
-from contactlie.linalg import ScaledMatrix, det, rref
+from contactlie.linalg import ScaledMatrix, det, pfaffian, rref
 from contactlie.metric import (MetricData, _covector_brackets,
                                _reeb_derivative, compute_h,
                                construct_associated_metric, is_associated,
@@ -317,6 +318,106 @@ def test_sparse_differential_matches_coefficient_reference(
     form = data.draw(random_forms(algebra.dim, degree, complexified))
     assert ce_differential(algebra, form) == \
         differential_by_coefficients(algebra, form)
+
+
+def dense_forms(dim, degree, complexified):
+    """Forms with every coefficient nonzero."""
+    values = st.fractions(min_value=-4, max_value=4,
+                          max_denominator=3).filter(bool)
+    if complexified:
+        values = st.builds(GaussianRational, values, values)
+    keys = list(combinations(range(dim), degree))
+    return st.lists(values, min_size=len(keys), max_size=len(keys)).map(
+        lambda vs: AlternatingForm(dim, degree, dict(zip(keys, vs))))
+
+
+@pytest.mark.parametrize("name", sorted(CONTACT_INPUTS))
+@settings(max_examples=3, deadline=None, database=None)
+@given(degree=st.integers(1, 2), complexified=st.booleans(), data=st.data())
+def test_dense_differential_matches_coefficient_reference(
+        name, degree, complexified, data):
+    """The differential as one product C A, on dense conjugated algebras
+    of dims 3-11 and forms with every coefficient nonzero."""
+    algebra = CONTACT_INPUTS[name][0]
+    algebra = conjugate_algebra(algebra, data.draw(
+        change_of_basis(algebra.dim)))
+    if complexified:
+        algebra = complexify(algebra)
+    form = data.draw(dense_forms(algebra.dim, degree, complexified))
+    got = ce_differential(algebra, form)
+    assert got == differential_by_coefficients(algebra, form)
+    expected = GaussianRational if complexified else Fraction
+    assert all(type(v) is expected for v in got.coeffs.values())
+
+
+@st.composite
+def skew_matrices(draw, max_size=10):
+    """Skew-symmetric matrices of sizes 0 to max_size, rational or
+    Gaussian, half of them with most entries 0, which forces pivot
+    swaps and zero Pfaffians."""
+    n = draw(st.integers(0, max_size))
+    value = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    zero = Fraction(0)
+    if draw(st.booleans()):
+        value = st.builds(GaussianRational, value, value)
+        zero = GaussianRational(0)
+    if draw(st.booleans()):
+        value = st.one_of(st.just(zero), st.just(zero), value)
+    a = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            a[i][j] = draw(value)
+            a[j][i] = -a[i][j]
+    return a
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(a=skew_matrices(), data=st.data())
+def test_pfaffian_congruence_and_square(a, data):
+    """Pf(P^T A P) = det(P) Pf(A) for any integer P, and Pf(A)^2 =
+    det(A), against a plain Fraction determinant."""
+    n = len(a)
+    p = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=n,
+                                    max_size=n), min_size=n, max_size=n))
+    p = [[Fraction(x) for x in row] for row in p]
+    pf = pfaffian(a)
+    assert pf * pf == det_by_fractions(a)
+    congruent = mat_mul_by_dot(transpose(p), mat_mul_by_dot(a, p))
+    assert pfaffian(congruent) == det_by_fractions(p) * pf
+
+
+@pytest.mark.parametrize("name", ["h5", "h7", "aff1^2 ext", "aff1^3 ext"])
+@settings(max_examples=8, deadline=None, database=None)
+@given(data=st.data())
+def test_central_quotient_matches_plain_solve(name, data):
+    """On a conjugated structure whose eta has its first nonzero
+    coordinate at an interior index f, the quotient's brackets solve
+    B^T c = P [b_i, b_j] in plain Fraction arithmetic.  P = P0 Q: P0
+    dense, Q the columns e_a - (eta_a / eta_f) e_f for a < f, which zero
+    eta's first f coordinates."""
+    algebra, eta = CONTACT_INPUTS[name]
+    n = algebra.dim
+    algebra, eta = conjugate(algebra, eta, data.draw(change_of_basis(n)))
+    f = data.draw(st.integers(1, n - 2))
+    row = one_form_coefficients(eta)
+    assume(row[f] != 0)
+    q = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for a in range(f):
+        q[f][a] = -row[a] / row[f]
+    c = contact_structure(*conjugate(algebra, eta, q))
+    assert next(i for i, x in enumerate(c.eta_row) if x) == f
+    s = central_quotient(c)
+    basis = [list(v) for v in c.horizontal_basis]
+    projector = [list(r) for r in c.projector]
+    m = n - 1
+    for i in range(m):
+        for j in range(i + 1, m):
+            w = mat_vec(projector, bracket(c.algebra, basis[i], basis[j]))
+            reduced, pivots = rref_by_fractions(
+                [[b[t] for b in basis] + [w[t]] for t in range(n)])
+            assert pivots == list(range(m))
+            assert s.algebra.structure_vector(i, j) == [
+                reduced[k][m] for k in range(m)]
 
 
 def ad_by_brackets(algebra, x):
