@@ -10,8 +10,6 @@ are immutable and every operation is a pure function, so everything here
 is safe to share across threads.
 """
 
-import dataclasses
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import mul
@@ -24,45 +22,53 @@ REAL = "real"
 COMPLEX = "complex"
 
 
-@dataclass(frozen=True)
 class LieAlgebra:
     """A Lie algebra given by structure constants on a fixed ordered basis.
 
     brackets maps (i, j) with i < j to the coefficient tuple of [e_i, e_j];
-    pairs with zero bracket may be omitted.
+    pairs with zero bracket may be omitted.  Immutable; equal when every
+    field is.
     """
 
-    name: str
-    dim: int
-    field: str = REAL
-    brackets: dict = dataclasses.field(default_factory=dict)
-    basis_labels: tuple = ()
-
-    def __post_init__(self):
-        if self.dim < 1:
+    def __init__(self, name, dim, field=REAL, brackets=None,
+                 basis_labels=()):
+        if dim < 1:
             raise InputError("dimension must be >= 1, got %s"
-                             % quote_int(self.dim))
-        if self.field not in (REAL, COMPLEX):
+                             % quote_int(dim))
+        if field not in (REAL, COMPLEX):
             raise InputError("field must be 'real' or 'complex'")
         clean = {}
-        for (i, j), coeffs in self.brackets.items():
-            if not (0 <= i < j < self.dim):
+        for (i, j), coeffs in (brackets or {}).items():
+            if not (0 <= i < j < dim):
                 raise InputError(
                     "bracket pair (%s, %s) out of range for dim %d"
-                    % (quote_int(i), quote_int(j), self.dim))
+                    % (quote_int(i), quote_int(j), dim))
             coeffs = tuple(coeffs)
-            if len(coeffs) != self.dim:
+            if len(coeffs) != dim:
                 raise InputError(
                     "bracket [e%d, e%d] has %d coefficients, expected %d"
-                    % (i + 1, j + 1, len(coeffs), self.dim))
+                    % (i + 1, j + 1, len(coeffs), dim))
             if not vec_is_zero(coeffs):
                 clean[(i, j)] = coeffs
+        labels = tuple(basis_labels) or tuple(
+            "e%d" % (i + 1) for i in range(dim))
+        if len(labels) != dim:
+            raise InputError("expected %d basis labels" % dim)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "field", field)
         object.__setattr__(self, "brackets", clean)
-        labels = tuple(self.basis_labels) or tuple(
-            "e%d" % (i + 1) for i in range(self.dim))
-        if len(labels) != self.dim:
-            raise InputError("expected %d basis labels" % self.dim)
         object.__setattr__(self, "basis_labels", labels)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LieAlgebra is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not LieAlgebra:
+            return NotImplemented
+        return ((self.name, self.dim, self.field, self.brackets,
+                 self.basis_labels) == (other.name, other.dim, other.field,
+                                        other.brackets, other.basis_labels))
 
     # -- elementary accessors ---------------------------------------------
 

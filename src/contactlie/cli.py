@@ -20,7 +20,7 @@ from .contact import contact_structure
 from .errors import (ContactLieError, InputError, InternalInvariantError)
 from .extension import (SymplecticAlgebra, analyze_kcontact, central_extension,
                         central_quotient)
-from .fileformat import AlgebraFile, load, save
+from .fileformat import MAX_DIM, AlgebraFile, load, save
 from .forms import is_contact
 from .metric import (construct_associated_metric, kcontact_obstruction,
                      skew_normal_form)
@@ -237,19 +237,18 @@ def _cmd_normal_form(args):
     if (not isinstance(doc, list)
             or any(not isinstance(row, list) for row in doc)):
         raise InputError("expected a JSON array of arrays (square matrix)")
-    import numpy as np
-    try:
-        b = np.asarray(doc, dtype=float)
-    except (TypeError, ValueError):
-        raise InputError("matrix entries must be numbers")
-    nf = skew_normal_form(b)
+    # Jacobi takes O(n^3) per sweep
+    if len(doc) > MAX_DIM:
+        raise InputError("matrix of dimension %d, above the limit MAX_DIM = %d"
+                         % (len(doc), MAX_DIM))
+    nf = skew_normal_form(doc)
     report = {
-        "blocks": [float(x) for x in nf.blocks],
+        "blocks": list(nf.blocks),
         "zero_count": nf.zero_count,
-        "q": [[float(x) for x in row] for row in nf.q],
+        "q": [list(row) for row in nf.q],
     }
     text = ["block values (descending): "
-            + (", ".join(repr(float(x)) for x in nf.blocks) or "none"),
+            + (", ".join(map(repr, nf.blocks)) or "none"),
             "zero rows: %d" % nf.zero_count]
     return report, text, 0
 

@@ -6,19 +6,17 @@ and ad(xi)) is held once, as a ScaledMatrix, which the checks here and in
 metric, spectral and extension multiply and which reads as rows of
 scalars wherever a caller iterates or indexes it."""
 
-from dataclasses import dataclass
 from functools import cached_property
 
-from .algebra import COMPLEX, LieAlgebra, _ad_matrix
+from .algebra import COMPLEX, _ad_matrix
 from .errors import InputError, InternalInvariantError
-from .forms import (AlternatingForm, ce_differential, is_contact,
-                    one_form_coefficients, two_form_matrix)
+from .forms import (ce_differential, is_contact, one_form_coefficients,
+                    two_form_matrix)
 from .linalg import ScaledMatrix, dot, nullspace, rref
 from .polynomials import (Polynomial, format_polynomial, is_squarefree,
                           minimal_polynomial)
 
 
-@dataclass(frozen=True)
 class ContactStructure:
     """A contact Lie algebra together with its derived data.
 
@@ -30,16 +28,31 @@ class ContactStructure:
     minimal polynomial, whether that polynomial is squarefree
     (ad_reeb_diagonalizable) and xi and eta as a column and a row
     ScaledMatrix are computed at most once per structure, on first use.
+    Immutable; equal when the eight fields are.
     """
 
-    algebra: LieAlgebra
-    eta: AlternatingForm
-    reeb: tuple
-    horizontal_basis: ScaledMatrix
-    projector: ScaledMatrix
-    deta: AlternatingForm
-    deta_matrix: ScaledMatrix
-    eta_row: tuple
+    def __init__(self, algebra, eta, reeb, horizontal_basis, projector,
+                 deta, deta_matrix, eta_row):
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "reeb", reeb)
+        object.__setattr__(self, "horizontal_basis", horizontal_basis)
+        object.__setattr__(self, "projector", projector)
+        object.__setattr__(self, "deta", deta)
+        object.__setattr__(self, "deta_matrix", deta_matrix)
+        object.__setattr__(self, "eta_row", eta_row)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ContactStructure is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not ContactStructure:
+            return NotImplemented
+        return ((self.algebra, self.eta, self.reeb, self.horizontal_basis,
+                 self.projector, self.deta, self.deta_matrix, self.eta_row)
+                == (other.algebra, other.eta, other.reeb,
+                    other.horizontal_basis, other.projector, other.deta,
+                    other.deta_matrix, other.eta_row))
 
     @property
     def n(self):

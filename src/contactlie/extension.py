@@ -3,7 +3,6 @@ quotient a contact algebra with central Reeb field to a symplectic
 algebra, and centrally extend a symplectic algebra to a contact one;
 plus the end-to-end K-contact analysis pipeline."""
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import LieAlgebra, check_jacobi, subspace_brackets
@@ -17,22 +16,29 @@ from .polynomials import format_polynomial
 from .spectral import verify_reeb_theorem
 
 
-@dataclass(frozen=True)
 class SymplecticAlgebra:
-    """Even-dimensional Lie algebra with a closed nondegenerate 2-form."""
+    """Even-dimensional Lie algebra with a closed nondegenerate 2-form.
+    Immutable; equal when both fields are."""
 
-    algebra: LieAlgebra
-    omega: AlternatingForm
-
-    def __post_init__(self):
-        if self.algebra.dim % 2 != 0:
+    def __init__(self, algebra, omega):
+        if algebra.dim % 2 != 0:
             raise InputError("symplectic algebra must be even-dimensional")
-        if self.omega.degree != 2 or self.omega.dim != self.algebra.dim:
+        if omega.degree != 2 or omega.dim != algebra.dim:
             raise InputError("omega must be a 2-form on the algebra")
-        if not ce_differential(self.algebra, self.omega).is_zero:
+        if not ce_differential(algebra, omega).is_zero:
             raise InputError("omega is not closed (d omega != 0)")
-        if det(two_form_matrix(self.omega)) == 0:
+        if det(two_form_matrix(omega)) == 0:
             raise InputError("omega is degenerate")
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "omega", omega)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SymplecticAlgebra is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not SymplecticAlgebra:
+            return NotImplemented
+        return (self.algebra, self.omega) == (other.algebra, other.omega)
 
 
 def central_quotient(c):
@@ -135,24 +141,36 @@ def round_trip(s):
     return back.omega == s.omega
 
 
-@dataclass(frozen=True)
 class MainTheoremReport:
     """Pipeline result: K-contact with central Reeb field implies (for dim
-    >= 5) central extension of a symplectic algebra."""
+    >= 5) central extension of a symplectic algebra.  quotient is a
+    SymplecticAlgebra or None.  Immutable; equal when every field is."""
 
-    is_kcontact: bool
-    dim: int
-    ad_xi_zero: bool
-    quotient: object = None            # SymplecticAlgebra or None
-    complexification_roots: tuple = ()
-    notes: tuple = ()
-
-    def __post_init__(self):
-        if (self.is_kcontact and self.dim >= 5 and self.ad_xi_zero
-                and self.quotient is None):
+    def __init__(self, is_kcontact, dim, ad_xi_zero, quotient=None,
+                 complexification_roots=(), notes=()):
+        if is_kcontact and dim >= 5 and ad_xi_zero and quotient is None:
             raise InternalInvariantError(
                 "K-contact in dim >= 5 with central Reeb field but no "
                 "central quotient")
+        object.__setattr__(self, "is_kcontact", is_kcontact)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "ad_xi_zero", ad_xi_zero)
+        object.__setattr__(self, "quotient", quotient)
+        object.__setattr__(self, "complexification_roots",
+                           complexification_roots)
+        object.__setattr__(self, "notes", notes)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("MainTheoremReport is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not MainTheoremReport:
+            return NotImplemented
+        return ((self.is_kcontact, self.dim, self.ad_xi_zero, self.quotient,
+                 self.complexification_roots, self.notes)
+                == (other.is_kcontact, other.dim, other.ad_xi_zero,
+                    other.quotient, other.complexification_roots,
+                    other.notes))
 
 
 def analyze_kcontact(c, g):

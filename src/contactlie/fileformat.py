@@ -32,7 +32,6 @@ errors.
 import json
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -58,13 +57,23 @@ MAX_CONSTANTS = 16384
 MAX_COEFF_BITS = 4096
 
 
-@dataclass(frozen=True)
 class AlgebraFile:
-    """Parsed contents of an algebra file."""
+    """Parsed contents of an algebra file: the algebra and its forms and
+    metrics by name.  Immutable; equal when every field is."""
 
-    algebra: LieAlgebra
-    forms: dict = field(default_factory=dict)
-    metrics: dict = field(default_factory=dict)
+    def __init__(self, algebra, forms=None, metrics=None):
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "forms", {} if forms is None else forms)
+        object.__setattr__(self, "metrics", {} if metrics is None else metrics)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("AlgebraFile is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not AlgebraFile:
+            return NotImplemented
+        return ((self.algebra, self.forms, self.metrics)
+                == (other.algebra, other.forms, other.metrics))
 
 
 def _require(doc, key, kind, where):

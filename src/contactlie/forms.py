@@ -29,7 +29,6 @@ sum over perfect matchings takes once.  linalg.pfaffian computes it by a
 fraction-free elimination of the integer numerators.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations
 from math import factorial
@@ -63,35 +62,35 @@ def _quote_key(key):
     return "(%s,)" % inner if len(key) == 1 else "(%s)" % inner
 
 
-@dataclass(frozen=True)
 class AlternatingForm:
     """Degree-k alternating form; coeffs maps strictly increasing index
     tuples to nonzero scalars.  Above the dimension only the zero form
-    exists."""
+    exists.  Immutable."""
 
-    dim: int
-    degree: int
-    coeffs: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.degree < 0:
+    def __init__(self, dim, degree, coeffs=None):
+        if degree < 0:
             raise InputError("form degree must be >= 0")
         clean = {}
-        for key, value in self.coeffs.items():
+        for key, value in (coeffs or {}).items():
             key = tuple(key)
-            if len(key) != self.degree:
+            if len(key) != degree:
                 raise InputError(
                     "index tuple %s has wrong length" % _quote_key(key))
             if list(key) != sorted(set(key)):
                 raise InputError("index tuple %s is not strictly increasing"
                                  % _quote_key(key))
-            if any(not 0 <= i < self.dim for i in key):
+            if any(not 0 <= i < dim for i in key):
                 raise InputError("index out of range in %s" % _quote_key(key))
             if isinstance(value, int):
                 value = Fraction(value)
             if value != 0:
                 clean[key] = value
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coeffs", clean)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("AlternatingForm is immutable")
 
     @property
     def is_zero(self):

@@ -39,7 +39,7 @@ from .scalars import GaussianRational, to_gaussian
 
 
 def dot(u, v):
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 # -- the scaled matrix type ----------------------------------------------------
@@ -403,8 +403,9 @@ def pfaffian(m):
     entry is then the Pfaffian of the rows and columns 0..2k+1, i, j of
     M, and the division is exact by the overlapping-Pfaffian identity
     (Knuth 1996), the Pfaffian form of Sylvester's identity behind
-    Bareiss's det.  The last pivot is Pf M = d^(n/2) Pf m.  An odd size
-    runs out of partners at its last row and gives 0.  Input with a
+    Bareiss's det.  The last pivot is Pf M = d^(n/2) Pf m.  A row without
+    a partner, as the last row of an odd size has none, gives the zero of
+    the field, as det does.  Input with a
     nonzero imaginary part runs the same steps in GaussianRational
     arithmetic, where the division is the field's.
     """
@@ -414,7 +415,7 @@ def pfaffian(m):
     while a:
         p = next((j for j in range(1, len(a)) if a[0][j]), None)
         if p is None:
-            return Fraction(0)
+            return GaussianRational(0) if s.gaussian else Fraction(0)
         if p != 1:
             a[1], a[p] = a[p], a[1]
             for row in a:

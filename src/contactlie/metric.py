@@ -8,12 +8,13 @@ contact data as they are held, each once, as a ScaledMatrix.  Associated
 metrics are constructed exactly too (Blair, Riemannian Geometry of
 Contact and Symplectic Manifolds, ch. 4).  The one binary64 routine is
 skew_normal_form, the orthogonal normal form of a real skew matrix, with
-the stated tolerances.
+the stated tolerances, in pure Python: cyclic Jacobi rotations of
+-B^2 = B^t B give its eigenvectors, where numpy's eigh of iB used to.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import isfinite, sqrt
 
 from .algebra import REAL
 from .errors import InputError, InternalInvariantError
@@ -25,15 +26,30 @@ from .scalars import scalar_re_im
 SKEW_INPUT_TOL = 1e-12
 ORTHOGONAL_TOL = 1e-12
 BLOCK_TOL = 1e-10
+# Jacobi rotates the pair (p, q) of S = -B^2 while |S_pq| is above
+# JACOBI_TOL times sqrt(S_pp S_qq) and JACOBI_TOL^2 times the largest
+# entry of S, for at most JACOBI_SWEEPS sweeps
+JACOBI_TOL = 1e-15
+JACOBI_SWEEPS = 60
 
 
-@dataclass(frozen=True)
 class MetricData:
     """Symmetric metric matrix G with exact rational entries, held as one
-    ScaledMatrix; G^-1 is computed once, on first use."""
+    ScaledMatrix; G^-1 is computed once, on first use.  Immutable; equal
+    when the matrices are."""
 
-    matrix: ScaledMatrix
     exact = True  # every metric is exact; kept for callers that ask
+
+    def __init__(self, matrix):
+        object.__setattr__(self, "matrix", matrix)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("MetricData is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not MetricData:
+            return NotImplemented
+        return self.matrix == other.matrix
 
     @classmethod
     def from_rows(cls, rows):
@@ -68,11 +84,23 @@ class MetricData:
         return all(minor > 0 for minor in leading_minors(self.matrix))
 
 
-@dataclass(frozen=True)
 class Connection:
-    """Christoffel data: gamma[i][j] is the vector nabla_{e_i} e_j."""
+    """Christoffel data: gamma[i][j] is the vector nabla_{e_i} e_j, a tuple
+    of tuples of tuples.  Immutable and hashable."""
 
-    gamma: tuple
+    def __init__(self, gamma):
+        object.__setattr__(self, "gamma", gamma)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Connection is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not Connection:
+            return NotImplemented
+        return self.gamma == other.gamma
+
+    def __hash__(self):
+        return hash(self.gamma)
 
     def cov(self, i, j):
         return self.gamma[i][j]
@@ -195,11 +223,26 @@ def is_kcontact(c, g):
     return crit_h
 
 
-@dataclass(frozen=True)
 class ObstructionReport:
-    obstructed: bool
-    reason: str = None
-    minimal_poly: object = None
+    """Whether kcontact_obstruction found an obstruction, why, and the
+    minimal polynomial of ad(xi).  Immutable and hashable."""
+
+    def __init__(self, obstructed, reason=None, minimal_poly=None):
+        object.__setattr__(self, "obstructed", obstructed)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "minimal_poly", minimal_poly)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ObstructionReport is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not ObstructionReport:
+            return NotImplemented
+        return ((self.obstructed, self.reason, self.minimal_poly)
+                == (other.obstructed, other.reason, other.minimal_poly))
+
+    def __hash__(self):
+        return hash((self.obstructed, self.reason, self.minimal_poly))
 
     def __str__(self):
         if self.obstructed:
@@ -250,55 +293,151 @@ def _hermite_matrix(q):
     return [[-p[i + j + 1] for j in range(k)] for i in range(k)]
 
 
-@dataclass(frozen=True)
 class SkewNormalForm:
-    q: object          # orthogonal ndarray
-    blocks: tuple      # positive floats, descending
-    zero_count: int
+    """Q, a tuple of row tuples of floats, with Q B Q^t the block matrix
+    of the blocks (positive floats, descending) and zero_count zero rows.
+    Immutable; equal when every field is."""
+
+    def __init__(self, q, blocks, zero_count):
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "zero_count", zero_count)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SkewNormalForm is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not SkewNormalForm:
+            return NotImplemented
+        return ((self.q, self.blocks, self.zero_count)
+                == (other.q, other.blocks, other.zero_count))
 
     def block_matrix(self):
-        import numpy as np
         n = 2 * len(self.blocks) + self.zero_count
-        out = np.zeros((n, n))
+        out = [[0.0] * n for _ in range(n)]
         for k, b in enumerate(self.blocks):
-            out[2 * k, 2 * k + 1] = b
-            out[2 * k + 1, 2 * k] = -b
+            out[2 * k][2 * k + 1] = b
+            out[2 * k + 1][2 * k] = -b
         return out
+
+
+def _jacobi_eigenvectors(rows):
+    """Orthonormal eigenvectors of S = B B^t, largest eigenvalue first,
+    for B with the given rows.
+
+    Cyclic Jacobi (Golub and Van Loan, Matrix Computations, 8.5): the
+    rotation of the pair (p, q) zeroes S_pq = y_p . y_q.  S is never
+    formed: the rotations act on the rows y of B and, alike, on the
+    columns v of V, so that y_k = B^t v_k throughout and S_pq is one dot
+    product (one-sided Jacobi, 8.6.3).  A pair is rotated while S_pq is
+    above JACOBI_TOL relative to S_pp and S_qq, so that the eigenvectors
+    of small eigenvalues come out separated from the kernel and from each
+    other, not only those of the large ones, and above JACOBI_TOL^2 times
+    the largest entry, which leaves alone pairs of rounding-level rows of
+    a kernel.  The sweeps stop when no pair is rotated."""
+    n = len(rows)
+    ys = [list(r) for r in rows]
+    vs = [[float(i == k) for i in range(n)] for k in range(n)]
+    floor = JACOBI_TOL * max((dot(y, y) for y in ys), default=0.0)
+    for _ in range(JACOBI_SWEEPS):
+        norms = [dot(y, y) for y in ys]
+        rotated = False
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                g = dot(ys[p], ys[q])
+                # the updated norms may drift below 0 at rounding level
+                if abs(g) <= JACOBI_TOL * max(
+                        sqrt(abs(norms[p] * norms[q])), floor):
+                    continue
+                rotated = True
+                theta = (norms[q] - norms[p]) / (2 * g)
+                t = (1.0 if theta >= 0 else -1.0) / (
+                    abs(theta) + sqrt(1 + theta * theta))
+                c = 1 / sqrt(1 + t * t)
+                s = t * c
+                for m in ys, vs:
+                    x, y = m[p], m[q]
+                    m[p] = [c * a - s * b for a, b in zip(x, y)]
+                    m[q] = [s * a + c * b for a, b in zip(x, y)]
+                norms[p] -= t * g
+                norms[q] += t * g
+        if not rotated:
+            break
+    order = sorted(range(n), key=lambda k: -dot(ys[k], ys[k]))
+    return [vs[k] for k in order]
+
+
+def _project_off(v, basis):
+    """v minus its components along the orthonormal basis, by modified
+    Gram-Schmidt run twice, which keeps the result orthogonal to the
+    basis to rounding level."""
+    for _ in range(2):
+        for e in basis:
+            c = dot(e, v)
+            v = [a - c * b for a, b in zip(v, e)]
+    return v
 
 
 def skew_normal_form(b):
     """Orthogonal block-diagonalization Q B Q^t of a real skew-symmetric
-    matrix into 2x2 rotation generators and a zero tail.
+    matrix, given as rows of numbers, into 2x2 rotation generators and a
+    zero tail, in binary64.
 
-    The Hermitian matrix iB has the eigenvalues +-b of each block; an
-    eigenvector v for b > 0 gives the rows sqrt(2) Im v, sqrt(2) Re v.
-    The kernel gets a real orthonormal basis from the zero eigenspace.
+    The eigenvectors of B^t B = -B^2 (_jacobi_eigenvectors) are walked
+    largest eigenvalue first, each projected off the rows chosen so far;
+    one whose remainder is below 1/sqrt(2n) of its length is skipped as
+    already spanned (the remainders of the n orthonormal eigenvectors
+    square-sum to at least 1 while rows are missing, so the walk never
+    skips one it needs).  For the normalized remainder u, b = |B u| with
+    B u projected off the chosen rows decides: b > BLOCK_TOL gives the
+    rows (B u / b, u) and the block b, else u is a kernel row.  Reading b
+    off B u rather than off the eigenvalue b^2 keeps a zero block at
+    rounding level although -B^2 has its eigenvalues only to within
+    rounding of the largest.
     """
-    import numpy as np
-    b = np.asarray(b, dtype=float)
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
+    try:
+        b = [[float(x) for x in row] for row in b]
+    except (TypeError, ValueError, OverflowError):
+        raise InputError("matrix entries must be numbers")
+    n = len(b)
+    if any(len(row) != n for row in b):
         raise InputError("expected a square matrix")
-    if not np.isfinite(b).all():
+    if not all(isfinite(x) for row in b for x in row):
         raise InputError("matrix entries must be finite")
-    n = b.shape[0]
-    if np.max(np.abs(b + b.T)) > SKEW_INPUT_TOL:
+    if any(abs(x + y) > SKEW_INPUT_TOL
+           for row, col in zip(b, zip(*b)) for x, y in zip(row, col)):
         raise InputError("matrix is not skew-symmetric within 1e-12")
-    lam, v = np.linalg.eigh(1j * b)  # ascending eigenvalues
-    pairs = [k for k in reversed(range(n)) if lam[k] > BLOCK_TOL]
-    zero = [k for k in range(n) if abs(lam[k]) <= BLOCK_TOL]
-    rows = [np.sqrt(2) * part for k in pairs
-            for part in (v[:, k].imag, v[:, k].real)]
-    if zero:
-        v0 = v[:, zero]
-        u = np.linalg.svd(np.hstack([v0.real, v0.imag]))[0]
-        rows.extend(u[:, :len(zero)].T)
-    q = np.array(rows).reshape(-1, n)
-    form = SkewNormalForm(q=q, blocks=tuple(lam[k] for k in pairs),
-                          zero_count=len(zero))
-    if (q.shape != (n, n)
-            or np.max(np.abs(q @ q.T - np.eye(n))) > ORTHOGONAL_TOL):
+    pairs, kernel, chosen = [], [], []
+    for v in _jacobi_eigenvectors(b):
+        if len(chosen) == n:
+            break
+        u = _project_off(v, chosen)
+        length = sqrt(dot(u, u))
+        if 2 * n * length * length < 1:
+            continue
+        u = [x / length for x in u]
+        w = _project_off([dot(row, u) for row in b], chosen + [u])
+        value = sqrt(dot(w, w))
+        if value > BLOCK_TOL:
+            w = [x / value for x in w]
+            pairs.append((value, w, u))
+            chosen += [w, u]
+        else:
+            kernel.append(u)
+            chosen.append(u)
+    pairs.sort(key=lambda pair: -pair[0])
+    q = tuple(tuple(r) for _, w, u in pairs for r in (w, u)) + tuple(
+        tuple(u) for u in kernel)
+    form = SkewNormalForm(q=q, blocks=tuple(value for value, _, _ in pairs),
+                          zero_count=len(kernel))
+    if len(q) != n or any(abs(dot(x, y) - (i == j)) > ORTHOGONAL_TOL
+                          for i, x in enumerate(q)
+                          for j, y in enumerate(q)):
         raise InternalInvariantError("Q lost orthogonality")
-    if np.max(np.abs(q @ b @ q.T - form.block_matrix())) > BLOCK_TOL:
+    qb = [[dot(x, col) for col in zip(*b)] for x in q]
+    if any(abs(dot(x, y) - z) > BLOCK_TOL
+           for x, row in zip(qb, form.block_matrix())
+           for y, z in zip(q, row)):
         raise InternalInvariantError(
             "skew normal form residual exceeds 1e-10")
     return form

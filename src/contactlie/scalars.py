@@ -8,7 +8,6 @@ QuadraticNumber, a + b sqrt(d) over Q(i), holds the roots of ad(xi)
 outside Q(i) and their eigenvectors; linalg does not take it.
 """
 
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from math import isqrt
@@ -129,18 +128,26 @@ class GaussianRational:
         return format_scalar(self)
 
 
-@dataclass(frozen=True, eq=False)
 class QuadraticNumber:
     """a + b sqrt(d): a, b Gaussian rationals, d a non-square of Q(i) in
     the field it is given in.  Numbers with different d do not mix."""
 
-    a: GaussianRational
-    b: GaussianRational
-    d: object
+    __slots__ = ("a", "b", "d")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", to_gaussian(self.a))
-        object.__setattr__(self, "b", to_gaussian(self.b))
+    def __init__(self, a, b, d):
+        object.__setattr__(self, "a", to_gaussian(a))
+        object.__setattr__(self, "b", to_gaussian(b))
+        object.__setattr__(self, "d", d)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("QuadraticNumber is immutable")
+
+    def __reduce__(self):
+        # the default slots reduction would go through __setattr__
+        return (QuadraticNumber, (self.a, self.b, self.d))
+
+    def __repr__(self):
+        return "QuadraticNumber(%r, %r, %r)" % (self.a, self.b, self.d)
 
     def _coerce(self, other):
         if isinstance(other, QuadraticNumber) and other.d == self.d:

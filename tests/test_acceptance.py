@@ -309,7 +309,8 @@ def test_criterion_9_skew_normal_form():
         b = 0.5 * (b - b.T)
         nf = skew_normal_form(b)
         ok = ok and np.allclose(np.array(nf.blocks), values, atol=1e-10)
-        ok = ok and np.max(np.abs(nf.q @ nf.q.T - np.eye(size))) <= 1e-12
+        q = np.array(nf.q)
+        ok = ok and np.max(np.abs(q @ q.T - np.eye(size))) <= 1e-12
         ok = ok and nf.zero_count == size - 2 * npairs
     report(9, ok, "25 seeded skew matrices: blocks within 1e-10, Q "
                   "orthogonal within 1e-12")

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from decimal import Decimal
@@ -10,6 +11,7 @@ from contactlie.catalog import catalog
 from contactlie.cli import main
 from contactlie.fileformat import AlgebraFile, save
 from contactlie.forms import complexify_form, is_contact, one_form
+from contactlie.scalars import GaussianRational
 
 
 def run(capsys, *argv):
@@ -194,6 +196,21 @@ def test_complex_su2_file(capsys, tmp_path):
         ("0,1", [["0,1", "1,0", "0,0"]])]
 
 
+def test_complex_contact_check_writes_the_fields_zero(capsys, tmp_path):
+    """On a complex algebra the top coefficient is Gaussian whether eta is
+    contact or not: 0,0 for e1* on heisenberg7^C, as -3/4,0 for e7*."""
+    e = catalog()["heisenberg7"]
+    a = complexify(e.algebra)
+    for k, contact, top in ((0, False, "0,0"), (6, True, "-3/4,0")):
+        eta = complexify_form(one_form(7, [int(i == k) for i in range(7)]))
+        ok, coeff = is_contact(a, eta)
+        assert ok is contact and type(coeff) is GaussianRational
+        p = str(tmp_path / ("h7c_e%d.json" % (k + 1)))
+        save(p, AlgebraFile(algebra=a, forms={"eta": eta}))
+        code, doc = run_json(capsys, "contact-check", p)
+        assert code == (0 if contact else 1) and doc["top_coefficient"] == top
+
+
 def test_su2_aff1_counterexample(capsys):
     """K-contact in dim 5 with non-central Reeb field: analyze answers
     instead of reporting a violated invariant, with no quotient."""
@@ -276,6 +293,34 @@ def test_normal_form(capsys, tmp_path):
     assert abs(doc["blocks"][0] - 2.5) < 1e-10 and doc["zero_count"] == 1
 
 
+def test_normal_form_size_limit(capsys, tmp_path):
+    """Jacobi is O(n^3) per sweep: a 64x64 matrix completes, a 65x65 one
+    is an input error that names MAX_DIM."""
+    p = tmp_path / "skew.json"
+    rng = random.Random(7)
+    for n, expected in ((64, 0), (65, 2)):
+        rows = [[0.0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rng.uniform(-1, 1)
+                rows[j][i] = -rows[i][j]
+        p.write_text(json.dumps(rows))
+        code, doc = run_json(capsys, "normal-form", "--skew-matrix", str(p))
+        assert code == expected, doc.get("error")
+    assert "MAX_DIM = 64" in doc["error"]
+
+
+def test_normal_form_rejects_malformed_entries(capsys, tmp_path):
+    p = tmp_path / "m.json"
+    for text, error in (('[[0, "x"], [0, 0]]', "numbers"),
+                        ("[[0, null], [0, 0]]", "numbers"),
+                        ("[[0, [1]], [-1, 0]]", "numbers"),
+                        ("[[0, 1], [-1]]", "square")):
+        p.write_text(text)
+        code, doc = run_json(capsys, "normal-form", "--skew-matrix", str(p))
+        assert code == 2 and error in doc["error"], text
+
+
 def test_normal_form_rejects_nonskew(capsys, tmp_path):
     p = tmp_path / "m.json"
     p.write_text(json.dumps([[1, 0], [0, 1]]))
@@ -325,20 +370,32 @@ def test_json_determinism(capsys):
 
 
 def test_import_leaves_scipy_unloaded(tmp_path):
-    """numpy is the only third-party dependency; scipy must stay out, and
-    numpy loads only for normal-form: not on import, and not for roots and
-    analyze, also when the roots leave the Gaussian rationals."""
+    """The package runs on the standard library alone, without
+    dataclasses: a child that imports the CLI and runs every subcommand,
+    normal-form included, loads none of numpy, scipy, dataclasses or
+    inspect (which dataclasses imports), also when the roots leave the
+    Gaussian rationals."""
     src = os.path.dirname(os.path.dirname(contactlie.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    commands = [["roots", "su2"], ["analyze", "aff1_aff1_ext5"],
-                ["roots", sl2r_file(tmp_path / "sl2r.json")]]
+    skew = tmp_path / "skew.json"
+    skew.write_text(json.dumps([[0, 2.5, 0], [-2.5, 0, 0], [0, 0, 0]]))
+    commands = [["validate", "heisenberg7"], ["contact-check", "sl2r"],
+                ["reeb", "heisenberg7"], ["analyze", "aff1_aff1_ext5"],
+                ["analyze", "heisenberg5", "--auto-metric"],
+                ["roots", "su2"], ["roots", sl2r_file(tmp_path / "sl2r.json")],
+                ["quotient", "heisenberg7", "-o", str(tmp_path / "q.json")],
+                ["extend", "r4_sympl", "-o", str(tmp_path / "x.json")],
+                ["normal-form", "--skew-matrix", str(skew)],
+                ["catalog", "list"], ["catalog", "show", "sl2r"]]
     code = ("import sys, contactlie, contactlie.cli; contactlie.catalog(); "
-            "[contactlie.cli.main(['--json'] + argv) for argv in %r]; "
-            "print('scipy' in sys.modules, 'numpy' in sys.modules)"
-            % (commands,))
+            "codes = [contactlie.cli.main(['--json'] + argv) "
+            "for argv in %r]; "
+            "print(codes, [m for m in ('numpy', 'scipy', 'dataclasses', "
+            "'inspect') if m in sys.modules])" % (commands,))
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip().splitlines()[-1] == "False False"
+    assert out.stdout.strip().splitlines()[-1] == "%s []" % (
+        [0] * len(commands))
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "cli_golden.json")

@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import random
 from fractions import Fraction
@@ -8,7 +7,7 @@ import pytest
 from contactlie import extension
 from contactlie.algebra import LieAlgebra, bracket, check_jacobi
 from contactlie.catalog import catalog
-from contactlie.contact import contact_structure
+from contactlie.contact import ContactStructure, contact_structure
 from contactlie.errors import InputError, InternalInvariantError
 from contactlie.extension import (MainTheoremReport, SymplecticAlgebra,
                                   analyze_kcontact, central_extension,
@@ -109,7 +108,9 @@ def test_central_quotient_rejects_bracket_outside_span():
     check: the coordinates read off the brackets, times the horizontal
     basis, do not give the brackets back."""
     c = CAT["heisenberg5"].contact()
-    broken = dataclasses.replace(c, projector=ScaledMatrix.identity(5))
+    broken = ContactStructure(c.algebra, c.eta, c.reeb, c.horizontal_basis,
+                              ScaledMatrix.identity(5), c.deta,
+                              c.deta_matrix, c.eta_row)
     with pytest.raises(InternalInvariantError, match="span"):
         central_quotient(broken)
 

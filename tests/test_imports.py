@@ -1,8 +1,8 @@
 """Every import in the package modules and in the tests is used, every
 public function of the package is used by the package or re-exported,
-every private module-level function is used by the package,
-numpy is imported only by the floating routines, and the coefficient row
-of eta and the matrix of d eta are built only by contact_structure.
+every private module-level function is used by the package, the package
+imports no numpy, dataclasses or typing, and the coefficient row of eta
+and the matrix of d eta are built only by contact_structure.
 
 `__init__.py` is exempt from the first check: its imports are the public
 re-exports.  A name counts as used when it is read anywhere in the
@@ -17,10 +17,9 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "contactlie").glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"] + sorted(
     (ROOT / "tests").glob("*.py"))
-# the one binary64 routine, its block matrix and the command that runs it
-NUMPY_SCOPES = {"metric.py": {"skew_normal_form",
-                              "SkewNormalForm.block_matrix"},
-                "cli.py": {"_cmd_normal_form"}}
+# a third-party dependency, and the modules that would slow every CLI
+# process's start-up (dataclasses alone imports inspect, ast and dis)
+BARRED_IMPORTS = {"numpy", "dataclasses", "typing"}
 # the row of eta and the matrix of d eta are fields of ContactStructure,
 # built once by contact_structure; these modules read them off it
 FORM_HELPERS = {"evaluate", "one_form_coefficients", "two_form_matrix"}
@@ -91,9 +90,9 @@ def test_no_dead_functions():
     assert dead_functions(sources, init) == []
 
 
-def numpy_import_scopes(source):
+def import_scopes(source, modules):
     """Qualified name of the function or class enclosing each import of
-    numpy, "" at module level."""
+    one of the top-level modules, "" at module level."""
     found = []
 
     def visit(node, scope):
@@ -103,12 +102,12 @@ def numpy_import_scopes(source):
                 visit(child, scope + [child.name])
                 continue
             if isinstance(child, ast.Import):
-                modules = [alias.name for alias in child.names]
+                names = [alias.name for alias in child.names]
             elif isinstance(child, ast.ImportFrom):
-                modules = [child.module or ""]
+                names = [child.module or ""]
             else:
-                modules = []
-            if any(m.split(".")[0] == "numpy" for m in modules):
+                names = []
+            if any(m.split(".")[0] in modules for m in names):
                 found.append(".".join(scope))
             visit(child, scope)
 
@@ -121,14 +120,18 @@ def test_checker_finds_numpy_imports():
               "        from numpy.linalg import eig\n"
               "def g():\n    if True:\n        import numpy as np\n"
               "    import os\n")
-    assert numpy_import_scopes(source) == ["", "A.f", "g"]
+    assert import_scopes(source, {"numpy"}) == ["", "A.f", "g"]
+    source = ("from dataclasses import dataclass\nimport typing\n"
+              "def f():\n    import numpy.linalg\n")
+    assert import_scopes(source, BARRED_IMPORTS) == ["", "", "f"]
 
 
 @pytest.mark.parametrize("path", PACKAGE,
                          ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
 def test_numpy_only_in_floating_routines(path):
-    allowed = NUMPY_SCOPES.get(path.name, set())
-    assert set(numpy_import_scopes(path.read_text())) <= allowed
+    """The one floating routine, skew_normal_form, is pure Python: no
+    scope of the package imports numpy, dataclasses or typing."""
+    assert import_scopes(path.read_text(), BARRED_IMPORTS) == []
 
 
 def structure_form_calls(source):

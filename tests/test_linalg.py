@@ -164,6 +164,18 @@ def test_singular_gaussian_det_is_the_fields_zero():
     assert d == 0 and type(d) is Fraction
 
 
+def test_singular_gaussian_pfaffian_is_the_fields_zero():
+    g = GaussianRational
+    for m in ([[g(0), g(0)], [g(0), g(0)]],
+              [[g(0), g(1), g(2)], [g(-1), g(0), g(3)], [g(-2), g(-3), g(0)]],
+              [[g(0), g(1, 1), g(0), g(0)], [g(-1, -1), g(0), g(0), g(0)],
+               [g(0), g(0), g(0), g(0)], [g(0), g(0), g(0), g(0)]]):
+        pf = pfaffian(m)
+        assert pf == 0 and type(pf) is GaussianRational, m
+    pf = pfaffian([[Fraction(0)] * 2] * 2)
+    assert pf == 0 and type(pf) is Fraction
+
+
 def test_leading_minors_match_minor_by_minor_determinants():
     # a zero leading minor stops the elimination; no row may be swapped
     assert list(leading_minors([[0, 1], [1, 0]])) == [0]

@@ -313,9 +313,48 @@ def test_skew_normal_form_known_blocks():
         nf = skew_normal_form(b)
         assert nf.zero_count == size - 2 * npairs
         assert np.allclose(np.array(nf.blocks), values[:npairs], atol=1e-10)
-        assert np.max(np.abs(nf.q @ nf.q.T - np.eye(size))) <= 1e-12
-        assert np.max(np.abs(nf.q @ b @ nf.q.T - nf.block_matrix())) \
+        q = np.array(nf.q)
+        assert np.max(np.abs(q @ q.T - np.eye(size))) <= 1e-12
+        assert np.max(np.abs(q @ b @ q.T - np.array(nf.block_matrix()))) \
             <= 1e-10
+
+
+def test_skew_normal_form_matches_eigvalsh():
+    """Sizes 0 to 12, with distinct, repeated and zero blocks, blocks
+    1e-3 and 1e-6 apart and a last block 1e-8 of the first: the blocks
+    are the positive eigenvalues of the Hermitian iB within 1e-10,
+    numpy's eigvalsh the reference, and Q is orthogonal within 1e-12
+    with Q B Q^t the block matrix within 1e-10."""
+    rng = np.random.default_rng(103)
+    for size in range(13):
+        k = size // 2
+        for kind in ("distinct", "repeated", "zero", "1e-3", "1e-6",
+                     "small"):
+            values = np.sort(rng.uniform(0.1, 5.0, k))[::-1]
+            if k >= 2 and kind == "repeated":
+                values[1:] = values[0]
+            elif k >= 1 and kind == "zero":
+                values[k // 2:] = 0.0
+            elif k >= 2 and kind in ("1e-3", "1e-6"):
+                values[1] = values[0] - float(kind)
+            elif k >= 2 and kind == "small":
+                values[-1] = 1e-8 * values[0]
+            b0 = np.zeros((size, size))
+            for j, v in enumerate(values):
+                b0[2 * j, 2 * j + 1], b0[2 * j + 1, 2 * j] = v, -v
+            q0, _ = np.linalg.qr(rng.standard_normal((size, size)))
+            b = q0 @ b0 @ q0.T
+            b = 0.5 * (b - b.T)
+            nf = skew_normal_form(b.tolist())
+            lam = np.linalg.eigvalsh(1j * b) if size else np.zeros(0)
+            want = sorted((x for x in lam if x > 1e-10), reverse=True)
+            assert len(nf.blocks) == len(want), (size, kind)
+            assert np.allclose(nf.blocks, want, rtol=0, atol=1e-10)
+            assert nf.zero_count == size - 2 * len(want)
+            q = np.array(nf.q).reshape(size, size)
+            assert np.max(np.abs(q @ q.T - np.eye(size)), initial=0) <= 1e-12
+            assert np.max(np.abs(q @ b @ q.T - np.array(nf.block_matrix())
+                                 .reshape(size, size)), initial=0) <= 1e-10
 
 
 def test_skew_normal_form_rejects_nonskew():
