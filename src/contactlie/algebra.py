@@ -63,6 +63,9 @@ class LieAlgebra:
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("LieAlgebra is immutable")
+
     def __eq__(self, other):
         if type(other) is not LieAlgebra:
             return NotImplemented

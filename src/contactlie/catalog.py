@@ -29,6 +29,9 @@ class CatalogEntry:
     def __setattr__(self, name, value):
         raise AttributeError("CatalogEntry is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("CatalogEntry is immutable")
+
     def __eq__(self, other):
         if type(other) is not CatalogEntry:
             return NotImplemented

@@ -45,6 +45,9 @@ class ContactStructure:
     def __setattr__(self, name, value):
         raise AttributeError("ContactStructure is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("ContactStructure is immutable")
+
     def __eq__(self, other):
         if type(other) is not ContactStructure:
             return NotImplemented

@@ -35,6 +35,9 @@ class SymplecticAlgebra:
     def __setattr__(self, name, value):
         raise AttributeError("SymplecticAlgebra is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("SymplecticAlgebra is immutable")
+
     def __eq__(self, other):
         if type(other) is not SymplecticAlgebra:
             return NotImplemented
@@ -161,6 +164,9 @@ class MainTheoremReport:
         object.__setattr__(self, "notes", notes)
 
     def __setattr__(self, name, value):
+        raise AttributeError("MainTheoremReport is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("MainTheoremReport is immutable")
 
     def __eq__(self, other):

@@ -69,6 +69,9 @@ class AlgebraFile:
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraFile is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("AlgebraFile is immutable")
+
     def __eq__(self, other):
         if type(other) is not AlgebraFile:
             return NotImplemented

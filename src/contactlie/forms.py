@@ -92,6 +92,9 @@ class AlternatingForm:
     def __setattr__(self, name, value):
         raise AttributeError("AlternatingForm is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("AlternatingForm is immutable")
+
     @property
     def is_zero(self):
         return not self.coeffs

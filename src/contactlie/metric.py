@@ -14,7 +14,7 @@ the stated tolerances, in pure Python: cyclic Jacobi rotations of
 
 from fractions import Fraction
 from functools import cached_property
-from math import isfinite, sqrt
+from math import frexp, isfinite, ldexp, sqrt
 
 from .algebra import REAL
 from .errors import InputError, InternalInvariantError
@@ -44,6 +44,9 @@ class MetricData:
         object.__setattr__(self, "matrix", matrix)
 
     def __setattr__(self, name, value):
+        raise AttributeError("MetricData is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("MetricData is immutable")
 
     def __eq__(self, other):
@@ -92,6 +95,9 @@ class Connection:
         object.__setattr__(self, "gamma", gamma)
 
     def __setattr__(self, name, value):
+        raise AttributeError("Connection is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("Connection is immutable")
 
     def __eq__(self, other):
@@ -235,6 +241,9 @@ class ObstructionReport:
     def __setattr__(self, name, value):
         raise AttributeError("ObstructionReport is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("ObstructionReport is immutable")
+
     def __eq__(self, other):
         if type(other) is not ObstructionReport:
             return NotImplemented
@@ -304,6 +313,9 @@ class SkewNormalForm:
         object.__setattr__(self, "zero_count", zero_count)
 
     def __setattr__(self, name, value):
+        raise AttributeError("SkewNormalForm is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("SkewNormalForm is immutable")
 
     def __eq__(self, other):
@@ -407,8 +419,12 @@ def skew_normal_form(b):
     if any(abs(x + y) > SKEW_INPUT_TOL
            for row, col in zip(b, zip(*b)) for x, y in zip(row, col)):
         raise InputError("matrix is not skew-symmetric within 1e-12")
+    # Jacobi runs on B scaled down exactly, by a power of two, to entries
+    # below 1, so that no dot product overflows; its eigenvectors are B's
+    top = max((abs(x) for row in b for x in row), default=0.0)
+    scale = ldexp(1.0, -max(frexp(top)[1], 0))
     pairs, kernel, chosen = [], [], []
-    for v in _jacobi_eigenvectors(b):
+    for v in _jacobi_eigenvectors([[x * scale for x in row] for row in b]):
         if len(chosen) == n:
             break
         u = _project_off(v, chosen)
@@ -430,12 +446,14 @@ def skew_normal_form(b):
         tuple(u) for u in kernel)
     form = SkewNormalForm(q=q, blocks=tuple(value for value, _, _ in pairs),
                           zero_count=len(kernel))
-    if len(q) != n or any(abs(dot(x, y) - (i == j)) > ORTHOGONAL_TOL
+    # written as "not <=" so that a NaN, from a product that overflowed,
+    # fails the check
+    if len(q) != n or any(not abs(dot(x, y) - (i == j)) <= ORTHOGONAL_TOL
                           for i, x in enumerate(q)
                           for j, y in enumerate(q)):
         raise InternalInvariantError("Q lost orthogonality")
     qb = [[dot(x, col) for col in zip(*b)] for x in q]
-    if any(abs(dot(x, y) - z) > BLOCK_TOL
+    if any(not abs(dot(x, y) - z) <= BLOCK_TOL
            for x, row in zip(qb, form.block_matrix())
            for y, z in zip(q, row)):
         raise InternalInvariantError(

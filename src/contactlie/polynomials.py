@@ -25,6 +25,9 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Polynomial is immutable")
+
     def __reduce__(self):
         # the default slots reduction would go through __setattr__
         return (Polynomial, (self.coeffs,))

@@ -27,6 +27,9 @@ class GaussianRational:
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("GaussianRational is immutable")
+
     def __reduce__(self):
         # the default slots reduction would go through __setattr__
         return (GaussianRational, (self.re, self.im))
@@ -140,6 +143,9 @@ class QuadraticNumber:
         object.__setattr__(self, "d", d)
 
     def __setattr__(self, name, value):
+        raise AttributeError("QuadraticNumber is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("QuadraticNumber is immutable")
 
     def __reduce__(self):

@@ -35,6 +35,9 @@ class RootDecomposition:
     def __setattr__(self, name, value):
         raise AttributeError("RootDecomposition is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("RootDecomposition is immutable")
+
     def __eq__(self, other):
         if type(other) is not RootDecomposition:
             return NotImplemented
@@ -184,6 +187,9 @@ class GradedBracketReport:
     def __setattr__(self, name, value):
         raise AttributeError("GradedBracketReport is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("GradedBracketReport is immutable")
+
     def __eq__(self, other):
         if type(other) is not GradedBracketReport:
             return NotImplemented
@@ -281,6 +287,9 @@ class TheoremReport:
         object.__setattr__(self, "n", n)
 
     def __setattr__(self, name, value):
+        raise AttributeError("TheoremReport is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("TheoremReport is immutable")
 
     def __eq__(self, other):

@@ -139,3 +139,42 @@ def test_complexify():
     assert check_jacobi(c) == []
     with pytest.raises(InputError):
         complexify(c)
+
+
+def test_value_classes_refuse_assignment_and_deletion():
+    """Every immutable value class raises AttributeError on setting or
+    deleting a field, as the frozen dataclasses they replaced did."""
+    from contactlie.contact import contact_structure
+    from contactlie.extension import analyze_kcontact
+    from contactlie.fileformat import AlgebraFile
+    from contactlie.metric import (kcontact_obstruction, levi_civita,
+                                   skew_normal_form)
+    from contactlie.polynomials import Polynomial
+    from contactlie.scalars import GaussianRational, QuadraticNumber
+    from contactlie.spectral import (root_decomposition,
+                                     verify_graded_bracket,
+                                     verify_reeb_theorem)
+    h7 = CAT["heisenberg7"]
+    c = contact_structure(h7.algebra, h7.eta)
+    rd = root_decomposition(contact_structure(CAT["su2"].algebra,
+                                              CAT["su2"].eta))
+    instances = [
+        (h7.algebra, "dim"), (h7, "eta"), (c, "eta"), (h7.eta, "coeffs"),
+        (CAT["r2_sympl"].symplectic(), "omega"),
+        (analyze_kcontact(c, h7.metric), "dim"),
+        (AlgebraFile(algebra=h7.algebra), "forms"), (h7.metric, "matrix"),
+        (levi_civita(h7.algebra, h7.metric), "gamma"),
+        (kcontact_obstruction(c), "reason"),
+        (skew_normal_form([[0, 1], [-1, 0]]), "blocks"),
+        (QuadraticNumber(0, 1, 2), "a"), (rd, "contact"),
+        (verify_graded_bracket(rd), "pairs_checked"),
+        (verify_reeb_theorem(c), "applicable"),
+        (GaussianRational(1, 1), "re"), (Polynomial((1, 1)), "coeffs"),
+    ]
+    for obj, field in instances:
+        getattr(obj, field)
+        with pytest.raises(AttributeError):
+            setattr(obj, field, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, field)
+        getattr(obj, field)

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from decimal import Decimal
 
+import pytest
+
 import contactlie
 from contactlie.algebra import complexify
 from contactlie.catalog import catalog
@@ -319,6 +321,19 @@ def test_normal_form_rejects_malformed_entries(capsys, tmp_path):
         p.write_text(text)
         code, doc = run_json(capsys, "normal-form", "--skew-matrix", str(p))
         assert code == 2 and error in doc["error"], text
+
+
+def test_normal_form_huge_entries_exit_3(capsys, tmp_path):
+    """A finite skew matrix whose products overflow ends in the invariant
+    exit code, with valid JSON (no NaN) on stdout."""
+    a, x = 1e200, 3e200
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(
+        [[0, a, a, a], [-a, 0, a, -a], [-a, -a, 0, x], [-a, a, -x, 0]]))
+    assert main(["--json", "normal-form", "--skew-matrix", str(p)]) == 3
+    doc = json.loads(capsys.readouterr().out,
+                     parse_constant=lambda c: pytest.fail(c))
+    assert doc["exit_code"] == 3 and doc["kind"] == "internal-invariant"
 
 
 def test_normal_form_rejects_nonskew(capsys, tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from contactlie.algebra import complexify
 from contactlie.catalog import catalog
 from contactlie.contact import contact_structure
-from contactlie.errors import InputError
+from contactlie.errors import InputError, InternalInvariantError
 from contactlie.forms import complexify_form
 from contactlie.linalg import det
 from contactlie.metric import (MetricData, compute_h, compute_phi,
@@ -360,6 +360,16 @@ def test_skew_normal_form_matches_eigvalsh():
 def test_skew_normal_form_rejects_nonskew():
     with pytest.raises(InputError):
         skew_normal_form(np.eye(3))
+
+
+def test_skew_normal_form_huge_entries_fail_the_checks():
+    """Entries of 1e200 are finite and skew, but B u overflows to inf and
+    Q B Q^t cannot meet the absolute 1e-10: an invariant error, not a
+    normal form of NaN rows."""
+    a, x = 1e200, 3e200
+    b = [[0, a, a, a], [-a, 0, a, -a], [-a, -a, 0, x], [-a, a, -x, 0]]
+    with pytest.raises(InternalInvariantError):
+        skew_normal_form(b)
 
 
 def test_symplectic_is_associated():
