@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -142,8 +144,12 @@ def test_complexify():
 
 
 def test_value_classes_refuse_assignment_and_deletion():
-    """Every immutable value class raises AttributeError on setting or
-    deleting a field, as the frozen dataclasses they replaced did."""
+    """Every immutable value class raises AttributeError, naming the
+    class, on setting or deleting a field, as the frozen dataclasses they
+    replaced did; a copy, a deep copy and a pickle round trip compare
+    equal to the original, no instance equals an unrelated object, and
+    only the reports, the connection and the three scalar types are
+    hashable."""
     from contactlie.contact import contact_structure
     from contactlie.extension import analyze_kcontact
     from contactlie.fileformat import AlgebraFile
@@ -171,10 +177,24 @@ def test_value_classes_refuse_assignment_and_deletion():
         (verify_reeb_theorem(c), "applicable"),
         (GaussianRational(1, 1), "re"), (Polynomial((1, 1)), "coeffs"),
     ]
+    hashable = {"Connection", "ObstructionReport", "GradedBracketReport",
+                "TheoremReport", "GaussianRational", "QuadraticNumber",
+                "Polynomial"}
+    assert len({type(obj).__name__ for obj, _ in instances}) == 17
     for obj, field in instances:
+        name = type(obj).__name__
         getattr(obj, field)
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match=name):
             setattr(obj, field, None)
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match=name):
             delattr(obj, field)
         getattr(obj, field)
+        for clone in (copy.copy(obj), copy.deepcopy(obj),
+                      pickle.loads(pickle.dumps(obj))):
+            assert type(clone) is type(obj) and clone == obj, name
+        assert not obj == object() and obj != object(), name
+        if name in hashable:
+            hash(obj)
+        else:
+            with pytest.raises(TypeError):
+                hash(obj)

@@ -226,6 +226,18 @@ def test_two_form_sums_repeated_entries_and_keeps_types():
     assert all(type(x) is GaussianRational for x in f.coeffs.values())
     # entries that cancel leave no coefficient
     assert two_form(2, [(0, 1, Fraction(1)), (0, 1, Fraction(-1))]).is_zero
+    # zero coefficients are dropped, so forms are equal when their
+    # coefficients are, an int equal to its Fraction
+    assert (AlternatingForm(3, 1, {(0,): 0, (1,): 2})
+            == AlternatingForm(3, 1, {(1,): Fraction(2)}))
+    assert (AlternatingForm(3, 2, {(0, 1): 1, (1, 2): Fraction(-3, 2)})
+            == AlternatingForm(3, 2, {(1, 2): Fraction(-3, 2),
+                                      (0, 1): Fraction(1)}))
+    assert AlternatingForm(3, 1, {(0,): 0}) == AlternatingForm(3, 1)
+    assert AlternatingForm(3, 1, {}) != AlternatingForm(4, 1, {})
+    assert AlternatingForm(3, 1, {}) != AlternatingForm(3, 2, {})
+    assert (AlternatingForm(3, 1, {(0,): 1})
+            != AlternatingForm(4, 1, {(0,): 1}))
 
 
 def test_two_form_matrix():

@@ -17,6 +17,10 @@ def test_arithmetic():
     assert (p * q + P(1)) == P(0, 0, 1)
     assert P(-1, 0, 1) % p == P(0)
     assert p.derivative() == P(1)
+    # trailing zeros are dropped: equal polynomials hash alike
+    assert Polynomial((1, 2, 0)) == Polynomial((1, 2))
+    assert hash(Polynomial((1, 2, 0))) == hash(Polynomial((1, 2)))
+    assert Polynomial((1, 2)) != Polynomial((1, 2, 1))
 
 
 def test_evaluation():
