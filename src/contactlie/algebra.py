@@ -16,19 +16,21 @@ from operator import mul
 
 from .errors import InputError
 from .linalg import ScaledMatrix, vec_is_zero
-from .scalars import GaussianRational, quote_int, to_gaussian
+from .scalars import GaussianRational, Immutable, quote_int, to_gaussian
 
 REAL = "real"
 COMPLEX = "complex"
 
 
-class LieAlgebra:
+class LieAlgebra(Immutable):
     """A Lie algebra given by structure constants on a fixed ordered basis.
 
     brackets maps (i, j) with i < j to the coefficient tuple of [e_i, e_j];
     pairs with zero bracket may be omitted.  Immutable; equal when every
     field is.
     """
+
+    _fields = ("name", "dim", "field", "brackets", "basis_labels")
 
     def __init__(self, name, dim, field=REAL, brackets=None,
                  basis_labels=()):
@@ -54,24 +56,7 @@ class LieAlgebra:
             "e%d" % (i + 1) for i in range(dim))
         if len(labels) != dim:
             raise InputError("expected %d basis labels" % dim)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "brackets", clean)
-        object.__setattr__(self, "basis_labels", labels)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LieAlgebra is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("LieAlgebra is immutable")
-
-    def __eq__(self, other):
-        if type(other) is not LieAlgebra:
-            return NotImplemented
-        return ((self.name, self.dim, self.field, self.brackets,
-                 self.basis_labels) == (other.name, other.dim, other.field,
-                                        other.brackets, other.basis_labels))
+        self._set(name, dim, field, clean, labels)
 
     # -- elementary accessors ---------------------------------------------
 

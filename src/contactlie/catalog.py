@@ -9,36 +9,20 @@ from .errors import InputError
 from .extension import SymplecticAlgebra, central_extension
 from .forms import one_form, two_form
 from .metric import MetricData
+from .scalars import Immutable
 
 
-class CatalogEntry:
+class CatalogEntry(Immutable):
     """A named algebra of kind "contact" (with eta, and a metric where one
     is known) or "symplectic" (with omega).  Immutable; equal when every
     field is."""
 
+    _fields = ("name", "description", "kind", "algebra", "eta", "metric",
+               "omega")
+
     def __init__(self, name, description, kind, algebra, eta=None,
                  metric=None, omega=None):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "description", description)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "metric", metric)
-        object.__setattr__(self, "omega", omega)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CatalogEntry is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("CatalogEntry is immutable")
-
-    def __eq__(self, other):
-        if type(other) is not CatalogEntry:
-            return NotImplemented
-        return ((self.name, self.description, self.kind, self.algebra,
-                 self.eta, self.metric, self.omega)
-                == (other.name, other.description, other.kind, other.algebra,
-                    other.eta, other.metric, other.omega))
+        self._set(name, description, kind, algebra, eta, metric, omega)
 
     def contact(self):
         if self.eta is None:

@@ -15,9 +15,10 @@ from .forms import (ce_differential, is_contact, one_form_coefficients,
 from .linalg import ScaledMatrix, dot, nullspace, rref
 from .polynomials import (Polynomial, format_polynomial, is_squarefree,
                           minimal_polynomial)
+from .scalars import Immutable
 
 
-class ContactStructure:
+class ContactStructure(Immutable):
     """A contact Lie algebra together with its derived data.
 
     reeb (xi) and eta_row are tuples of scalars; horizontal_basis (one
@@ -31,31 +32,13 @@ class ContactStructure:
     Immutable; equal when the eight fields are.
     """
 
+    _fields = ("algebra", "eta", "reeb", "horizontal_basis", "projector",
+               "deta", "deta_matrix", "eta_row")
+
     def __init__(self, algebra, eta, reeb, horizontal_basis, projector,
                  deta, deta_matrix, eta_row):
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "reeb", reeb)
-        object.__setattr__(self, "horizontal_basis", horizontal_basis)
-        object.__setattr__(self, "projector", projector)
-        object.__setattr__(self, "deta", deta)
-        object.__setattr__(self, "deta_matrix", deta_matrix)
-        object.__setattr__(self, "eta_row", eta_row)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ContactStructure is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("ContactStructure is immutable")
-
-    def __eq__(self, other):
-        if type(other) is not ContactStructure:
-            return NotImplemented
-        return ((self.algebra, self.eta, self.reeb, self.horizontal_basis,
-                 self.projector, self.deta, self.deta_matrix, self.eta_row)
-                == (other.algebra, other.eta, other.reeb,
-                    other.horizontal_basis, other.projector, other.deta,
-                    other.deta_matrix, other.eta_row))
+        self._set(algebra, eta, reeb, horizontal_basis, projector, deta,
+                  deta_matrix, eta_row)
 
     @property
     def n(self):

@@ -13,12 +13,15 @@ from .forms import (AlternatingForm, ce_differential, is_contact, one_form,
 from .linalg import ScaledMatrix, det
 from .metric import is_kcontact, kcontact_obstruction
 from .polynomials import format_polynomial
+from .scalars import Immutable
 from .spectral import verify_reeb_theorem
 
 
-class SymplecticAlgebra:
+class SymplecticAlgebra(Immutable):
     """Even-dimensional Lie algebra with a closed nondegenerate 2-form.
     Immutable; equal when both fields are."""
+
+    _fields = ("algebra", "omega")
 
     def __init__(self, algebra, omega):
         if algebra.dim % 2 != 0:
@@ -29,19 +32,7 @@ class SymplecticAlgebra:
             raise InputError("omega is not closed (d omega != 0)")
         if det(two_form_matrix(omega)) == 0:
             raise InputError("omega is degenerate")
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "omega", omega)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SymplecticAlgebra is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("SymplecticAlgebra is immutable")
-
-    def __eq__(self, other):
-        if type(other) is not SymplecticAlgebra:
-            return NotImplemented
-        return (self.algebra, self.omega) == (other.algebra, other.omega)
+        self._set(algebra, omega)
 
 
 def central_quotient(c):
@@ -144,10 +135,13 @@ def round_trip(s):
     return back.omega == s.omega
 
 
-class MainTheoremReport:
+class MainTheoremReport(Immutable):
     """Pipeline result: K-contact with central Reeb field implies (for dim
     >= 5) central extension of a symplectic algebra.  quotient is a
     SymplecticAlgebra or None.  Immutable; equal when every field is."""
+
+    _fields = ("is_kcontact", "dim", "ad_xi_zero", "quotient",
+               "complexification_roots", "notes")
 
     def __init__(self, is_kcontact, dim, ad_xi_zero, quotient=None,
                  complexification_roots=(), notes=()):
@@ -155,28 +149,8 @@ class MainTheoremReport:
             raise InternalInvariantError(
                 "K-contact in dim >= 5 with central Reeb field but no "
                 "central quotient")
-        object.__setattr__(self, "is_kcontact", is_kcontact)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "ad_xi_zero", ad_xi_zero)
-        object.__setattr__(self, "quotient", quotient)
-        object.__setattr__(self, "complexification_roots",
-                           complexification_roots)
-        object.__setattr__(self, "notes", notes)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MainTheoremReport is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("MainTheoremReport is immutable")
-
-    def __eq__(self, other):
-        if type(other) is not MainTheoremReport:
-            return NotImplemented
-        return ((self.is_kcontact, self.dim, self.ad_xi_zero, self.quotient,
-                 self.complexification_roots, self.notes)
-                == (other.is_kcontact, other.dim, other.ad_xi_zero,
-                    other.quotient, other.complexification_roots,
-                    other.notes))
+        self._set(is_kcontact, dim, ad_xi_zero, quotient,
+                  complexification_roots, notes)
 
 
 def analyze_kcontact(c, g):

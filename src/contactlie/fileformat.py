@@ -39,8 +39,8 @@ from .algebra import COMPLEX, REAL, LieAlgebra, check_jacobi
 from .errors import InputError
 from .forms import one_form, two_form
 from .metric import MetricData
-from .scalars import (GaussianRational, format_scalar, parse_scalar,
-                      quote_int)
+from .scalars import (GaussianRational, Immutable, format_scalar,
+                      parse_scalar, quote_int)
 
 # largest accepted dim: the Jacobi check makes 3 dim multiply-adds (6 dim
 # on complex constants) for every basis triple, so its cost grows as dim^4
@@ -57,26 +57,15 @@ MAX_CONSTANTS = 16384
 MAX_COEFF_BITS = 4096
 
 
-class AlgebraFile:
+class AlgebraFile(Immutable):
     """Parsed contents of an algebra file: the algebra and its forms and
     metrics by name.  Immutable; equal when every field is."""
 
+    _fields = ("algebra", "forms", "metrics")
+
     def __init__(self, algebra, forms=None, metrics=None):
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "forms", {} if forms is None else forms)
-        object.__setattr__(self, "metrics", {} if metrics is None else metrics)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AlgebraFile is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("AlgebraFile is immutable")
-
-    def __eq__(self, other):
-        if type(other) is not AlgebraFile:
-            return NotImplemented
-        return ((self.algebra, self.forms, self.metrics)
-                == (other.algebra, other.forms, other.metrics))
+        self._set(algebra, {} if forms is None else forms,
+                  {} if metrics is None else metrics)
 
 
 def _require(doc, key, kind, where):

@@ -36,7 +36,7 @@ from math import factorial
 from .algebra import COMPLEX
 from .errors import InputError
 from .linalg import ScaledMatrix, det, pfaffian
-from .scalars import GaussianRational, quote_int, to_gaussian
+from .scalars import GaussianRational, Immutable, quote_int, to_gaussian
 
 
 def _sort_index_tuple(indices):
@@ -62,10 +62,13 @@ def _quote_key(key):
     return "(%s,)" % inner if len(key) == 1 else "(%s)" % inner
 
 
-class AlternatingForm:
+class AlternatingForm(Immutable):
     """Degree-k alternating form; coeffs maps strictly increasing index
     tuples to nonzero scalars.  Above the dimension only the zero form
-    exists.  Immutable."""
+    exists.  Immutable; equal when the dimension, the degree and the
+    nonzero coefficients are."""
+
+    _fields = ("dim", "degree", "coeffs")
 
     def __init__(self, dim, degree, coeffs=None):
         if degree < 0:
@@ -85,15 +88,7 @@ class AlternatingForm:
                 value = Fraction(value)
             if value != 0:
                 clean[key] = value
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AlternatingForm is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("AlternatingForm is immutable")
+        self._set(dim, degree, clean)
 
     @property
     def is_zero(self):
@@ -121,16 +116,6 @@ class AlternatingForm:
         return AlternatingForm(
             self.dim, self.degree,
             {key: c * value for key, value in self.coeffs.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, AlternatingForm):
-            return NotImplemented
-        if (self.dim, self.degree) != (other.dim, other.degree):
-            return False
-        keys = set(self.coeffs) | set(other.coeffs)
-        return all(
-            self.coeffs.get(k, Fraction(0)) == other.coeffs.get(k, Fraction(0))
-            for k in keys)
 
 
 def one_form(dim, coeffs):

@@ -21,7 +21,7 @@ from .errors import InputError, InternalInvariantError
 from .forms import two_form_matrix
 from .linalg import ScaledMatrix, det, dot, leading_minors
 from .polynomials import format_polynomial
-from .scalars import scalar_re_im
+from .scalars import Immutable, scalar_re_im
 
 SKEW_INPUT_TOL = 1e-12
 ORTHOGONAL_TOL = 1e-12
@@ -33,26 +33,17 @@ JACOBI_TOL = 1e-15
 JACOBI_SWEEPS = 60
 
 
-class MetricData:
+class MetricData(Immutable):
     """Symmetric metric matrix G with exact rational entries, held as one
     ScaledMatrix; G^-1 is computed once, on first use.  Immutable; equal
     when the matrices are."""
 
+    _fields = ("matrix",)
+
     exact = True  # every metric is exact; kept for callers that ask
 
     def __init__(self, matrix):
-        object.__setattr__(self, "matrix", matrix)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MetricData is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("MetricData is immutable")
-
-    def __eq__(self, other):
-        if type(other) is not MetricData:
-            return NotImplemented
-        return self.matrix == other.matrix
+        self._set(matrix)
 
     @classmethod
     def from_rows(cls, rows):
@@ -87,26 +78,15 @@ class MetricData:
         return all(minor > 0 for minor in leading_minors(self.matrix))
 
 
-class Connection:
+class Connection(Immutable):
     """Christoffel data: gamma[i][j] is the vector nabla_{e_i} e_j, a tuple
     of tuples of tuples.  Immutable and hashable."""
 
+    _fields = ("gamma",)
+    __hash__ = Immutable._field_hash
+
     def __init__(self, gamma):
-        object.__setattr__(self, "gamma", gamma)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Connection is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Connection is immutable")
-
-    def __eq__(self, other):
-        if type(other) is not Connection:
-            return NotImplemented
-        return self.gamma == other.gamma
-
-    def __hash__(self):
-        return hash(self.gamma)
+        self._set(gamma)
 
     def cov(self, i, j):
         return self.gamma[i][j]
@@ -229,29 +209,15 @@ def is_kcontact(c, g):
     return crit_h
 
 
-class ObstructionReport:
+class ObstructionReport(Immutable):
     """Whether kcontact_obstruction found an obstruction, why, and the
     minimal polynomial of ad(xi).  Immutable and hashable."""
 
+    _fields = ("obstructed", "reason", "minimal_poly")
+    __hash__ = Immutable._field_hash
+
     def __init__(self, obstructed, reason=None, minimal_poly=None):
-        object.__setattr__(self, "obstructed", obstructed)
-        object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "minimal_poly", minimal_poly)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ObstructionReport is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("ObstructionReport is immutable")
-
-    def __eq__(self, other):
-        if type(other) is not ObstructionReport:
-            return NotImplemented
-        return ((self.obstructed, self.reason, self.minimal_poly)
-                == (other.obstructed, other.reason, other.minimal_poly))
-
-    def __hash__(self):
-        return hash((self.obstructed, self.reason, self.minimal_poly))
+        self._set(obstructed, reason, minimal_poly)
 
     def __str__(self):
         if self.obstructed:
@@ -302,27 +268,15 @@ def _hermite_matrix(q):
     return [[-p[i + j + 1] for j in range(k)] for i in range(k)]
 
 
-class SkewNormalForm:
+class SkewNormalForm(Immutable):
     """Q, a tuple of row tuples of floats, with Q B Q^t the block matrix
     of the blocks (positive floats, descending) and zero_count zero rows.
     Immutable; equal when every field is."""
 
+    _fields = ("q", "blocks", "zero_count")
+
     def __init__(self, q, blocks, zero_count):
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "zero_count", zero_count)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SkewNormalForm is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("SkewNormalForm is immutable")
-
-    def __eq__(self, other):
-        if type(other) is not SkewNormalForm:
-            return NotImplemented
-        return ((self.q, self.blocks, self.zero_count)
-                == (other.q, other.blocks, other.zero_count))
+        self._set(q, blocks, zero_count)
 
     def block_matrix(self):
         n = 2 * len(self.blocks) + self.zero_count

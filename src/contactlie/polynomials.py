@@ -8,29 +8,21 @@ from itertools import chain
 
 from .errors import InternalInvariantError
 from .linalg import ScaledMatrix, rref
-from .scalars import GaussianRational, scalar_re_im
+from .scalars import GaussianRational, Immutable, scalar_re_im
 
 
-class Polynomial:
-    """Immutable dense polynomial, ascending coefficients."""
+class Polynomial(Immutable):
+    """Dense polynomial, ascending coefficients, trailing zeros dropped.
+    Immutable and hashable; equal when the coefficients are."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = _fields = ("coeffs",)
+    __hash__ = Immutable._field_hash
 
     def __init__(self, coeffs):
         cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Polynomial is immutable")
-
-    def __reduce__(self):
-        # the default slots reduction would go through __setattr__
-        return (Polynomial, (self.coeffs,))
+        self._set(tuple(cs))
 
     @property
     def is_zero(self):
@@ -46,14 +38,6 @@ class Polynomial:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
-
-    def __eq__(self, other):
-        if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __repr__(self):
         return "Polynomial(%r)" % (list(self.coeffs),)

@@ -15,24 +15,51 @@ from math import isqrt
 from .errors import InputError
 
 
-class GaussianRational:
+class Immutable:
+    """Base of the package's value classes.  __init__ sets the fields
+    named in _fields once, through _set, and they are never set or
+    deleted again.  Instances are equal when they are of the same type
+    and their fields are equal; a class is hashable only when it sets
+    __hash__, to Immutable._field_hash or to its own.  Copies and
+    pickles are made by calling the class on the fields, in the order of
+    _fields."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def _set(self, *values):
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __delattr__(self, name):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def _field_hash(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return (type(self), self._values())
+
+
+class GaussianRational(Immutable):
     """A complex number with exact rational real and imaginary parts."""
 
-    __slots__ = ("re", "im")
+    __slots__ = _fields = ("re", "im")
 
     def __init__(self, re=0, im=0):
         object.__setattr__(self, "re", Fraction(re))
         object.__setattr__(self, "im", Fraction(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("GaussianRational is immutable")
-
-    def __reduce__(self):
-        # the default slots reduction would go through __setattr__
-        return (GaussianRational, (self.re, self.im))
 
     # -- arithmetic -------------------------------------------------------
 
@@ -131,26 +158,16 @@ class GaussianRational:
         return format_scalar(self)
 
 
-class QuadraticNumber:
+class QuadraticNumber(Immutable):
     """a + b sqrt(d): a, b Gaussian rationals, d a non-square of Q(i) in
     the field it is given in.  Numbers with different d do not mix."""
 
-    __slots__ = ("a", "b", "d")
+    __slots__ = _fields = ("a", "b", "d")
 
     def __init__(self, a, b, d):
         object.__setattr__(self, "a", to_gaussian(a))
         object.__setattr__(self, "b", to_gaussian(b))
         object.__setattr__(self, "d", d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadraticNumber is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("QuadraticNumber is immutable")
-
-    def __reduce__(self):
-        # the default slots reduction would go through __setattr__
-        return (QuadraticNumber, (self.a, self.b, self.d))
 
     def __repr__(self):
         return "QuadraticNumber(%r, %r, %r)" % (self.a, self.b, self.d)

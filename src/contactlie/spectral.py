@@ -13,36 +13,24 @@ from .algebra import COMPLEX, bracket
 from .errors import InputError, InternalInvariantError
 from .linalg import ScaledMatrix, dot, nullspace, rref, vec_is_zero
 from .polynomials import format_polynomial
-from .scalars import (GaussianRational, QuadraticNumber, gaussian_sqrt,
-                      to_gaussian)
+from .scalars import (GaussianRational, Immutable, QuadraticNumber,
+                      gaussian_sqrt, to_gaussian)
 
 
-class RootDecomposition:
+class RootDecomposition(Immutable):
     """Roots of xi and the eigenspaces of ad(xi) on the complexification
     of a contact Lie algebra, always exact: the roots and eigenvector
     entries are GaussianRationals, or QuadraticNumbers when the spectrum
     leaves Q(i).  Roots are ordered -s, 0, s; spaces maps each root to a
     tuple of basis vectors.  Immutable; equal when every field is."""
 
+    _fields = ("contact", "roots", "spaces")
+
     exact = True                  # kept for callers that ask
     warnings = ()
 
     def __init__(self, contact, roots, spaces):
-        object.__setattr__(self, "contact", contact)
-        object.__setattr__(self, "roots", roots)
-        object.__setattr__(self, "spaces", spaces)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RootDecomposition is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("RootDecomposition is immutable")
-
-    def __eq__(self, other):
-        if type(other) is not RootDecomposition:
-            return NotImplemented
-        return ((self.contact, self.roots, self.spaces)
-                == (other.contact, other.roots, other.spaces))
+        self._set(contact, roots, spaces)
 
     @property
     def multiplicities(self):
@@ -176,31 +164,14 @@ def _validate_decomposition(rd):
         raise InternalInvariantError("nonzero-root space is not horizontal")
 
 
-class GradedBracketReport:
+class GradedBracketReport(Immutable):
     """What verify_graded_bracket checked.  Immutable and hashable."""
 
+    _fields = ("pairs_checked", "eigen_relation_ok", "pairing_vanishing_ok")
+    __hash__ = Immutable._field_hash
+
     def __init__(self, pairs_checked, eigen_relation_ok, pairing_vanishing_ok):
-        object.__setattr__(self, "pairs_checked", pairs_checked)
-        object.__setattr__(self, "eigen_relation_ok", eigen_relation_ok)
-        object.__setattr__(self, "pairing_vanishing_ok", pairing_vanishing_ok)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GradedBracketReport is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("GradedBracketReport is immutable")
-
-    def __eq__(self, other):
-        if type(other) is not GradedBracketReport:
-            return NotImplemented
-        return ((self.pairs_checked, self.eigen_relation_ok,
-                 self.pairing_vanishing_ok)
-                == (other.pairs_checked, other.eigen_relation_ok,
-                    other.pairing_vanishing_ok))
-
-    def __hash__(self):
-        return hash((self.pairs_checked, self.eigen_relation_ok,
-                     self.pairing_vanishing_ok))
+        self._set(pairs_checked, eigen_relation_ok, pairing_vanishing_ok)
 
 
 def verify_graded_bracket(rd):
@@ -273,36 +244,19 @@ def pairing_matrix(rd, alpha):
             for x in rd.spaces[alpha]]
 
 
-class TheoremReport:
+class TheoremReport(Immutable):
     """Outcome of the vanishing-theorem check on the complexification of a
     contact algebra; an applicable counterexample is a failure too.
     Immutable and hashable."""
 
+    _fields = ("applicable", "hypothesis_failures", "conclusion_verified",
+               "roots", "n")
+    __hash__ = Immutable._field_hash
+
     def __init__(self, applicable, hypothesis_failures, conclusion_verified,
                  roots, n):
-        object.__setattr__(self, "applicable", applicable)
-        object.__setattr__(self, "hypothesis_failures", hypothesis_failures)
-        object.__setattr__(self, "conclusion_verified", conclusion_verified)
-        object.__setattr__(self, "roots", roots)
-        object.__setattr__(self, "n", n)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TheoremReport is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("TheoremReport is immutable")
-
-    def __eq__(self, other):
-        if type(other) is not TheoremReport:
-            return NotImplemented
-        return ((self.applicable, self.hypothesis_failures,
-                 self.conclusion_verified, self.roots, self.n)
-                == (other.applicable, other.hypothesis_failures,
-                    other.conclusion_verified, other.roots, other.n))
-
-    def __hash__(self):
-        return hash((self.applicable, self.hypothesis_failures,
-                     self.conclusion_verified, self.roots, self.n))
+        self._set(applicable, hypothesis_failures, conclusion_verified,
+                  roots, n)
 
 
 def verify_reeb_theorem(c):

@@ -1,7 +1,8 @@
 """Every import in the package modules and in the tests is used, every
 public function of the package is used by the package or re-exported,
 every private module-level function is used by the package, the package
-imports no numpy, dataclasses or typing, and the coefficient row of eta
+imports no numpy, dataclasses or typing, only scalars.Immutable defines
+__setattr__, __delattr__ and __reduce__, and the coefficient row of eta
 and the matrix of d eta are built only by contact_structure.
 
 `__init__.py` is exempt from the first check: its imports are the public
@@ -88,6 +89,51 @@ def test_no_dead_functions():
                if p.name != "__init__.py"}
     init = (ROOT / "src" / "contactlie" / "__init__.py").read_text()
     assert dead_functions(sources, init) == []
+
+
+def classes_defining(sources, methods):
+    """Sorted names of the classes in sources (name -> source), nested
+    ones included, that define one of methods in their own body, by def
+    or by assignment."""
+    found = []
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            names = {item.name for item in node.body
+                     if isinstance(item, ast.FunctionDef)}
+            names |= {target.id for item in node.body
+                      if isinstance(item, ast.Assign)
+                      for target in item.targets
+                      if isinstance(target, ast.Name)}
+            if names & methods:
+                found.append(node.name)
+    return sorted(found)
+
+
+def test_checker_finds_classes_defining_methods():
+    sources = {"a": "class A:\n    def __setattr__(self, n, v):\n"
+                    "        pass\nclass B:\n    __reduce__ = None\n"
+                    "class C:\n    def __eq__(self, other):\n"
+                    "        def __delattr__(x):\n            pass\n",
+               "b": "def f():\n    class D(A):\n"
+                    "        def __delattr__(self, n):\n            pass\n"
+                    "    return D\nclass E:\n    __hash__ = A.h\n"}
+    methods = {"__setattr__", "__delattr__", "__reduce__"}
+    assert classes_defining(sources, methods) == ["A", "B", "D"]
+    assert classes_defining(sources, {"__eq__", "__hash__"}) == ["C", "E"]
+
+
+def test_immutability_is_defined_once():
+    """The value classes inherit setting, deleting, pickling and equality
+    from scalars.Immutable; only the scalar types, equal to the Fractions
+    they embed, and ScaledMatrix compare in their own way."""
+    sources = {p.stem: p.read_text() for p in PACKAGE}
+    assert classes_defining(
+        sources, {"__setattr__", "__delattr__", "__reduce__"}) == [
+        "Immutable"]
+    assert classes_defining(sources, {"__eq__"}) == [
+        "GaussianRational", "Immutable", "QuadraticNumber", "ScaledMatrix"]
 
 
 def import_scopes(source, modules):
