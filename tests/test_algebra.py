@@ -193,6 +193,8 @@ def test_value_classes_refuse_assignment_and_deletion():
                       pickle.loads(pickle.dumps(obj))):
             assert type(clone) is type(obj) and clone == obj, name
         assert not obj == object() and obj != object(), name
+        if name in ("GaussianRational", "QuadraticNumber", "Polynomial"):
+            assert not hasattr(obj, "__dict__"), name
         if name in hashable:
             hash(obj)
         else:
