@@ -6,6 +6,8 @@ types interoperate: Fraction * GaussianRational etc. all work, so generic
 linear-algebra code never needs to know which field it is over.
 QuadraticNumber, a + b sqrt(d) over Q(i), holds the roots of ad(xi)
 outside Q(i) and their eigenvectors; linalg does not take it.
+Immutable, the base of every value class of the package, lives here
+because this module imports nothing else of the package.
 """
 
 from decimal import Decimal
