@@ -20,8 +20,8 @@ from .contact import contact_structure
 from .errors import (ContactLieError, InputError, InternalInvariantError)
 from .extension import (SymplecticAlgebra, analyze_kcontact, central_extension,
                         central_quotient)
-from .fileformat import MAX_DIM, AlgebraFile, load, save
-from .forms import is_contact
+from .fileformat import MAX_DIM, AlgebraFile, load, read_json, save
+from .forms import form_matrix, is_contact
 from .metric import (construct_associated_metric, kcontact_obstruction,
                      skew_normal_form)
 from .scalars import format_scalar
@@ -213,8 +213,7 @@ def _cmd_extend(args):
     save(args.output, out)
     report = {
         "extension_dim": algebra.dim,
-        "eta": _vector_out(
-            [eta.coefficient((i,)) for i in range(algebra.dim)]),
+        "eta": _vector_out(form_matrix(eta)[0]),
         "output": args.output,
     }
     text = ["central extension: dim %d contact algebra" % algebra.dim,
@@ -223,17 +222,7 @@ def _cmd_extend(args):
 
 
 def _cmd_normal_form(args):
-    try:
-        with open(args.skew_matrix, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise InputError("cannot read %s: %s" % (args.skew_matrix, exc))
-    except UnicodeDecodeError as exc:
-        raise InputError("%s: not UTF-8 text: %s" % (args.skew_matrix, exc))
-    except (ValueError, RecursionError) as exc:
-        # ValueError also on an integer literal beyond int's digit limit,
-        # RecursionError on nesting deeper than the recursion limit
-        raise InputError("%s: not valid JSON: %s" % (args.skew_matrix, exc))
+    doc = read_json(args.skew_matrix)
     if (not isinstance(doc, list)
             or any(not isinstance(row, list) for row in doc)):
         raise InputError("expected a JSON array of arrays (square matrix)")
@@ -298,8 +287,7 @@ def _cmd_catalog(args):
         c = e.contact()
         report["reeb"] = _vector_out(c.reeb)
         text.append("eta: " + _format_combination(
-            [e.eta.coefficient((i,)) for i in range(a.dim)],
-            ["%s*" % lab for lab in a.basis_labels]))
+            c.eta_row, ["%s*" % lab for lab in a.basis_labels]))
         text.append("reeb field: "
                     + _format_combination(c.reeb, a.basis_labels))
         obstruction = kcontact_obstruction(c)

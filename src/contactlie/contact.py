@@ -10,8 +10,7 @@ from functools import cached_property
 
 from .algebra import COMPLEX, _ad_matrix
 from .errors import InputError, InternalInvariantError
-from .forms import (ce_differential, is_contact, one_form_coefficients,
-                    two_form_matrix)
+from .forms import ce_differential, form_matrix, is_contact
 from .linalg import ScaledMatrix, dot, nullspace, rref
 from .polynomials import (Polynomial, format_polynomial, is_squarefree,
                           minimal_polynomial)
@@ -104,9 +103,7 @@ def contact_structure(algebra, eta):
         raise InputError("eta must be a 1-form on the algebra")
     dim = algebra.dim
     deta = ce_differential(algebra, eta)
-    d = ScaledMatrix.of(two_form_matrix(deta))
-    eta_row = tuple(one_form_coefficients(eta))
-    scaled_eta = ScaledMatrix.of([eta_row])
+    d, scaled_eta = form_matrix(deta), form_matrix(eta)
     # [eta; D^T | e_0]: eta(xi) = 1 and, for each j, the row j of D^T,
     # sum_i xi_i d eta(e_i, e_j) = 0
     e0 = ScaledMatrix([[1]] + [[0]] * dim, gaussian=algebra.field == COMPLEX)
@@ -130,7 +127,7 @@ def contact_structure(algebra, eta):
         projector=ScaledMatrix.identity(dim) - xi @ scaled_eta,
         deta=deta,
         deta_matrix=d,
-        eta_row=eta_row,
+        eta_row=scaled_eta[0],
     )
     _validate(structure)
     return structure

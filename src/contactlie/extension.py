@@ -8,8 +8,8 @@ from fractions import Fraction
 from .algebra import LieAlgebra, check_jacobi, subspace_brackets
 from .contact import contact_structure
 from .errors import InputError, InternalInvariantError
-from .forms import (AlternatingForm, ce_differential, is_contact, one_form,
-                    two_form_matrix)
+from .forms import (AlternatingForm, ce_differential, form_matrix,
+                    is_contact, one_form)
 from .linalg import ScaledMatrix, det
 from .metric import is_kcontact, kcontact_obstruction
 from .polynomials import format_polynomial
@@ -30,7 +30,7 @@ class SymplecticAlgebra(Immutable):
             raise InputError("omega must be a 2-form on the algebra")
         if not ce_differential(algebra, omega).is_zero:
             raise InputError("omega is not closed (d omega != 0)")
-        if det(two_form_matrix(omega)) == 0:
+        if det(form_matrix(omega)) == 0:
             raise InputError("omega is degenerate")
         self._set(algebra, omega)
 

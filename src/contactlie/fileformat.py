@@ -254,14 +254,18 @@ def _parse_metric(name, spec, dim):
     raise InputError("%s needs either 'diag' or 'matrix'" % where)
 
 
-def parse_algebra_file(text):
-    """Parse and fully validate an algebra file, Jacobi included."""
+def _decode(text):
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except (ValueError, RecursionError) as exc:
         # ValueError also on an integer literal beyond int's digit limit,
         # RecursionError on nesting deeper than the recursion limit
         raise InputError("not valid JSON: %s" % exc)
+
+
+def parse_algebra_file(text):
+    """Parse and fully validate an algebra file, Jacobi included."""
+    doc = _decode(text)
     if not isinstance(doc, dict):
         raise InputError("top level must be a JSON object")
     name = _require(doc, "name", str, "the file")
@@ -304,7 +308,8 @@ def parse_algebra_file(text):
     return AlgebraFile(algebra=algebra, forms=forms, metrics=metrics)
 
 
-def load(path):
+def _read(path, parse):
+    """parse(text of the file at path); every InputError names the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -313,9 +318,17 @@ def load(path):
     except UnicodeDecodeError as exc:
         raise InputError("%s: not UTF-8 text: %s" % (path, exc))
     try:
-        return parse_algebra_file(text)
+        return parse(text)
     except InputError as exc:
         raise InputError("%s: %s" % (path, exc))
+
+
+def load(path):
+    return _read(path, parse_algebra_file)
+
+
+def read_json(path):
+    return _read(path, _decode)
 
 
 # serialize_algebra_file writes the text of json.dumps(doc, indent=2)

@@ -142,23 +142,18 @@ def two_form(dim, entries):
     return AlternatingForm(dim, 2, coeffs)
 
 
-def one_form_coefficients(form):
-    if form.degree != 1:
-        raise InputError("expected a 1-form")
-    return [form.coefficient((i,)) for i in range(form.dim)]
-
-
-def two_form_matrix(form):
-    """Full antisymmetric matrix D with D[i][j] = form(e_i, e_j), filled
-    from the stored coefficients; the other entries are the zero of the
-    coefficients' field."""
+def form_matrix(form):
+    """The ScaledMatrix of a 1-form, one row with entry i = form(e_i), or
+    of a 2-form, the skew D with D[i][j] = form(e_i, e_j)."""
+    n = form.dim
+    if form.degree == 1:
+        return ScaledMatrix.of([[form.coeffs.get((i,), 0) for i in range(n)]])
     if form.degree != 2:
-        raise InputError("expected a 2-form")
-    zero = next((0 * v for v in form.coeffs.values()), Fraction(0))
-    d = [[zero] * form.dim for _ in range(form.dim)]
+        raise InputError("expected a 1-form or a 2-form")
+    d = [[0] * n for _ in range(n)]
     for (i, j), value in form.coeffs.items():
         d[i][j], d[j][i] = value, -value
-    return d
+    return ScaledMatrix.of(d)
 
 
 def evaluate(form, *vectors):
@@ -281,11 +276,11 @@ def is_contact(algebra, eta):
     if algebra.dim % 2 == 0:
         raise InputError("contact requires odd dimension, got %d" % algebra.dim)
     n = (algebra.dim - 1) // 2
-    d = two_form_matrix(ce_differential(algebra, eta))
-    row = one_form_coefficients(eta)
-    bordered = [[Fraction(0)] + row]
-    bordered += [[-x] + d_row for x, d_row in zip(row, d)]
-    coeff = factorial(n) * pfaffian(bordered)
+    e = form_matrix(eta)
+    d = form_matrix(ce_differential(algebra, eta))
+    # the row [0 | eta] over the rows [-eta^T | D]
+    top, rest = ScaledMatrix([[0]]).beside(e), (-e.T).beside(d)
+    coeff = factorial(n) * pfaffian(top.T.beside(rest.T).T)
     return coeff != 0, coeff
 
 

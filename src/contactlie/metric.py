@@ -18,7 +18,7 @@ from math import frexp, isfinite, ldexp, sqrt
 
 from .algebra import REAL
 from .errors import InputError, InternalInvariantError
-from .forms import two_form_matrix
+from .forms import form_matrix
 from .linalg import ScaledMatrix, det, dot, leading_minors
 from .polynomials import format_polynomial
 from .scalars import Immutable, scalar_re_im
@@ -92,6 +92,13 @@ class Connection(Immutable):
         return self.gamma[i][j]
 
 
+def _require_dim(g, algebra):
+    # a product of matrices of different sizes drops what does not fit
+    if g.dim != algebra.dim:
+        raise InputError("metric of dimension %d on an algebra of "
+                         "dimension %d" % (g.dim, algebra.dim))
+
+
 def levi_civita(algebra, g):
     """The Levi-Civita connection of a left-invariant metric, from the
     Koszul formula
@@ -99,6 +106,7 @@ def levi_civita(algebra, g):
         g(nabla_{e_i} e_j, e_k)
             = -1/2 ( g([e_j,e_k],e_i) + g([e_i,e_k],e_j) + g([e_j,e_i],e_k) ).
     """
+    _require_dim(g, algebra)
     if not g.is_positive_definite():
         raise InputError("metric is not positive-definite")
     n = algebra.dim
@@ -118,12 +126,14 @@ def levi_civita(algebra, g):
 
 def compute_phi(c, g):
     """The unique phi with g(X, phi Y) = d eta(X, Y); phi = G^-1 D."""
+    _require_dim(g, c.algebra)
     return (g.inverse @ c.deta_matrix).rows()
 
 
 def _associated_phi(c, g):
     """phi as a ScaledMatrix when g is associated (eta = g(., xi) and
     phi^2 = -I + xi (x) eta), else None."""
+    _require_dim(g, c.algebra)
     if not g.is_positive_definite():
         raise InputError("metric is not positive-definite")
     xi, eta = c.scaled_reeb, c.scaled_eta
@@ -477,10 +487,11 @@ def construct_associated_metric(c, horizontal_frame=None):
 def symplectic_is_associated(algebra, omega, k):
     """Symplectic analogue: k is associated to omega iff the candidate J
     from k(X, J Y) = omega(X, Y) squares to -I (exact test)."""
+    _require_dim(k, algebra)
     if not k.is_positive_definite():
         raise InputError("metric is not positive-definite")
-    w = two_form_matrix(omega)
+    w = form_matrix(omega)
     if det(w) == 0:
         raise InputError("omega is degenerate")
-    j = k.inverse @ ScaledMatrix.of(w)
+    j = k.inverse @ w
     return j @ j == -ScaledMatrix.identity(algebra.dim), j.rows()

@@ -50,13 +50,8 @@ def root_decomposition(c):
             "exact roots need the minimal polynomial t or t^3 - d*t of "
             "ad(xi), not %s" % format_polynomial(c.ad_reeb_minpoly))
     a = c.ad_reeb
-    zero = GaussianRational(0)
-    if q.degree == 0:
-        n = c.algebra.dim
-        spaces = {zero: tuple(
-            tuple(GaussianRational(int(i == j)) for j in range(n))
-            for i in range(n))}
-    else:
+    spaces = {GaussianRational(0): _kernel(a, 0)}
+    if q.degree == 1:
         d = -q.coeffs[0]
         s = gaussian_sqrt(d)
         if s is None:
@@ -68,17 +63,17 @@ def root_decomposition(c):
             minus, plus = _kernel(a, -s), _kernel(a, s)
         else:
             minus, plus = _image_spaces(c, s)
-        spaces = {-s: minus, zero: _kernel(a, 0), s: plus}
+        spaces = {-s: minus, **spaces, s: plus}
     rd = RootDecomposition(contact=c, roots=tuple(spaces), spaces=spaces)
     _validate_decomposition(rd)
     return rd
 
 
 def _kernel(a, r):
-    """A basis of ker(A - r), with Gaussian rational entries."""
+    """A basis of ker(A - r), with Gaussian rational entries; nullspace
+    already ends each vector in 1, at its free variable."""
     shifted = a - ScaledMatrix.of(_diagonal([r] * len(a)))
-    return tuple(tuple(map(to_gaussian, _normalized(v)))
-                 for v in nullspace(shifted))
+    return tuple(tuple(map(to_gaussian, v)) for v in nullspace(shifted))
 
 
 def _image_spaces(c, s):

@@ -104,7 +104,7 @@ def test_contact_check_writes_top_coefficient_of_any_size(capsys, tmp_path):
 def test_hostile_files_exit_2(capsys, tmp_path):
     """Non-UTF-8 text, JSON integer literals beyond int's digit limit and
     nesting beyond the recursion limit are input errors, for algebra files
-    and skew matrices."""
+    and skew matrices, with the same message for both."""
     p = tmp_path / "hostile.json"
     p.write_bytes('{"name": "caf\xe9", "dim": 1}'.encode("latin-1"))
     code, doc = run_json(capsys, "validate", str(p))
@@ -115,12 +115,18 @@ def test_hostile_files_exit_2(capsys, tmp_path):
     p.write_text('{"name": "x", "dim": %s}' % ("1" * 5000))
     code, doc = run_json(capsys, "validate", str(p))
     assert code == 2 and "not valid JSON" in doc["error"]
-    for text in ("[[0, %s], [-1, 0]]" % ("1" * 5000), "[" * 10 ** 5):
-        p.write_text(text)
+    for text in ("[[0, %s], [-1, 0]]" % ("1" * 5000), "[" * 10 ** 5,
+                 "[[0, 1], [-1", "[[0, 1], [-1, 0]] \xa0"):
+        p.write_bytes(text.encode("latin-1"))
+        errors = set()
         for argv in (["validate", str(p)], ["normal-form", "--skew-matrix",
                                             str(p)]):
             code, doc = run_json(capsys, *argv)
-            assert code == 2 and "not valid JSON" in doc["error"], argv
+            assert code == 2, argv
+            errors.add(doc["error"])
+        assert len(errors) == 1, errors
+        (error,) = errors
+        assert error.startswith(str(p) + ": not "), error
 
 
 def test_reeb(capsys):

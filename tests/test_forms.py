@@ -8,8 +8,8 @@ from contactlie.algebra import LieAlgebra
 from contactlie.catalog import abelian, catalog
 from contactlie.errors import InputError
 from contactlie.forms import (AlternatingForm, basis_dual, ce_differential,
-                              complexify_form, evaluate, is_contact,
-                              one_form, two_form, two_form_matrix, wedge)
+                              complexify_form, evaluate, form_matrix,
+                              is_contact, one_form, two_form, wedge)
 from contactlie.scalars import GaussianRational
 
 CAT = catalog()
@@ -240,29 +240,44 @@ def test_two_form_sums_repeated_entries_and_keeps_types():
             != AlternatingForm(4, 1, {(0,): 1}))
 
 
-def test_two_form_matrix():
-    """Every entry equals form.coefficient((i, j)), and every entry, the
-    diagonal and the unstored ones included, is in the coefficients'
-    field: Fraction for a real form, GaussianRational for a Gaussian one."""
+def test_form_matrix():
+    """A 1-form gives one row and a 2-form the skew matrix D; every entry
+    equals form.coefficient, and every entry, the diagonal and the
+    unstored ones included, is in the coefficients' field: Fraction for a
+    real form, GaussianRational for a Gaussian one.  Other degrees are
+    refused."""
+    row = form_matrix(one_form(4, [0, Fraction(3, 2), 0, -2]))
+    assert row.rows() == [[0, Fraction(3, 2), 0, -2]]
     f = two_form(3, [(0, 1, Fraction(2)), (1, 2, Fraction(-1))])
-    m = two_form_matrix(f)
+    m = form_matrix(f).rows()
     assert m[0][1] == 2 and m[1][0] == -2
     assert m[1][2] == -1 and m[2][1] == 1
     assert all(m[i][i] == 0 for i in range(3))
     rng = random.Random(7)
     for dim in range(2, 7):
-        for _ in range(5):
-            real = random_form(rng, dim, 2, density=0.5)
-            gaussian = AlternatingForm(dim, 2, {
-                key: GaussianRational(c, rng.randint(-2, 2))
-                for key, c in real.coeffs.items()})
-            for form, kind in ((real, Fraction),
-                               (complexify_form(real), GaussianRational),
-                               (gaussian, GaussianRational)):
-                m = two_form_matrix(form)
-                assert m == [[form.coefficient((i, j)) for j in range(dim)]
-                             for i in range(dim)]
-                if form.coeffs:
-                    assert all(type(x) is kind for row in m for x in row)
-    zero = two_form_matrix(AlternatingForm(3, 2, {}))
-    assert all(type(x) is Fraction and x == 0 for row in zero for x in row)
+        for degree in (1, 2):
+            for _ in range(5):
+                real = random_form(rng, dim, degree, density=0.5)
+                gaussian = AlternatingForm(dim, degree, {
+                    key: GaussianRational(c, rng.randint(-2, 2))
+                    for key, c in real.coeffs.items()})
+                for form, kind in ((real, Fraction),
+                                   (complexify_form(real), GaussianRational),
+                                   (gaussian, GaussianRational)):
+                    m = form_matrix(form).rows()
+                    if degree == 1:
+                        assert m == [[form.coefficient((j,))
+                                      for j in range(dim)]]
+                    else:
+                        assert m == [[form.coefficient((i, j))
+                                      for j in range(dim)]
+                                     for i in range(dim)]
+                    if form.coeffs:
+                        assert all(type(x) is kind for row in m for x in row)
+    for degree, size in ((1, 1), (2, 3)):
+        zero = form_matrix(AlternatingForm(3, degree, {})).rows()
+        assert len(zero) == size
+        assert all(type(x) is Fraction and x == 0
+                   for row in zero for x in row)
+    with pytest.raises(InputError):
+        form_matrix(AlternatingForm(3, 3, {(0, 1, 2): 1}))

@@ -182,10 +182,10 @@ def test_central_extension_checks_d_eta_without_a_contact_structure(
 def test_analyze_kcontact_reads_eta_and_d_eta_off_the_structure(
         monkeypatch):
     """No matrix or coefficient row of a form on g is rebuilt; the one
-    two_form_matrix call left is SymplecticAlgebra checking the quotient's
+    form_matrix call left is SymplecticAlgebra checking the quotient's
     omega, a form on g / <xi>."""
     dims = Counter()
-    for name in ("two_form_matrix", "one_form_coefficients", "evaluate"):
+    for name in ("form_matrix", "evaluate"):
         def make(original, name=name):
             def counted(form, *args):
                 dims[name, form.dim] += 1
@@ -197,7 +197,7 @@ def test_analyze_kcontact_reads_eta_and_d_eta_off_the_structure(
         c = e.contact()
         dims.clear()
         analyze_kcontact(c, e.metric)
-        assert set(dims) <= {("two_form_matrix", e.algebra.dim - 1)}, (
+        assert set(dims) <= {("form_matrix", e.algebra.dim - 1)}, (
             name, dims)
 
 

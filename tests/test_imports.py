@@ -23,9 +23,8 @@ MODULES = [p for p in PACKAGE if p.name != "__init__.py"] + sorted(
 BARRED_IMPORTS = {"numpy", "dataclasses", "typing"}
 # the row of eta and the matrix of d eta are fields of ContactStructure,
 # built once by contact_structure; these modules read them off it
-FORM_HELPERS = {"evaluate", "one_form_coefficients", "two_form_matrix"}
-NO_FORM_HELPERS = {"metric.py": {"evaluate", "one_form_coefficients"},
-                   "spectral.py": FORM_HELPERS}
+FORM_HELPERS = {"evaluate", "form_matrix"}
+NO_FORM_HELPERS = {"metric.py": {"evaluate"}, "spectral.py": FORM_HELPERS}
 
 
 def unused_imports(source):
@@ -182,7 +181,7 @@ def test_numpy_only_in_floating_routines(path):
 
 def structure_form_calls(source):
     """(line, helper) of every call of a form helper on an attribute eta
-    or deta, as in two_form_matrix(c.deta)."""
+    or deta, as in form_matrix(c.deta)."""
     return [(node.lineno, node.func.id) for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             and node.func.id in FORM_HELPERS and node.args
@@ -191,10 +190,11 @@ def structure_form_calls(source):
 
 
 def test_checker_finds_structure_form_calls():
-    source = ("d = two_form_matrix(c.deta)\nw = two_form_matrix(omega)\n"
-              "r = one_form_coefficients(s.eta)\n")
-    assert structure_form_calls(source) == [(1, "two_form_matrix"),
-                                            (3, "one_form_coefficients")]
+    source = ("d = form_matrix(c.deta)\nw = form_matrix(omega)\n"
+              "r = form_matrix(s.eta)\nv = evaluate(c.deta, x, y)\n")
+    assert structure_form_calls(source) == [(1, "form_matrix"),
+                                            (3, "form_matrix"),
+                                            (4, "evaluate")]
 
 
 OUTSIDE_CONTACT = [p for p in PACKAGE if p.name != "contact.py"]

@@ -32,6 +32,37 @@ def test_metric_data_validation():
     assert not MetricData.from_diag([1, -1]).is_positive_definite()
 
 
+# every entry point that multiplies the metric with the contact data
+CONTACT_METRIC_ENTRIES = {
+    "levi_civita": lambda c, g: levi_civita(c.algebra, g),
+    "compute_phi": compute_phi,
+    "is_associated": is_associated,
+    "compute_h": compute_h,
+    "is_kcontact": is_kcontact,
+}
+
+
+@pytest.mark.parametrize("size", [3, 7])
+@pytest.mark.parametrize("entry", sorted(CONTACT_METRIC_ENTRIES))
+def test_metric_of_the_wrong_dimension_is_refused(entry, size):
+    """A product of matrices of different sizes would drop the entries
+    past the smaller one: a 3x3 metric on heisenberg5 used to raise
+    IndexError or give rows, and a 7x7 one a connection."""
+    c = CAT["heisenberg5"].contact()
+    with pytest.raises(InputError, match="metric of dimension %d on an "
+                       "algebra of dimension 5" % size):
+        CONTACT_METRIC_ENTRIES[entry](c, MetricData.from_diag([1] * size))
+
+
+@pytest.mark.parametrize("size", [2, 6])
+def test_symplectic_metric_of_the_wrong_dimension_is_refused(size):
+    e = CAT["r4_sympl"]
+    with pytest.raises(InputError, match="metric of dimension %d on an "
+                       "algebra of dimension 4" % size):
+        symplectic_is_associated(e.algebra, e.omega,
+                                 MetricData.from_diag([1] * size))
+
+
 def test_catalog_metrics_are_associated():
     for name in METRIC_NAMES:
         e = CAT[name]
