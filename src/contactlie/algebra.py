@@ -12,6 +12,7 @@ is safe to share across threads.
 
 from fractions import Fraction
 from itertools import chain
+from math import gcd
 from operator import mul
 
 from .errors import InputError
@@ -128,13 +129,19 @@ def check_jacobi(algebra):
     If some d_m != 0, let M be the largest such m: the lower digits sum to
     at most (2^(w-1) - 1) (2^(w M) - 1) / (2^w - 1) < 2^(w M) <= |d_M 2^(w
     M)| in absolute value, so J != 0.  C and the packed table are built
-    per call.
+    per call.  The Jacobiator is homogeneous quadratic in the constants,
+    so the numerators are divided by their gcd first: J = 0 or not as
+    before, with A and B, and so w, as small as the constants allow.
     """
     n = algebra.dim
     constants = ScaledMatrix.of(algebra.brackets.values())
     parts = [constants.re]
     if constants.im is not None:
         parts.append(constants.im)
+    content = gcd(*chain.from_iterable(chain.from_iterable(parts)))
+    if content > 1:
+        parts = [[[x // content for x in row] for row in part]
+                 for part in parts]
     width = (3 * n * sum(max(map(abs, chain.from_iterable(part)),
                              default=0) ** 2
                          for part in parts)).bit_length() + 1

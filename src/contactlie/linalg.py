@@ -61,7 +61,10 @@ def _times(rows, k):
 
 
 def _reduced(re, im, d, gaussian):
-    """(re + i im) / d with the gcd of d and every entry divided out."""
+    """(re + i im) / d with the gcd of d and every entry divided out; over
+    d = 1 that gcd is 1."""
+    if d == 1:
+        return ScaledMatrix(re, im, d, gaussian)
     g = gcd(d, *chain.from_iterable(re),
             *(chain.from_iterable(im) if im is not None else ()))
     if g > 1:
@@ -102,8 +105,10 @@ class ScaledMatrix:
         if isinstance(rows, ScaledMatrix) and d == 1:
             return rows
         rows = [list(row) for row in rows]
-        gaussian = any(isinstance(x, GaussianRational)
-                       for row in rows for x in row)
+        types = set(map(type, chain.from_iterable(rows)))
+        if types <= {int}:
+            return _reduced(rows, None, d, False)
+        gaussian = GaussianRational in types
         im = None
         if gaussian:
             im = [[x.im if isinstance(x, GaussianRational) else 0
@@ -123,12 +128,15 @@ class ScaledMatrix:
 
     def _row(self, i):
         """Row i as a list of Fractions, or of GaussianRationals."""
-        d = self.d
+        d, re = self.d, self.re[i]
         if not self.gaussian:
-            return [Fraction(x, d) for x in self.re[i]]
-        im = self.im[i] if self.im is not None else [0] * len(self.re[i])
+            return (list(map(Fraction, re)) if d == 1
+                    else [Fraction(x, d) for x in re])
+        im = self.im[i] if self.im is not None else [0] * len(re)
+        if d == 1:
+            return list(map(GaussianRational, re, im))
         return [GaussianRational(Fraction(x, d), Fraction(y, d))
-                for x, y in zip(self.re[i], im)]
+                for x, y in zip(re, im)]
 
     def rows(self):
         """The entries as lists of Fractions, or of GaussianRationals."""
@@ -182,6 +190,10 @@ class ScaledMatrix:
                         self.d * k.denominator, self.gaussian)
 
     def __matmul__(self, other):
+        if self.is_zero or other.is_zero:
+            width = len(other.re[0]) if other.re else 0
+            return ScaledMatrix([[0] * width for _ in self.re], None, 1,
+                                self.gaussian or other.gaussian)
         cols = list(zip(*other.re))
         re = _integer_product(self.re, cols)
         im = None

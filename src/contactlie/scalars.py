@@ -60,8 +60,13 @@ class GaussianRational(Immutable):
     __slots__ = _fields = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        # a Fraction is immutable, so one passed in is kept, not rebuilt
+        if type(re) is not Fraction:
+            re = Fraction(re)
+        if type(im) is not Fraction:
+            im = Fraction(im)
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
 
     # -- arithmetic -------------------------------------------------------
 

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from contactlie import algebra as algebra_module
 from contactlie.algebra import (COMPLEX, LieAlgebra, ad, bracket,
                                 check_jacobi, complexify)
 from contactlie.catalog import catalog
 from contactlie.errors import InputError
+from contactlie.scalars import GaussianRational
 
 
 CAT = catalog()
@@ -105,6 +107,47 @@ def test_jacobi_seeded_perturbations_of_h5():
                     if any(t != 0 for t in total):
                         expected.append((a + 1, b + 1, cc + 1))
         assert violations == expected
+
+
+def _scaled(algebra, k):
+    return LieAlgebra(algebra.name, algebra.dim, algebra.field,
+                      {p: tuple(k * x for x in v)
+                       for p, v in algebra.brackets.items()})
+
+
+def test_jacobi_divides_out_the_content(monkeypatch):
+    """Jacobi is homogeneous quadratic in the constants, so constants all
+    times 2^4000 + 1 give the violations of the unscaled ones, a valid
+    algebra none and one with a bumped constant some, also over the
+    complex field with every constant times 1 + i; the packed integers
+    have the width that the unscaled constants give them."""
+    widths = []
+    pack = algebra_module._pack
+
+    def recorded(digits, width):
+        widths.append(width)
+        return pack(digits, width)
+
+    monkeypatch.setattr(algebra_module, "_pack", recorded)
+
+    def jacobi(algebra):
+        widths.clear()
+        return check_jacobi(algebra), set(widths)
+
+    big, unit = 2 ** 4000 + 1, GaussianRational(1, 1)
+    for name in ("su2_aff1", "nilpotent_nondiag5"):
+        valid = CAT[name].algebra
+        brackets = dict(valid.brackets)
+        (i, j), v = next(iter(brackets.items()))
+        brackets[(i, j)] = (v[0] + 1,) + v[1:]
+        failing = LieAlgebra("bumped", valid.dim, brackets=brackets)
+        assert check_jacobi(valid) == [] and check_jacobi(failing) != []
+        for a in (valid, failing):
+            for unscaled in (a, _scaled(complexify(a), unit)):
+                want, want_widths = jacobi(unscaled)
+                assert want == check_jacobi(a), name
+                assert jacobi(_scaled(unscaled, big)) == \
+                    (want, want_widths), name
 
 
 def test_ad_is_bracket_homomorphism():

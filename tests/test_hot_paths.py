@@ -317,6 +317,27 @@ def test_real_valued_gaussian_linalg_runs_no_gaussian_arithmetic(
     assert calls["__mul__"] > 0
 
 
+def test_products_with_a_zero_factor_skip_the_integer_product(monkeypatch):
+    """Z @ M and M @ Z for a zero Z are the zero matrix of the product's
+    shape, over d = 1, without an integer product; M real or Gaussian."""
+    forbid(monkeypatch, contactlie.linalg, "_integer_product")
+    rng = random.Random(5)
+    rationals = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                  for _ in range(4)] for _ in range(3)]
+    gaussians = [[GaussianRational(x, rng.randint(-3, 3)) for x in row]
+                 for row in rationals]
+    for rows, zero in ((rationals, Fraction(0)),
+                       (gaussians, GaussianRational(0))):
+        m = ScaledMatrix.of(rows)
+        for product, shape in ((ScaledMatrix.of([[0] * 3] * 2) @ m, (2, 4)),
+                               (m @ ScaledMatrix.of([[0] * 5] * 4), (3, 5))):
+            assert product.d == 1 and product.im is None
+            assert product.gaussian == m.gaussian
+            got = product.rows()
+            assert got == [[zero] * shape[1]] * shape[0]
+            assert {type(x) for row in got for x in row} == {type(zero)}
+
+
 def count_gaussian_ops(monkeypatch):
     """A Counter of the GaussianRational arithmetic run from now on."""
     calls = Counter()

@@ -24,6 +24,7 @@ import json
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from unittest.mock import patch
 
 import pytest
 
@@ -1014,15 +1015,26 @@ def test_rref_and_det_match_fraction_reference(kind, data):
 @given(data=st.data())
 def test_mat_mul_matches_dot_reference(left, right, data):
     """The product @ of ScaledMatrix, on shapes up to 5 x 5, on an n x 1
-    column and on a zero left factor, against one dot product per entry."""
+    column and on zero left and right factors, against one dot product
+    per entry.  Its d, im and gaussian flag are those of the product
+    with the zero-operand shortcut bypassed: a zero product is over
+    d = 1 with im None."""
     p, q, r = (data.draw(st.integers(1, 5)) for _ in range(3))
     a = data.draw(matrices(left, p, q))
     if data.draw(st.booleans()):
         a = [[0 * x for x in row] for row in a]
     b = data.draw(matrices(right, q, r))
-    sa = ScaledMatrix.of(a)
-    assert_same_entries((sa @ ScaledMatrix.of(b)).rows(),
-                        mat_mul_by_dot(a, b))
+    if data.draw(st.booleans()):
+        b = [[0 * x for x in row] for row in b]
+    sa, sb = ScaledMatrix.of(a), ScaledMatrix.of(b)
+    product = sa @ sb
+    assert_same_entries(product.rows(), mat_mul_by_dot(a, b))
+    with patch.object(ScaledMatrix, "is_zero", property(lambda m: False)):
+        general = sa @ sb
+    assert (product.re, product.im, product.d, product.gaussian) == \
+        (general.re, general.im, general.d, general.gaussian)
+    if not any(map(any, product.re)):
+        assert product.d == 1 and product.im is None
     column = [row[0] for row in b]
     assert_same_entries((sa @ ScaledMatrix.of([column]).T).rows(),
                         [[x] for x in mat_vec(a, column)])
@@ -1036,7 +1048,8 @@ def test_scaled_matrix_matches_fraction_arithmetic(left, right, data):
     """+, -, negation, rational multiples, the transpose and == of
     ScaledMatrix against plain Fraction and GaussianRational arithmetic,
     on shapes 1 x n and n x 1 among others and on zero matrices; @ is
-    test_mat_mul_matches_dot_reference."""
+    test_mat_mul_matches_dot_reference.  of() on rows of plain ints, over
+    any denominator, gives the matrix of() gives on their Fractions."""
     p, q = (data.draw(st.integers(1, 4)) for _ in range(2))
     a = data.draw(matrices(left, p, q))
     if data.draw(st.booleans()):
@@ -1044,6 +1057,12 @@ def test_scaled_matrix_matches_fraction_arithmetic(left, right, data):
     c = data.draw(matrices(right, p, q))
     sa, sc = ScaledMatrix.of(a), ScaledMatrix.of(c)
     assert_same_entries(sa.rows(), a)
+    # rows of plain ints give the matrix of the same values as Fractions
+    k = data.draw(st.integers(1, 6))
+    ints, fractions = ScaledMatrix.of(a, k), ScaledMatrix.of(
+        [[Fraction(x) if type(x) is int else x for x in row] for row in a], k)
+    assert (ints.re, ints.im, ints.d, ints.gaussian) == \
+        (fractions.re, fractions.im, fractions.d, fractions.gaussian)
     assert_same_entries((sa + sc).rows(), [[x + y for x, y in zip(u, v)]
                                            for u, v in zip(a, c)])
     assert_same_entries((sa - sc).rows(), [[x - y for x, y in zip(u, v)]
