@@ -5,7 +5,7 @@ algebras with central Reeb field and central extensions of symplectic
 Lie algebras."""
 
 from .algebra import (COMPLEX, REAL, LieAlgebra, ad, bracket, check_jacobi,
-                      complexify)
+                      complexify, subspace_brackets)
 from .catalog import CatalogEntry, catalog
 from .contact import ContactStructure, contact_structure, decompose, reeb
 from .errors import (ContactLieError, InputError, InternalInvariantError,

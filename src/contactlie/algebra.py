@@ -4,10 +4,12 @@ Structure constants are stored densely for i < j only; the antisymmetric
 completion is synthesized on access.  The kernels (check_jacobi, ad,
 subspace_brackets, forms.ce_differential, the brackets of a covector in
 metric) read them as one matrix C = ScaledMatrix.of(brackets.values()),
-row r the bracket of the r-th stored pair, built per call; ad scales only
-the rows and forms.ce_differential only the columns it reads.  All values
-are immutable and every operation is a pure function, so everything here
-is safe to share across threads.
+row r the bracket of the r-th stored pair.  The public kernels build C
+per call, ad only the rows and forms.ce_differential only the columns it
+reads; a contact structure builds C once, for d eta, and hands it to the
+private ones.  C is never kept on the algebra.  All values are immutable
+and every operation is a pure function, so everything here is safe to
+share across threads.
 """
 
 from fractions import Fraction
@@ -129,10 +131,13 @@ def check_jacobi(algebra):
     If some d_m != 0, let M be the largest such m: the lower digits sum to
     at most (2^(w-1) - 1) (2^(w M) - 1) / (2^w - 1) < 2^(w M) <= |d_M 2^(w
     M)| in absolute value, so J != 0.  C and the packed table are built
-    per call.  The Jacobiator is homogeneous quadratic in the constants,
-    so the numerators are divided by their gcd first: J = 0 or not as
-    before, with A and B, and so w, as small as the constants allow.
+    per call, and not at all for an algebra with no stored bracket.  The
+    Jacobiator is homogeneous quadratic in the constants, so the
+    numerators are divided by their gcd first: J = 0 or not as before,
+    with A and B, and so w, as small as the constants allow.
     """
+    if not algebra.brackets:
+        return []
     n = algebra.dim
     constants = ScaledMatrix.of(algebra.brackets.values())
     parts = [constants.re]
@@ -196,27 +201,26 @@ def _over_field(algebra, rows, d):
                         m.gaussian or algebra.field == COMPLEX)
 
 
-def _ad_matrix(algebra, x):
-    """ad(x) as a ScaledMatrix: column j holds the coordinates of
-    [x, e_j], sum_a x_a [e_a, e_j], from the rows of C for the stored
-    pairs that meet the support of x only."""
-    n = algebra.dim
-    if len(x) != n:
-        raise InputError("vector length does not match algebra dimension")
-    support = {a for a, xa in enumerate(x) if xa}
-    pairs = [pair for pair in algebra.brackets
-             if not support.isdisjoint(pair)]
-    constants = ScaledMatrix.of(algebra.brackets[pair] for pair in pairs)
-    xs = ScaledMatrix.of([x])
-    rows = _ad_numerators(pairs, constants.numerators(),
-                          xs.numerators()[0], n)
+def _ad_matrix(algebra, xs, constants=None):
+    """ad(x) as a ScaledMatrix for the one row x of xs: column j holds the
+    coordinates of [x, e_j], sum_a x_a [e_a, e_j], from C when given,
+    else from the rows of C for the stored pairs that meet the support of
+    x only."""
+    x = xs.numerators()[0]
+    pairs = algebra.brackets
+    if constants is None:
+        pairs = [(a, b) for a, b in pairs if x[a] or x[b]]
+        constants = ScaledMatrix.of(algebra.brackets[pair] for pair in pairs)
+    rows = _ad_numerators(pairs, constants.numerators(), x, algebra.dim)
     return _over_field(algebra, rows, constants.d * xs.d)
 
 
 def ad(algebra, x):
     """Matrix of ad(x), as rows of scalars: column j holds the
     coordinates of [x, e_j]."""
-    return _ad_matrix(algebra, x).rows()
+    if len(x) != algebra.dim:
+        raise InputError("vector length does not match algebra dimension")
+    return _ad_matrix(algebra, ScaledMatrix.of([x])).rows()
 
 
 def subspace_brackets(algebra, basis, pairs):
@@ -227,17 +231,39 @@ def subspace_brackets(algebra, basis, pairs):
     computed as ad(b_i) b_j: summed in integers over the denominators of
     B and C, with one division.
     """
+    return _subspace_brackets(algebra, basis, pairs,
+                              ScaledMatrix.of(algebra.brackets.values()))
+
+
+def _subspace_brackets(algebra, basis, pairs, constants):
+    """subspace_brackets from the ScaledMatrix C of the algebra's
+    brackets."""
     n = algebra.dim
     b = ScaledMatrix.of(basis)
     if any(len(row) != n for row in b.re):
         raise InputError("vector length does not match algebra dimension")
-    constants = ScaledMatrix.of(algebra.brackets.values())
     rows, c = b.numerators(), constants.numerators()
     ads = {i: _ad_numerators(algebra.brackets, c, rows[i], n)
            for i in {i for i, _ in pairs}}
     return _over_field(algebra, [[sum(map(mul, row, rows[j]))
                                   for row in ads[i]] for i, j in pairs],
                        constants.d * b.d * b.d)
+
+
+def _covector_brackets(algebra, constants, w):
+    """W[j][k] = w([e_j, e_k]) for the column w and the ScaledMatrix C of
+    the algebra's brackets: the entries of C w scattered into a skew
+    matrix, Gaussian over the complex field."""
+    n = algebra.dim
+    cw = constants @ w
+    skew = []
+    for part in [cw.re] if cw.im is None else [cw.re, cw.im]:
+        rows = [[0] * n for _ in range(n)]
+        for (j, k), (x,) in zip(algebra.brackets, part):
+            rows[j][k], rows[k][j] = x, -x
+        skew.append(rows)
+    return ScaledMatrix(*skew, d=cw.d,
+                        gaussian=cw.gaussian or algebra.field == COMPLEX)
 
 
 def complexify(algebra):

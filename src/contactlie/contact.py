@@ -1,16 +1,19 @@
 """Validated contact structures: Reeb field, horizontal distribution and
 the splitting X = eta(X) xi + HX.
 
-Each matrix of a structure (d eta, the horizontal basis, the projector
-and ad(xi)) is held once, as a ScaledMatrix, which the checks here and in
-metric, spectral and extension multiply and which reads as rows of
-scalars wherever a caller iterates or indexes it."""
+Each matrix of a structure (the structure constants C, eta, xi, d eta,
+the horizontal basis, the projector and ad(xi)) is held once, as a
+ScaledMatrix, which the checks here and in metric, spectral and extension
+multiply and which reads as rows of scalars wherever a caller iterates or
+indexes it.  C is read from the algebra's brackets once per structure,
+for d eta, and handed to every kernel that needs it again."""
 
+from fractions import Fraction
 from functools import cached_property
 
-from .algebra import COMPLEX, _ad_matrix
+from .algebra import COMPLEX, _ad_matrix, _covector_brackets
 from .errors import InputError, InternalInvariantError
-from .forms import ce_differential, form_matrix, is_contact
+from .forms import AlternatingForm, form_matrix, is_contact
 from .linalg import ScaledMatrix, dot, nullspace, rref
 from .polynomials import (Polynomial, format_polynomial, is_squarefree,
                           minimal_polynomial)
@@ -20,40 +23,49 @@ from .scalars import Immutable
 class ContactStructure(Immutable):
     """A contact Lie algebra together with its derived data.
 
-    reeb (xi) and eta_row are tuples of scalars; horizontal_basis (one
-    row per vector of ker eta), projector (P = I - xi (x) eta, the
-    projection onto the horizontal space along the Reeb line) and
-    deta_matrix (D[i][j] = d eta(e_i, e_j)) are ScaledMatrices kept from
-    the Reeb solve.  ad(xi) as a ScaledMatrix, whether it is zero, its
-    minimal polynomial, whether that polynomial is squarefree
-    (ad_reeb_diagonalizable) and xi and eta as a column and a row
-    ScaledMatrix are computed at most once per structure, on first use.
-    Immutable; equal when the eight fields are.
+    constants (C, row r the bracket of the r-th stored pair of the
+    algebra), scaled_eta (eta as a row), scaled_reeb (xi as a column),
+    horizontal_basis (one row per vector of ker eta), projector (P = I -
+    xi (x) eta, the projection onto the horizontal space along the Reeb
+    line) and deta_matrix (D[i][j] = d eta(e_i, e_j)) are ScaledMatrices
+    kept from the Reeb solve.  ad(xi) as a ScaledMatrix, whether it is
+    zero, its minimal polynomial, whether that polynomial is squarefree
+    (ad_reeb_diagonalizable), xi and eta as tuples of scalars (reeb,
+    eta_row) and d eta as an AlternatingForm (deta) are computed at most
+    once per structure, on first use.  Immutable; equal when the eight
+    fields are.
     """
 
-    _fields = ("algebra", "eta", "reeb", "horizontal_basis", "projector",
-               "deta", "deta_matrix", "eta_row")
+    _fields = ("algebra", "constants", "eta", "scaled_eta", "scaled_reeb",
+               "horizontal_basis", "projector", "deta_matrix")
 
-    def __init__(self, algebra, eta, reeb, horizontal_basis, projector,
-                 deta, deta_matrix, eta_row):
-        self._set(algebra, eta, reeb, horizontal_basis, projector, deta,
-                  deta_matrix, eta_row)
+    def __init__(self, algebra, constants, eta, scaled_eta, scaled_reeb,
+                 horizontal_basis, projector, deta_matrix):
+        self._set(algebra, constants, eta, scaled_eta, scaled_reeb,
+                  horizontal_basis, projector, deta_matrix)
 
     @property
     def n(self):
         return (self.algebra.dim - 1) // 2
 
     @cached_property
+    def reeb(self):
+        return tuple(x for (x,) in self.scaled_reeb)
+
+    @cached_property
+    def eta_row(self):
+        return self.scaled_eta[0]
+
+    @cached_property
+    def deta(self):
+        d = self.deta_matrix.rows()
+        return AlternatingForm(len(d), 2, {
+            (i, j): row[j] for i, row in enumerate(d)
+            for j in range(i + 1, len(d))})
+
+    @cached_property
     def ad_reeb(self):
-        return _ad_matrix(self.algebra, self.reeb)
-
-    @cached_property
-    def scaled_reeb(self):
-        return ScaledMatrix.of([self.reeb]).T
-
-    @cached_property
-    def scaled_eta(self):
-        return ScaledMatrix.of([self.eta_row])
+        return _ad_matrix(self.algebra, self.scaled_reeb.T, self.constants)
 
     @cached_property
     def ad_reeb_is_zero(self):
@@ -102,8 +114,10 @@ def contact_structure(algebra, eta):
     if eta.degree != 1 or eta.dim != algebra.dim:
         raise InputError("eta must be a 1-form on the algebra")
     dim = algebra.dim
-    deta = ce_differential(algebra, eta)
-    d, scaled_eta = form_matrix(deta), form_matrix(eta)
+    constants, scaled_eta = (ScaledMatrix.of(algebra.brackets.values()),
+                             form_matrix(eta))
+    # d eta(e_i, e_j) = -1/2 eta([e_i, e_j]), as forms.ce_differential has it
+    d = Fraction(-1, 2) * _covector_brackets(algebra, constants, scaled_eta.T)
     # [eta; D^T | e_0]: eta(xi) = 1 and, for each j, the row j of D^T,
     # sum_i xi_i d eta(e_i, e_j) = 0
     e0 = ScaledMatrix([[1]] + [[0]] * dim, gaussian=algebra.field == COMPLEX)
@@ -121,13 +135,13 @@ def contact_structure(algebra, eta):
         raise InternalInvariantError("ker(eta) has unexpected dimension")
     structure = ContactStructure(
         algebra=algebra,
+        constants=constants,
         eta=eta,
-        reeb=tuple(x for (x,) in xi),
+        scaled_eta=scaled_eta,
+        scaled_reeb=xi,
         horizontal_basis=kernel,
         projector=ScaledMatrix.identity(dim) - xi @ scaled_eta,
-        deta=deta,
         deta_matrix=d,
-        eta_row=scaled_eta[0],
     )
     _validate(structure)
     return structure

@@ -5,7 +5,7 @@ plus the end-to-end K-contact analysis pipeline."""
 
 from fractions import Fraction
 
-from .algebra import LieAlgebra, check_jacobi, subspace_brackets
+from .algebra import LieAlgebra, _subspace_brackets, check_jacobi
 from .contact import contact_structure
 from .errors import InputError, InternalInvariantError
 from .forms import (AlternatingForm, ce_differential, form_matrix,
@@ -49,8 +49,9 @@ def central_quotient(c):
     # nonzero one, f, so the coordinates of a projected bracket in the
     # horizontal basis are its entries at the other columns, and one
     # product checks that they give the bracket back
-    projected = subspace_brackets(c.algebra, hb, pairs) @ c.projector.T
-    f = next(i for i, x in enumerate(c.eta_row) if x)
+    projected = (_subspace_brackets(c.algebra, hb, pairs, c.constants)
+                 @ c.projector.T)
+    f = next(i for i, x in enumerate(c.scaled_eta.numerators()[0]) if x)
 
     def drop_f(part):
         if part is not None:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import frexp, isfinite, ldexp, sqrt
 
-from .algebra import REAL
+from .algebra import REAL, _covector_brackets
 from .errors import InputError, InternalInvariantError
 from .forms import form_matrix
 from .linalg import ScaledMatrix, det, dot, leading_minors
@@ -151,8 +151,9 @@ def is_associated(c, g):
     return _associated_phi(c, g) is not None
 
 
-def _reeb_derivative(c, g):
-    """Matrix N with N X = nabla_X xi (column j is nabla_{e_j} xi).
+def _reeb_derivative(c, g, ga):
+    """Matrix N with N X = nabla_X xi (column j is nabla_{e_j} xi), for
+    ga = G ad(xi).
 
     The Koszul formula with Y = xi reads
 
@@ -163,33 +164,23 @@ def _reeb_derivative(c, g):
     N = G^-1 K^T, and K^T = -1/2 (G A + (G A)^T - W) as W is skew.
     O(n^3), without the n^2 Christoffel vectors.
     """
-    ga = g.matrix @ c.ad_reeb
-    w = _covector_brackets(c.algebra, g.matrix @ c.scaled_reeb)
+    w = _covector_brackets(c.algebra, c.constants, g.matrix @ c.scaled_reeb)
     return g.inverse @ (Fraction(-1, 2) * (ga + ga.T - w))
-
-
-def _covector_brackets(algebra, w):
-    """W[j][k] = w([e_j, e_k]) for the column w: the entries of C w, C the
-    structure constants as one ScaledMatrix, scattered into a skew
-    matrix."""
-    n = algebra.dim
-    cw = ScaledMatrix.of(algebra.brackets.values()) @ w
-    skew = []
-    for part in [cw.re] if cw.im is None else [cw.re, cw.im]:
-        rows = [[0] * n for _ in range(n)]
-        for (j, k), (x,) in zip(algebra.brackets, part):
-            rows[j][k], rows[k][j] = x, -x
-        skew.append(rows)
-    return ScaledMatrix(*skew, d=cw.d, gaussian=cw.gaussian)
 
 
 def compute_h(c, g):
     """The tensor h from nabla_X xi = -phi X - phi h X; verifies that very
     identity, g-symmetry of h and h xi = 0 before returning."""
+    return _h_matrix(c, g)[0].rows()
+
+
+def _h_matrix(c, g):
+    """(h, G ad(xi)) as ScaledMatrices, h checked as compute_h says."""
     phi = _associated_phi(c, g)
     if phi is None:
         raise InputError("metric is not associated to the contact structure")
-    nmat = _reeb_derivative(c, g)
+    ga = g.matrix @ c.ad_reeb
+    nmat = _reeb_derivative(c, g, ga)
     hm = (phi @ nmat - ScaledMatrix.identity(c.algebra.dim)) @ c.projector
     if nmat != -phi - phi @ hm:
         raise InternalInvariantError(
@@ -199,17 +190,16 @@ def compute_h(c, g):
         raise InternalInvariantError("h is not g-symmetric")
     if not (hm @ c.scaled_reeb).is_zero:
         raise InternalInvariantError("h xi != 0")
-    return hm.rows()
+    return hm, ga
 
 
 def is_kcontact(c, g):
     """K-contact verdict; computes both criteria (h = 0, and g-skewness of
     ad(xi) on the horizontal space) and insists they agree."""
-    hm = compute_h(c, g)  # raises InputError if not associated
-    crit_h = all(x == 0 for row in hm for x in row)
+    hm, ga = _h_matrix(c, g)  # raises InputError if not associated
+    crit_h = hm.is_zero
     # A^T G + G A = (G A)^T + G A, G being symmetric; y_i^T S y_j for all
     # horizontal basis vectors are the entries of Y S Y^T
-    ga = g.matrix @ c.ad_reeb
     hb = c.horizontal_basis
     crit_skew = (hb @ (ga.T + ga) @ hb.T).is_zero
     if crit_h != crit_skew:

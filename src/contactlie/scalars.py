@@ -30,11 +30,14 @@ class Immutable:
     _fields = ()
 
     def _set(self, *values):
-        for name, value in zip(self._fields, values, strict=True):
+        if len(values) != len(self._fields):  # faster than a strict zip
+            raise ValueError("%s takes %d fields, got %d" % (
+                type(self).__name__, len(self._fields), len(values)))
+        for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
 
     def _values(self):
-        return tuple(getattr(self, name) for name in self._fields)
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __setattr__(self, name, value):
         raise AttributeError("%s is immutable" % type(self).__name__)

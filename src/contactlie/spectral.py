@@ -9,6 +9,8 @@ minimal polynomial t or t^3 - d t of ad(xi) gives the exact roots 0 and
 +-sqrt(d): Gaussian rationals, or QuadraticNumbers when d is no square
 in Q(i)."""
 
+from functools import reduce
+
 from .algebra import COMPLEX, bracket
 from .errors import InputError, InternalInvariantError
 from .linalg import ScaledMatrix, dot, nullspace, rref, vec_is_zero
@@ -50,7 +52,7 @@ def root_decomposition(c):
             "exact roots need the minimal polynomial t or t^3 - d*t of "
             "ad(xi), not %s" % format_polynomial(c.ad_reeb_minpoly))
     a = c.ad_reeb
-    spaces = {GaussianRational(0): _kernel(a, 0)}
+    spaces = {GaussianRational(0): nullspace(a)}
     if q.degree == 1:
         d = -q.coeffs[0]
         s = gaussian_sqrt(d)
@@ -60,20 +62,17 @@ def root_decomposition(c):
         # vector there has the eigenvalue s
         if isinstance(s, GaussianRational) and (
                 not s.im or c.algebra.field == COMPLEX):
-            minus, plus = _kernel(a, -s), _kernel(a, s)
+            minus, plus = (nullspace(a - ScaledMatrix.of(
+                _diagonal([r] * len(a)))) for r in (-s, s))
         else:
             minus, plus = _image_spaces(c, s)
         spaces = {-s: minus, **spaces, s: plus}
-    rd = RootDecomposition(contact=c, roots=tuple(spaces), spaces=spaces)
-    _validate_decomposition(rd)
-    return rd
-
-
-def _kernel(a, r):
-    """A basis of ker(A - r), with Gaussian rational entries; nullspace
-    already ends each vector in 1, at its free variable."""
-    shifted = a - ScaledMatrix.of(_diagonal([r] * len(a)))
-    return tuple(tuple(map(to_gaussian, v)) for v in nullspace(shifted))
+    _validate_decomposition(c, spaces)
+    # nullspace already ends each vector in 1, at its free variable
+    spaces = {r: tuple(tuple(map(to_gaussian, v)) for v in basis)
+              if isinstance(basis, ScaledMatrix) else basis
+              for r, basis in spaces.items()}
+    return RootDecomposition(contact=c, roots=tuple(spaces), spaces=spaces)
 
 
 def _image_spaces(c, s):
@@ -116,11 +115,8 @@ def _diagonal(values):
             for i, x in enumerate(values)]
 
 
-def _quadratic_parts(rows, quadratic):
-    """The rows of scalars x = a + b sqrt(d) as the ScaledMatrices [a, b],
-    or [a] when quadratic is False and no entry is a QuadraticNumber."""
-    if not quadratic:
-        return [ScaledMatrix.of(rows)]
+def _quadratic_parts(rows):
+    """The rows of scalars x = a + b sqrt(d) as the ScaledMatrices [a, b]."""
     a = [[x.a if isinstance(x, QuadraticNumber) else x for x in row]
          for row in rows]
     b = [[x.b if isinstance(x, QuadraticNumber) else 0 for x in row]
@@ -128,24 +124,30 @@ def _quadratic_parts(rows, quadratic):
     return [ScaledMatrix.of(a), ScaledMatrix.of(b)]
 
 
-def _validate_decomposition(rd):
-    c = rd.contact
-    roots = [r for r, basis in rd.spaces.items() for _ in basis]
-    vectors = [v for basis in rd.spaces.values() for v in basis]
-    if len(vectors) != c.algebra.dim:
+def _validate_decomposition(c, spaces):
+    """Check the bases of spaces, each a ScaledMatrix from nullspace or a
+    tuple of vectors, against ad(xi) and eta."""
+    roots = [r for r, basis in spaces.items() for _ in range(len(basis))]
+    if len(roots) != c.algebra.dim:
         raise InternalInvariantError(
             "root multiplicities sum to %d, not to dim %d"
-            % (len(vectors), c.algebra.dim))
+            % (len(roots), c.algebra.dim))
     # with V the columns v and R the diagonal of the roots: A V = V R, and
     # eta V R = 0 since the spaces of nonzero roots are horizontal.  Over
     # Q(i, sqrt(d)) each matrix X = X_a + X_b sqrt(d) is kept as its parts,
     # and X R = (X_a R_a + X_b d R_b) + (X_a R_b + X_b R_a) sqrt(d).
     quadratic = any(isinstance(r, QuadraticNumber) for r in roots)
-    v = [p.T for p in _quadratic_parts(vectors, quadratic)]
-    r = _quadratic_parts(_diagonal(roots), quadratic)
     if quadratic:
+        v = [p.T for p in _quadratic_parts(
+            [v for basis in spaces.values() for v in basis])]
+        r = _quadratic_parts(_diagonal(roots))
         (d,) = {x.d for x in roots if isinstance(x, QuadraticNumber)}
         dr = ScaledMatrix.of(_diagonal([d] * len(roots))) @ r[1]
+    else:
+        # the bases stacked as the columns of one matrix
+        v = [reduce(ScaledMatrix.beside,
+                    [ScaledMatrix.of(basis).T for basis in spaces.values()])]
+        r = [ScaledMatrix.of(_diagonal(roots))]
 
     def times_roots(x):
         if not quadratic:

@@ -108,9 +108,9 @@ def test_central_quotient_rejects_bracket_outside_span():
     check: the coordinates read off the brackets, times the horizontal
     basis, do not give the brackets back."""
     c = CAT["heisenberg5"].contact()
-    broken = ContactStructure(c.algebra, c.eta, c.reeb, c.horizontal_basis,
-                              ScaledMatrix.identity(5), c.deta,
-                              c.deta_matrix, c.eta_row)
+    broken = ContactStructure(c.algebra, c.constants, c.eta, c.scaled_eta,
+                              c.scaled_reeb, c.horizontal_basis,
+                              ScaledMatrix.identity(5), c.deta_matrix)
     with pytest.raises(InternalInvariantError, match="span"):
         central_quotient(broken)
 

@@ -28,7 +28,8 @@ from unittest.mock import patch
 
 import pytest
 
-from contactlie.algebra import (COMPLEX, REAL, LieAlgebra, ad, bracket,
+from contactlie.algebra import (COMPLEX, REAL, LieAlgebra,
+                                _covector_brackets, ad, bracket,
                                 check_jacobi, complexify, subspace_brackets)
 from contactlie.catalog import abelian, catalog
 from contactlie.contact import contact_structure
@@ -40,8 +41,7 @@ from contactlie.forms import (AlternatingForm, basis_dual, ce_differential,
                               complexify_form, is_contact, one_form,
                               two_form, wedge)
 from contactlie.linalg import ScaledMatrix, det, pfaffian, rref
-from contactlie.metric import (MetricData, _covector_brackets,
-                               _reeb_derivative, compute_h,
+from contactlie.metric import (MetricData, _reeb_derivative, compute_h,
                                construct_associated_metric, is_associated,
                                is_kcontact, kcontact_obstruction, levi_civita)
 from contactlie.polynomials import is_squarefree
@@ -50,7 +50,7 @@ from contactlie.scalars import (GaussianRational, QuadraticNumber,
 from contactlie.spectral import (find_dual_partner, pairing_matrix,
                                  root_decomposition, verify_graded_bracket,
                                  verify_reeb_theorem)
-from plain_linalg import (det_by_fractions, inverse_by_fractions,
+from plain_linalg import (det_by_fractions, dot, inverse_by_fractions,
                           mat_mul_by_dot, mat_vec, rref_by_fractions,
                           transpose)
 
@@ -560,7 +560,8 @@ def test_kernels_on_algebras_without_brackets(n, complex_field):
         d = ce_differential(algebra, AlternatingForm(n, k, {
             tuple(range(k)): one}))
         assert d.is_zero and (d.dim, d.degree) == (n, k + 1)
-    assert_zeros(_covector_brackets(algebra,
+    constants = ScaledMatrix.of(algebra.brackets.values())
+    assert_zeros(_covector_brackets(algebra, constants,
                                     ScaledMatrix.of([[one] * n]).T).rows(), n)
 
 
@@ -627,8 +628,46 @@ def test_koszul_reeb_derivative_matches_levi_civita(name, field, associated,
          else random_metric(data, algebra.dim))
     if field == "complex":
         c = contact_structure(complexify(algebra), complexify_form(eta))
-    assert _reeb_derivative(c, g).rows() == \
+    assert _reeb_derivative(c, g, g.matrix @ c.ad_reeb).rows() == \
         reeb_derivative_by_christoffels(c, g)
+
+
+@pytest.mark.parametrize("field", ["real", "complex", "int"])
+@pytest.mark.parametrize("name", contact_names(7))
+@settings(max_examples=3, deadline=None, database=None)
+@given(data=st.data())
+def test_structure_kernels_match_the_public_kernels(name, field, data):
+    """ad(xi), nabla xi and the central quotient's brackets, which a
+    contact structure computes from the C it keeps, equal what the public
+    ad and subspace_brackets give, value for value and type for type."""
+    algebra, eta = conjugated_input(data, name, field)
+    c = contact_structure(algebra, eta)
+    n, xi = algebra.dim, list(c.reeb)
+    a = ad(algebra, xi)
+    assert_same_entries(c.ad_reeb.rows(), a)
+    # nabla xi = G^-1 K^T, K^T = -1/2 (G A + (G A)^T - W) with
+    # W[j][k] = (G xi)([e_j, e_k])
+    g = random_metric(data, n)
+    gm = g.matrix.rows()
+    ga, gxi = mat_mul_by_dot(gm, a), mat_vec(gm, xi)
+    basis = [algebra.basis_vector(j) for j in range(n)]
+    brackets = subspace_brackets(
+        algebra, basis, [(j, k) for j in range(n) for k in range(n)]).rows()
+    kt = [[(ga[j][k] + ga[k][j] - dot(brackets[j * n + k], gxi)) / -2
+           for k in range(n)] for j in range(n)]
+    assert_same_entries(_reeb_derivative(c, g, g.matrix @ c.ad_reeb).rows(),
+                        mat_mul_by_dot(g.inverse.rows(), kt))
+    if not c.ad_reeb_is_zero:
+        return
+    # sum_t c_ij^t b_t = P [b_i, b_j] in the horizontal basis b
+    quotient = central_quotient(c).algebra
+    hb, m = c.horizontal_basis.rows(), n - 1
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    projector = c.projector.rows()
+    for (i, j), b in zip(pairs, subspace_brackets(algebra, hb, pairs).rows()):
+        assert_same_entries(
+            [mat_vec(transpose(hb), quotient.structure_vector(i, j))],
+            [mat_vec(projector, b)])
 
 
 def assert_spectral_layer_matches_complexified(algebra, eta):

@@ -12,9 +12,9 @@ from contactlie.catalog import catalog
 from contactlie.contact import contact_structure
 from contactlie.errors import InputError
 from contactlie.forms import complexify_form, one_form
-from contactlie.scalars import (GaussianRational, QuadraticNumber,
-                                format_scalar, gaussian_sqrt, parse_scalar,
-                                to_gaussian)
+from contactlie.scalars import (GaussianRational, Immutable,
+                                QuadraticNumber, format_scalar,
+                                gaussian_sqrt, parse_scalar, to_gaussian)
 from contactlie.spectral import root_decomposition
 
 
@@ -198,6 +198,20 @@ def test_copy_deepcopy_and_pickle_round_trip():
                   pickle.loads(pickle.dumps(rd)).roots[-1]):
         assert clone == q and type(clone) is QuadraticNumber
         assert (clone.a, clone.b, clone.d) == (q.a, q.b, q.d)
+
+
+def test_immutable_takes_exactly_its_fields():
+    """_set refuses too few or too many values with a ValueError."""
+    class Pair(Immutable):
+        _fields = ("a", "b")
+
+        def __init__(self, *values):
+            self._set(*values)
+
+    assert Pair(1, 2)._values() == (1, 2)
+    for values in ((1,), (1, 2, 3)):
+        with pytest.raises(ValueError, match="Pair takes 2 fields, got"):
+            Pair(*values)
 
 
 R = QuadraticNumber(0, 1, Fraction(1, 2))  # sqrt(1/2)
