@@ -114,8 +114,8 @@ def contact_structure(algebra, eta):
     if eta.degree != 1 or eta.dim != algebra.dim:
         raise InputError("eta must be a 1-form on the algebra")
     dim = algebra.dim
-    constants, scaled_eta = (ScaledMatrix.of(algebra.brackets.values()),
-                             form_matrix(eta))
+    constants = ScaledMatrix.of(algebra.brackets.values())
+    scaled_eta = form_matrix(eta)
     # d eta(e_i, e_j) = -1/2 eta([e_i, e_j]), as forms.ce_differential has it
     d = Fraction(-1, 2) * _covector_brackets(algebra, constants, scaled_eta.T)
     # [eta; D^T | e_0]: eta(xi) = 1 and, for each j, the row j of D^T,
