@@ -3,13 +3,17 @@
 Structure constants are stored densely for i < j only; the antisymmetric
 completion is synthesized on access.  The kernels (check_jacobi, ad,
 subspace_brackets, forms.ce_differential, the brackets of a covector in
-metric) read them as one matrix C = ScaledMatrix.of(brackets.values()),
-row r the bracket of the r-th stored pair.  The public kernels build C
-per call, ad only the rows and forms.ce_differential only the columns it
-reads; a contact structure builds C once, for d eta, and hands it to the
-private ones.  C is never kept on the algebra.  All values are immutable
-and every operation is a pure function, so everything here is safe to
-share across threads.
+metric and forms) read them as one matrix C = ScaledMatrix.of(brackets.
+values()), row r the bracket of the r-th stored pair.  The public kernels
+build C per call, ad only the rows and forms.ce_differential and
+forms.is_contact only the columns they read.  The private ones (_jacobi,
+_ad_matrix, _subspace_brackets, _covector_brackets) take C from their
+caller: contact_structure builds it once per structure, SymplecticAlgebra
+once per symplectic algebra, and central_quotient and central_extension
+lay out the C of the algebra they build from the integers they hold.  C
+is never kept on the algebra.  All values are immutable and every
+operation is a pure function, so everything here is safe to share across
+threads.
 """
 
 from fractions import Fraction
@@ -138,11 +142,14 @@ def check_jacobi(algebra):
     """
     if not algebra.brackets:
         return []
+    return _jacobi(algebra, ScaledMatrix.of(algebra.brackets.values()))
+
+
+def _jacobi(algebra, constants):
+    """check_jacobi from the ScaledMatrix C of the algebra's brackets, row
+    r the bracket of the r-th stored pair."""
     n = algebra.dim
-    constants = ScaledMatrix.of(algebra.brackets.values())
-    parts = [constants.re]
-    if constants.im is not None:
-        parts.append(constants.im)
+    parts = [p for p in (constants.re, constants.im) if p is not None]
     content = gcd(*chain.from_iterable(chain.from_iterable(parts)))
     if content > 1:
         parts = [[[x // content for x in row] for row in part]

@@ -8,12 +8,11 @@ multiply and which reads as rows of scalars wherever a caller iterates or
 indexes it.  C is read from the algebra's brackets once per structure,
 for d eta, and handed to every kernel that needs it again."""
 
-from fractions import Fraction
 from functools import cached_property
 
-from .algebra import COMPLEX, _ad_matrix, _covector_brackets
+from .algebra import COMPLEX, _ad_matrix
 from .errors import InputError, InternalInvariantError
-from .forms import AlternatingForm, form_matrix, is_contact
+from .forms import AlternatingForm, _deta_matrix, form_matrix, is_contact
 from .linalg import ScaledMatrix, dot, nullspace, rref
 from .polynomials import (Polynomial, format_polynomial, is_squarefree,
                           minimal_polynomial)
@@ -116,8 +115,7 @@ def contact_structure(algebra, eta):
     dim = algebra.dim
     constants = ScaledMatrix.of(algebra.brackets.values())
     scaled_eta = form_matrix(eta)
-    # d eta(e_i, e_j) = -1/2 eta([e_i, e_j]), as forms.ce_differential has it
-    d = Fraction(-1, 2) * _covector_brackets(algebra, constants, scaled_eta.T)
+    d = _deta_matrix(algebra, constants, scaled_eta.T)
     # [eta; D^T | e_0]: eta(xi) = 1 and, for each j, the row j of D^T,
     # sum_i xi_i d eta(e_i, e_j) = 0
     e0 = ScaledMatrix([[1]] + [[0]] * dim, gaussian=algebra.field == COMPLEX)

@@ -1,14 +1,21 @@
 """The two directions of the main theorem at the Lie-algebra level:
 quotient a contact algebra with central Reeb field to a symplectic
 algebra, and centrally extend a symplectic algebra to a contact one;
-plus the end-to-end K-contact analysis pipeline."""
+plus the end-to-end K-contact analysis pipeline.
 
-from fractions import Fraction
+Each theorem check runs on integer matrices built once: SymplecticAlgebra
+builds C and W = form_matrix(omega) for closedness (forms._is_closed) and
+det W; central_quotient takes the quotient's C from the coordinates of
+the projected brackets and W from B D B^T, for Jacobi (algebra._jacobi),
+closedness and det W; central_extension lays out the extension's C from
+the C and W of s, for Jacobi and d eta = -1/2 C eta^T."""
 
-from .algebra import LieAlgebra, _subspace_brackets, check_jacobi
+from functools import cached_property
+
+from .algebra import LieAlgebra, _jacobi, _subspace_brackets
 from .contact import contact_structure
 from .errors import InputError, InternalInvariantError
-from .forms import (AlternatingForm, ce_differential, form_matrix,
+from .forms import (AlternatingForm, _deta_matrix, _is_closed, form_matrix,
                     is_contact, one_form)
 from .linalg import ScaledMatrix, det
 from .metric import is_kcontact, kcontact_obstruction
@@ -18,7 +25,8 @@ from .spectral import verify_reeb_theorem
 
 
 class SymplecticAlgebra(Immutable):
-    """Even-dimensional Lie algebra with a closed nondegenerate 2-form.
+    """Even-dimensional Lie algebra with a closed nondegenerate 2-form,
+    checked on its C (constants) and W (omega_matrix), each built once.
     Immutable; equal when both fields are."""
 
     _fields = ("algebra", "omega")
@@ -28,11 +36,26 @@ class SymplecticAlgebra(Immutable):
             raise InputError("symplectic algebra must be even-dimensional")
         if omega.degree != 2 or omega.dim != algebra.dim:
             raise InputError("omega must be a 2-form on the algebra")
-        if not ce_differential(algebra, omega).is_zero:
-            raise InputError("omega is not closed (d omega != 0)")
-        if det(form_matrix(omega)) == 0:
-            raise InputError("omega is degenerate")
         self._set(algebra, omega)
+        if not _is_closed(algebra, self.constants, self.omega_matrix):
+            raise InputError("omega is not closed (d omega != 0)")
+        if det(self.omega_matrix) == 0:
+            raise InputError("omega is degenerate")
+
+    constants = cached_property(
+        lambda self: ScaledMatrix.of(self.algebra.brackets.values()))
+    omega_matrix = cached_property(lambda self: form_matrix(self.omega))
+
+
+def _with_constants(name, field, labels, pairs, table):
+    """(LieAlgebra, C) from the ScaledMatrix table, row t the bracket of
+    the t-th pair: C holds its nonzero rows, which are the brackets the
+    algebra stores, in the order it stores them."""
+    kept = [t for t, row in enumerate(table.re)
+            if any(row) or table.im and any(table.im[t])]
+    constants = table.map_parts(lambda part: [part[t] for t in kept])
+    return LieAlgebra(name, len(labels), field, {
+        pairs[t]: row for t, row in zip(kept, constants)}, labels), constants
 
 
 def central_quotient(c):
@@ -52,31 +75,26 @@ def central_quotient(c):
     projected = (_subspace_brackets(c.algebra, hb, pairs, c.constants)
                  @ c.projector.T)
     f = next(i for i, x in enumerate(c.scaled_eta.numerators()[0]) if x)
-
-    def drop_f(part):
-        if part is not None:
-            return [row[:f] + row[f + 1:] for row in part]
-
-    coordinates = ScaledMatrix(drop_f(projected.re), drop_f(projected.im),
-                               projected.d, projected.gaussian)
+    coordinates = projected.map_parts(
+        lambda part: [row[:f] + row[f + 1:] for row in part])
     if coordinates @ hb != projected:
         raise InternalInvariantError(
             "a projected bracket is not in the span of the horizontal basis")
-    brackets = {pair: coordinates[t] for t, pair in enumerate(pairs)}
-    quotient = LieAlgebra(
-        name=c.algebra.name + "/center",
-        dim=m,
-        field=c.algebra.field,
-        brackets=brackets,
-        basis_labels=tuple("f%d" % (i + 1) for i in range(m)),
-    )
-    if check_jacobi(quotient):
+    quotient, constants = _with_constants(
+        c.algebra.name + "/center", c.algebra.field,
+        tuple("f%d" % (i + 1) for i in range(m)), pairs, coordinates)
+    if _jacobi(quotient, constants):
         raise InternalInvariantError(
             "central quotient violates the Jacobi identity")
     # omega(b_i, b_j) = d eta(b_i, b_j) = b_i^T D b_j, the entries of B D B^T
-    w = (hb @ c.deta_matrix @ hb.T).rows()
-    omega = AlternatingForm(m, 2, {(i, j): w[i][j] for i, j in pairs})
-    return SymplecticAlgebra(quotient, omega)  # validates closed + nondeg
+    w = hb @ c.deta_matrix @ hb.T
+    rows = w.rows()
+    omega = AlternatingForm(m, 2, {(i, j): rows[i][j] for i, j in pairs})
+    # the checks of SymplecticAlgebra read the C and W seeded here
+    s = object.__new__(SymplecticAlgebra)
+    vars(s).update(constants=constants, omega_matrix=w)
+    s.__init__(quotient, omega)
+    return s
 
 
 def central_extension(s):
@@ -89,32 +107,29 @@ def central_extension(s):
     d eta = omega (extended by zero on xi) covers both statements.
     """
     m = s.algebra.dim
-    dim = m + 1
-    brackets = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            sv = s.algebra.structure_vector(i, j)
-            coeffs = list(sv) + [Fraction(-2) * s.omega.coefficient((i, j))]
-            brackets[(i, j)] = tuple(coeffs)
-    algebra = LieAlgebra(
-        name=s.algebra.name + "+center",
-        dim=dim,
-        field=s.algebra.field,
-        brackets=brackets,
-        basis_labels=tuple(s.algebra.basis_labels) + ("xi",),
-    )
-    violations = check_jacobi(algebra)
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    index = {pair: t for t, pair in enumerate(s.algebra.brackets)}
+    zero = [0] * m
+    # row (i, j): [e_i, e_j] in s, then -2 omega(e_i, e_j)
+    table = s.constants.map_parts(
+        lambda part: [part[index[p]] if p in index else zero for p in pairs]
+    ).beside(s.omega_matrix.map_parts(
+        lambda part: [[-2 * part[i][j]] for i, j in pairs]))
+    algebra, constants = _with_constants(
+        s.algebra.name + "+center", s.algebra.field,
+        tuple(s.algebra.basis_labels) + ("xi",), pairs, table)
+    violations = _jacobi(algebra, constants)
     if violations:
         raise InternalInvariantError(
             "central extension of a closed cocycle violates Jacobi at %r"
             % (violations,))
-    eta = one_form(dim, [Fraction(0)] * m + [Fraction(1)])
-    ok, _ = is_contact(algebra, eta)
-    if not ok:
+    eta = one_form(m + 1, [0] * m + [1])
+    if not is_contact(algebra, eta)[0]:
         raise InternalInvariantError(
             "central extension of a nondegenerate cocycle is not contact")
-    if ce_differential(algebra, eta) != AlternatingForm(
-            dim, 2, s.omega.coeffs):
+    d = _deta_matrix(algebra, constants,
+                     ScaledMatrix([[int(k == m)] for k in range(m + 1)]))
+    if d[:m, :m] != s.omega_matrix or not d[m:, :].is_zero:
         raise InternalInvariantError(
             "d eta of the extension is not omega extended by zero on xi")
     return algebra, eta
@@ -123,17 +138,10 @@ def central_extension(s):
 def round_trip(s):
     """central_quotient(contact_structure(central_extension(S))) == S,
     basis-wise and coefficient-wise."""
-    algebra, eta = central_extension(s)
-    c = contact_structure(algebra, eta)
-    back = central_quotient(c)
-    if back.algebra.dim != s.algebra.dim:
-        return False
-    for i in range(s.algebra.dim):
-        for j in range(i + 1, s.algebra.dim):
-            if list(back.algebra.structure_vector(i, j)) != list(
-                    s.algebra.structure_vector(i, j)):
-                return False
-    return back.omega == s.omega
+    back = central_quotient(contact_structure(*central_extension(s)))
+    return (back.algebra.dim == s.algebra.dim
+            and back.algebra.brackets == s.algebra.brackets
+            and back.omega == s.omega)
 
 
 class MainTheoremReport(Immutable):

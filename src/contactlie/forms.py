@@ -15,7 +15,9 @@ Conventions (pinned once, used everywhere):
 The differential of a k-form is one integer product C A of the structure
 constants C (one row per stored bracket) and the matrix A of the form's
 values k(e_m, rest), one column per increasing (k-1)-tuple rest; each
-coefficient of d k is a signed sum of entries of C A.
+coefficient of d k is a signed sum of entries of C A.  The closedness
+test of a 2-form (_is_closed) reads d omega off the one product C W of
+the C and W that SymplecticAlgebra holds.
 
 The contact test never expands eta ^ (d eta)^n.  On a (2n+1)-dimensional
 algebra its coefficient on e1* ^ ... ^ e_{2n+1}* is
@@ -26,33 +28,24 @@ with the Pfaffian normalised by Pf([[0, a], [-a, 0]]) = a and the border
 taken first: same sign and value as the shuffle wedge above.  The n!
 counts the orderings of the n equal factors d eta, which the Pfaffian's
 sum over perfect matchings takes once.  linalg.pfaffian computes it by a
-fraction-free elimination of the integer numerators.
+fraction-free elimination of the integer numerators.  D is -1/2 C eta
+(_deta_matrix, which contact_structure and central_extension call with
+their own C), here with C read at the columns of eta's support only.
 """
 
 from fractions import Fraction
 from itertools import chain, combinations
 from math import factorial
 
-from .algebra import COMPLEX
+from .algebra import COMPLEX, _covector_brackets
 from .errors import InputError
 from .linalg import ScaledMatrix, det, pfaffian
 from .scalars import GaussianRational, Immutable, quote_int, to_gaussian
 
 
-def _sort_index_tuple(indices):
-    """(sorted tuple, permutation sign); sign 0 if an index repeats."""
-    indices = list(indices)
-    if len(set(indices)) != len(indices):
-        return tuple(sorted(indices)), 0
-    sign = 1
-    # insertion sort, counting swaps; tuples are tiny
-    for i in range(1, len(indices)):
-        j = i
-        while j > 0 and indices[j - 1] > indices[j]:
-            indices[j - 1], indices[j] = indices[j], indices[j - 1]
-            sign = -sign
-            j -= 1
-    return tuple(indices), sign
+def _sign(indices):
+    """The sign of the permutation that sorts the distinct indices."""
+    return -1 if sum(a > b for a, b in combinations(indices, 2)) % 2 else 1
 
 
 def _quote_key(key):
@@ -96,10 +89,11 @@ class AlternatingForm(Immutable):
 
     def coefficient(self, indices):
         """Value on the given basis indices, any order, full antisymmetry."""
-        key, sign = _sort_index_tuple(indices)
-        if sign == 0:
+        indices = tuple(indices)
+        key = tuple(sorted(indices))
+        if len(set(key)) != len(key):
             return Fraction(0)
-        return sign * self.coeffs.get(key, Fraction(0))
+        return _sign(indices) * self.coeffs.get(key, Fraction(0))
 
     def __add__(self, other):
         if (self.dim, self.degree) != (other.dim, other.degree):
@@ -173,17 +167,6 @@ def evaluate(form, *vectors):
     return total
 
 
-def _merge_sign(a, b):
-    """Sign of sorting the concatenation of two increasing disjoint tuples."""
-    sign = 1
-    for x in a:
-        # count elements of b smaller than x; x must jump over each
-        smaller = sum(1 for y in b if y < x)
-        if smaller % 2:
-            sign = -sign
-    return sign
-
-
 def wedge(a, b):
     """Shuffle-convention wedge product."""
     if a.dim != b.dim:
@@ -199,7 +182,7 @@ def wedge(a, b):
             if sa & set(kb):
                 continue
             key = tuple(sorted(ka + kb))
-            sign = _merge_sign(ka, kb)  # inversions between the two blocks
+            sign = _sign(ka + kb)
             coeffs[key] = coeffs.get(key, Fraction(0)) + sign * va * vb
     return AlternatingForm(a.dim, degree, coeffs)
 
@@ -238,9 +221,7 @@ def ce_differential(algebra, form):
         return a
 
     scaled = ScaledMatrix.of([form.coeffs.values()])
-    values = ScaledMatrix(spread(scaled.re[0]),
-                          None if scaled.im is None else spread(scaled.im[0]),
-                          scaled.d, scaled.gaussian)
+    values = scaled.map_parts(lambda part: spread(part[0]))
     constants = ScaledMatrix.of([row[m] for m in support]
                                 for row in algebra.brackets.values())
     product = constants @ values
@@ -264,6 +245,24 @@ def ce_differential(algebra, form):
     return AlternatingForm(n, k + 1, coeffs)
 
 
+def _deta_matrix(algebra, constants, eta):
+    """D[i][j] = d eta(e_i, e_j) = -1/2 eta([e_i, e_j]): -1/2 C eta for the
+    column eta, scattered into a skew matrix."""
+    return Fraction(-1, 2) * _covector_brackets(algebra, constants, eta)
+
+
+def _is_closed(algebra, constants, w):
+    """Whether the 2-form with skew matrix W is closed: row (a, b) of C W
+    holds omega([e_a, e_b], e_c), and d omega(e_a, e_b, e_c) = 0 exactly
+    when the cyclic sum of three such entries is, in each part."""
+    cw, zero = constants @ w, [0] * algebra.dim
+    parts = [dict(zip(algebra.brackets, part)).get
+             for part in filter(None, (cw.re, cw.im))]
+    return not any(row((a, b), zero)[c] + row((b, c), zero)[a]
+                   - row((a, c), zero)[b] for row in parts
+                   for a, b, c in combinations(range(algebra.dim), 3))
+
+
 def is_contact(algebra, eta):
     """(verdict, top coefficient) of eta ^ (d eta)^n on a (2n+1)-dim algebra.
 
@@ -275,9 +274,15 @@ def is_contact(algebra, eta):
         raise InputError("contact form must be a 1-form")
     if algebra.dim % 2 == 0:
         raise InputError("contact requires odd dimension, got %d" % algebra.dim)
+    if eta.dim != algebra.dim:
+        raise InputError("form does not live on this algebra")
     n = (algebra.dim - 1) // 2
-    e = form_matrix(eta)
-    d = form_matrix(ce_differential(algebra, eta))
+    e = ScaledMatrix.of([[eta.coeffs.get((m,), 0) for m in range(eta.dim)]])
+    support = [m for (m,) in eta.coeffs] or [0]  # one column for eta = 0
+    d = _deta_matrix(
+        algebra, ScaledMatrix.of([row[m] for m in support]
+                                 for row in algebra.brackets.values()),
+        ScaledMatrix.of([eta.coeffs.get((m,), 0)] for m in support))
     # the row [0 | eta] over the rows [-eta^T | D]
     top, rest = ScaledMatrix([[0]]).beside(e), (-e.T).beside(d)
     coeff = factorial(n) * pfaffian(top.T.beside(rest.T).T)

@@ -83,10 +83,11 @@ class ScaledMatrix:
 
     Supports @, +, -, negation, rational multiples k * m, the transpose
     T, == (exact, by cross-multiplication), is_zero, blocks m[rows, cols],
-    beside (the columns of two matrices side by side) and inverse; rref
-    takes it too.  of() and rows() convert from and to lists of scalars,
-    and len(m), iteration and m[i] read it as a sequence of rows, each a
-    tuple of scalars converted when it is read.
+    beside (the columns of two matrices side by side), map_parts (one map
+    of the real and the imaginary rows) and inverse; rref takes it too.
+    of() and rows() convert from and to lists of scalars, and len(m),
+    iteration and m[i] read it as a sequence of rows, each a tuple of
+    scalars converted when it is read.
     """
 
     __slots__ = ("re", "im", "d", "gaussian")
@@ -161,11 +162,14 @@ class ScaledMatrix:
     def is_zero(self):
         return self.im is None and not any(map(any, self.re))
 
+    def map_parts(self, f):
+        """The matrix with the integer rows f(re) and f(im), over d."""
+        return ScaledMatrix(f(self.re), self.im and f(self.im), self.d,
+                            self.gaussian)
+
     @property
     def T(self):
-        im = None if self.im is None else [list(c) for c in zip(*self.im)]
-        return ScaledMatrix([list(c) for c in zip(*self.re)], im, self.d,
-                            self.gaussian)
+        return self.map_parts(lambda part: [list(c) for c in zip(*part)])
 
     def __getitem__(self, key):
         """Row m[i] as a tuple of scalars, or the block m[rows, cols] for a
@@ -178,9 +182,7 @@ class ScaledMatrix:
                         self.gaussian)
 
     def __neg__(self):
-        im = None if self.im is None else [list(map(neg, r)) for r in self.im]
-        return ScaledMatrix([list(map(neg, r)) for r in self.re], im,
-                            self.d, self.gaussian)
+        return self.map_parts(lambda part: [list(map(neg, r)) for r in part])
 
     def __rmul__(self, k):
         """k * m for an int or Fraction k."""

@@ -114,11 +114,9 @@ def levi_civita(algebra, g):
     # g(nabla_{e_i} e_j, .); G and G^-1 are symmetric
     s = ScaledMatrix.of([algebra.structure_vector(a, b)
                          for a in range(n) for b in range(n)]) @ g.matrix
-    parts = [[[p[j * n + k][i] + p[i * n + k][j] + p[j * n + i][k]
-               for k in range(n)] for i in range(n) for j in range(n)]
-             for p in ([s.re] if s.im is None else [s.re, s.im])]
-    koszul = Fraction(-1, 2) * ScaledMatrix(*parts, d=s.d,
-                                            gaussian=s.gaussian)
+    koszul = Fraction(-1, 2) * s.map_parts(lambda p: [
+        [p[j * n + k][i] + p[i * n + k][j] + p[j * n + i][k]
+         for k in range(n)] for i in range(n) for j in range(n)])
     gamma = (koszul @ g.inverse).rows()
     return Connection(tuple(tuple(tuple(gamma[i * n + j]) for j in range(n))
                             for i in range(n)))
@@ -359,7 +357,9 @@ def skew_normal_form(b):
     rows (B u / b, u) and the block b, else u is a kernel row.  Reading b
     off B u rather than off the eigenvalue b^2 keeps a zero block at
     rounding level although -B^2 has its eigenvalues only to within
-    rounding of the largest.
+    rounding of the largest.  All of it, and both final checks, run on B
+    scaled to a largest entry in [1/2, 1), so BLOCK_TOL and the residual
+    bound are relative to that entry; B and 2^k B give the same Q.
     """
     try:
         b = [[float(x) for x in row] for row in b]
@@ -373,12 +373,12 @@ def skew_normal_form(b):
     if any(abs(x + y) > SKEW_INPUT_TOL
            for row, col in zip(b, zip(*b)) for x, y in zip(row, col)):
         raise InputError("matrix is not skew-symmetric within 1e-12")
-    # Jacobi runs on B scaled down exactly, by a power of two, to entries
-    # below 1, so that no dot product overflows; its eigenvectors are B's
-    top = max((abs(x) for row in b for x in row), default=0.0)
-    scale = ldexp(1.0, -max(frexp(top)[1], 0))
+    # B scaled exactly, by 2^-e, to a largest entry in [1/2, 1): no dot
+    # product overflows, and its blocks times 2^e are B's
+    e = frexp(max((abs(x) for row in b for x in row), default=0.0))[1]
+    b = [[ldexp(x, -e) for x in row] for row in b]
     pairs, kernel, chosen = [], [], []
-    for v in _jacobi_eigenvectors([[x * scale for x in row] for row in b]):
+    for v in _jacobi_eigenvectors(b):
         if len(chosen) == n:
             break
         u = _project_off(v, chosen)
@@ -400,8 +400,7 @@ def skew_normal_form(b):
         tuple(u) for u in kernel)
     form = SkewNormalForm(q=q, blocks=tuple(value for value, _, _ in pairs),
                           zero_count=len(kernel))
-    # written as "not <=" so that a NaN, from a product that overflowed,
-    # fails the check
+    # written as "not <=" so that a NaN fails the check
     if len(q) != n or any(not abs(dot(x, y) - (i == j)) <= ORTHOGONAL_TOL
                           for i, x in enumerate(q)
                           for j, y in enumerate(q)):
@@ -412,7 +411,11 @@ def skew_normal_form(b):
            for y, z in zip(q, row)):
         raise InternalInvariantError(
             "skew normal form residual exceeds 1e-10")
-    return form
+    try:
+        return SkewNormalForm(q, tuple(ldexp(x, e) for x in form.blocks),
+                              form.zero_count)
+    except OverflowError:
+        raise InputError("a block value is beyond the binary64 range")
 
 
 def construct_associated_metric(c, horizontal_frame=None):

@@ -329,17 +329,27 @@ def test_normal_form_rejects_malformed_entries(capsys, tmp_path):
         assert code == 2 and error in doc["error"], text
 
 
-def test_normal_form_huge_entries_exit_3(capsys, tmp_path):
-    """A finite skew matrix whose products overflow ends in the invariant
-    exit code, with valid JSON (no NaN) on stdout."""
+def test_normal_form_huge_entries_exit_0(capsys, tmp_path):
+    """A finite skew matrix of entries near 1e200 has a normal form, its
+    blocks near 1e200, written as valid JSON (no NaN or Infinity); one
+    whose block is beyond the binary64 range is an input error."""
     a, x = 1e200, 3e200
     p = tmp_path / "m.json"
     p.write_text(json.dumps(
         [[0, a, a, a], [-a, 0, a, -a], [-a, -a, 0, x], [-a, a, -x, 0]]))
-    assert main(["--json", "normal-form", "--skew-matrix", str(p)]) == 3
+    assert main(["--json", "normal-form", "--skew-matrix", str(p)]) == 0
     doc = json.loads(capsys.readouterr().out,
                      parse_constant=lambda c: pytest.fail(c))
-    assert doc["exit_code"] == 3 and doc["kind"] == "internal-invariant"
+    assert doc["exit_code"] == 0 and doc["zero_count"] == 0
+    assert [round(b / 1e200, 9) for b in doc["blocks"]] == [3.449489743,
+                                                            1.449489743]
+    big = 1.5e308
+    p.write_text(json.dumps([[(i < j) * big - (i > j) * big
+                              for j in range(4)] for i in range(4)]))
+    assert main(["--json", "normal-form", "--skew-matrix", str(p)]) == 2
+    doc = json.loads(capsys.readouterr().out,
+                     parse_constant=lambda c: pytest.fail(c))
+    assert "binary64" in doc["error"]
 
 
 def test_normal_form_rejects_nonskew(capsys, tmp_path):

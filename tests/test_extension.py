@@ -13,8 +13,7 @@ from contactlie.extension import (MainTheoremReport, SymplecticAlgebra,
                                   analyze_kcontact, central_extension,
                                   central_quotient, round_trip)
 from contactlie.fileformat import load
-from contactlie.forms import (AlternatingForm, ce_differential, is_contact,
-                              two_form)
+from contactlie.forms import ce_differential, is_contact, two_form
 from contactlie.linalg import ScaledMatrix
 from contactlie.metric import construct_associated_metric
 from contactlie.polynomials import format_polynomial
@@ -61,14 +60,15 @@ def test_central_extension_rejects_d_eta_off_omega(monkeypatch, key):
     """d eta off by one coefficient, on the base (d eta != omega there) or
     against xi (xi is not the Reeb field), fails the one d eta check."""
     s = CAT["aff1_aff1_sympl"].symplectic()
+    original = extension._deta_matrix
 
-    def perturbed(algebra, form):
-        d = ce_differential(algebra, form)
-        coeffs = dict(d.coeffs)
-        coeffs[key] = coeffs.get(key, 0) + 1
-        return AlternatingForm(d.dim, d.degree, coeffs)
+    def perturbed(algebra, constants, eta):
+        d = original(algebra, constants, eta)
+        n = len(d)
+        return d + ScaledMatrix([[((a, b) == key) - ((b, a) == key)
+                                  for b in range(n)] for a in range(n)])
 
-    monkeypatch.setattr(extension, "ce_differential", perturbed)
+    monkeypatch.setattr(extension, "_deta_matrix", perturbed)
     with pytest.raises(InternalInvariantError, match="d eta"):
         central_extension(s)
 

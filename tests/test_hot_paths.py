@@ -224,15 +224,38 @@ def test_central_extension_checks_d_eta_without_a_contact_structure(
         calls.clear()
         central_extension(s)
         assert calls["contact_structure"] == calls["_validate"] == 0, name
-        # one in is_contact, one for d eta = omega
-        assert calls["ce_differential"] <= 2, (name, calls)
+        # is_contact and the check d eta = omega read d eta off C eta
+        assert calls["ce_differential"] == 0, (name, calls)
+
+
+def test_extension_layer_checks_on_the_matrices_it_holds(monkeypatch):
+    """central_quotient checks the quotient, and central_extension the
+    extension, on the integer matrices they already hold: with the public
+    check_jacobi, ce_differential and form_matrix patched to raise, both
+    pass on every central catalog entry and every symplectic one, and
+    the extension of a quotient rebuilds nothing either."""
+    structures = [c for c in (e.contact() for e in CAT.values()
+                              if e.kind == "contact") if c.ad_reeb_is_zero]
+    symplectic = [e.symplectic() for e in CAT.values()
+                  if e.kind == "symplectic"]
+    assert len(structures) == 4 and len(symplectic) == 3
+    forbid(monkeypatch, contactlie.algebra, "check_jacobi")
+    for name in ("ce_differential", "form_matrix"):
+        forbid(monkeypatch, contactlie.forms, name)
+    for c in structures:
+        s = central_quotient(c)
+        assert s.algebra.dim == c.algebra.dim - 1
+        symplectic.append(s)
+    for s in symplectic:
+        algebra, eta = central_extension(s)
+        assert algebra.dim == s.algebra.dim + 1
 
 
 def test_analyze_kcontact_reads_eta_and_d_eta_off_the_structure(
         monkeypatch):
-    """No matrix or coefficient row of a form on g is rebuilt; the one
-    form_matrix call left is SymplecticAlgebra checking the quotient's
-    omega, a form on g / <xi>."""
+    """No matrix or coefficient row of a form is rebuilt: neither of eta
+    or d eta on g, nor of the quotient's omega, whose matrix the central
+    quotient hands to SymplecticAlgebra."""
     dims = Counter()
     for name in ("form_matrix", "evaluate"):
         def make(original, name=name):
@@ -246,8 +269,7 @@ def test_analyze_kcontact_reads_eta_and_d_eta_off_the_structure(
         c = e.contact()
         dims.clear()
         analyze_kcontact(c, e.metric)
-        assert set(dims) <= {("form_matrix", e.algebra.dim - 1)}, (
-            name, dims)
+        assert not dims, (name, dims)
 
 
 def test_root_decomposition_picks_image_pairs_in_one_elimination(

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from contactlie.algebra import complexify
 from contactlie.catalog import catalog
 from contactlie.contact import contact_structure
-from contactlie.errors import InputError, InternalInvariantError
+from contactlie.errors import InputError
 from contactlie.forms import complexify_form
 from contactlie.linalg import det
 from contactlie.metric import (MetricData, compute_h, compute_phi,
@@ -393,14 +394,45 @@ def test_skew_normal_form_rejects_nonskew():
         skew_normal_form(np.eye(3))
 
 
-def test_skew_normal_form_huge_entries_fail_the_checks():
-    """Entries of 1e200 are finite and skew, but B u overflows to inf and
-    Q B Q^t cannot meet the absolute 1e-10: an invariant error, not a
-    normal form of NaN rows."""
-    a, x = 1e200, 3e200
-    b = [[0, a, a, a], [-a, 0, a, -a], [-a, -a, 0, x], [-a, a, -x, 0]]
-    with pytest.raises(InternalInvariantError):
-        skew_normal_form(b)
+def test_skew_normal_form_huge_entries_scale_back():
+    """Entries of 1e200 are finite and skew: 1e200 S for the S below, whose
+    blocks are sqrt(7 +- sqrt(24)) (b1^2 + b2^2 = 14 and b1 b2 = Pf S =
+    5).  The normal form is S's, with the blocks scaled back; a block
+    beyond the binary64 range is an input error, not inf."""
+    s = [[0, 1, 1, 1], [-1, 0, 1, -1], [-1, -1, 0, 3], [-1, 1, -3, 0]]
+    nf = skew_normal_form([[1e200 * x for x in row] for row in s])
+    assert nf.zero_count == 0
+    assert np.allclose(nf.blocks, [1e200 * math.sqrt(7 + math.sqrt(24)),
+                                   1e200 * math.sqrt(7 - math.sqrt(24))],
+                       rtol=1e-12, atol=0)
+    q = np.array(nf.q)
+    assert np.max(np.abs(q @ q.T - np.eye(4))) <= 1e-12
+    assert np.max(np.abs(q @ np.array(s, float) @ q.T * 1e200
+                         - np.array(nf.block_matrix()))) <= 1e190
+    # the largest block of a dense all-ones S is 1 + sqrt(2) > 1.7977 / 1.5
+    ones = [[(i < j) - (i > j) for j in range(4)] for i in range(4)]
+    with pytest.raises(InputError, match="binary64"):
+        skew_normal_form([[1.5e308 * x for x in row] for row in ones])
+
+
+def test_skew_normal_form_is_scale_invariant():
+    """B and 2^k B scale to the same matrix for every k in [-60, 60], on
+    random dense B of sizes 2 to 9: Q is bit-identical and the blocks are
+    exactly 2^k times B's, with no block dropped as tiny and no residual
+    failed as large."""
+    rng = np.random.default_rng(5)
+    for size in range(2, 10):
+        a = rng.uniform(-1, 1, (size, size))
+        b = (a - a.T).tolist()
+        base = skew_normal_form(b)
+        assert base.zero_count == size % 2
+        for k in range(-60, 61):
+            nf = skew_normal_form([[math.ldexp(x, k) for x in row]
+                                   for row in b])
+            assert nf.q == base.q, (size, k)
+            assert nf.blocks == tuple(math.ldexp(x, k)
+                                      for x in base.blocks), (size, k)
+            assert nf.zero_count == base.zero_count
 
 
 def test_symplectic_is_associated():

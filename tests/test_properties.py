@@ -20,7 +20,11 @@ algebra file is json.dumps(doc, indent=2) of its own document, for random
 real and complex algebras with labels and names that need escaping.
 """
 
+import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stdout
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -32,14 +36,15 @@ from contactlie.algebra import (COMPLEX, REAL, LieAlgebra,
                                 _covector_brackets, ad, bracket,
                                 check_jacobi, complexify, subspace_brackets)
 from contactlie.catalog import abelian, catalog
+from contactlie.cli import main
 from contactlie.contact import contact_structure
 from contactlie.errors import InputError, InternalInvariantError
 from contactlie.extension import (SymplecticAlgebra, analyze_kcontact,
                                   central_extension, central_quotient)
 from contactlie.fileformat import AlgebraFile, serialize_algebra_file
-from contactlie.forms import (AlternatingForm, basis_dual, ce_differential,
-                              complexify_form, is_contact, one_form,
-                              two_form, wedge)
+from contactlie.forms import (AlternatingForm, _is_closed, basis_dual,
+                              ce_differential, complexify_form, form_matrix,
+                              is_contact, one_form, two_form, wedge)
 from contactlie.linalg import ScaledMatrix, det, pfaffian, rref
 from contactlie.metric import (MetricData, _reeb_derivative, compute_h,
                                construct_associated_metric, is_associated,
@@ -351,6 +356,37 @@ def test_dense_differential_matches_coefficient_reference(
     assert all(type(v) is expected for v in got.coeffs.values())
 
 
+@pytest.mark.parametrize("name", sorted(CAT))
+@settings(max_examples=4, deadline=None, database=None)
+@given(complexified=st.booleans(), data=st.data())
+def test_closedness_kernel_matches_the_differential(name, complexified,
+                                                    data):
+    """The closedness test on C and the matrix W of a 2-form, which reads
+    the cyclic sums off C W, agrees with d omega = 0 from ce_differential:
+    for a random 2-form omega (rarely closed), the exact d alpha of a
+    random 1-form (closed, d^2 = 0) and their sum, on every catalog
+    algebra under a dense integer P, over Q or over Q(i) with imaginary
+    parts, where d alpha + i omega' for a real omega' has a closed real
+    part only."""
+    algebra = CAT[name].algebra
+    n = algebra.dim
+    algebra = conjugate_algebra(algebra, data.draw(change_of_basis(n)))
+    if complexified:
+        algebra = complexify(algebra)
+    omega = data.draw(random_forms(n, 2, complexified))
+    exact = ce_differential(algebra, data.draw(
+        random_forms(n, 1, complexified)))
+    constants = ScaledMatrix.of(algebra.brackets.values())
+    assert _is_closed(algebra, constants, form_matrix(exact))
+    forms = [omega, omega + exact]
+    if complexified:
+        forms.append(exact + GaussianRational(0, 1) * data.draw(
+            random_forms(n, 2, False)))
+    for form in forms:
+        assert _is_closed(algebra, constants, form_matrix(form)) == \
+            ce_differential(algebra, form).is_zero
+
+
 @st.composite
 def skew_matrices(draw, max_size=10):
     """Skew-symmetric matrices of sizes 0 to max_size, rational or
@@ -370,6 +406,29 @@ def skew_matrices(draw, max_size=10):
             a[i][j] = draw(value)
             a[j][i] = -a[i][j]
     return a
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(size=st.integers(1, 8), scale=st.integers(-300, 300), data=st.data())
+def test_normal_form_exits_0_at_every_scale(size, scale, data):
+    """normal-form on a random dense skew matrix times 10^scale is valid
+    input at every scale, so it exits 0, with 2 rows per block plus the
+    zero rows."""
+    b = [[0.0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            b[i][j] = data.draw(st.floats(-1, 1)) * 10.0 ** scale
+            b[j][i] = -b[i][j]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.json")
+        with open(path, "w") as fh:
+            json.dump(b, fh)
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main(["--json", "normal-form", "--skew-matrix", path])
+    doc = json.loads(out.getvalue())
+    assert code == 0, doc
+    assert 2 * len(doc["blocks"]) + doc["zero_count"] == size
 
 
 @settings(max_examples=60, deadline=None, database=None)
