@@ -17,7 +17,7 @@ from contactlie.contact import contact_structure, reeb
 from contactlie.errors import InputError
 from contactlie.extension import (SymplecticAlgebra, analyze_kcontact,
                                   central_extension, round_trip)
-from contactlie.forms import (AlternatingForm, basis_dual, ce_differential,
+from contactlie.forms import (AlternatingForm, ce_differential,
                               complexify_form, evaluate, is_contact,
                               one_form, two_form, wedge)
 from contactlie.linalg import det
@@ -27,8 +27,7 @@ from contactlie.metric import (compute_h, compute_phi,
                                skew_normal_form)
 from contactlie.spectral import (find_dual_partner, root_decomposition,
                                  verify_graded_bracket, verify_reeb_theorem)
-from plain_linalg import (det_by_fractions, inverse_by_fractions,
-                          mat_mul_by_dot, mat_vec, transpose)
+from plain_linalg import mat_mul_by_dot, mat_vec, transpose
 
 CAT = catalog()
 
@@ -87,49 +86,6 @@ def test_criterion_1_contact_verdicts():
     ok = ok and not verdict and coeff == 0
     report(1, ok, "contact verdicts with shuffle-expansion oracle, "
                   "zero tolerance")
-
-
-def _conjugated(algebra, p):
-    """The algebra in the basis e'_a = sum_i P[i][a] e_i."""
-    n = algebra.dim
-    cols = [[Fraction(p[i][a]) for i in range(n)] for a in range(n)]
-    pinv = inverse_by_fractions([[Fraction(x) for x in row] for row in p])
-    return LieAlgebra(algebra.name + "_P", n, algebra.field, {
-        (a, b): tuple(mat_vec(pinv, bracket(algebra, cols[a], cols[b])))
-        for a in range(n) for b in range(a + 1, n)})
-
-
-def test_is_contact_matches_the_shuffle_oracle():
-    """is_contact, whose d eta reads the constants at the columns of eta's
-    support only, equals the shuffle-expansion oracle on the contact
-    catalog entries of dim <= 5, as given and under a dense integer P:
-    for eta, the zero form, e_1* and e_n* and random 1-forms with 2 and n
-    nonzero coefficients, and over the Gaussian rationals for eta and the
-    dense random form."""
-    rng = random.Random(26)
-    for name, e in sorted(CAT.items()):
-        n = e.algebra.dim
-        if e.kind != "contact" or n > 5:
-            continue
-        p = None
-        while p is None or det_by_fractions(p) == 0:
-            p = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
-        for algebra in (e.algebra, _conjugated(e.algebra, p)):
-            forms = [e.eta, one_form(n, [0] * n), basis_dual(n, 0),
-                     basis_dual(n, n - 1)]
-            for size in (2, n):
-                support = rng.sample(range(n), size)
-                forms.append(one_form(n, [
-                    Fraction(rng.choice([-2, -1, 1, 2]), rng.randint(1, 3))
-                    if k in support else 0 for k in range(n)]))
-            cases = [(algebra, eta) for eta in forms] + [
-                (complexify(algebra), complexify_form(eta))
-                for eta in (forms[0], forms[-1])]
-            for a, eta in cases:
-                ok, coeff = is_contact(a, eta)
-                assert coeff == shuffle_top_coefficient(a, eta), (
-                    name, a.name, eta.coeffs)
-                assert ok == (coeff != 0)
 
 
 def test_criterion_2_reeb_correctness():

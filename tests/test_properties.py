@@ -58,6 +58,7 @@ from contactlie.spectral import (find_dual_partner, pairing_matrix,
 from plain_linalg import (det_by_fractions, dot, inverse_by_fractions,
                           mat_mul_by_dot, mat_vec, rref_by_fractions,
                           transpose)
+from test_acceptance import shuffle_top_coefficient
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
@@ -299,6 +300,29 @@ def test_pfaffian_contact_coefficient_matches_wedge(name, complexified, data):
     assert coeff == det([[Fraction(x) for x in row] for row in p]) * before
     assert ok == (coeff != 0)
     assert ok == (not name.startswith(("abelian", "h7,", "sl2r,")))
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, e in CAT.items()
+    if e.kind == "contact" and e.algebra.dim <= 5))
+@settings(max_examples=4, deadline=None, database=None)
+@given(complexified=st.booleans(), data=st.data())
+def test_is_contact_matches_the_shuffle_oracle(name, complexified, data):
+    """is_contact, whose d eta reads the constants at the columns of eta's
+    support only, equals the shuffle-expansion oracle of test_acceptance
+    on the contact catalog entries of dim <= 5 under a dense integer P:
+    for the entry's eta and for a random 1-form of any support, the zero
+    form included, over Q or over Q(i)."""
+    e = CAT[name]
+    n = e.algebra.dim
+    algebra = conjugate_algebra(e.algebra, data.draw(change_of_basis(n)))
+    forms = [e.eta, data.draw(random_forms(n, 1, complexified))]
+    if complexified:
+        algebra, forms[0] = complexify(algebra), complexify_form(e.eta)
+    for eta in forms:
+        ok, coeff = is_contact(algebra, eta)
+        assert coeff == shuffle_top_coefficient(algebra, eta), eta.coeffs
+        assert ok == (coeff != 0)
 
 
 def random_forms(dim, degree, complexified):
