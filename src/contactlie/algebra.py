@@ -5,15 +5,15 @@ completion is synthesized on access.  The kernels (check_jacobi, ad,
 subspace_brackets, forms.ce_differential, the brackets of a covector in
 metric and forms) read them as one matrix C = ScaledMatrix.of(brackets.
 values()), row r the bracket of the r-th stored pair.  The public kernels
-build C per call, ad only the rows and forms.ce_differential and
-forms.is_contact only the columns they read.  The private ones (_jacobi,
-_ad_matrix, _subspace_brackets, _covector_brackets) take C from their
-caller: contact_structure builds it once per structure, SymplecticAlgebra
-once per symplectic algebra, and central_quotient and central_extension
-lay out the C of the algebra they build from the integers they hold.  C
-is never kept on the algebra.  All values are immutable and every
-operation is a pure function, so everything here is safe to share across
-threads.
+build C per call (check_jacobi through _jacobi), ad only the rows and
+forms.ce_differential and forms.is_contact only the columns they read.
+The private ones (_jacobi, _ad_matrix, _subspace_brackets,
+_covector_brackets) take C from their caller: contact_structure builds it
+once per structure, SymplecticAlgebra once per symplectic algebra, and
+central_quotient and central_extension lay out the C of the algebra they
+build from the integers they hold.  C is never kept on the algebra.  All
+values are immutable and every operation is a pure function, so
+everything here is safe to share across threads.
 """
 
 from fractions import Fraction
@@ -140,14 +140,16 @@ def check_jacobi(algebra):
     numerators are divided by their gcd first: J = 0 or not as before,
     with A and B, and so w, as small as the constants allow.
     """
+    return _jacobi(algebra)
+
+
+def _jacobi(algebra, constants=None):
+    """check_jacobi from the ScaledMatrix C of the algebra's brackets, row
+    r the bracket of the r-th stored pair, laid out here if not given."""
     if not algebra.brackets:
         return []
-    return _jacobi(algebra, ScaledMatrix.of(algebra.brackets.values()))
-
-
-def _jacobi(algebra, constants):
-    """check_jacobi from the ScaledMatrix C of the algebra's brackets, row
-    r the bracket of the r-th stored pair."""
+    if constants is None:
+        constants = ScaledMatrix.of(algebra.brackets.values())
     n = algebra.dim
     parts = [p for p in (constants.re, constants.im) if p is not None]
     content = gcd(*chain.from_iterable(chain.from_iterable(parts)))

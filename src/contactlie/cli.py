@@ -39,8 +39,11 @@ def _load_input(spec):
     entries = catalog()
     if spec in entries:
         e = entries[spec]
-        forms = {name: f for name, f in (("eta", e.eta), ("omega", e.omega))
-                 if f is not None}
+        forms = {}
+        if e.eta is not None:
+            forms["eta"] = e.eta
+        if e.omega is not None:
+            forms["omega"] = e.omega
         metrics = {"g": e.metric} if e.metric is not None else {}
         return AlgebraFile(algebra=e.algebra, forms=forms, metrics=metrics)
     if not os.path.exists(spec):
@@ -302,36 +305,6 @@ def _cmd_catalog(args):
     return report, text, 0
 
 
-FILE = (("file",), {})
-FORM = (("--form",), {"default": "eta"})
-OUTPUT = (("-o", "--output"), {"required": True})
-# (command, help, arguments, handler), in the order --help lists them
-COMMANDS = (
-    ("validate", "load a file and check invariants", [FILE], _cmd_validate),
-    ("contact-check", "test eta ^ (d eta)^n != 0", [FILE, FORM],
-     _cmd_contact_check),
-    ("reeb", "compute the Reeb field", [FILE, FORM], _cmd_reeb),
-    ("analyze", "full K-contact pipeline", [FILE, FORM, (("--metric",), {
-        "default": None, "help": "metric name in the input (default: g)"}),
-        (("--auto-metric",), {"action": "store_true", "help":
-                              "construct an exact associated metric"})],
-     _cmd_analyze),
-    ("roots", "root-space decomposition of ad(xi) over the complexification",
-     [FILE, FORM], _cmd_roots),
-    ("quotient", "central quotient by the Reeb line", [FILE, FORM, OUTPUT],
-     _cmd_quotient),
-    ("extend", "central extension of a symplectic algebra",
-     [FILE, (("--omega",), {"default": "omega"}), OUTPUT], _cmd_extend),
-    ("normal-form", "orthogonal normal form of a skew matrix",
-     [(("--skew-matrix",), {"required": True,
-                            "help": "JSON file holding a square matrix"})],
-     _cmd_normal_form),
-    ("catalog", "list or show built-in entries",
-     [(("action",), {"choices": ["list", "show"]}),
-      (("name",), {"nargs": "?"})], _cmd_catalog),
-)
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="contactlie",
@@ -341,11 +314,62 @@ def build_parser():
     parser.add_argument("--json", action="store_true",
                         help="emit one machine-readable JSON document")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text, arguments, func in COMMANDS:
-        p = sub.add_parser(name, help=text)
-        for flags, options in arguments:
-            p.add_argument(*flags, **options)
-        p.set_defaults(func=func)
+
+    p = sub.add_parser("validate", help="load a file and check invariants")
+    p.add_argument("file")
+    p.set_defaults(func=_cmd_validate)
+
+    p = sub.add_parser("contact-check", help="test eta ^ (d eta)^n != 0")
+    p.add_argument("file")
+    p.add_argument("--form", default="eta")
+    p.set_defaults(func=_cmd_contact_check)
+
+    p = sub.add_parser("reeb", help="compute the Reeb field")
+    p.add_argument("file")
+    p.add_argument("--form", default="eta")
+    p.set_defaults(func=_cmd_reeb)
+
+    p = sub.add_parser("analyze", help="full K-contact pipeline")
+    p.add_argument("file")
+    p.add_argument("--form", default="eta")
+    p.add_argument("--metric", default=None,
+                   help="metric name in the input (default: g)")
+    p.add_argument("--auto-metric", action="store_true",
+                   help="construct an exact associated metric")
+    p.set_defaults(func=_cmd_analyze)
+
+    p = sub.add_parser("roots",
+                       help="root-space decomposition of ad(xi) over "
+                            "the complexification")
+    p.add_argument("file")
+    p.add_argument("--form", default="eta")
+    p.set_defaults(func=_cmd_roots)
+
+    p = sub.add_parser("quotient",
+                       help="central quotient by the Reeb line")
+    p.add_argument("file")
+    p.add_argument("--form", default="eta")
+    p.add_argument("-o", "--output", required=True)
+    p.set_defaults(func=_cmd_quotient)
+
+    p = sub.add_parser("extend",
+                       help="central extension of a symplectic algebra")
+    p.add_argument("file")
+    p.add_argument("--omega", default="omega")
+    p.add_argument("-o", "--output", required=True)
+    p.set_defaults(func=_cmd_extend)
+
+    p = sub.add_parser("normal-form",
+                       help="orthogonal normal form of a skew matrix")
+    p.add_argument("--skew-matrix", required=True,
+                   help="JSON file holding a square matrix")
+    p.set_defaults(func=_cmd_normal_form)
+
+    p = sub.add_parser("catalog", help="list or show built-in entries")
+    p.add_argument("action", choices=["list", "show"])
+    p.add_argument("name", nargs="?")
+    p.set_defaults(func=_cmd_catalog)
+
     return parser
 
 

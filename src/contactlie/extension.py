@@ -7,8 +7,9 @@ Each theorem check runs on integer matrices built once: SymplecticAlgebra
 builds C and W = form_matrix(omega) for closedness (forms._is_closed) and
 det W; central_quotient takes the quotient's C from the coordinates of
 the projected brackets and W from B D B^T, for Jacobi (algebra._jacobi),
-closedness and det W; central_extension lays out the extension's C from
-the C and W of s, for Jacobi and d eta = -1/2 C eta^T."""
+and hands both to SymplecticAlgebra._checked for closedness and det W;
+central_extension lays out the extension's C from the C and W of s, for
+Jacobi and d eta = -1/2 C eta^T."""
 
 from functools import cached_property
 
@@ -45,6 +46,15 @@ class SymplecticAlgebra(Immutable):
     constants = cached_property(
         lambda self: ScaledMatrix.of(self.algebra.brackets.values()))
     omega_matrix = cached_property(lambda self: form_matrix(self.omega))
+
+    @classmethod
+    def _checked(cls, algebra, omega, constants, w):
+        """SymplecticAlgebra(algebra, omega), its checks run on the given
+        C of the algebra's brackets and skew matrix W of omega."""
+        s = object.__new__(cls)
+        vars(s).update(constants=constants, omega_matrix=w)
+        s.__init__(algebra, omega)
+        return s
 
 
 def _with_constants(name, field, labels, pairs, table):
@@ -90,11 +100,7 @@ def central_quotient(c):
     w = hb @ c.deta_matrix @ hb.T
     rows = w.rows()
     omega = AlternatingForm(m, 2, {(i, j): rows[i][j] for i, j in pairs})
-    # the checks of SymplecticAlgebra read the C and W seeded here
-    s = object.__new__(SymplecticAlgebra)
-    vars(s).update(constants=constants, omega_matrix=w)
-    s.__init__(quotient, omega)
-    return s
+    return SymplecticAlgebra._checked(quotient, omega, constants, w)
 
 
 def central_extension(s):

@@ -277,12 +277,12 @@ def is_contact(algebra, eta):
     if eta.dim != algebra.dim:
         raise InputError("form does not live on this algebra")
     n = (algebra.dim - 1) // 2
-    e = ScaledMatrix.of([[eta.coeffs.get((m,), 0) for m in range(eta.dim)]])
+    e = form_matrix(eta)
     support = [m for (m,) in eta.coeffs] or [0]  # one column for eta = 0
     d = _deta_matrix(
         algebra, ScaledMatrix.of([row[m] for m in support]
                                  for row in algebra.brackets.values()),
-        ScaledMatrix.of([eta.coeffs.get((m,), 0)] for m in support))
+        e.map_parts(lambda part: [[part[0][m]] for m in support]))
     # the row [0 | eta] over the rows [-eta^T | D]
     top, rest = ScaledMatrix([[0]]).beside(e), (-e.T).beside(d)
     coeff = factorial(n) * pfaffian(top.T.beside(rest.T).T)

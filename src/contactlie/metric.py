@@ -359,7 +359,9 @@ def skew_normal_form(b):
     rounding level although -B^2 has its eigenvalues only to within
     rounding of the largest.  All of it, and both final checks, run on B
     scaled to a largest entry in [1/2, 1), so BLOCK_TOL and the residual
-    bound are relative to that entry; B and 2^k B give the same Q.
+    bound are relative to that entry; B and 2^k B give the same Q.  They
+    read the skew part (B - B^t) / 2 of B, which the input check lets
+    differ from B by 5e-13, a difference the scaling would enlarge.
     """
     try:
         b = [[float(x) for x in row] for row in b]
@@ -377,6 +379,8 @@ def skew_normal_form(b):
     # product overflows, and its blocks times 2^e are B's
     e = frexp(max((abs(x) for row in b for x in row), default=0.0))[1]
     b = [[ldexp(x, -e) for x in row] for row in b]
+    b = [[(x - y) / 2 for x, y in zip(row, col)]
+         for row, col in zip(b, zip(*b))]
     pairs, kernel, chosen = [], [], []
     for v in _jacobi_eigenvectors(b):
         if len(chosen) == n:

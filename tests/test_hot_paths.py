@@ -231,17 +231,26 @@ def test_central_extension_checks_d_eta_without_a_contact_structure(
 def test_extension_layer_checks_on_the_matrices_it_holds(monkeypatch):
     """central_quotient checks the quotient, and central_extension the
     extension, on the integer matrices they already hold: with the public
-    check_jacobi, ce_differential and form_matrix patched to raise, both
-    pass on every central catalog entry and every symplectic one, and
-    the extension of a quotient rebuilds nothing either."""
+    check_jacobi and ce_differential, and form_matrix on a 2-form,
+    patched to raise, both pass on every central catalog entry and every
+    symplectic one, and the extension of a quotient rebuilds nothing
+    either.  The quotients of the Heisenberg algebras are abelian, and
+    their Jacobi check returns before it reads C."""
     structures = [c for c in (e.contact() for e in CAT.values()
                               if e.kind == "contact") if c.ad_reeb_is_zero]
     symplectic = [e.symplectic() for e in CAT.values()
                   if e.kind == "symplectic"]
     assert len(structures) == 4 and len(symplectic) == 3
     forbid(monkeypatch, contactlie.algebra, "check_jacobi")
-    for name in ("ce_differential", "form_matrix"):
-        forbid(monkeypatch, contactlie.forms, name)
+    forbid(monkeypatch, contactlie.forms, "ce_differential")
+
+    def make(original):
+        def one_forms_only(form):
+            assert form.degree == 1, "form_matrix of a 2-form reached"
+            return original(form)
+        return one_forms_only
+
+    replace(monkeypatch, contactlie.forms, "form_matrix", make)
     for c in structures:
         s = central_quotient(c)
         assert s.algebra.dim == c.algebra.dim - 1
@@ -249,6 +258,13 @@ def test_extension_layer_checks_on_the_matrices_it_holds(monkeypatch):
     for s in symplectic:
         algebra, eta = central_extension(s)
         assert algebra.dim == s.algebra.dim + 1
+    heisenberg = [c for c in structures
+                  if c.algebra.name.startswith("heisenberg")]
+    assert len(heisenberg) == 3
+    # gcd is the first step of the Jacobi kernel after the early return
+    monkeypatch.setattr(contactlie.algebra, "gcd", None)
+    for c in heisenberg:
+        assert central_quotient(c).algebra.brackets == {}
 
 
 def test_analyze_kcontact_reads_eta_and_d_eta_off_the_structure(

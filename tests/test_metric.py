@@ -435,6 +435,22 @@ def test_skew_normal_form_is_scale_invariant():
             assert nf.zero_count == base.zero_count
 
 
+def test_skew_normal_form_of_near_skew_small_entries():
+    """A matrix that is skew only within the input check's 1e-12 has a
+    normal form at entries far below 1 too: the checks read its skew
+    part, so the asymmetry is not scaled up with the entries.  The
+    blocks are those of the skew part, 1.5 a for the 3 x 3 below."""
+    nf = skew_normal_form([[0, 1e-3], [-1e-3 + 5e-13, 0]])
+    assert nf.zero_count == 0
+    assert nf.blocks == (pytest.approx(1e-3 - 2.5e-13, rel=1e-12),)
+    for k in (-30, -20, -10, -7):
+        a = math.ldexp(1.0, k)
+        nf = skew_normal_form([[0, a, a / 2], [-a + 9e-13, 0, a],
+                               [-a / 2, -a - 9e-13, 0]])
+        assert nf.zero_count == 1, k
+        assert nf.blocks == (pytest.approx(1.5 * a, rel=1e-3),), k
+
+
 def test_symplectic_is_associated():
     e = CAT["r2_sympl"]
     k = MetricData.from_diag([Fraction(1), Fraction(1)])

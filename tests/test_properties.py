@@ -435,14 +435,15 @@ def skew_matrices(draw, max_size=10):
 @settings(max_examples=30, deadline=None, database=None)
 @given(size=st.integers(1, 8), scale=st.integers(-300, 300), data=st.data())
 def test_normal_form_exits_0_at_every_scale(size, scale, data):
-    """normal-form on a random dense skew matrix times 10^scale is valid
-    input at every scale, so it exits 0, with 2 rows per block plus the
-    zero rows."""
+    """normal-form on a random dense skew matrix times 10^scale, each
+    entry below the diagonal then moved by up to 9e-13 (the input check
+    allows 1e-12), is valid input at every scale, so it exits 0, with 2
+    rows per block plus the zero rows."""
     b = [[0.0] * size for _ in range(size)]
     for i in range(size):
         for j in range(i + 1, size):
             b[i][j] = data.draw(st.floats(-1, 1)) * 10.0 ** scale
-            b[j][i] = -b[i][j]
+            b[j][i] = -b[i][j] + data.draw(st.floats(-9e-13, 9e-13))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "m.json")
         with open(path, "w") as fh:
