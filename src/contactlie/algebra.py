@@ -2,21 +2,19 @@
 
 Structure constants are stored densely for i < j only; the antisymmetric
 completion is synthesized on access.  The kernels (check_jacobi, ad,
-subspace_brackets, forms.ce_differential, the brackets of a covector in
-metric and forms) read them as one matrix C = ScaledMatrix.of(brackets.
-values()), row r the bracket of the r-th stored pair.  The public kernels
-build C per call (check_jacobi through _jacobi), ad only the rows and
-forms.ce_differential and forms.is_contact only the columns they read.
-The private ones (_jacobi, _ad_matrix, _subspace_brackets,
-_covector_brackets) take C from their caller: contact_structure builds it
-once per structure, SymplecticAlgebra once per symplectic algebra, and
-central_quotient and central_extension lay out the C of the algebra they
-build from the integers they hold.  C is never kept on the algebra.  All
-values are immutable and every operation is a pure function, so
-everything here is safe to share across threads.
+subspace_brackets, forms.ce_differential and forms.is_contact, the
+brackets of a covector in metric and forms) read them as one matrix C,
+row r the bracket of the r-th stored pair: LieAlgebra.constants, built
+once per algebra from its brackets on first use, or seeded by
+LieAlgebra._of_constants for an algebra that central_quotient or
+central_extension builds from the integers it holds.  All values are
+immutable and every operation is a pure function; two threads that read
+constants first at once may each build C, equal matrices of which one is
+kept, so everything here is safe to share across threads.
 """
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from math import gcd
 from operator import mul
@@ -34,7 +32,8 @@ class LieAlgebra(Immutable):
 
     brackets maps (i, j) with i < j to the coefficient tuple of [e_i, e_j];
     pairs with zero bracket may be omitted.  Immutable; equal when every
-    field is.
+    field is, and copied and pickled by its fields: the cached constants
+    are neither compared nor pickled.
     """
 
     _fields = ("name", "dim", "field", "brackets", "basis_labels")
@@ -64,6 +63,29 @@ class LieAlgebra(Immutable):
         if len(labels) != dim:
             raise InputError("expected %d basis labels" % dim)
         self._set(name, dim, field, clean, labels)
+
+    @cached_property
+    def constants(self):
+        """C, the ScaledMatrix whose row r is the bracket of the r-th stored
+        pair, built on first use."""
+        return ScaledMatrix.of(self.brackets.values())
+
+    @classmethod
+    def _of_constants(cls, name, field, labels, pairs, table):
+        """The algebra whose brackets are the nonzero rows of the ScaledMatrix
+        table, row t the bracket of pairs[t], in that order, with those rows
+        seeded as its constants.  With no row kept, no scalar is read and C
+        is not Gaussian, as ScaledMatrix.of gives it."""
+        kept = [t for t, row in enumerate(table.re)
+                if any(row) or table.im and any(table.im[t])]
+        constants = ScaledMatrix(
+            [table.re[t] for t in kept],
+            table.im and [table.im[t] for t in kept], table.d,
+            table.gaussian and bool(kept))
+        algebra = cls(name, len(labels), field, {
+            pairs[t]: row for t, row in zip(kept, constants)}, labels)
+        vars(algebra)["constants"] = constants
+        return algebra
 
     # -- elementary accessors ---------------------------------------------
 
@@ -134,23 +156,15 @@ def check_jacobi(algebra):
     c c', and |aa' - bb'|, |ab' + ba'| <= A^2 + B^2, so |d_m| < 2^(w-1).
     If some d_m != 0, let M be the largest such m: the lower digits sum to
     at most (2^(w-1) - 1) (2^(w M) - 1) / (2^w - 1) < 2^(w M) <= |d_M 2^(w
-    M)| in absolute value, so J != 0.  C and the packed table are built
-    per call, and not at all for an algebra with no stored bracket.  The
+    M)| in absolute value, so J != 0.  The packed table is built per call,
+    and neither it nor C for an algebra with no stored bracket.  The
     Jacobiator is homogeneous quadratic in the constants, so the
     numerators are divided by their gcd first: J = 0 or not as before,
     with A and B, and so w, as small as the constants allow.
     """
-    return _jacobi(algebra)
-
-
-def _jacobi(algebra, constants=None):
-    """check_jacobi from the ScaledMatrix C of the algebra's brackets, row
-    r the bracket of the r-th stored pair, laid out here if not given."""
     if not algebra.brackets:
         return []
-    if constants is None:
-        constants = ScaledMatrix.of(algebra.brackets.values())
-    n = algebra.dim
+    n, constants = algebra.dim, algebra.constants
     parts = [p for p in (constants.re, constants.im) if p is not None]
     content = gcd(*chain.from_iterable(chain.from_iterable(parts)))
     if content > 1:
@@ -210,17 +224,12 @@ def _over_field(algebra, rows, d):
                         m.gaussian or algebra.field == COMPLEX)
 
 
-def _ad_matrix(algebra, xs, constants=None):
+def _ad_matrix(algebra, xs):
     """ad(x) as a ScaledMatrix for the one row x of xs: column j holds the
-    coordinates of [x, e_j], sum_a x_a [e_a, e_j], from C when given,
-    else from the rows of C for the stored pairs that meet the support of
-    x only."""
-    x = xs.numerators()[0]
-    pairs = algebra.brackets
-    if constants is None:
-        pairs = [(a, b) for a, b in pairs if x[a] or x[b]]
-        constants = ScaledMatrix.of(algebra.brackets[pair] for pair in pairs)
-    rows = _ad_numerators(pairs, constants.numerators(), x, algebra.dim)
+    coordinates of [x, e_j], sum_a x_a [e_a, e_j]."""
+    constants = algebra.constants
+    rows = _ad_numerators(algebra.brackets, constants.numerators(),
+                          xs.numerators()[0], algebra.dim)
     return _over_field(algebra, rows, constants.d * xs.d)
 
 
@@ -240,14 +249,7 @@ def subspace_brackets(algebra, basis, pairs):
     computed as ad(b_i) b_j: summed in integers over the denominators of
     B and C, with one division.
     """
-    return _subspace_brackets(algebra, basis, pairs,
-                              ScaledMatrix.of(algebra.brackets.values()))
-
-
-def _subspace_brackets(algebra, basis, pairs, constants):
-    """subspace_brackets from the ScaledMatrix C of the algebra's
-    brackets."""
-    n = algebra.dim
+    n, constants = algebra.dim, algebra.constants
     b = ScaledMatrix.of(basis)
     if any(len(row) != n for row in b.re):
         raise InputError("vector length does not match algebra dimension")
@@ -259,12 +261,11 @@ def _subspace_brackets(algebra, basis, pairs, constants):
                        constants.d * b.d * b.d)
 
 
-def _covector_brackets(algebra, constants, w):
-    """W[j][k] = w([e_j, e_k]) for the column w and the ScaledMatrix C of
-    the algebra's brackets: the entries of C w scattered into a skew
-    matrix, Gaussian over the complex field."""
+def _covector_brackets(algebra, w):
+    """W[j][k] = w([e_j, e_k]) for the column w: the entries of C w
+    scattered into a skew matrix, Gaussian over the complex field."""
     n = algebra.dim
-    cw = constants @ w
+    cw = algebra.constants @ w
     skew = []
     for part in [cw.re] if cw.im is None else [cw.re, cw.im]:
         rows = [[0] * n for _ in range(n)]

@@ -1,12 +1,12 @@
 """Validated contact structures: Reeb field, horizontal distribution and
 the splitting X = eta(X) xi + HX.
 
-Each matrix of a structure (the structure constants C, eta, xi, d eta,
-the horizontal basis, the projector and ad(xi)) is held once, as a
-ScaledMatrix, which the checks here and in metric, spectral and extension
-multiply and which reads as rows of scalars wherever a caller iterates or
-indexes it.  C is read from the algebra's brackets once per structure,
-for d eta, and handed to every kernel that needs it again."""
+Each matrix of a structure (eta, xi, d eta, the horizontal basis, the
+projector and ad(xi)) is held once, as a ScaledMatrix, which the checks
+here and in metric, spectral and extension multiply and which reads as
+rows of scalars wherever a caller iterates or indexes it.  The structure
+constants C are the algebra's own (LieAlgebra.constants), built once per
+algebra on first use, and every kernel reads them there."""
 
 from functools import cached_property
 
@@ -22,25 +22,24 @@ from .scalars import Immutable
 class ContactStructure(Immutable):
     """A contact Lie algebra together with its derived data.
 
-    constants (C, row r the bracket of the r-th stored pair of the
-    algebra), scaled_eta (eta as a row), scaled_reeb (xi as a column),
-    horizontal_basis (one row per vector of ker eta), projector (P = I -
-    xi (x) eta, the projection onto the horizontal space along the Reeb
-    line) and deta_matrix (D[i][j] = d eta(e_i, e_j)) are ScaledMatrices
-    kept from the Reeb solve.  ad(xi) as a ScaledMatrix, whether it is
-    zero, its minimal polynomial, whether that polynomial is squarefree
+    scaled_eta (eta as a row), scaled_reeb (xi as a column), horizontal_basis
+    (one row per vector of ker eta), projector (P = I - xi (x) eta, the
+    projection onto the horizontal space along the Reeb line) and
+    deta_matrix (D[i][j] = d eta(e_i, e_j)) are ScaledMatrices kept from
+    the Reeb solve.  ad(xi) as a ScaledMatrix, whether it is zero, its
+    minimal polynomial, whether that polynomial is squarefree
     (ad_reeb_diagonalizable), xi and eta as tuples of scalars (reeb,
     eta_row) and d eta as an AlternatingForm (deta) are computed at most
-    once per structure, on first use.  Immutable; equal when the eight
+    once per structure, on first use.  Immutable; equal when the seven
     fields are.
     """
 
-    _fields = ("algebra", "constants", "eta", "scaled_eta", "scaled_reeb",
+    _fields = ("algebra", "eta", "scaled_eta", "scaled_reeb",
                "horizontal_basis", "projector", "deta_matrix")
 
-    def __init__(self, algebra, constants, eta, scaled_eta, scaled_reeb,
+    def __init__(self, algebra, eta, scaled_eta, scaled_reeb,
                  horizontal_basis, projector, deta_matrix):
-        self._set(algebra, constants, eta, scaled_eta, scaled_reeb,
+        self._set(algebra, eta, scaled_eta, scaled_reeb,
                   horizontal_basis, projector, deta_matrix)
 
     @property
@@ -64,7 +63,7 @@ class ContactStructure(Immutable):
 
     @cached_property
     def ad_reeb(self):
-        return _ad_matrix(self.algebra, self.scaled_reeb.T, self.constants)
+        return _ad_matrix(self.algebra, self.scaled_reeb.T)
 
     @cached_property
     def ad_reeb_is_zero(self):
@@ -113,9 +112,8 @@ def contact_structure(algebra, eta):
     if eta.degree != 1 or eta.dim != algebra.dim:
         raise InputError("eta must be a 1-form on the algebra")
     dim = algebra.dim
-    constants = ScaledMatrix.of(algebra.brackets.values())
     scaled_eta = form_matrix(eta)
-    d = _deta_matrix(algebra, constants, scaled_eta.T)
+    d = _deta_matrix(algebra, scaled_eta.T)
     # [eta; D^T | e_0]: eta(xi) = 1 and, for each j, the row j of D^T,
     # sum_i xi_i d eta(e_i, e_j) = 0
     e0 = ScaledMatrix([[1]] + [[0]] * dim, gaussian=algebra.field == COMPLEX)
@@ -133,7 +131,6 @@ def contact_structure(algebra, eta):
         raise InternalInvariantError("ker(eta) has unexpected dimension")
     structure = ContactStructure(
         algebra=algebra,
-        constants=constants,
         eta=eta,
         scaled_eta=scaled_eta,
         scaled_reeb=xi,

@@ -3,17 +3,18 @@ quotient a contact algebra with central Reeb field to a symplectic
 algebra, and centrally extend a symplectic algebra to a contact one;
 plus the end-to-end K-contact analysis pipeline.
 
-Each theorem check runs on integer matrices built once: SymplecticAlgebra
-builds C and W = form_matrix(omega) for closedness (forms._is_closed) and
-det W; central_quotient takes the quotient's C from the coordinates of
-the projected brackets and W from B D B^T, for Jacobi (algebra._jacobi),
-and hands both to SymplecticAlgebra._checked for closedness and det W;
-central_extension lays out the extension's C from the C and W of s, for
-Jacobi and d eta = -1/2 C eta^T."""
+Each theorem check runs on integer matrices built once: the algebra's
+constants C (LieAlgebra.constants) and W = form_matrix(omega), which
+SymplecticAlgebra uses for closedness (forms._is_closed) and det W.
+central_quotient builds the quotient from the coordinates of the projected
+brackets with those rows seeded as its C (LieAlgebra._of_constants), for
+Jacobi, and hands W = B D B^T to SymplecticAlgebra._checked for closedness
+and det W; central_extension builds the extension from the C of s and W
+alike, for Jacobi and d eta = -1/2 C eta^T."""
 
 from functools import cached_property
 
-from .algebra import LieAlgebra, _jacobi, _subspace_brackets
+from .algebra import LieAlgebra, check_jacobi, subspace_brackets
 from .contact import contact_structure
 from .errors import InputError, InternalInvariantError
 from .forms import (AlternatingForm, _deta_matrix, _is_closed, form_matrix,
@@ -27,8 +28,8 @@ from .spectral import verify_reeb_theorem
 
 class SymplecticAlgebra(Immutable):
     """Even-dimensional Lie algebra with a closed nondegenerate 2-form,
-    checked on its C (constants) and W (omega_matrix), each built once.
-    Immutable; equal when both fields are."""
+    checked on the algebra's constants C and on W (omega_matrix), each
+    built once.  Immutable; equal when both fields are."""
 
     _fields = ("algebra", "omega")
 
@@ -38,34 +39,21 @@ class SymplecticAlgebra(Immutable):
         if omega.degree != 2 or omega.dim != algebra.dim:
             raise InputError("omega must be a 2-form on the algebra")
         self._set(algebra, omega)
-        if not _is_closed(algebra, self.constants, self.omega_matrix):
+        if not _is_closed(algebra, self.omega_matrix):
             raise InputError("omega is not closed (d omega != 0)")
         if det(self.omega_matrix) == 0:
             raise InputError("omega is degenerate")
 
-    constants = cached_property(
-        lambda self: ScaledMatrix.of(self.algebra.brackets.values()))
     omega_matrix = cached_property(lambda self: form_matrix(self.omega))
 
     @classmethod
-    def _checked(cls, algebra, omega, constants, w):
+    def _checked(cls, algebra, omega, w):
         """SymplecticAlgebra(algebra, omega), its checks run on the given
-        C of the algebra's brackets and skew matrix W of omega."""
+        skew matrix W of omega."""
         s = object.__new__(cls)
-        vars(s).update(constants=constants, omega_matrix=w)
+        vars(s)["omega_matrix"] = w
         s.__init__(algebra, omega)
         return s
-
-
-def _with_constants(name, field, labels, pairs, table):
-    """(LieAlgebra, C) from the ScaledMatrix table, row t the bracket of
-    the t-th pair: C holds its nonzero rows, which are the brackets the
-    algebra stores, in the order it stores them."""
-    kept = [t for t, row in enumerate(table.re)
-            if any(row) or table.im and any(table.im[t])]
-    constants = table.map_parts(lambda part: [part[t] for t in kept])
-    return LieAlgebra(name, len(labels), field, {
-        pairs[t]: row for t, row in zip(kept, constants)}, labels), constants
 
 
 def central_quotient(c):
@@ -82,25 +70,24 @@ def central_quotient(c):
     # nonzero one, f, so the coordinates of a projected bracket in the
     # horizontal basis are its entries at the other columns, and one
     # product checks that they give the bracket back
-    projected = (_subspace_brackets(c.algebra, hb, pairs, c.constants)
-                 @ c.projector.T)
+    projected = subspace_brackets(c.algebra, hb, pairs) @ c.projector.T
     f = next(i for i, x in enumerate(c.scaled_eta.numerators()[0]) if x)
     coordinates = projected.map_parts(
         lambda part: [row[:f] + row[f + 1:] for row in part])
     if coordinates @ hb != projected:
         raise InternalInvariantError(
             "a projected bracket is not in the span of the horizontal basis")
-    quotient, constants = _with_constants(
+    quotient = LieAlgebra._of_constants(
         c.algebra.name + "/center", c.algebra.field,
         tuple("f%d" % (i + 1) for i in range(m)), pairs, coordinates)
-    if _jacobi(quotient, constants):
+    if check_jacobi(quotient):
         raise InternalInvariantError(
             "central quotient violates the Jacobi identity")
     # omega(b_i, b_j) = d eta(b_i, b_j) = b_i^T D b_j, the entries of B D B^T
     w = hb @ c.deta_matrix @ hb.T
     rows = w.rows()
     omega = AlternatingForm(m, 2, {(i, j): rows[i][j] for i, j in pairs})
-    return SymplecticAlgebra._checked(quotient, omega, constants, w)
+    return SymplecticAlgebra._checked(quotient, omega, w)
 
 
 def central_extension(s):
@@ -117,14 +104,14 @@ def central_extension(s):
     index = {pair: t for t, pair in enumerate(s.algebra.brackets)}
     zero = [0] * m
     # row (i, j): [e_i, e_j] in s, then -2 omega(e_i, e_j)
-    table = s.constants.map_parts(
+    table = s.algebra.constants.map_parts(
         lambda part: [part[index[p]] if p in index else zero for p in pairs]
     ).beside(s.omega_matrix.map_parts(
         lambda part: [[-2 * part[i][j]] for i, j in pairs]))
-    algebra, constants = _with_constants(
+    algebra = LieAlgebra._of_constants(
         s.algebra.name + "+center", s.algebra.field,
         tuple(s.algebra.basis_labels) + ("xi",), pairs, table)
-    violations = _jacobi(algebra, constants)
+    violations = check_jacobi(algebra)
     if violations:
         raise InternalInvariantError(
             "central extension of a closed cocycle violates Jacobi at %r"
@@ -133,7 +120,7 @@ def central_extension(s):
     if not is_contact(algebra, eta)[0]:
         raise InternalInvariantError(
             "central extension of a nondegenerate cocycle is not contact")
-    d = _deta_matrix(algebra, constants,
+    d = _deta_matrix(algebra,
                      ScaledMatrix([[int(k == m)] for k in range(m + 1)]))
     if d[:m, :m] != s.omega_matrix or not d[m:, :].is_zero:
         raise InternalInvariantError(

@@ -13,11 +13,12 @@ Conventions (pinned once, used everywhere):
   with a pinned numeric identity, the two scalings agree.
 
 The differential of a k-form is one integer product C A of the structure
-constants C (one row per stored bracket) and the matrix A of the form's
-values k(e_m, rest), one column per increasing (k-1)-tuple rest; each
-coefficient of d k is a signed sum of entries of C A.  The closedness
-test of a 2-form (_is_closed) reads d omega off the one product C W of
-the C and W that SymplecticAlgebra holds.
+constants C (one row per stored bracket, the algebra's constants, built
+once per algebra) and the matrix A of the form's values k(e_m, rest), one
+column per increasing (k-1)-tuple rest; each coefficient of d k is a
+signed sum of entries of C A.  The closedness test of a 2-form
+(_is_closed) reads d omega off the one product C W of C and the W that
+SymplecticAlgebra holds.
 
 The contact test never expands eta ^ (d eta)^n.  On a (2n+1)-dimensional
 algebra its coefficient on e1* ^ ... ^ e_{2n+1}* is
@@ -29,8 +30,7 @@ taken first: same sign and value as the shuffle wedge above.  The n!
 counts the orderings of the n equal factors d eta, which the Pfaffian's
 sum over perfect matchings takes once.  linalg.pfaffian computes it by a
 fraction-free elimination of the integer numerators.  D is -1/2 C eta
-(_deta_matrix, which contact_structure and central_extension call with
-their own C), here with C read at the columns of eta's support only.
+(_deta_matrix, which contact_structure and central_extension call too).
 """
 
 from fractions import Fraction
@@ -195,11 +195,11 @@ def ce_differential(algebra, form):
     A[m][rest] = k(e_m, rest) for every increasing (k-1)-tuple rest: the
     stored coefficient of the sorted tuple with m inserted at position
     pos, times (-1)^pos.  Only the indices m of stored coefficients give
-    rows of A, and C is read at those columns only.  Row (a, b) of the
-    one product C A holds k([e_a, e_b], rest) for every rest, so each
-    coefficient of d k is a signed sum of k(k+1)/2 entries of C A with
-    one division, in Gaussian integers only when a constant or value read
-    has a nonzero imaginary part.  The coefficients are GaussianRationals
+    rows of A, and the product takes the columns of C at those indices
+    only.  Row (a, b) of the one product C A holds k([e_a, e_b], rest) for
+    every rest, so each coefficient of d k is a signed sum of k(k+1)/2
+    entries of C A with one division, in Gaussian integers only when a
+    constant or value read has a nonzero imaginary part.  The coefficients are GaussianRationals
     over the complex field and when those constants or the form hold any.
     """
     if form.dim != algebra.dim:
@@ -222,8 +222,8 @@ def ce_differential(algebra, form):
 
     scaled = ScaledMatrix.of([form.coeffs.values()])
     values = scaled.map_parts(lambda part: spread(part[0]))
-    constants = ScaledMatrix.of([row[m] for m in support]
-                                for row in algebra.brackets.values())
+    constants = algebra.constants.map_parts(
+        lambda part: [[row[m] for m in support] for row in part])
     product = constants @ values
     gaussian = product.gaussian or algebra.field == COMPLEX
     rows = dict(zip(algebra.brackets, product.numerators()))
@@ -245,17 +245,17 @@ def ce_differential(algebra, form):
     return AlternatingForm(n, k + 1, coeffs)
 
 
-def _deta_matrix(algebra, constants, eta):
+def _deta_matrix(algebra, eta):
     """D[i][j] = d eta(e_i, e_j) = -1/2 eta([e_i, e_j]): -1/2 C eta for the
     column eta, scattered into a skew matrix."""
-    return Fraction(-1, 2) * _covector_brackets(algebra, constants, eta)
+    return Fraction(-1, 2) * _covector_brackets(algebra, eta)
 
 
-def _is_closed(algebra, constants, w):
+def _is_closed(algebra, w):
     """Whether the 2-form with skew matrix W is closed: row (a, b) of C W
     holds omega([e_a, e_b], e_c), and d omega(e_a, e_b, e_c) = 0 exactly
     when the cyclic sum of three such entries is, in each part."""
-    cw, zero = constants @ w, [0] * algebra.dim
+    cw, zero = algebra.constants @ w, [0] * algebra.dim
     parts = [dict(zip(algebra.brackets, part)).get
              for part in filter(None, (cw.re, cw.im))]
     return not any(row((a, b), zero)[c] + row((b, c), zero)[a]
@@ -278,11 +278,7 @@ def is_contact(algebra, eta):
         raise InputError("form does not live on this algebra")
     n = (algebra.dim - 1) // 2
     e = form_matrix(eta)
-    support = [m for (m,) in eta.coeffs] or [0]  # one column for eta = 0
-    d = _deta_matrix(
-        algebra, ScaledMatrix.of([row[m] for m in support]
-                                 for row in algebra.brackets.values()),
-        e.map_parts(lambda part: [[part[0][m]] for m in support]))
+    d = _deta_matrix(algebra, e.T)
     # the row [0 | eta] over the rows [-eta^T | D]
     top, rest = ScaledMatrix([[0]]).beside(e), (-e.T).beside(d)
     coeff = factorial(n) * pfaffian(top.T.beside(rest.T).T)

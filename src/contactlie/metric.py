@@ -162,7 +162,7 @@ def _reeb_derivative(c, g, ga):
     N = G^-1 K^T, and K^T = -1/2 (G A + (G A)^T - W) as W is skew.
     O(n^3), without the n^2 Christoffel vectors.
     """
-    w = _covector_brackets(c.algebra, c.constants, g.matrix @ c.scaled_reeb)
+    w = _covector_brackets(c.algebra, g.matrix @ c.scaled_reeb)
     return g.inverse @ (Fraction(-1, 2) * (ga + ga.T - w))
 
 
@@ -485,6 +485,8 @@ def symplectic_is_associated(algebra, omega, k):
     """Symplectic analogue: k is associated to omega iff the candidate J
     from k(X, J Y) = omega(X, Y) squares to -I (exact test)."""
     _require_dim(k, algebra)
+    if omega.degree != 2 or omega.dim != algebra.dim:
+        raise InputError("omega must be a 2-form on the algebra")
     if not k.is_positive_definite():
         raise InputError("metric is not positive-definite")
     w = form_matrix(omega)

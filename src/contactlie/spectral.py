@@ -199,10 +199,15 @@ def verify_graded_bracket(rd):
 def find_dual_partner(rd, x, alpha):
     """For 0 != X in g_alpha produce Y in g_{-alpha} with [X, Y] = xi + Z
     and Z in g_0 intersect H; returns (Y, Z).  For alpha = 0, X must not
-    be a multiple of xi, since [xi, g_0] = 0."""
+    be a multiple of xi, since [xi, g_0] = 0.  An alpha that is no root,
+    or an X outside g_alpha, is an InputError."""
     if vec_is_zero(list(x)):
         raise InputError("X must be nonzero")
     c = rd.contact
+    if alpha not in rd.roots:
+        raise InputError("alpha is not a root of xi")
+    if any(p != alpha * t for p, t in zip(_image(c.ad_reeb, x), x)):
+        raise InputError("X is not in g_alpha: ad(xi) X != alpha X")
     if alpha == 0 and vec_is_zero(_image(c.projector, x)):
         raise InputError(
             "X is a multiple of xi, which brackets g_0 to zero; the "

@@ -1,6 +1,8 @@
 import copy
 import pickle
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -243,3 +245,72 @@ def test_value_classes_refuse_assignment_and_deletion():
         else:
             with pytest.raises(TypeError):
                 hash(obj)
+
+
+def _fresh(algebra):
+    """A copy of the algebra built from its fields, with no constants
+    laid out yet."""
+    return LieAlgebra(algebra.name, algebra.dim, algebra.field,
+                      algebra.brackets, algebra.basis_labels)
+
+
+def test_constants_are_neither_compared_nor_pickled():
+    """C is laid out once and kept, but equality, copies and pickles read
+    the fields only: an algebra with C and one without compare equal and
+    pickle to the same bytes, and a clone lays out its own C."""
+    for e in CAT.values():
+        algebra = _fresh(e.algebra)
+        before = pickle.dumps(algebra)
+        constants = algebra.constants
+        assert algebra.constants is constants
+        assert "constants" in vars(algebra)
+        assert pickle.dumps(algebra) == before, e.algebra.name
+        assert algebra == _fresh(e.algebra) and algebra.__reduce__() == \
+            _fresh(e.algebra).__reduce__()
+        for clone in (copy.copy(algebra), copy.deepcopy(algebra),
+                      pickle.loads(before), pickle.loads(pickle.dumps(
+                          algebra))):
+            assert clone == algebra and "constants" not in vars(clone)
+            assert clone.constants == constants
+
+
+def test_first_use_of_constants_from_many_threads():
+    """Eight threads that touch a fresh algebra at once, through
+    check_jacobi, ad and contact_structure, get what one thread gets, and
+    the algebra keeps a C equal to the one laid out alone (cached_property
+    takes no lock from Python 3.12 on)."""
+    from contactlie.contact import contact_structure
+
+    threads_per_round, rounds = 8, 10
+    e = CAT["su2_aff1"]
+    x = [Fraction(k + 1, 3) for k in range(e.algebra.dim)]
+
+    def run(algebra):
+        return (check_jacobi(algebra), ad(algebra, x),
+                contact_structure(algebra, e.eta))
+
+    reference = _fresh(e.algebra)
+    want = run(reference)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(rounds):
+            algebra = _fresh(e.algebra)
+            barrier = threading.Barrier(threads_per_round)
+            results = [None] * threads_per_round
+
+            def work(k):
+                barrier.wait(timeout=30)
+                results[k] = run(algebra)
+
+            threads = [threading.Thread(target=work, args=(k,))
+                       for k in range(threads_per_round)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert results == [want] * threads_per_round
+            assert vars(algebra)["constants"] == reference.constants
+    finally:
+        sys.setswitchinterval(interval)

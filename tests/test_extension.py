@@ -62,8 +62,8 @@ def test_central_extension_rejects_d_eta_off_omega(monkeypatch, key):
     s = CAT["aff1_aff1_sympl"].symplectic()
     original = extension._deta_matrix
 
-    def perturbed(algebra, constants, eta):
-        d = original(algebra, constants, eta)
+    def perturbed(algebra, eta):
+        d = original(algebra, eta)
         n = len(d)
         return d + ScaledMatrix([[((a, b) == key) - ((b, a) == key)
                                   for b in range(n)] for a in range(n)])
@@ -108,9 +108,9 @@ def test_central_quotient_rejects_bracket_outside_span():
     check: the coordinates read off the brackets, times the horizontal
     basis, do not give the brackets back."""
     c = CAT["heisenberg5"].contact()
-    broken = ContactStructure(c.algebra, c.constants, c.eta, c.scaled_eta,
-                              c.scaled_reeb, c.horizontal_basis,
-                              ScaledMatrix.identity(5), c.deta_matrix)
+    broken = ContactStructure(c.algebra, c.eta, c.scaled_eta, c.scaled_reeb,
+                              c.horizontal_basis, ScaledMatrix.identity(5),
+                              c.deta_matrix)
     with pytest.raises(InternalInvariantError, match="span"):
         central_quotient(broken)
 

@@ -3,9 +3,10 @@ not reach the combinatorial kernels.  `wedge` expands eta ^ (d eta)^n term
 by term, and `bracket` sums Fractions per pair where Jacobi checks and
 central quotients read the structure constants as one integer matrix;
 both stay public but are patched here to raise wherever a contactlie
-module holds them.  That matrix is built per call, never kept on the
-algebra.  Derived data of a contact structure is computed once: call
-counts of the expensive steps are pinned per call.  Real-valued Gaussian
+module holds them.  That matrix is kept on the algebra, laid out once on
+first use or seeded by the algebra's builder.  Derived data of a contact
+structure is computed once: call counts of the expensive steps are
+pinned per call.  Real-valued Gaussian
 matrices take the integer kernels of linalg, without GaussianRational
 arithmetic, and the Pfaffian of real input runs no Fraction arithmetic.
 serialize_algebra_file never runs json's pure-Python encoder."""
@@ -23,9 +24,10 @@ from contactlie.algebra import (LieAlgebra, ad, check_jacobi, complexify,
                                 subspace_brackets)
 from contactlie.catalog import abelian, catalog
 from contactlie.contact import contact_structure
-from contactlie.extension import (analyze_kcontact, central_extension,
-                                  central_quotient)
-from contactlie.fileformat import AlgebraFile, serialize_algebra_file
+from contactlie.extension import (SymplecticAlgebra, analyze_kcontact,
+                                  central_extension, central_quotient)
+from contactlie.fileformat import (AlgebraFile, parse_algebra_file,
+                                   serialize_algebra_file)
 from contactlie.forms import (basis_dual, ce_differential, complexify_form,
                               is_contact, one_form, two_form)
 from contactlie.linalg import ScaledMatrix, det, pfaffian, rref
@@ -152,21 +154,74 @@ def test_contact_pipeline_reads_the_constants_once():
         assert reads.reads == {"values": 1}, (name, reads.reads)
 
 
-def test_kernels_keep_nothing_on_the_algebra():
-    algebras = [e.algebra for e in CAT.values()]
-    algebras += [central_extension(CAT[name].symplectic())[0]
+def fresh(algebra):
+    """A copy of the algebra built from its fields, with no constants
+    laid out yet."""
+    return LieAlgebra(algebra.name, algebra.dim, algebra.field,
+                      algebra.brackets, algebra.basis_labels)
+
+
+def test_kernels_keep_only_the_constants_on_the_algebra():
+    """The kernels keep C on a fresh algebra and nothing else, and read
+    the same C on every later call."""
+    algebras = [fresh(e.algebra) for e in CAT.values()]
+    algebras += [fresh(central_extension(CAT[name].symplectic())[0])
                  for name, e in CAT.items() if e.kind == "symplectic"]
     for algebra in algebras:
         n = algebra.dim
         before = dict(vars(algebra))
-        check_jacobi(algebra)
-        ad(algebra, [Fraction(k + 1, 2) for k in range(n)])
-        ce_differential(algebra, basis_dual(n, n - 1))
-        if n > 2:
-            ce_differential(algebra, two_form(n, [(0, 1, Fraction(1, 3))]))
-        assert vars(algebra) == before, algebra.name
-        assert all(vars(algebra)[key] is value
-                   for key, value in before.items()), algebra.name
+        assert "constants" not in before, algebra.name
+        kept = []
+        for _ in range(2):
+            check_jacobi(algebra)
+            ad(algebra, [Fraction(k + 1, 2) for k in range(n)])
+            ce_differential(algebra, basis_dual(n, n - 1))
+            if n > 2:
+                ce_differential(algebra,
+                                two_form(n, [(0, 1, Fraction(1, 3))]))
+            assert vars(algebra).keys() == before.keys() | {"constants"}
+            assert all(vars(algebra)[key] is value
+                       for key, value in before.items()), algebra.name
+            kept.append(vars(algebra)["constants"])
+        assert kept[0] is kept[1], algebra.name
+
+
+def count_layouts(monkeypatch):
+    """The algebras whose constants are laid out from their brackets, one
+    entry per layout."""
+    laid_out = []
+    layout = LieAlgebra.constants.func
+
+    def counted(algebra):
+        laid_out.append(algebra)
+        return layout(algebra)
+
+    monkeypatch.setattr(LieAlgebra.constants, "func", counted)
+    return laid_out
+
+
+def test_round_trip_lays_out_each_parsed_algebra_once(monkeypatch):
+    """Over serialize -> parse -> SymplecticAlgebra -> central_extension
+    -> serialize -> parse -> contact_structure -> central_quotient, C is
+    laid out once for each parsed algebra, shared by the parse's Jacobi
+    check and what is built on it, and never for the extension or the
+    quotient, which are built from their C."""
+    laid_out = count_layouts(monkeypatch)
+    for name, e in CAT.items():
+        if e.kind != "symplectic":
+            continue
+        del laid_out[:]
+        source = parse_algebra_file(serialize_algebra_file(
+            AlgebraFile(e.algebra, forms={"omega": e.omega})))
+        algebra, eta = central_extension(
+            SymplecticAlgebra(source.algebra, source.forms["omega"]))
+        extension = parse_algebra_file(serialize_algebra_file(
+            AlgebraFile(algebra, forms={"eta": eta})))
+        q = central_quotient(contact_structure(extension.algebra,
+                                               extension.forms["eta"]))
+        assert q.algebra.brackets == e.algebra.brackets, name
+        assert [id(a) for a in laid_out] == [id(source.algebra),
+                                             id(extension.algebra)], name
 
 
 METRIC_ENTRIES = sorted(name for name, e in CAT.items()
@@ -230,18 +285,21 @@ def test_central_extension_checks_d_eta_without_a_contact_structure(
 
 def test_extension_layer_checks_on_the_matrices_it_holds(monkeypatch):
     """central_quotient checks the quotient, and central_extension the
-    extension, on the integer matrices they already hold: with the public
-    check_jacobi and ce_differential, and form_matrix on a 2-form,
-    patched to raise, both pass on every central catalog entry and every
-    symplectic one, and the extension of a quotient rebuilds nothing
-    either.  The quotients of the Heisenberg algebras are abelian, and
-    their Jacobi check returns before it reads C."""
+    extension, on the integer matrices they already hold: with the lazy
+    layout of C, ce_differential and form_matrix on a 2-form patched to
+    raise, both pass on every central catalog entry and every symplectic
+    one, and the extension of a quotient rebuilds nothing either.  The
+    quotients of the Heisenberg algebras are abelian, and their Jacobi
+    check returns before it reads C."""
     structures = [c for c in (e.contact() for e in CAT.values()
                               if e.kind == "contact") if c.ad_reeb_is_zero]
     symplectic = [e.symplectic() for e in CAT.values()
                   if e.kind == "symplectic"]
     assert len(structures) == 4 and len(symplectic) == 3
-    forbid(monkeypatch, contactlie.algebra, "check_jacobi")
+    def layout(algebra):
+        raise AssertionError("constants of %s laid out" % algebra.name)
+
+    monkeypatch.setattr(LieAlgebra.constants, "func", layout)
     forbid(monkeypatch, contactlie.forms, "ce_differential")
 
     def make(original):

@@ -9,7 +9,7 @@ from contactlie.algebra import complexify
 from contactlie.catalog import catalog
 from contactlie.contact import contact_structure
 from contactlie.errors import InputError
-from contactlie.forms import complexify_form
+from contactlie.forms import basis_dual, complexify_form, two_form
 from contactlie.linalg import det
 from contactlie.metric import (MetricData, compute_h, compute_phi,
                                construct_associated_metric, is_associated,
@@ -62,6 +62,20 @@ def test_symplectic_metric_of_the_wrong_dimension_is_refused(size):
                        "algebra of dimension 4" % size):
         symplectic_is_associated(e.algebra, e.omega,
                                  MetricData.from_diag([1] * size))
+
+
+@pytest.mark.parametrize("omega", [two_form(2, [(0, 1, 1)]),
+                                   two_form(6, [(0, 1, 1), (2, 3, 1),
+                                                (4, 5, 1)]),
+                                   basis_dual(4, 0)],
+                         ids=["dim 2", "dim 6", "1-form"])
+def test_symplectic_form_of_the_wrong_shape_is_refused(omega):
+    """An omega that is no 2-form on the algebra is an input error, as in
+    SymplecticAlgebra, not a verdict on a truncated J."""
+    with pytest.raises(InputError,
+                       match="omega must be a 2-form on the algebra"):
+        symplectic_is_associated(CAT["r4_sympl"].algebra, omega,
+                                 MetricData.from_diag([1] * 4))
 
 
 def test_catalog_metrics_are_associated():

@@ -131,6 +131,23 @@ def test_dual_partner_rejects_multiples_of_reeb_field():
         assert evaluate(c.eta, z) == 0
 
 
+def test_dual_partner_rejects_what_is_no_root_vector():
+    """An alpha that is no root, or an X outside g_alpha, is the caller's
+    mistake: an input error, not a violated theorem.  On su(2) with
+    eta = e3*, ad(xi) e1 = e2, so e1 lies in no g_alpha."""
+    c = complex_contact("su2")
+    rd = root_decomposition(c)
+    (x,) = rd.spaces[GaussianRational(0, 1)]
+    for alpha in (5, GaussianRational(1, 1)):
+        with pytest.raises(InputError, match="not a root"):
+            find_dual_partner(rd, x, alpha)
+    e1 = [GaussianRational(1), GaussianRational(0), GaussianRational(0)]
+    assert list(c.reeb) == [0, 0, 1]
+    for alpha in rd.roots:
+        with pytest.raises(InputError, match="X is not in g_alpha"):
+            find_dual_partner(rd, e1, alpha)
+
+
 def test_pairing_matrix_invertible():
     for name in ("su2", "sl2r"):
         rd = root_decomposition(complex_contact(name))
